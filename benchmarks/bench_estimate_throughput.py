@@ -9,8 +9,8 @@ part of the committed trajectory — the acceptance floor for the
 compiled estimators is 10x on this workload.
 
 ``benchmarks/run_benchmarks.py`` folds these medians into
-``BENCH_sim.json`` and its ``--compare`` gate, so an estimator
-regression fails CI like a simulator regression does.
+``BENCH_sim.json``, which ``repro bench report --diff`` gates, so an
+estimator regression fails CI like a simulator regression does.
 """
 
 import pytest

@@ -14,8 +14,8 @@ adder's default transform space for the two search regimes:
 The per-candidate speedup of the estimate-pruned regime is the whole
 point of the subsystem, so it is part of the committed perf
 trajectory: ``benchmarks/run_benchmarks.py`` folds both medians into
-``BENCH_sim.json`` and the ``--compare`` gate fails CI on regression
-like any simulator or estimator workload.
+``BENCH_sim.json`` and the ``repro bench report --diff`` gate fails CI
+on regression like any simulator or estimator workload.
 """
 
 import pytest

@@ -8,13 +8,15 @@ the heaviest netlists in the reproduction.
   engine, 16x16, 20 cycles) — its trajectory shows the effect of the
   compiled-IR / timing-wheel work on the hot loop.
 * ``test_sim_throughput_backends`` parametrizes the same workload over
-  the pluggable backends (event-driven vs waveform vs bit-parallel)
-  and adds a 32x32 case, so backend wins are tracked per size.
-* ``test_sim_throughput_codegen_tiers`` measures the generated-kernel
-  tiers (codegen and, with the ``[perf]`` extra, vector) on 256-cycle
-  streams — long enough to amortize per-run setup, which is the regime
-  those tiers exist for.  Cross-tier comparisons use ``cycles_per_s``,
-  so the differing cycle counts don't skew the speedup columns.
+  the pure-Python engines — event-driven (``event``) and the lanes
+  engine in glitch mode (``lanes``) and in zero-delay mode
+  (``lanes-zero``) — and adds a 32x32 case, so backend wins are
+  tracked per size.
+* ``test_sim_throughput_vector`` measures the numpy tier (the
+  ``[perf]`` extra) on 256-cycle streams — long enough to amortize
+  per-run setup, which is the regime it exists for.  Cross-engine
+  comparisons use ``cycles_per_s``, so the differing cycle counts don't
+  skew the speedup columns.
 * ``test_sim_throughput_farm`` runs the ≥100k-cell ``farm16`` stress
   workload through the vector backend, glitch-exact.
 
@@ -29,11 +31,19 @@ import pytest
 
 from repro.circuits.multipliers import build_multiplier_circuit
 from repro.core.activity import ActivityRun
+from repro.sim.delays import ZeroDelay
 from repro.sim.engine import Simulator
 from repro.sim.vector import numpy_available
 from repro.sim.vectors import WordStimulus
 
 FARM_CYCLES = 20
+
+#: Row name -> (backend, delay model) of the parametrized engine rows.
+ENGINES = {
+    "event": ("event", None),
+    "lanes": ("lanes", None),
+    "lanes-zero": ("lanes", ZeroDelay()),
+}
 
 
 def _workload(n_bits: int, n_cycles: int):
@@ -60,10 +70,11 @@ def test_sim_throughput_array16(benchmark):
 
 
 @pytest.mark.parametrize("n_bits,n_cycles", [(16, 20), (32, 10)])
-@pytest.mark.parametrize("backend", ["event", "waveform", "bitparallel"])
+@pytest.mark.parametrize("backend", list(ENGINES))
 def test_sim_throughput_backends(benchmark, n_bits, n_cycles, backend):
     circuit, vectors = _workload(n_bits, n_cycles)
-    run = ActivityRun(circuit, backend=backend)
+    name, delay_model = ENGINES[backend]
+    run = ActivityRun(circuit, delay_model=delay_model, backend=name)
 
     def simulate():
         return run.run(iter(vectors)).total_transitions
@@ -73,13 +84,12 @@ def test_sim_throughput_backends(benchmark, n_bits, n_cycles, backend):
 
 
 @pytest.mark.parametrize("n_bits,n_cycles", [(16, 256), (32, 256)])
-@pytest.mark.parametrize("backend", ["codegen", "vector"])
-def test_sim_throughput_codegen_tiers(benchmark, n_bits, n_cycles, backend):
-    if backend == "vector" and not numpy_available():
+def test_sim_throughput_vector(benchmark, n_bits, n_cycles):
+    if not numpy_available():
         pytest.skip("vector backend needs the [perf] extra (numpy)")
     circuit, vectors = _workload(n_bits, n_cycles)
-    run = ActivityRun(circuit, backend=backend)
-    run.run(iter(vectors))  # warm the per-circuit compiled kernels
+    run = ActivityRun(circuit, backend="vector")
+    run.run(iter(vectors))  # warm the per-circuit compiled plan
 
     def simulate():
         return run.run(iter(vectors)).total_transitions

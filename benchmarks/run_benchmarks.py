@@ -14,11 +14,9 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py
 
-``--compare REFERENCE.json`` additionally gates the run: after
-measuring (and refreshing the output file) it compares each workload's
-median against the reference file and exits non-zero if any regressed
-by more than ``--threshold`` (default 25%) — the CI bench job runs
-this against the committed ``BENCH_sim.json``.
+The regression gate is ``repro bench report --diff REFERENCE.json``
+(:func:`repro.obs.ledger.compare_snapshots`), which the CI bench job
+runs against a baseline measured on the same runner.
 
 Extra pytest arguments are passed through, e.g.::
 
@@ -27,7 +25,6 @@ Extra pytest arguments are passed through, e.g.::
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import subprocess
@@ -38,8 +35,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
-
-from repro.obs.ledger import compare_snapshots  # noqa: E402
 
 BENCHES = [
     Path(__file__).resolve().parent / "bench_sim_throughput.py",
@@ -76,9 +71,9 @@ def normalize(data: dict) -> dict:
         params = bench.get("params") or {}
         median = bench["stats"]["median"]
         if bench["name"].startswith(
-            ("test_sim_throughput_backends", "test_sim_throughput_codegen")
+            ("test_sim_throughput_backends", "test_sim_throughput_vector")
         ):
-            backend = params["backend"]
+            backend = params.get("backend", "vector")
             n_bits = params["n_bits"]
             n_cycles = params["n_cycles"]
             key = f"{backend}/{n_bits}x{n_bits}"
@@ -204,7 +199,7 @@ def normalize(data: dict) -> dict:
             continue
         ref = results.get(f"event/{key.split('/', 1)[1]}")
         if ref is not None:
-            # Rate-based, not median-based: the codegen tiers measure
+            # Rate-based, not median-based: the vector rows measure
             # longer streams (256 cycles) than the event reference, so
             # comparing wall times directly would be meaningless.
             entry["speedup_vs_event"] = round(
@@ -221,30 +216,8 @@ def normalize(data: dict) -> dict:
     }
 
 
-# The regression gate lives in repro.obs.ledger now (shared with
-# ``repro bench report --diff``); this alias keeps the historical
-# entry point for callers of run_benchmarks.compare.
-compare = compare_snapshots
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--compare", default=None, metavar="REFERENCE.json",
-        help="exit non-zero if any median regresses past the threshold",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="allowed median regression fraction (default 0.25)",
-    )
-    args, extra = parser.parse_known_args(list(argv or []))
-
-    reference = None
-    if args.compare is not None:
-        with open(args.compare) as fh:
-            reference = json.load(fh)  # read before OUT is overwritten
-
-    data = normalize(run_benchmarks(extra))
+    data = normalize(run_benchmarks(list(argv or [])))
     with open(OUT, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=False)
         fh.write("\n")
@@ -276,21 +249,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"  {key:34s} {entry['median_s'] * 1000:9.3f} ms median"
             f"  {rate_txt}{extra_txt}"
-        )
-
-    if reference is not None:
-        regressions = compare(reference, data, args.threshold)
-        if regressions:
-            print(
-                f"\nFAIL: {len(regressions)} workload(s) regressed "
-                f">{args.threshold * 100:.0f}% vs {args.compare}:"
-            )
-            for line in regressions:
-                print(f"  {line}")
-            return 1
-        print(
-            f"\nno workload regressed >{args.threshold * 100:.0f}% "
-            f"vs {args.compare}"
         )
     return 0
 

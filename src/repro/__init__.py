@@ -50,8 +50,7 @@ from repro.sim import (
     BurstMarkovStimulus,
     make_stimulus,
     EventDrivenBackend,
-    WaveformBackend,
-    BitParallelBackend,
+    LanesBackend,
     dump_vcd,
 )
 from repro.circuits import (
@@ -104,8 +103,7 @@ __all__ = [
     "validate",
     "Simulator",
     "EventDrivenBackend",
-    "WaveformBackend",
-    "BitParallelBackend",
+    "LanesBackend",
     "UnitDelay",
     "SumCarryDelay",
     "PerKindDelay",

@@ -9,7 +9,8 @@ Exposes the library's analyses without writing Python::
         --vectors 2000               # fastest glitch-exact engine
     python -m repro.cli analyze --circuit array32 --backend vector \
         --vectors 5000               # numpy tier ([perf] extra)
-    python -m repro.cli analyze --circuit rca16 --backend bitparallel
+    python -m repro.cli analyze --circuit rca16 \
+        --backend bitparallel        # zero-delay, useful-only counts
     python -m repro.cli analyze --circuit rca8 --vectors 50 \
         --backend auto --vcd rca8.vcd   # falls back to event-driven
     python -m repro.cli analyze --circuit array8 --cache .repro-cache
@@ -50,8 +51,17 @@ from repro.core.activity import ActivityRun
 from repro.core.report import format_table
 from repro.netlist.circuit import Circuit
 from repro.netlist.io import circuit_to_dot, circuit_to_json
+from repro.sim.backends import ZERO_DELAY_ALIASES
 from repro.sim.delays import DelayModel, SumCarryDelay, UnitDelay
 from repro.sim.vectors import WordStimulus
+
+#: ``--backend`` values: the ``auto`` policy, the three engines, and
+#: the retired engine names that still resolve to ``lanes`` (the
+#: bit-parallel ones to its zero-delay mode).
+BACKEND_CHOICES = [
+    "auto", "event", "lanes", "vector",
+    "waveform", "wave", "codegen", "bitparallel", "bit-parallel", "batch",
+]
 
 
 def build_named_circuit(name: str) -> Tuple[Circuit, WordStimulus]:
@@ -144,7 +154,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "store does not hold; drop --cache for VCD dumps"
             )
         backend = select_backend(record_events=True)
-    if backend in ("event", "waveform", "codegen", "vector", "auto"):
+    if backend not in ZERO_DELAY_ALIASES:
         # "auto" is passed through unresolved: ActivityRun/cached_run
         # resolve it themselves, which arms runtime failover down the
         # backend chain (an explicitly named backend never falls back).
@@ -225,12 +235,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ],
             ["L/F", summary["L/F"], est["L/F"]],
         ]
-        # The bit-parallel engine counts only settled (useful)
-        # activity, so its "total" is not glitch-inclusive — label the
+        # A zero-delay session counts only settled (useful) activity,
+        # so its "total" is not glitch-inclusive — label the
         # comparison accordingly rather than overclaim exactness.
         sim_label = (
             "zero-delay simulation (useful-only totals)"
-            if backend == "bitparallel" else "glitch-exact simulation"
+            if backend in ZERO_DELAY_ALIASES else "glitch-exact simulation"
         )
         print()
         print(format_table(
@@ -877,20 +887,17 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1995)
     p.add_argument(
         "--delay", default=None, choices=["unit", "sumcarry"],
-        help="event-backend delay model (default: unit)",
+        help="intra-cycle delay model (default: unit)",
     )
     p.add_argument(
-        "--backend", default="event",
-        choices=[
-            "auto", "event", "waveform", "bitparallel", "codegen",
-            "vector",
-        ],
+        "--backend", default="auto", choices=BACKEND_CHOICES,
         help=(
-            "simulation backend: auto picks the fastest glitch-exact "
-            "engine (vector with the [perf] extra, waveform without; "
-            "event-driven when --vcd is given); codegen/vector are the "
-            "generated-kernel tiers; bitparallel counts useful "
-            "activity only"
+            "simulation backend (default auto: the fastest glitch-exact "
+            "engine — vector with the [perf] extra, lanes without, "
+            "event-driven when --vcd is given); event is the reference "
+            "engine; waveform, wave and codegen are aliases of lanes; "
+            "bitparallel, bit-parallel and batch run lanes in zero-delay "
+            "mode, counting useful activity only"
         ),
     )
     p.add_argument(
@@ -971,13 +978,7 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["uniform", "correlated", "burst"],
     )
     p.add_argument("--flip-probability", type=float, default=0.1)
-    p.add_argument(
-        "--backend", default="auto",
-        choices=[
-            "auto", "event", "waveform", "bitparallel", "codegen",
-            "vector",
-        ],
-    )
+    p.add_argument("--backend", default="auto", choices=BACKEND_CHOICES)
     p.add_argument(
         "--estimate", action="store_true",
         help="run the analytic estimation backend instead of simulating",
@@ -1058,8 +1059,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--diff", default=None, metavar="REFERENCE.json",
         help=(
             "diff against a reference snapshot and exit non-zero on "
-            "any regression past --threshold (same gate as "
-            "run_benchmarks.py --compare)"
+            "any regression past --threshold"
         ),
     )
     p.add_argument(

@@ -47,6 +47,7 @@ from repro.sim.backends import (
     canonical_backend,
     fallback_candidates,
     get_backend,
+    pins_zero_delay,
     select_backend,
     zero_delay_backend,
 )
@@ -363,22 +364,25 @@ class ActivityRun:
         The netlist to analyse.
     delay_model:
         Intra-cycle delay regime (default
-        :class:`~repro.sim.delays.UnitDelay`).  Zero-delay models are
-        rejected on the event-driven backend: without intra-cycle time
-        resolution no glitch can be observed, so the classification
-        would be vacuously "all useful" and silently wrong.
+        :class:`~repro.sim.delays.UnitDelay`).  An explicit
+        :class:`~repro.sim.delays.ZeroDelay` runs a settled zero-delay
+        session (useful activity only) on the batch engines, and is
+        rejected on the event-driven backend: there no glitch could be
+        observed, so the classification would be vacuously "all
+        useful" and silently wrong.
     backend:
-        ``"event"`` (exact, glitch-aware — the default),
-        ``"waveform"`` (glitch-exact batch engine, bit-identical
-        aggregates at a fraction of the cost), ``"bitparallel"``
-        (zero-delay batch engine: fastest interpreted tier, counts
-        only settled-value i.e. useful activity), ``"codegen"`` /
-        ``"vector"`` (the generated-kernel tiers — dual-mode: a timed
-        delay model selects glitch-exact analysis, an explicit
-        :class:`~repro.sim.delays.ZeroDelay` selects settled
-        zero-delay accounting; ``"vector"`` needs the ``[perf]``
-        extra's numpy), or ``"auto"`` — resolve per
-        :func:`repro.sim.backends.select_backend`.
+        ``"auto"`` (the default) — resolve per
+        :func:`repro.sim.backends.select_backend`: the numpy
+        ``"vector"`` engine when the ``[perf]`` extra is installed,
+        the pure-Python ``"lanes"`` engine otherwise; ``"event"``
+        (the exact event-driven reference); ``"lanes"`` or
+        ``"vector"`` explicitly.  Both batch engines are dual-mode: a
+        timed delay model selects glitch-exact analysis, bit-identical
+        to the event-driven engine, an explicit ZeroDelay selects
+        settled accounting.  The retired names ``"waveform"``,
+        ``"wave"`` and ``"codegen"`` alias ``"lanes"``;
+        ``"bitparallel"``, ``"bit-parallel"`` and ``"batch"`` alias
+        its zero-delay mode and reject a timed delay model.
         Per-cycle traces (:meth:`step_traces`) always use the
         event-driven engine — the only one that produces them.
     monitor:
@@ -387,8 +391,8 @@ class ActivityRun:
     failover:
         Whether a backend that dies *mid-run* with ``MemoryError`` /
         an import failure re-dispatches on the next tier of the
-        fallback chain (``vector → codegen → waveform → event``;
-        settled sessions ``vector → codegen → bitparallel``) instead
+        fallback chain (``vector → lanes → event``; settled
+        sessions ``vector → lanes``) instead
         of aborting.  Results stay bit-identical — tiers in one chain
         share a result class — and each degradation emits a
         :class:`~repro.sim.backends.BackendDegradedWarning`.  Defaults
@@ -400,7 +404,7 @@ class ActivityRun:
         self,
         circuit: Circuit,
         delay_model: DelayModel | None = None,
-        backend: str = "event",
+        backend: str = AUTO_BACKEND,
         monitor: Iterable[int] | None = None,
         failover: bool | None = None,
     ) -> None:
@@ -417,23 +421,12 @@ class ActivityRun:
         if reason is not None:
             raise BackendUnavailableError(reason)
         self.monitor = None if monitor is None else list(monitor)
-        backend_cls = BACKENDS[self.backend_name]
-        dual = getattr(backend_cls, "dual_mode", False)
-        if not backend_cls.exact_glitches or (
+        dual = getattr(BACKENDS[self.backend_name], "dual_mode", False)
+        if pins_zero_delay(backend, delay_model) or (
             dual and isinstance(delay_model, ZeroDelay)
         ):
-            # Zero-delay session: inherently settled backends, or a
-            # dual-mode backend explicitly asked for its settled tier.
-            if not backend_cls.exact_glitches and (
-                delay_model is not None
-                and not isinstance(delay_model, ZeroDelay)
-            ):
-                raise ValueError(
-                    f"the {self.backend_name!r} backend is inherently "
-                    "zero-delay and would silently ignore "
-                    f"{delay_model.describe()!r}; pass delay_model=None "
-                    "or use the event-driven backend"
-                )
+            # Zero-delay session: a name that pins the settled mode, or
+            # a dual-mode backend explicitly asked for it.
             self.delay_model = None
             self.delay_description = f"zero delay ({self.backend_name})"
         else:
@@ -462,9 +455,8 @@ class ActivityRun:
 
         Zero-delay sessions store ``delay_model=None``, but dual-mode
         backends interpret a ``None`` constructor argument as "default
-        timed model" — so the settled tier must be requested with an
-        explicit ZeroDelay instance (which the bit-parallel backend
-        accepts too).
+        timed model" — so the settled mode must be requested with an
+        explicit ZeroDelay instance.
         """
         return (
             self.delay_model if self.delay_model is not None else ZeroDelay()
@@ -638,9 +630,9 @@ class ActivityRun:
         if self.delay_model is None:
             raise ValueError(
                 "per-cycle traces require an intra-cycle delay model; "
-                "the zero-delay bit-parallel session cannot produce "
-                "them — construct the run with the event-driven or "
-                "waveform backend"
+                "a zero-delay session cannot produce them — construct "
+                "the run with a timed delay model (traces always come "
+                "from the event-driven engine)"
             )
         sim = Simulator(
             self.circuit, self.delay_model, monitor=self.monitor,
@@ -696,5 +688,5 @@ def analyze(
     :class:`~repro.sim.engine.Simulator`.
     """
     return ActivityRun(
-        circuit, delay_model=delay_model, monitor=monitor
+        circuit, delay_model=delay_model, backend="event", monitor=monitor
     ).run(vectors, warmup=warmup)

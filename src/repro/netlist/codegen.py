@@ -3,30 +3,25 @@
 The compiled IR (:mod:`repro.netlist.compiled`) already fuses each
 cell's evaluator over captured net indices, but every pass still pays
 one Python call, one returned tuple and one ``zip`` per cell.  This
-module eliminates that dispatch entirely by *emitting source code* for
-a whole circuit pass — one straight-line statement per cell, in the
-cached topological order — and ``exec``-compiling it into a single
-flat function (chunked for very large netlists, see
-:data:`CHUNK_CELLS`).
+module eliminates that dispatch entirely for the estimators' float
+passes by *emitting source code* for a whole circuit pass — one
+straight-line statement per cell, in the cached topological order —
+and ``exec``-compiling it into a single flat function (chunked for
+very large netlists, see :data:`CHUNK_CELLS`).
 
-Four passes are generated per compiled circuit, each mirroring one of
-the fused kernel families **expression for expression** so results are
-bit-identical (ints) or float-identical (the estimators' closed forms
-keep the same association order, so no rounding step can differ):
-
-* :func:`build_settle_pass` — zero-delay bitmask settle, the body of
-  :func:`repro.netlist.compiled.settle_lanes`'s inner loop;
-* :func:`build_waveform_pass` — the waveform backend's timed lane
-  propagation, with each output's transport delay baked in as a
-  literal shift;
-* :func:`build_prob_pass` / :func:`build_density_pass` — the
-  signal-probability and transition-density topological passes used by
-  :mod:`repro.estimate`.
+Two passes are generated per compiled circuit, each mirroring one of
+the fused kernel families **expression for expression**, so results
+are float-identical (the closed forms keep the same association order,
+so no rounding step can differ): :func:`build_prob_pass` /
+:func:`build_density_pass` — the signal-probability and
+transition-density topological passes used by :mod:`repro.estimate`.
 
 It is also home to the structural *levelization* used by the numpy
 tier (:mod:`repro.sim.vector`): :func:`level_groups` buckets the topo
 order into ``(level, kind, arity, delays)`` groups whose members can
-be evaluated as one vectorized ndarray operation.
+be evaluated as one vectorized ndarray operation; and to
+:func:`static_event_horizon`, the per-cycle time axis of the two
+glitch-exact batch engines.
 
 Everything here is pure Python — numpy is only touched by the vector
 backend that consumes :func:`level_groups`.
@@ -91,50 +86,8 @@ def _compile_blocks(
 # Each emitter returns ``(prelude_statements, output_expressions)``.
 # The expressions are *exactly* the fused-kernel arithmetic from
 # repro.netlist.compiled with the captured indices inlined as literals;
-# any deviation (operand order, association, an extra mask) would break
-# the bit-identity contract the backends are tested against.
-
-def _bits_exprs(
-    kind: CellKind, ins: Tuple[int, ...], arr: str, mask: str
-) -> Tuple[List[str], List[str]]:
-    v = [f"{arr}[{n}]" for n in ins]
-    if kind is CellKind.CONST0:
-        return [], ["0"]
-    if kind is CellKind.CONST1:
-        return [], [mask]
-    if kind in (CellKind.BUF, CellKind.DFF):
-        return [], [v[0]]
-    if kind is CellKind.NOT:
-        return [], [f"{v[0]} ^ {mask}"]
-    if kind is CellKind.MUX2:
-        s, a, b = v
-        return [], [f"{a} ^ (({a} ^ {b}) & {s})"]
-    if kind is CellKind.HA:
-        a, b = v
-        return [], [f"{a} ^ {b}", f"{a} & {b}"]
-    if kind is CellKind.FA:
-        a, b, c = v
-        return (
-            [f"_p = {a} ^ {b}"],
-            [f"_p ^ {c}", f"({a} & {b}) | ({c} & _p)"],
-        )
-    if kind in (CellKind.AND, CellKind.NAND):
-        core = " & ".join(v)
-        if kind is CellKind.NAND:
-            return [], [f"({core}) ^ {mask}"]
-        return [], [core]
-    if kind in (CellKind.OR, CellKind.NOR):
-        core = " | ".join(v)
-        if kind is CellKind.NOR:
-            return [], [f"({core}) ^ {mask}"]
-        return [], [core]
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        core = " ^ ".join(v)
-        if kind is CellKind.XNOR:
-            return [], [f"{core} ^ {mask}"]
-        return [], [core]
-    raise NotImplementedError(f"no codegen lowering for {kind}")
-
+# any deviation (operand order, association) would break the
+# float-identity contract the estimators are tested against.
 
 def _prob_exprs(
     kind: CellKind, ins: Tuple[int, ...]
@@ -239,66 +192,6 @@ def _density_exprs(
 # Pass builders
 # ---------------------------------------------------------------------------
 
-def _settle_blocks(cc: "CompiledCircuit") -> List[List[str]]:
-    blocks = []
-    for ci in cc.topo:
-        pre, outs = _bits_exprs(cc.cell_kinds[ci], cc.cell_inputs[ci], "v", "M")
-        block = list(pre)
-        for out_net, expr in zip(cc.cell_outputs[ci], outs):
-            block.append(f"v[{out_net}] = {expr}")
-        blocks.append(block)
-    return blocks
-
-
-def build_settle_pass(cc: "CompiledCircuit") -> Callable:
-    """One flat ``f(v, M)`` zero-delay bitmask pass over the topo order.
-
-    Drop-in replacement for the per-cell kernel loop inside
-    :func:`repro.netlist.compiled.settle_lanes` (pass it as
-    ``comb_pass``); writes settled lane masks into ``v`` in place.
-    """
-    return _compile_blocks(_settle_blocks(cc), "v, M", f"settle {cc.name}")
-
-
-def _waveform_blocks(cc: "CompiledCircuit") -> List[List[str]]:
-    if cc.out_specs is None:
-        raise ValueError(
-            "waveform codegen needs a delay-compiled circuit "
-            "(compile_circuit(circuit, delay_model))"
-        )
-    blocks = []
-    for ci in cc.topo:
-        pre, outs = _bits_exprs(cc.cell_kinds[ci], cc.cell_inputs[ci], "w", "F")
-        block = list(pre)
-        for (out_net, dly), expr in zip(cc.out_specs[ci], outs):
-            dmask = (1 << dly) - 1
-            block.append(f"_r = {expr}")
-            block.append(f"if vals[{out_net}]:")
-            block.append(f"    _m = ((_r << {dly}) | {dmask}) & F")
-            block.append("    ch[%d] = _m ^ (((_m << 1) | 1) & F)" % out_net)
-            block.append("else:")
-            block.append(f"    _m = (_r << {dly}) & F")
-            block.append("    ch[%d] = _m ^ ((_m << 1) & F)" % out_net)
-            block.append(f"w[{out_net}] = _m")
-        blocks.append(block)
-    return blocks
-
-
-def build_waveform_pass(cc: "CompiledCircuit") -> Callable:
-    """One flat ``f(w, ch, vals, F)`` timed waveform-lane pass.
-
-    ``w`` holds per-net waveform lane masks (every net pre-filled with
-    its pre-batch constant, edges already seeded), ``vals`` the settled
-    pre-batch values, ``F`` the full lane mask.  Each cell's transport
-    delay is a literal shift; ``w[out]`` receives the delayed output
-    waveform and ``ch[out]`` its applied-transition mask — the same
-    ``om``/``changed`` arithmetic as the waveform backend's inner loop.
-    """
-    return _compile_blocks(
-        _waveform_blocks(cc), "w, ch, vals, F", f"wave {cc.name}"
-    )
-
-
 def _estimator_blocks(cc: "CompiledCircuit", which: str) -> List[List[str]]:
     blocks = []
     for ci in cc.topo:
@@ -329,20 +222,15 @@ def build_density_pass(cc: "CompiledCircuit") -> Callable:
     )
 
 
-def kernel_source(cc: "CompiledCircuit", which: str = "settle") -> str:
+def kernel_source(cc: "CompiledCircuit", which: str = "prob") -> str:
     """The generated source text of one pass, for docs and inspection."""
-    if which == "settle":
-        blocks, params = _settle_blocks(cc), "v, M"
-    elif which == "waveform":
-        blocks, params = _waveform_blocks(cc), "w, ch, vals, F"
-    elif which == "prob":
+    if which == "prob":
         blocks, params = _estimator_blocks(cc, "prob"), "p"
     elif which == "density":
         blocks, params = _estimator_blocks(cc, "density"), "p, d"
     else:
         raise ValueError(
-            f"unknown pass {which!r}; choose from settle, waveform, "
-            "prob, density"
+            f"unknown pass {which!r}; choose from prob, density"
         )
     lines = [f"def _kernel({params}):"]
     for block in blocks:
@@ -488,7 +376,7 @@ def static_event_horizon(
 
     Levelizes the delay-resolved topo order and rejects sub-unit
     combinational delays with the standard backend error message —
-    shared by the waveform, codegen and vector glitch engines.  The
+    shared by the lanes and vector engines' glitch modes.  The
     successful result is memoized on the compiled snapshot (one value
     per (circuit, delay model) pair by construction), so repeated
     backend construction skips the levelization.
@@ -508,7 +396,7 @@ def static_event_horizon(
                     f"the {backend_label} backend requires combinational "
                     f"delays >= 1, but {delay_model.describe()!r} "
                     f"gives cell {circuit.cells[ci].name!r} a delay of "
-                    f"{dly}; use the bit-parallel backend for "
+                    f"{dly}; pass an explicit ZeroDelay model for "
                     "zero-delay simulation"
                 )
             if arrival + dly > level[out_net]:

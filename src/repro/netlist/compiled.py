@@ -10,8 +10,8 @@ O(nets) instead of O(cells·outputs) with repeated delay-model calls.
 
 The :class:`CompiledCircuit` holds:
 
-* per-cell flat tuples — input nets, output nets, kind, evaluator,
-  sequential flag;
+* per-cell flat tuples — input nets, output nets, kind, fused
+  evaluator, sequential flag;
 * ``out_specs`` — per combinational cell, ``((out_net, delay), ...)``
   pairs pre-resolved through the delay model (``None`` when compiled
   without one, e.g. for purely functional evaluation);
@@ -172,9 +172,11 @@ def _fuse_cell(
 #
 # The same fusion idea applied to *bitmask* evaluation: one integer per
 # net, each bit one independent lane, inversions against an explicit
-# lane mask.  The bit-parallel backend packs one clock cycle per lane;
-# the waveform backend packs one intra-cycle event time per lane — both
-# evaluate every cell exactly once per batch through these kernels.
+# lane mask.  The lanes engine (repro.sim.lanes) packs one clock cycle
+# per lane in zero-delay mode and one intra-cycle event time per lane
+# in glitch mode, and evaluates every cell exactly once per batch
+# through these kernels.  Built lazily: see
+# :attr:`CompiledCircuit.cell_eval_bits`.
 
 def _bits_const0(ins, mask):
     return (0,)
@@ -242,8 +244,8 @@ def _bits_fa(ins, mask):
 
 
 #: Generic bitwise evaluators by kind (fallback for the fused forms).
-#: ``DFF`` maps to its transparent (buffer) view; neither backend ever
-#: evaluates a sequential cell through these.
+#: ``DFF`` maps to its transparent (buffer) view; the lanes engine
+#: never evaluates a sequential cell through these.
 _BIT_EVALUATORS = {
     CellKind.CONST0: _bits_const0,
     CellKind.CONST1: _bits_const1,
@@ -629,17 +631,11 @@ class CompiledCircuit:
     cell_kinds: Tuple[CellKind, ...]
     cell_inputs: Tuple[Tuple[int, ...], ...]
     cell_outputs: Tuple[Tuple[int, ...], ...]
-    cell_eval: Tuple[Callable[[Sequence[int]], Tuple[int, ...]], ...]
     #: Per-cell fused kernels (see :func:`_fuse_cell`): read the flat
     #: ``values`` array directly via captured net indices — no
-    #: per-evaluation input-list allocation.  Shared by both timed
-    #: backends and :meth:`evaluate_flat`.
+    #: per-evaluation input-list allocation.  Shared by the
+    #: event-driven engine and :meth:`evaluate_flat`.
     cell_eval_fused: Tuple[Callable[[Sequence[int]], Tuple[int, ...]], ...]
-    #: Per-cell fused bitmask kernels (see :func:`_fuse_bits`): same
-    #: fusion over a per-net integer-bitmask array, one independent
-    #: lane per bit.  The bit-parallel backend packs clock cycles into
-    #: lanes; the waveform backend packs intra-cycle event times.
-    cell_eval_bits: Tuple[Callable[[Sequence[int], int], Tuple[int, ...]], ...]
     cell_is_seq: Tuple[bool, ...]
     comb_fanout: Tuple[Tuple[int, ...], ...]
     topo: Tuple[int, ...]
@@ -650,12 +646,27 @@ class CompiledCircuit:
     max_delay: int
 
     # ------------------------------------------------------------------
-    # The estimator kernel tables are built lazily on first access:
-    # compiles on the simulation path (every backend, every shard
-    # worker) never pay for them, while the one compiled snapshot per
-    # (circuit, delay model) still amortizes them across estimator
-    # calls.  ``cached_property`` writes straight into the instance
-    # ``__dict__``, which the frozen dataclass permits.
+    # The per-engine and estimator kernel tables are built lazily on
+    # first access: a compile only pays for the tables its consumer
+    # reads, while the one compiled snapshot per (circuit, delay model)
+    # still amortizes them across runs.  ``cached_property`` writes
+    # straight into the instance ``__dict__``, which the frozen
+    # dataclass permits.
+
+    @cached_property
+    def cell_eval_bits(
+        self,
+    ) -> Tuple[Callable[[Sequence[int], int], Tuple[int, ...]], ...]:
+        """Per-cell fused bitmask kernels (:func:`_fuse_bits`).
+
+        The same fusion as :attr:`cell_eval_fused` over a per-net
+        integer-bitmask array, one independent lane per bit.  Only the
+        lanes engine (:mod:`repro.sim.lanes`) reads them.
+        """
+        return tuple(
+            _fuse_bits(kind, nets)
+            for kind, nets in zip(self.cell_kinds, self.cell_inputs)
+        )
 
     @cached_property
     def cell_prob(
@@ -690,32 +701,9 @@ class CompiledCircuit:
         )
 
     # ------------------------------------------------------------------
-    # Generated flat passes (see repro.netlist.codegen): whole-circuit
-    # straight-line kernels exec-compiled on first access and memoized
-    # with the snapshot, exactly like the estimator kernel tables.
-
-    @cached_property
-    def settle_pass(self):
-        """Generated ``f(v, M)`` zero-delay bitmask pass (codegen tier).
-
-        Statement-for-statement equivalent to running every
-        :attr:`cell_eval_bits` kernel over the topo order; accepted by
-        :func:`settle_lanes` as ``comb_pass``.
-        """
-        from repro.netlist import codegen
-
-        return codegen.build_settle_pass(self)
-
-    @cached_property
-    def waveform_pass(self):
-        """Generated ``f(w, ch, vals, F)`` timed waveform-lane pass.
-
-        Only available on delay-compiled snapshots (``out_specs`` not
-        ``None``); transport delays are baked in as literal shifts.
-        """
-        from repro.netlist import codegen
-
-        return codegen.build_waveform_pass(self)
+    # Generated flat estimator passes (see repro.netlist.codegen):
+    # whole-circuit straight-line kernels exec-compiled on first access
+    # and memoized with the snapshot, exactly like the kernel tables.
 
     @cached_property
     def prob_pass(self):
@@ -786,68 +774,6 @@ class CompiledCircuit:
         return values, next_state
 
 
-def settle_lanes(
-    cc: CompiledCircuit,
-    net_bits: List[int],
-    mask: int,
-    base_values: Sequence[int],
-    comb_pass: Callable[[List[int], int], None] | None = None,
-) -> List[int]:
-    """Zero-delay settle of a lane-packed batch, in place.
-
-    *net_bits* holds one integer bitmask per net with the primary-input
-    lanes already filled (bit *k* = value in lane *k*); *mask* selects
-    the active lanes; *base_values* are the settled values before the
-    batch (used to seed flipflop outputs).  On return every driven
-    net's mask holds its settled value per lane, including flipflop
-    ``q`` nets, whose cross-lane dependency ``q[k] = d[k-1]`` is
-    resolved by fixpoint iteration (each pass extends the correct
-    prefix by at least one register stage).
-
-    *comb_pass* overrides the combinational pass — pass
-    :attr:`CompiledCircuit.settle_pass` to run the generated flat
-    kernel instead of the per-cell fused-kernel loop (bit-identical by
-    construction).
-
-    Returns the converged ``q`` lane masks, parallel to
-    :attr:`CompiledCircuit.ff_cells`.  Shared by the bit-parallel
-    backend (lane = clock cycle) and the waveform/codegen backends'
-    settled pre-pass.
-    """
-    if comb_pass is None:
-        kernels = cc.cell_eval_bits
-        cell_outputs = cc.cell_outputs
-        topo = cc.topo
-
-        def comb_pass(bits, m):
-            for ci in topo:
-                outs = kernels[ci](bits, m)
-                for out_net, v in zip(cell_outputs[ci], outs):
-                    bits[out_net] = v
-
-    ff_cells, ff_d, ff_q = cc.ff_cells, cc.ff_d, cc.ff_q
-    if not ff_cells:
-        comb_pass(net_bits, mask)
-        return []
-    nbits = mask.bit_length()
-    q_init = [base_values[d] & 1 for d in ff_d]
-    q_bits = list(q_init)
-    for _ in range(nbits + 1):
-        for i, qn in enumerate(ff_q):
-            net_bits[qn] = q_bits[i]
-        comb_pass(net_bits, mask)
-        new_q = [
-            ((net_bits[ff_d[i]] << 1) | q_init[i]) & mask
-            for i in range(len(ff_cells))
-        ]
-        if new_q == q_bits:
-            return q_bits
-        q_bits = new_q
-    raise RuntimeError(  # pragma: no cover - mathematically unreachable
-        "flipflop fixpoint did not converge"
-    )
-
-
 #: circuit -> OrderedDict{delay cache token -> CompiledCircuit} (LRU)
 _CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
 
@@ -866,7 +792,7 @@ def compile_circuit(
 
     With *delay_model* ``None`` the compiled form carries no delay
     information (``out_specs is None``) — enough for functional
-    evaluation and the bit-parallel backend.  Each distinct delay
+    evaluation and zero-delay simulation.  Each distinct delay
     model (by :meth:`DelayModel.cache_token`) gets its own entry, up
     to :data:`MEMO_DELAY_MODELS` per circuit (least-recently-used
     eviction beyond that); mutating the circuit invalidates all of
@@ -990,9 +916,7 @@ def _build(
     cell_kinds = []
     cell_inputs = []
     cell_outputs = []
-    cell_eval = []
     cell_eval_fused = []
-    cell_eval_bits = []
     cell_is_seq = []
     ff_cells: List[int] = []
     ff_d: List[int] = []
@@ -1005,9 +929,7 @@ def _build(
         cell_kinds.append(cell.kind)
         cell_inputs.append(cell.inputs)
         cell_outputs.append(cell.outputs)
-        cell_eval.append(_EVALUATORS[cell.kind])
         cell_eval_fused.append(_fuse_cell(cell.kind, cell.inputs))
-        cell_eval_bits.append(_fuse_bits(cell.kind, cell.inputs))
         seq = cell.is_sequential
         cell_is_seq.append(seq)
         if seq:
@@ -1040,9 +962,7 @@ def _build(
         cell_kinds=tuple(cell_kinds),
         cell_inputs=tuple(cell_inputs),
         cell_outputs=tuple(cell_outputs),
-        cell_eval=tuple(cell_eval),
         cell_eval_fused=tuple(cell_eval_fused),
-        cell_eval_bits=tuple(cell_eval_bits),
         cell_is_seq=tuple(cell_is_seq),
         comb_fanout=tuple(comb_fanout),
         topo=tuple(c.index for c in circuit.topological_cells()),
@@ -1168,9 +1088,7 @@ def _build_delta(
     cell_kinds = []
     cell_inputs = []
     cell_outputs = []
-    cell_eval = []
     cell_eval_fused = []
-    cell_eval_bits = []
     cell_is_seq = []
     reused: List[bool] = []
     touched_idx: List[int] = []
@@ -1182,7 +1100,6 @@ def _build_delta(
     )
     max_delay = 0
     parent_fused = parent_cc.cell_eval_fused
-    parent_bits = parent_cc.cell_eval_bits
     for cell in cells:
         ci = cell.index
         reuse = ci < parent_n_cells and cell.name not in touched_names
@@ -1190,16 +1107,13 @@ def _build_delta(
         cell_kinds.append(cell.kind)
         cell_inputs.append(cell.inputs)
         cell_outputs.append(cell.outputs)
-        cell_eval.append(_EVALUATORS[cell.kind])
         if reuse:
             # Index alignment makes the parent's closures (which
             # captured net indices) valid verbatim in the child.
             cell_eval_fused.append(parent_fused[ci])
-            cell_eval_bits.append(parent_bits[ci])
         else:
             touched_idx.append(ci)
             cell_eval_fused.append(_fuse_cell(cell.kind, cell.inputs))
-            cell_eval_bits.append(_fuse_bits(cell.kind, cell.inputs))
         seq = cell.is_sequential
         cell_is_seq.append(seq)
         if seq:
@@ -1239,9 +1153,7 @@ def _build_delta(
         cell_kinds=tuple(cell_kinds),
         cell_inputs=tuple(cell_inputs),
         cell_outputs=tuple(cell_outputs),
-        cell_eval=tuple(cell_eval),
         cell_eval_fused=tuple(cell_eval_fused),
-        cell_eval_bits=tuple(cell_eval_bits),
         cell_is_seq=tuple(cell_is_seq),
         comb_fanout=tuple(
             tuple(ci for ci in net.fanout if not cell_is_seq[ci])

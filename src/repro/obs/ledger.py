@@ -10,9 +10,8 @@ first-class observable instead of a blob only CI reads:
 * :func:`format_ledger` — render the trajectory as a table;
 * :func:`diff_rows` / :func:`format_diff` — per-row deltas between two
   snapshots (new/removed rows called out, medians and rates compared);
-* :func:`compare_snapshots` — the regression gate
-  (``benchmarks/run_benchmarks.py --compare`` delegates here, and
-  ``repro bench report --diff`` reproduces the same verdict).
+* :func:`compare_snapshots` — the regression gate behind
+  ``repro bench report --diff``.
 
 Exposed on the CLI as ``repro bench report``.
 """
@@ -145,8 +144,7 @@ def compare_snapshots(
 
     Only keys present in both snapshots are compared — new workloads
     gate nothing, removed ones just stop being checked.  This is the
-    single regression gate shared by ``run_benchmarks.py --compare``
-    and ``repro bench report --diff``.
+    regression gate ``repro bench report --diff`` applies.
     """
     regressions = []
     ref_results = reference.get("results", {})

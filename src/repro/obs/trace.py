@@ -249,8 +249,9 @@ class Recorder:
     def drain_blob(self) -> Optional[Dict[str, Any]]:
         """Detach and return everything buffered so far, resetting state.
 
-        Workers call this after each task; the returned blob travels on
-        the result queue and the parent feeds it to :meth:`absorb`.
+        Workers call this after each task; the returned blob travels
+        with the worker's report and the parent feeds it to
+        :meth:`absorb`.
         Returns ``None`` when there is nothing to ship.
         """
         snap = self.metrics.snapshot()

@@ -30,18 +30,21 @@ serialized payload out), a retried task returns a bit-identical
 payload — which is what lets the chaos suite assert that sweeps under
 injected faults equal fault-free runs exactly.
 
-Workers run :func:`_worker_main`: a dispatch loop fed by a dedicated
-pipe per worker (so the supervisor always knows which task a dead
-worker held) reporting into one shared result queue.  Fault-injection
-hooks (:mod:`repro.service.faults`) live in the worker loop, not in
-task functions.
+Workers run :func:`_worker_main`: a dispatch loop on a dedicated
+duplex pipe per worker, which carries its tasks in and its reports out
+(so the supervisor always knows which task a dead worker held).  No
+lock is shared between workers, so a worker killed mid-report cannot
+block the others' reports — as it could through a shared result
+queue, whose write lock a killed worker's feeder thread may hold
+forever.  Fault-injection hooks (:mod:`repro.service.faults`) live in
+the worker loop, not in task functions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import queue as queue_mod
+import multiprocessing.connection
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -197,12 +200,12 @@ class _TaskState:
         )
 
 
-def _worker_main(worker_id: int, func: Callable, conn, result_q) -> None:
+def _worker_main(worker_id: int, func: Callable, conn) -> None:
     """Dispatch loop for one supervised worker process.
 
-    Receives ``(index, attempt, key, item)`` on its private pipe,
+    Receives ``(index, attempt, key, item)`` on its private pipe and
     reports ``(worker_id, index, attempt, ok, payload_or_error,
-    obs_blob)`` on the shared queue.  Armed worker faults (crash/hang)
+    obs_blob)`` back on the same pipe.  Armed worker faults (crash/hang)
     fire here — between receipt and execution — so a "crashed" worker
     really does die holding the task, exactly like the failure being
     simulated.  When tracing is armed (``REPRO_TRACE`` propagated from
@@ -240,7 +243,7 @@ def _worker_main(worker_id: int, func: Callable, conn, result_q) -> None:
             break
         except BaseException as exc:  # noqa: BLE001 - reported, not hidden
             try:
-                result_q.put((
+                conn.send((
                     worker_id, index, attempt, False,
                     f"{type(exc).__name__}: {exc}",
                     rec.drain_blob() if rec is not None else None,
@@ -249,7 +252,7 @@ def _worker_main(worker_id: int, func: Callable, conn, result_q) -> None:
                 break
         else:
             try:
-                result_q.put((
+                conn.send((
                     worker_id, index, attempt, True, payload,
                     rec.drain_blob() if rec is not None else None,
                 ))
@@ -258,18 +261,18 @@ def _worker_main(worker_id: int, func: Callable, conn, result_q) -> None:
 
 
 class _Worker:
-    """Supervisor-side handle: process + task pipe + current task."""
+    """Supervisor-side handle: process + duplex pipe + current task."""
 
-    def __init__(self, worker_id: int, func: Callable, result_q) -> None:
+    def __init__(self, worker_id: int, func: Callable) -> None:
         self.id = worker_id
-        recv_end, self.conn = multiprocessing.Pipe(duplex=False)
+        child_end, self.conn = multiprocessing.Pipe()
         self.proc = multiprocessing.Process(
             target=_worker_main,
-            args=(worker_id, func, recv_end, result_q),
+            args=(worker_id, func, child_end),
             daemon=True,
         )
         self.proc.start()
-        recv_end.close()  # child's end; the parent only sends
+        child_end.close()  # the child's end
         self.busy: Optional[_TaskState] = None
         self.deadline: Optional[float] = None
         self.dispatched_at: Optional[float] = None
@@ -436,18 +439,34 @@ def _run_sequential(
     return result
 
 
+def _receive(workers: List[_Worker], timeout: float) -> List[tuple]:
+    """The reports waiting on the workers' pipes, within *timeout* s.
+
+    A dead worker's pipe reads as end-of-file and yields nothing; the
+    caller reaps the worker.
+    """
+    reports = []
+    for conn in multiprocessing.connection.wait(
+        [w.conn for w in workers], timeout
+    ):
+        try:
+            reports.append(conn.recv())
+        except (EOFError, OSError):
+            pass
+    return reports
+
+
 def _run_pool(
     func, items, n_workers: int, policy: RetryPolicy, keys, labels,
     on_progress=None,
 ) -> PoolResult:
     result = PoolResult(payloads=[None] * len(items))
-    result_q: multiprocessing.Queue = multiprocessing.Queue()
     workers: List[_Worker] = []
     next_worker_id = 0
 
     def spawn() -> _Worker:
         nonlocal next_worker_id
-        w = _Worker(next_worker_id, func, result_q)
+        w = _Worker(next_worker_id, func)
         next_worker_id += 1
         workers.append(w)
         return w
@@ -535,12 +554,7 @@ def _run_pool(
                 wait = min(wait, max(0.0, min(deadlines) - now))
             if pending:
                 wait = min(wait, max(0.0, pending[0][0] - now))
-            try:
-                msg = result_q.get(timeout=max(wait, 0.005))
-            except queue_mod.Empty:
-                msg = None
-
-            if msg is not None:
+            for msg in _receive(workers, max(wait, 0.005)):
                 worker_id, index, attempt, ok, payload, blob = msg
                 rec = obs.active()
                 if rec is not None:
@@ -623,13 +637,8 @@ def _run_pool(
         result.interrupted = True
         # Drain any results that arrived before the interrupt so the
         # caller can persist every finished point.
-        while True:
-            try:
-                worker_id, index, attempt, ok, payload, blob = result_q.get(
-                    timeout=0.05
-                )
-            except (queue_mod.Empty, OSError):
-                break
+        for msg in _receive(workers, 0.05):
+            worker_id, index, attempt, ok, payload, blob = msg
             rec = obs.active()
             if rec is not None:
                 rec.absorb(blob)
@@ -644,6 +653,4 @@ def _run_pool(
         obs_sampler.unregister_probe("pool.queue_depth")
         for w in workers:
             w.shutdown()
-        result_q.close()
-        result_q.join_thread()
     return result

@@ -123,7 +123,7 @@ def _key_for(
 ) -> RunKey:
     # Per-session, not per-backend-class: dual-mode backends run a
     # settled zero-delay session when given an explicit ZeroDelay, and
-    # those results belong in the SETTLED class with bitparallel's.
+    # those results belong in the SETTLED class.
     exact = run.exact_glitches
     return RunKey(
         circuit_fp=circuit.fingerprint(),

@@ -11,10 +11,10 @@ transition.
 
 Design points:
 
-* **result class, not backend name** — the event-driven and waveform
-  engines produce bit-identical aggregates, so both share the
-  ``"glitch-exact"`` class and serve each other's cache entries; the
-  zero-delay bit-parallel engine stores under ``"settled"``.
+* **result class, not backend name** — every engine's glitch-exact
+  mode produces bit-identical aggregates, so all of them share the
+  ``"glitch-exact"`` class and serve each other's cache entries;
+  zero-delay sessions store under ``"settled"``.
 * **per-net counts are keyed by net name** in the serialized payload,
   the same identity the fingerprints use, and are re-mapped onto the
   requesting circuit's net indices on retrieval.

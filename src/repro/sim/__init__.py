@@ -9,14 +9,14 @@ shared compiled IR (:mod:`repro.netlist.compiled`), behind the common
   (transport delay, last-write-wins per net and time slot), exactly
   the delta-time model of the paper's Figure 3 — glitches observable,
   per-cycle traces and VCD recording available;
-* the **waveform** engine (:mod:`repro.sim.waveform`) packs whole
-  timed waveforms into per-net integer bitmasks (one lane per cycle ×
-  delta time) and evaluates each cell once per batch — aggregated
-  activity bit-identical to the event-driven engine, several times
-  faster;
-* the **bit-parallel** engine (:mod:`repro.sim.backends`) packs many
-  cycles into per-net integer bitmasks for fast zero-delay functional
-  simulation and useful-activity estimation.
+* the **lanes** engine (:mod:`repro.sim.lanes`) packs a batch of cycles
+  into per-net Python-int bitmasks and evaluates each cell once per
+  batch — one lane per cycle × delta time for glitch-exact activity
+  bit-identical to the event-driven engine, or one lane per cycle for
+  zero-delay settled simulation under an explicit ``ZeroDelay``;
+* the **vector** engine (:mod:`repro.sim.vector`, optional numpy) runs
+  the same two modes as levelized ndarray operations, by far the
+  fastest.
 
 :func:`~repro.sim.backends.select_backend` maps the ``"auto"`` policy
 onto this menu.  Delay models are pluggable (:mod:`repro.sim.delays`),
@@ -38,8 +38,7 @@ from repro.sim.backends import (
     SimBackend,
     RunStats,
     EventDrivenBackend,
-    WaveformBackend,
-    BitParallelBackend,
+    LanesBackend,
     canonical_backend,
     get_backend,
     select_backend,
@@ -73,8 +72,7 @@ __all__ = [
     "SimBackend",
     "RunStats",
     "EventDrivenBackend",
-    "WaveformBackend",
-    "BitParallelBackend",
+    "LanesBackend",
     "canonical_backend",
     "get_backend",
     "select_backend",

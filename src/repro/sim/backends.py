@@ -4,41 +4,32 @@ Every backend implements the :class:`SimBackend` protocol — construct
 with a circuit (plus options), call :meth:`run` with a vector stream,
 get back aggregated per-net :class:`RunStats` — so the activity layer
 (:class:`repro.core.activity.ActivityRun`) can swap engines without
-touching consumers:
+touching consumers.  Three engines are registered (:data:`BACKENDS`):
 
-* :class:`EventDrivenBackend` — the exact transport-delay engine
-  (:class:`repro.sim.engine.Simulator`): intra-cycle delta timing,
-  glitches observable, per-cycle parity classification of useful vs
-  useless transitions.  The reference for every paper number, and the
-  only engine that produces per-cycle traces and recorded events
-  (VCD).
-* :class:`~repro.sim.waveform.WaveformBackend` — glitch-exact batch
-  engine: packs whole timed waveforms (cycle × delta-time lanes) into
-  per-net integer bitmasks and evaluates each cell once per batch
-  through the compiled IR's fused bitmask kernels.  Aggregated
-  :class:`RunStats` are **bit-identical** to the event-driven backend
-  at a fraction of the cost — the default choice for glitch-exact
-  activity analysis (see :func:`select_backend`).
-* :class:`BitParallelBackend` — zero-delay batch evaluation that packs
-  many clock cycles into single Python-int bitmasks per net and
-  evaluates each gate once per batch with bitwise operators.  Glitches
-  are invisible by construction, so every counted transition is a
-  settled-value change (useful activity).  Ideal for fast functional
-  verification, warm-up/fast-forward, and flipflop/useful-activity
-  estimation; its per-net toggle counts equal the event-driven
-  backend's per-net *useful* counts exactly.
-* :class:`~repro.sim.codegen_backend.CodegenBackend` — the generated
-  pure-Python tier (:mod:`repro.netlist.codegen`): the same lane
-  algorithms as the two batch engines above, run through one flat
-  exec-compiled kernel per circuit instead of per-cell closure
-  dispatch.  Dual-mode: a timed delay model selects the glitch-exact
-  waveform algorithm, an explicit ZeroDelay selects settled batch
-  evaluation.
-* :class:`~repro.sim.vector.VectorBackend` — the numpy tier (the
-  optional ``[perf]`` extra): per-net cycle lanes packed into
+* :class:`EventDrivenBackend` (``event``) — the exact transport-delay
+  engine (:class:`repro.sim.engine.Simulator`): intra-cycle delta
+  timing, glitches observable, per-cycle parity classification of
+  useful vs useless transitions.  The reference for every paper
+  number, and the only engine that produces per-cycle traces and
+  recorded events (VCD).
+* :class:`~repro.sim.lanes.LanesBackend` (``lanes``) — the pure-Python
+  batch engine: a batch of cycles packed into one Python-int bitmask
+  per net, each cell evaluated once per batch.
+* :class:`~repro.sim.vector.VectorBackend` (``vector``) — the numpy
+  tier (the optional ``[perf]`` extra): per-net cycle lanes packed into
   ``uint64`` ndarrays, evaluated level-by-level with per-kind
-  vectorized ops.  Dual-mode like codegen, bit-identical to the
-  event-driven reference, and the fastest engine by a wide margin.
+  vectorized ops, and the fastest engine by a wide margin.
+
+The two batch engines are **dual-mode**: a timed delay model selects
+glitch-exact analysis whose aggregated :class:`RunStats` are
+bit-identical to the event-driven engine's; an explicit
+:class:`~repro.sim.delays.ZeroDelay` selects settled zero-delay
+evaluation, whose per-net toggle counts equal the event-driven
+engine's *useful* counts.  Both run through one batch driver,
+:func:`run_batches`, and differ only in their per-batch kernel.  The
+retired engine names survive as aliases: ``waveform``, ``wave`` and
+``codegen`` name ``lanes``; ``bitparallel``, ``bit-parallel`` and
+``batch`` name its zero-delay mode (:data:`ZERO_DELAY_ALIASES`).
 
 All backends accept an explicit starting point (``initial_values`` +
 ``initial_ff_state``), which is what makes exact vector-stream sharding
@@ -50,8 +41,7 @@ unsharded run (settled values provably equal zero-delay evaluation).
 :func:`select_backend` implements the ``"auto"`` policy used by the
 session API and the CLI: event-driven whenever traces/VCD recording
 are requested; otherwise the vector backend when numpy is available,
-falling back to waveform (glitch-exact) or bit-parallel (explicit
-zero-delay) without it.
+the lanes backend without it.
 """
 
 from __future__ import annotations
@@ -62,11 +52,6 @@ from typing import Dict, Iterable, List, Mapping, Protocol, Sequence, Tuple, run
 from repro.core.transitions import NodeActivity
 from repro.netlist.circuit import Circuit
 from repro.obs import trace as obs
-from repro.netlist.compiled import (
-    CompiledCircuit,
-    compile_circuit,
-    settle_lanes,
-)
 from repro.sim.delays import DelayModel, UnitDelay, ZeroDelay
 from repro.sim.engine import Simulator
 
@@ -94,8 +79,8 @@ class SimBackend(Protocol):
 
     #: Stable identifier used by CLIs, benchmarks and reports.
     name: str
-    #: True when intra-cycle glitches are observable (event-driven);
-    #: False for settled-value-only engines (bit-parallel).
+    #: True when intra-cycle glitches are observable; False for an
+    #: engine running its settled zero-delay mode.
     exact_glitches: bool
 
     def run(
@@ -176,7 +161,7 @@ class EventDrivenBackend:
         if initial_values is not None:
             # Resuming mid-stream from an exact settled state; an
             # explicit warmup on top re-settles from that state (same
-            # semantics as the bit-parallel backend).
+            # semantics as the batch engines, see run_batches).
             sim.values[:] = initial_values
             if warmup is not None:
                 sim.settle(warmup)
@@ -218,164 +203,98 @@ class EventDrivenBackend:
 
 
 # ---------------------------------------------------------------------------
-# Bit-parallel zero-delay evaluation
+# The batch driver shared by the lanes and vector engines
 # ---------------------------------------------------------------------------
 
-class BitParallelBackend:
-    """Zero-delay batch backend: one int bitmask per net, B cycles deep.
+def run_batches(
+    engine,
+    vectors: Iterable[InputVector],
+    warmup: InputVector | None,
+    initial_values: Sequence[int] | None,
+    initial_ff_state: Mapping[int, int] | None,
+) -> RunStats:
+    """Run a batch engine over *vectors*: everything but the kernel.
 
-    Combinational logic is evaluated once per batch with bitwise
-    operators over ``batch_cycles``-bit integers (bit *k* of a net's
-    mask is its settled value in cycle *k* of the batch).  Flipflops
-    introduce a cross-cycle dependency — ``q[k] = d[k-1]`` — resolved
-    by fixpoint iteration: each pass extends the correct prefix by at
-    least one register stage, so a circuit with an r-stage register
-    pipeline converges in about ``r + 1`` passes regardless of batch
-    size.
+    Owns what the lanes and vector engines do alike:
 
-    Because evaluation is zero-delay, per-cycle toggle counts are 0 or
-    1 and every transition is useful — the numbers match the
-    event-driven backend's *useful* counts per net exactly (both equal
-    "settled value changed this cycle").
+    * the warm-up and resume rules of :class:`EventDrivenBackend` —
+      the first vector (or *warmup*) settles the network uncounted,
+      unless an exact ``initial_values`` snapshot resumes a stream
+      mid-way, in which case an explicit *warmup* re-settles from it;
+    * input resolution, with mapping carry-over (:func:`_resolve_vector`);
+    * cutting the stream into ``engine.batch_cycles``-cycle batches;
+    * per batch, the ``sim.batch`` span, the ``sim.batch_s`` histogram
+      and the ``sim.vectors`` / ``sim.cell_evals`` counters;
+    * the final :class:`RunStats` state.
+
+    The engine supplies ``name``, ``batch_cycles``, its compiled
+    circuit ``_cc`` and ``_open(values, ff_state)``, which returns a
+    ``(step, finish)`` pair for one run: ``step(batch)`` simulates one
+    batch of resolved input vectors from the settled state the previous
+    batch left (advancing *ff_state* in place), and ``finish()``
+    returns ``(per_node, final_values)``.
     """
+    cc = engine._cc
+    inputs = cc.inputs
+    input_set = cc.input_set
+    ff_state: Dict[int, int] = dict.fromkeys(cc.ff_cells, 0)
+    if initial_ff_state:
+        ff_state.update(initial_ff_state)
+    if initial_values is not None:
+        values = list(initial_values)
+    else:
+        values = [0] * cc.n_nets
+    cur_inputs = [values[net] for net in inputs]
 
-    name = "bitparallel"
-    exact_glitches = False
+    it = iter(vectors)
+    if initial_values is None:
+        if warmup is None:
+            try:
+                warmup = next(it)
+            except StopIteration:
+                return RunStats(final_values=values, final_ff_state=ff_state)
+        full = _resolve_vector(warmup, inputs, input_set, cur_inputs)
+        values, _ = cc.evaluate_flat(full, ff_state)
+    elif warmup is not None:
+        full = _resolve_vector(warmup, inputs, input_set, cur_inputs)
+        values, _ = cc.evaluate_flat(full, ff_state)
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        delay_model: DelayModel | None = None,
-        monitor: Iterable[int] | None = None,
-        batch_cycles: int = 256,
-    ) -> None:
-        if delay_model is not None and not isinstance(delay_model, ZeroDelay):
-            raise ValueError(
-                "the bit-parallel backend is inherently zero-delay; "
-                "pass delay_model=None (or ZeroDelay) or use the "
-                "event-driven backend"
-            )
-        if batch_cycles < 1:
-            raise ValueError("batch_cycles must be >= 1")
-        self.circuit = circuit
-        self.delay_model = ZeroDelay()
-        self._cc: CompiledCircuit = compile_circuit(circuit)
-        #: Optional settle-pass override (the codegen backend installs
-        #: the generated flat kernel here; ``None`` keeps the fused
-        #: per-cell kernel loop).
-        self._comb_pass = None
-        if monitor is None:
-            self._monitor = [
-                n for n in range(self._cc.n_nets) if self._cc.driven[n]
-            ]
-        else:
-            self._monitor = list(monitor)
-        self.batch_cycles = batch_cycles
-
-    def run(
-        self,
-        vectors: Iterable[InputVector],
-        warmup: InputVector | None = None,
-        initial_values: Sequence[int] | None = None,
-        initial_ff_state: Mapping[int, int] | None = None,
-    ) -> RunStats:
-        cc = self._cc
-        n_nets = cc.n_nets
-        inputs = cc.inputs
-        input_set = cc.input_set
-        if initial_values is not None:
-            values = list(initial_values)
-        else:
-            values = [0] * n_nets
-        state: Dict[int, int] = dict.fromkeys(cc.ff_cells, 0)
-        if initial_ff_state:
-            state.update(initial_ff_state)
-        cur_inputs = [values[net] for net in inputs]
-
-        it = iter(vectors)
-        if initial_values is None:
-            if warmup is None:
-                try:
-                    warmup = next(it)
-                except StopIteration:
-                    return RunStats(
-                        final_values=values, final_ff_state=state
-                    )
-            full = _resolve_vector(warmup, inputs, input_set, cur_inputs)
-            values, _ = cc.evaluate_flat(full, state)
-        elif warmup is not None:
-            full = _resolve_vector(warmup, inputs, input_set, cur_inputs)
-            values, _ = cc.evaluate_flat(full, state)
-
-        stats = RunStats()
-        per_node = stats.per_node
-        ff_cells = cc.ff_cells
-        monitor = self._monitor
-        B = self.batch_cycles
-
-        rec = obs.active()
-        n_cells = len(cc.cell_kinds)
-        batch: List[List[int]] = []
-        exhausted = False
-        while not exhausted:
-            batch.clear()
-            for vec in it:
-                batch.append(
-                    _resolve_vector(vec, inputs, input_set, cur_inputs)
-                )
-                if len(batch) == B:
-                    break
-            else:
-                exhausted = True
-            if not batch:
+    step, finish = engine._open(values, ff_state)
+    B = engine.batch_cycles
+    n_cells = len(cc.cell_kinds)
+    cycles = 0
+    rec = obs.active()
+    batch: List[List[int]] = []
+    exhausted = False
+    while not exhausted:
+        batch.clear()
+        for vec in it:
+            batch.append(_resolve_vector(vec, inputs, input_set, cur_inputs))
+            if len(batch) == B:
                 break
-            bt0 = rec.now() if rec is not None else 0
-            nbits = len(batch)
-            mask = (1 << nbits) - 1
-            top = nbits - 1
-
-            net_bits = [0] * n_nets
-            for pos, net in enumerate(inputs):
-                stream = 0
-                for k in range(nbits):
-                    stream |= batch[k][pos] << k
-                net_bits[net] = stream
-
-            # Zero-delay settle via the shared fused-kernel helper; the
-            # flipflop recurrence q[k] = d[k-1] is fixpoint-resolved.
-            q_bits = settle_lanes(
-                cc, net_bits, mask, values, self._comb_pass
+        else:
+            exhausted = True
+        if not batch:
+            break
+        bt0 = rec.now() if rec is not None else 0
+        nb = len(batch)
+        step(batch)
+        cycles += nb
+        if rec is not None:
+            dur = rec.complete(
+                "sim.batch", bt0, backend=engine.name, cycles=nb
             )
-            for i, ci in enumerate(ff_cells):
-                state[ci] = (q_bits[i] >> top) & 1
+            rec.metrics.hist("sim.batch_s", dur / 1e9)
+            rec.metrics.inc("sim.vectors", nb)
+            rec.metrics.inc("sim.cell_evals", nb * n_cells)
 
-            for net in monitor:
-                s = net_bits[net]
-                prev = ((s << 1) | (values[net] & 1)) & mask
-                diff = s ^ prev
-                if diff:
-                    act = per_node.get(net)
-                    if act is None:
-                        act = per_node[net] = NodeActivity()
-                    tog = diff.bit_count()
-                    act.toggles += tog
-                    act.rises += (s & diff).bit_count()
-                    act.useful += tog
-                    act.cycles_active += tog
-            for net in range(n_nets):
-                values[net] = (net_bits[net] >> top) & 1
-            stats.cycles += nbits
-            if rec is not None:
-                dur = rec.complete(
-                    "sim.batch", bt0, backend=self.name, cycles=nbits
-                )
-                rec.metrics.hist("sim.batch_s", dur / 1e9)
-                rec.metrics.inc("sim.vectors", nbits)
-                rec.metrics.inc("sim.cell_evals", nbits * n_cells)
-
-        stats.final_values = values
-        stats.final_ff_state = state
-        return stats
+    per_node, final_values = finish()
+    return RunStats(
+        cycles=cycles,
+        per_node=per_node,
+        final_values=final_values,
+        final_ff_state=ff_state,
+    )
 
 
 class BackendUnavailableError(ValueError):
@@ -411,8 +330,7 @@ class BackendDegradedWarning(RuntimeWarning):
         )
 
 
-from repro.sim.waveform import WaveformBackend  # noqa: E402  (needs RunStats at run time)
-from repro.sim.codegen_backend import CodegenBackend  # noqa: E402
+from repro.sim.lanes import LanesBackend  # noqa: E402  (needs RunStats at run time)
 from repro.sim.vector import (  # noqa: E402
     VectorBackend,
     numpy_available,
@@ -425,25 +343,29 @@ from repro.sim.vector import (  # noqa: E402
 #: learn whether one can actually run here.
 BACKENDS = {
     EventDrivenBackend.name: EventDrivenBackend,
-    WaveformBackend.name: WaveformBackend,
-    BitParallelBackend.name: BitParallelBackend,
-    CodegenBackend.name: CodegenBackend,
+    LanesBackend.name: LanesBackend,
     VectorBackend.name: VectorBackend,
 }
 
 _ALIASES = {
     "event": "event",
     "event-driven": "event",
-    "waveform": "waveform",
-    "wave": "waveform",
-    "bitparallel": "bitparallel",
-    "bit-parallel": "bitparallel",
-    "batch": "bitparallel",
-    "codegen": "codegen",
+    "lanes": "lanes",
+    "waveform": "lanes",
+    "wave": "lanes",
+    "codegen": "lanes",
+    "bitparallel": "lanes",
+    "bit-parallel": "lanes",
+    "batch": "lanes",
     "vector": "vector",
     "numpy": "vector",
     "np": "vector",
 }
+
+#: Names that pin the lanes engine to its zero-delay mode (the retired
+#: bit-parallel engine's names): a timed delay model is rejected
+#: instead of silently selecting glitch mode.
+ZERO_DELAY_ALIASES = frozenset({"bitparallel", "bit-parallel", "batch"})
 
 #: Pseudo-backend name resolved per run by :func:`select_backend`.
 AUTO_BACKEND = "auto"
@@ -453,9 +375,9 @@ AUTO_BACKEND = "auto"
 #: trades throughput for fewer runtime dependencies / less memory
 #: (the event engine streams one cycle at a time and allocates almost
 #: nothing).
-FALLBACK_CHAIN = ("vector", "codegen", "waveform", "event")
+FALLBACK_CHAIN = ("vector", "lanes", "event")
 #: Degradation order for settled (zero-delay) sessions.
-ZERO_DELAY_FALLBACK_CHAIN = ("vector", "codegen", "bitparallel")
+ZERO_DELAY_FALLBACK_CHAIN = ("vector", "lanes")
 
 
 def fallback_candidates(
@@ -514,18 +436,14 @@ def select_backend(
       ``[perf]`` extra is installed — it is bit-identical to the
       event-driven engine in both its glitch-exact and zero-delay
       modes and by far the fastest;
-    * without numpy the policy falls back to the interpreted engines:
-      bit-parallel for an explicit
-      :class:`~repro.sim.delays.ZeroDelay` model (no glitch is
-      observable anyway), the waveform backend for everything else.
+    * without numpy it goes to the pure-Python lanes backend, whose
+      mode the delay model selects just the same.
     """
     if record_events or want_traces:
         return EventDrivenBackend.name
     if numpy_available():
         return VectorBackend.name
-    if delay_model is not None and isinstance(delay_model, ZeroDelay):
-        return BitParallelBackend.name
-    return WaveformBackend.name
+    return LanesBackend.name
 
 
 def canonical_backend(name: str) -> str:
@@ -537,6 +455,25 @@ def canonical_backend(name: str) -> str:
             f"choose from {sorted(set(_ALIASES))}"
         )
     return canonical
+
+
+def pins_zero_delay(name: str, delay_model: DelayModel | None) -> bool:
+    """Whether backend *name* pins the zero-delay mode.
+
+    True for the :data:`ZERO_DELAY_ALIASES`; raises :class:`ValueError`
+    when such a name is paired with a timed *delay_model*, which the
+    settled mode would silently ignore.
+    """
+    if name not in ZERO_DELAY_ALIASES:
+        return False
+    if delay_model is not None and not isinstance(delay_model, ZeroDelay):
+        raise ValueError(
+            f"the {name!r} backend is inherently zero-delay and would "
+            f"silently ignore {delay_model.describe()!r}; pass "
+            "delay_model=None (or ZeroDelay) or use a glitch-exact "
+            "backend"
+        )
+    return True
 
 
 def get_backend(
@@ -554,6 +491,8 @@ def get_backend(
     reason = backend_unavailable_reason(canonical)
     if reason is not None:
         raise BackendUnavailableError(reason)
+    if pins_zero_delay(name, delay_model):
+        delay_model = ZeroDelay()
     return BACKENDS[canonical](circuit, delay_model, monitor)
 
 
@@ -562,11 +501,11 @@ def zero_delay_backend(
 ) -> SimBackend:
     """The fastest available settled-value engine for *circuit*.
 
-    The vector backend's zero-delay mode when numpy is present, else
-    the bit-parallel backend — both produce identical results (the
+    The zero-delay mode of the vector backend when numpy is present,
+    else of the lanes backend — both produce identical results (the
     settled-equivalence invariant), so callers that only fast-forward
     state or need useful-only counts can take whichever is faster.
     """
     if numpy_available():
         return VectorBackend(circuit, ZeroDelay(), monitor)
-    return BitParallelBackend(circuit, None, monitor)
+    return LanesBackend(circuit, ZeroDelay(), monitor)

@@ -2,9 +2,10 @@
 
 This module is the low-level core behind the *event-driven* entry in
 the pluggable backend suite (:mod:`repro.sim.backends`): it owns the
-intra-cycle delta-time semantics, while backends adapt it (and its
-zero-delay bit-parallel sibling) to the common :class:`SimBackend`
-protocol consumed by :class:`repro.core.activity.ActivityRun`.
+intra-cycle delta-time semantics, while :mod:`repro.sim.backends`
+adapts it (next to the lanes and vector batch engines) to the common
+:class:`SimBackend` protocol consumed by
+:class:`repro.core.activity.ActivityRun`.
 
 One :class:`Simulator` instance wraps a circuit plus a delay model and
 steps it one clock cycle at a time:

@@ -1,4 +1,4 @@
-"""Vectorized numpy backend: the compiled codegen tier of the ``[perf]`` extra.
+"""Vectorized numpy backend: the fast tier of the ``[perf]`` extra.
 
 :class:`VectorBackend` evaluates whole *levels* of the circuit as
 single ndarray operations.  The levelized grouping comes from
@@ -8,7 +8,7 @@ per compiled circuit, so one batch step executes a few hundred numpy
 ops regardless of cell count — which is what makes 100k-cell netlists
 routine (ROADMAP open item 1).
 
-Lane packing differs from the int backends: a net's state is a row of
+Lane packing differs from the lanes backend: a net's state is a row of
 ``uint64`` words with one *clock cycle per bit* (``ceil(nb / 64)``
 words for an *nb*-cycle batch).  The glitch-exact mode adds a second
 axis of ``W`` intra-cycle delta times — ``wave[net, t]`` packs the
@@ -17,12 +17,12 @@ axis-1 slice shift seeded with the previous cycle's settled bits, and
 transition extraction is one XOR of adjacent time rows.  The
 statistics fall out of ``np.bitwise_count`` reductions and are
 **bit-identical** to the event-driven engine (same property suite as
-the waveform backend).
+the lanes backend).
 
 The module imports cleanly without numpy; constructing the backend
 then raises :class:`~repro.sim.backends.BackendUnavailableError` and
-:func:`numpy_available` lets the auto policy fall back to the pure
-interpreted engines.  ``np.bitwise_count`` requires numpy >= 2.0,
+:func:`numpy_available` lets the auto policy fall back to the
+pure-Python lanes engine.  ``np.bitwise_count`` requires numpy >= 2.0,
 hence the ``[perf]`` extra's floor.
 """
 
@@ -35,7 +35,6 @@ from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.netlist.codegen import static_event_horizon
 from repro.netlist.compiled import CompiledCircuit, compile_circuit
-from repro.obs import trace as obs
 from repro.sim.delays import DelayModel, UnitDelay, ZeroDelay
 
 try:
@@ -170,11 +169,11 @@ class VectorBackend:
     """Levelized ndarray backend (see module docstring).
 
     Satisfies the :class:`~repro.sim.backends.SimBackend` protocol and
-    is **dual-mode** like the codegen backend: a timed delay model
+    is **dual-mode** like the lanes backend: a timed delay model
     (default :class:`~repro.sim.delays.UnitDelay`) runs the
     glitch-exact waveform-lane algorithm; an explicit
     :class:`~repro.sim.delays.ZeroDelay` runs settled batch evaluation
-    bit-identical to the bit-parallel backend.
+    bit-identical to the lanes backend's zero-delay mode.
     """
 
     name = "vector"
@@ -239,7 +238,7 @@ class VectorBackend:
         """Settle *sl* in place; returns converged ff q rows.
 
         The vectorized twin of
-        :func:`repro.netlist.compiled.settle_lanes`: the flipflop
+        :func:`repro.sim.lanes.settle_lanes`: the flipflop
         recurrence ``q[k] = d[k-1]`` is fixpoint-resolved with the
         same iteration bound and the same convergence condition.
         """
@@ -272,57 +271,20 @@ class VectorBackend:
         initial_ff_state: Mapping[int, int] | None = None,
     ) -> "RunStats":
         """Simulate *vectors*; semantics match the event backend."""
-        from repro.sim.backends import RunStats, _resolve_vector
+        from repro.sim.backends import run_batches
 
-        cc = self._cc
-        n_nets = cc.n_nets
-        inputs = cc.inputs
-        input_set = cc.input_set
-        ff_state: Dict[int, int] = dict.fromkeys(cc.ff_cells, 0)
-        if initial_ff_state:
-            ff_state.update(initial_ff_state)
-        if initial_values is not None:
-            values = list(initial_values)
-        else:
-            values = [0] * n_nets
-        cur_inputs = [values[net] for net in inputs]
-
-        it = iter(vectors)
-        if initial_values is None:
-            if warmup is None:
-                try:
-                    warmup = next(it)
-                except StopIteration:
-                    return RunStats(
-                        final_values=values, final_ff_state=ff_state
-                    )
-            full_vec = _resolve_vector(warmup, inputs, input_set, cur_inputs)
-            values, _ = cc.evaluate_flat(full_vec, ff_state)
-        elif warmup is not None:
-            full_vec = _resolve_vector(warmup, inputs, input_set, cur_inputs)
-            values, _ = cc.evaluate_flat(full_vec, ff_state)
-
-        v0bits = np.asarray([v & 1 for v in values], dtype=np.uint64)
-        if self.exact_glitches:
-            return self._run_glitch(
-                it, v0bits, ff_state, cur_inputs, inputs, input_set
-            )
-        return self._run_zero(
-            it, v0bits, ff_state, cur_inputs, inputs, input_set
+        return run_batches(
+            self, vectors, warmup, initial_values, initial_ff_state
         )
 
+    def _open(self, values: List[int], ff_state: Dict[int, int]):
+        """Per-run ``(step, finish)`` pair for the batch driver."""
+        v0bits = np.asarray([v & 1 for v in values], dtype=np.uint64)
+        if self.exact_glitches:
+            return self._open_glitch(v0bits, ff_state)
+        return self._open_zero(v0bits, ff_state)
+
     # ------------------------------------------------------------------
-    def _read_batch(self, it, inputs, input_set, cur_inputs, batch):
-        """Fill *batch* with up to ``batch_cycles`` resolved vectors."""
-        from repro.sim.backends import _resolve_vector
-
-        batch.clear()
-        for vec in it:
-            batch.append(_resolve_vector(vec, inputs, input_set, cur_inputs))
-            if len(batch) == self.batch_cycles:
-                return False
-        return True
-
     def _pack_inputs(self, sl, batch, inputs, nb, nw):
         # (nb, n_inputs) bit matrix -> per-input cycle-packed words.
         bits = np.asarray(batch, dtype=np.uint64)
@@ -343,9 +305,9 @@ class VectorBackend:
             Mw[-1] = (1 << r) - 1
         return nw, Mw
 
-    def _finalize(self, stats, acc, v0bits, ff_state, cycles):
+    def _finish(self, acc, v0bits):
         acc_tog, acc_rise, acc_useful, acc_useless, acc_active = acc
-        per_node = stats.per_node
+        per_node = {}
         nz = np.nonzero((acc_tog != 0) & self._monitored)[0]
         cols = [
             a[nz].tolist()
@@ -357,36 +319,20 @@ class VectorBackend:
                 cols[0][i], cols[1][i], cols[2][i], cols[3][i],
                 cols[4][i],
             )
-        stats.cycles = cycles
-        stats.final_values = v0bits.astype(np.int64).tolist()
-        stats.final_ff_state = ff_state
-        return stats
+        return per_node, v0bits.astype(np.int64).tolist()
 
     # ------------------------------------------------------------------
-    def _run_zero(
-        self, it, v0bits, ff_state, cur_inputs, inputs, input_set
-    ):
-        """Settled batch evaluation (bit-parallel semantics)."""
-        from repro.sim.backends import RunStats
-
+    def _open_zero(self, v0bits, ff_state):
+        """Settled batch evaluation (zero-delay semantics)."""
         cc = self._cc
         n_nets = cc.n_nets
+        inputs = cc.inputs
         ff_cells = cc.ff_cells
         acc = tuple(np.zeros(n_nets, np.int64) for _ in range(5))
         acc_tog, acc_rise, acc_useful, _acc_useless, acc_active = acc
-        cycles = 0
-        rec = obs.active()
-        n_cells = len(cc.cell_kinds)
 
-        batch: List[List[int]] = []
-        exhausted = False
-        while not exhausted:
-            exhausted = self._read_batch(
-                it, inputs, input_set, cur_inputs, batch
-            )
-            if not batch:
-                break
-            bt0 = rec.now() if rec is not None else 0
+        def step(batch):
+            nonlocal v0bits, acc_tog, acc_rise, acc_useful, acc_active
             nb = len(batch)
             nw, Mw = self._word_consts(nb)
             sl = np.zeros((n_nets, nw), np.uint64)
@@ -410,47 +356,30 @@ class VectorBackend:
                 q_top = (q_rows[:, wi] >> bi) & _U1
                 for i, ci in enumerate(ff_cells):
                     ff_state[ci] = int(q_top[i])
-            cycles += nb
-            if rec is not None:
-                dur = rec.complete(
-                    "sim.batch", bt0, backend=self.name, cycles=nb
-                )
-                rec.metrics.hist("sim.batch_s", dur / 1e9)
-                rec.metrics.inc("sim.vectors", nb)
-                rec.metrics.inc("sim.cell_evals", nb * n_cells)
 
-        return self._finalize(RunStats(), acc, v0bits, ff_state, cycles)
+        def finish():
+            return self._finish(acc, v0bits)
+
+        return step, finish
 
     # ------------------------------------------------------------------
-    def _run_glitch(
-        self, it, v0bits, ff_state, cur_inputs, inputs, input_set
-    ):
+    def _open_glitch(self, v0bits, ff_state):
         """Glitch-exact waveform-lane evaluation (time-major layout)."""
-        from repro.sim.backends import RunStats
-
         cc = self._cc
         plan = self._plan
         n_nets = cc.n_nets
+        inputs = cc.inputs
         ff_cells = cc.ff_cells
         W = self._W
         edge = plan.edge_idx
         acc = tuple(np.zeros(n_nets, np.int64) for _ in range(5))
         acc_tog, acc_rise, acc_useful, acc_useless, acc_active = acc
-        cycles = 0
-        rec = obs.active()
-        n_cells = len(cc.cell_kinds)
         wave = chg = None
         wave_shape = None
 
-        batch: List[List[int]] = []
-        exhausted = False
-        while not exhausted:
-            exhausted = self._read_batch(
-                it, inputs, input_set, cur_inputs, batch
-            )
-            if not batch:
-                break
-            bt0 = rec.now() if rec is not None else 0
+        def step(batch):
+            nonlocal v0bits, wave, chg, wave_shape
+            nonlocal acc_tog, acc_rise, acc_useful, acc_useless, acc_active
             nb = len(batch)
             nw, Mw = self._word_consts(nb)
             sl = np.zeros((n_nets, nw), np.uint64)
@@ -536,13 +465,8 @@ class VectorBackend:
                 q_top = (q_rows[:, wi] >> bi) & _U1
                 for i, ci in enumerate(ff_cells):
                     ff_state[ci] = int(q_top[i])
-            cycles += nb
-            if rec is not None:
-                dur = rec.complete(
-                    "sim.batch", bt0, backend=self.name, cycles=nb
-                )
-                rec.metrics.hist("sim.batch_s", dur / 1e9)
-                rec.metrics.inc("sim.vectors", nb)
-                rec.metrics.inc("sim.cell_evals", nb * n_cells)
 
-        return self._finalize(RunStats(), acc, v0bits, ff_state, cycles)
+        def finish():
+            return self._finish(acc, v0bits)
+
+        return step, finish

@@ -17,6 +17,7 @@ from repro.core.activity import ActivityResult, ActivityRun, analyze
 from repro.core.transitions import NodeActivity
 from repro.experiments.detector import detector_stimulus
 from repro.retime.pipeline import pipeline_circuit
+from repro.sim.backends import available_backends
 from repro.sim.delays import SumCarryDelay, ZeroDelay
 from repro.sim.engine import Simulator
 from repro.sim.vectors import WordStimulus
@@ -40,7 +41,7 @@ class TestRunBasics:
     def test_event_backend_rejects_zero_delay(self):
         circuit, _ = _rca(4)
         with pytest.raises(ValueError, match="ZeroDelay"):
-            ActivityRun(circuit, delay_model=ZeroDelay())
+            ActivityRun(circuit, delay_model=ZeroDelay(), backend="event")
 
     def test_unknown_backend_rejected(self):
         circuit, _ = _rca(4)
@@ -54,14 +55,13 @@ class TestRunBasics:
         bp = ActivityRun(circuit, backend="bitparallel").run(iter(vectors))
         assert bp.useless == 0
         assert bp.total_transitions == ev.useful
-        assert bp.delay_description == "zero delay (bitparallel)"
+        assert bp.delay_description == "zero delay (lanes)"
 
     def test_bitparallel_rejects_timed_delay_model(self):
         circuit, _ = _rca(4)
-        with pytest.raises(ValueError, match="zero-delay"):
-            ActivityRun(
-                circuit, delay_model=SumCarryDelay(), backend="bitparallel"
-            )
+        for name in ("bitparallel", "bit-parallel", "batch"):
+            with pytest.raises(ValueError, match="zero-delay"):
+                ActivityRun(circuit, delay_model=SumCarryDelay(), backend=name)
 
     def test_step_exception_leaves_no_stale_events(self):
         """A failed step must not corrupt subsequent cycles."""
@@ -262,3 +262,14 @@ class TestFigure5Regression:
         assert sim["rises"] == 58994
         assert sim["glitches"] == 27395
         assert sim["L/F"] == pytest.approx(0.8669, abs=1e-4)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_pinned_on_every_engine(self, backend):
+        circuit, stim = _rca(16)
+        result = ActivityRun(circuit, backend=backend).run(
+            stim.random(random.Random(1995), 4001)
+        )
+        summary = result.summary()
+        assert (summary["cycles"], summary["total"]) == (4000, 117990)
+        assert (summary["useful"], summary["useless"]) == (63200, 54790)
+        assert summary["L/F"] == pytest.approx(0.8669, abs=1e-4)

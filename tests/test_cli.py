@@ -48,7 +48,7 @@ class TestCommands:
 
     def test_analyze_backends_agree_bit_exactly(self, capsys):
         outputs = []
-        for backend in ("event", "waveform", "auto"):
+        for backend in ("event", "lanes", "auto"):
             assert (
                 main(
                     [
@@ -79,7 +79,7 @@ class TestCommands:
         assert vcd.read_text().startswith("$date")
 
     def test_analyze_vcd_rejects_batch_backends(self):
-        for backend in ("waveform", "bitparallel"):
+        for backend in ("lanes", "bitparallel"):
             with pytest.raises(SystemExit, match="event-driven"):
                 main(
                     [
@@ -303,7 +303,7 @@ class TestEstimateCommands:
         assert "glitch-exact" not in out
         assert main([
             "analyze", "--circuit", "rca8", "--vectors", "50",
-            "--backend", "waveform", "--estimate",
+            "--backend", "lanes", "--estimate",
         ]) == 0
         assert "glitch-exact simulation" in capsys.readouterr().out
 
@@ -488,7 +488,7 @@ class TestBackendSelection:
         assert "\n" not in message
         assert "'vector' backend is unavailable" in message
         assert "available backends:" in message
-        for name in ("bitparallel", "event", "waveform"):
+        for name in ("event", "lanes"):
             assert name in message
 
     def test_auto_degrades_without_numpy(self, monkeypatch, capsys):
@@ -503,7 +503,7 @@ class TestBackendSelection:
     def test_codegen_tiers_agree_with_event_via_cli(self, capsys):
         from repro.sim.vector import numpy_available
 
-        backends = ["event", "codegen"]
+        backends = ["event", "lanes"]
         if numpy_available():
             backends.append("vector")
         outputs = []
@@ -513,3 +513,42 @@ class TestBackendSelection:
             outputs.append(capsys.readouterr().out)
         for other in outputs[1:]:
             assert other == outputs[0]
+
+    @pytest.mark.parametrize("name", [
+        "waveform", "wave", "codegen", "bitparallel", "bit-parallel", "batch",
+    ])
+    def test_retired_names_resolve_to_lanes(self, name, capsys):
+        """A retired engine name prints exactly what lanes prints in
+        its documented mode (the bit-parallel names: zero delay)."""
+        args = ["analyze", "--circuit", "rca6", "--vectors", "40"]
+        assert main(args + ["--backend", name]) == 0
+        out = capsys.readouterr().out
+        if name in ("bitparallel", "bit-parallel", "batch"):
+            assert "zero delay (lanes)" in out
+            assert main(args + ["--backend", "bitparallel"]) == 0
+        else:
+            assert main(args + ["--backend", "lanes"]) == 0
+        assert out == capsys.readouterr().out
+
+
+class TestDocumentedDefaults:
+    def test_auto_is_the_default_backend(self, monkeypatch):
+        """README: ``backend="auto"`` is the default, and resolves to
+        the pure-Python lanes engine when numpy is absent."""
+        import inspect
+
+        from repro.cli import make_parser
+        from repro.core.activity import ActivityRun
+        from repro.sim.backends import select_backend
+        from repro.sim.delays import ZeroDelay
+
+        signature = inspect.signature(ActivityRun)
+        assert signature.parameters["backend"].default == "auto"
+        args = make_parser().parse_args(["analyze", "--circuit", "rca4"])
+        assert args.backend == "auto"
+        monkeypatch.setattr(
+            "repro.sim.vector._NUMPY_ERROR",
+            "numpy is not installed (simulated by test)",
+        )
+        assert select_backend() == "lanes"
+        assert select_backend(ZeroDelay()) == "lanes"

@@ -333,6 +333,55 @@ class TestBackendDegradation:
         assert degraded.total_transitions == reference.total_transitions
         assert degraded.per_node == reference.per_node
 
+    def test_zero_delay_auto_session_degrades_to_lanes(self, xor_chain):
+        from repro.core.activity import ActivityRun
+        from repro.sim.delays import ZeroDelay
+        from repro.sim.vector import numpy_available
+
+        if not numpy_available():
+            pytest.skip("the zero-delay chain starts at the vector tier")
+        vecs = [[(i >> b) & 1 for b in range(3)] for i in range(32)]
+        reference = ActivityRun(
+            xor_chain, delay_model=ZeroDelay(), backend="lanes"
+        ).run(vecs)
+        plan = FaultPlan(seed=4, faults={
+            "backend.memoryerror": FaultSpec(
+                rate=1.0, keys=("vector",), max_attempt=99
+            ),
+        })
+        run = ActivityRun(xor_chain, delay_model=ZeroDelay(), backend="auto")
+        assert run.backend_name == "vector" and run.failover
+        with faults.armed(plan):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                degraded = run.run(vecs)
+        emitted = [
+            w.message for w in caught
+            if issubclass(w.category, BackendDegradedWarning)
+        ]
+        assert [(w.from_backend, w.to_backend) for w in emitted] == [
+            ("vector", "lanes")
+        ]
+        assert run.degraded == ["vector->lanes"]
+        assert degraded.cycles == reference.cycles
+        assert degraded.per_node == reference.per_node
+        assert degraded.delay_description == "zero delay (vector)"
+
+        # The same fallback, one level down: whole RunStats.
+        from repro.core.activity import _stats_with_failover
+        from repro.sim.backends import LanesBackend
+
+        expected = LanesBackend(xor_chain, ZeroDelay()).run(vecs)
+        with faults.armed(plan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BackendDegradedWarning)
+                ran_on, stats = _stats_with_failover(
+                    xor_chain, ZeroDelay(), "vector", None, vecs,
+                    None, None, None, True,
+                )
+        assert ran_on == "lanes"
+        assert stats == expected
+
     def test_explicit_backend_does_not_degrade(self, xor_chain):
         from repro.core.activity import ActivityRun
         from repro.sim.backends import select_backend

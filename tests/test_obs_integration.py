@@ -2,7 +2,7 @@
 
 * the pinned fig5 run's manifest accounts >=95% of wall time in spans;
 * ``sim.cell_evals`` / ``sim.vectors`` equal cells x vectors exactly,
-  on every available backend;
+  on every available backend and through each retired engine name;
 * a chaos-seeded run emits exactly the injected-fault events;
 * pool retry and store hit/miss counters match injected scenarios;
 * worker trace blobs merge into the parent timeline (processes=2);
@@ -51,8 +51,15 @@ def _run_events(circuit, stim, backend, n_vectors=60, seed=3):
     return rec, result
 
 
+#: Retired engine names that still resolve to the lanes engine; the
+#: counters must hold through every name a caller can pass.
+_RETIRED_NAMES = ["bitparallel", "codegen", "waveform"]
+
+
 class TestCountersMatchRunStats:
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize(
+        "backend", sorted(available_backends() + _RETIRED_NAMES)
+    )
     def test_cell_evals_equal_cells_times_vectors(self, backend):
         circuit, stim = build_named_circuit("rca8")
         rec, result = _run_events(circuit, stim, backend)
@@ -62,8 +69,9 @@ class TestCountersMatchRunStats:
         )
 
     def test_batched_backends_accumulate_across_batches(self):
-        # More vectors than one bit-parallel batch (256 cycles) forces
-        # several sim.batch spans; counters must still total exactly.
+        # More vectors than one zero-delay lanes batch (256 cycles)
+        # forces several sim.batch spans; counters must still total
+        # exactly.
         circuit, stim = build_named_circuit("rca8")
         rec, result = _run_events(
             circuit, stim, "bitparallel", n_vectors=300

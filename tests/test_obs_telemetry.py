@@ -16,7 +16,7 @@ into:
 * the **heartbeat** line reports warm-hit ratio and latency percentiles
   with or without tracing armed;
 * ``repro bench report`` renders the committed perf ledger and its
-  ``--diff`` verdict matches the ``run_benchmarks.py --compare`` gate.
+  ``--diff`` verdict matches :func:`repro.obs.ledger.compare_snapshots`.
 """
 
 import io

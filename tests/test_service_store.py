@@ -263,14 +263,15 @@ class TestCachedRunExactness:
             assert a.summary() == b.summary()
 
     def test_event_and_waveform_share_entries(self, tmp_path):
-        """Both glitch-exact engines address the same cache slot."""
+        """Glitch-exact engines (here event and lanes, the engine
+        behind the retired "waveform" name) address the same slot."""
         circuit = random_dag_circuit(random.Random(3), n_gates=12)
         words = WordStimulus({"i": list(circuit.inputs)})
         spec = UniformStimulus(seed=9)
         store = ResultStore(tmp_path)
         by_wave = cached_run(
             circuit, words, spec, 30, delay_model=UnitDelay(),
-            backend="waveform", store=store,
+            backend="lanes", store=store,
         )
         by_event = cached_run(
             circuit, words, spec, 30, delay_model=UnitDelay(),

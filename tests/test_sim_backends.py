@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.sim.backends import (
-    BitParallelBackend,
     EventDrivenBackend,
+    LanesBackend,
     SimBackend,
     get_backend,
 )
@@ -25,31 +25,36 @@ def _random_vectors(rng, circuit, count):
     ]
 
 
+def _zero_delay(circuit, **kwargs):
+    """The lanes engine in zero-delay mode (the retired bit-parallel)."""
+    return LanesBackend(circuit, ZeroDelay(), **kwargs)
+
+
 class TestProtocol:
     def test_both_backends_satisfy_protocol(self, xor_chain):
-        for cls in (EventDrivenBackend, BitParallelBackend):
+        for cls in (EventDrivenBackend, LanesBackend):
             assert isinstance(cls(xor_chain), SimBackend)
+        assert isinstance(_zero_delay(xor_chain), SimBackend)
 
     def test_get_backend_aliases(self, xor_chain):
         assert isinstance(get_backend("event", xor_chain), EventDrivenBackend)
         assert isinstance(
             get_backend("event-driven", xor_chain), EventDrivenBackend
         )
-        assert isinstance(
-            get_backend("bitparallel", xor_chain), BitParallelBackend
-        )
-        assert isinstance(
-            get_backend("bit-parallel", xor_chain), BitParallelBackend
-        )
+        for alias in ("bitparallel", "bit-parallel", "batch"):
+            backend = get_backend(alias, xor_chain)
+            assert isinstance(backend, LanesBackend)
+            assert backend.exact_glitches is False
 
     def test_get_backend_unknown(self, xor_chain):
         with pytest.raises(ValueError, match="unknown simulation backend"):
             get_backend("verilator", xor_chain)
 
     def test_bitparallel_rejects_timed_model(self, xor_chain):
-        with pytest.raises(ValueError, match="zero-delay"):
-            BitParallelBackend(xor_chain, delay_model=UnitDelay())
-        BitParallelBackend(xor_chain, delay_model=ZeroDelay())  # fine
+        for alias in ("bitparallel", "bit-parallel", "batch"):
+            with pytest.raises(ValueError, match="zero-delay"):
+                get_backend(alias, xor_chain, delay_model=UnitDelay())
+            get_backend(alias, xor_chain, delay_model=ZeroDelay())
 
 
 class TestEventDrivenBackend:
@@ -76,12 +81,14 @@ class TestEventDrivenBackend:
 
 
 class TestBitParallelBackend:
+    """The lanes engine's zero-delay mode (the retired bit-parallel)."""
+
     def test_final_values_match_event_driven(self, rng):
         """Settled values after any stream equal the exact engine's."""
         for _ in range(5):
             c = random_dag_circuit(rng, n_inputs=4, n_gates=14)
             vectors = _random_vectors(rng, c, 25)
-            bp = BitParallelBackend(c, batch_cycles=7).run(iter(vectors))
+            bp = _zero_delay(c, batch_cycles=7).run(iter(vectors))
             ev = EventDrivenBackend(c).run(iter(vectors))
             assert bp.final_values == ev.final_values
             assert bp.final_ff_state == ev.final_ff_state
@@ -90,7 +97,7 @@ class TestBitParallelBackend:
         """Zero-delay toggles == settled changes == useful transitions."""
         c = random_dag_circuit(rng, n_inputs=5, n_gates=20)
         vectors = _random_vectors(rng, c, 50)
-        bp = BitParallelBackend(c).run(iter(vectors))
+        bp = _zero_delay(c).run(iter(vectors))
         ev = EventDrivenBackend(c, SumCarryDelay()).run(iter(vectors))
         useful = {n: a.useful for n, a in ev.per_node.items() if a.useful}
         assert {n: a.toggles for n, a in bp.per_node.items()} == useful
@@ -98,7 +105,7 @@ class TestBitParallelBackend:
             assert act.useless == 0 and act.useful == act.toggles
 
     def test_sequential_fixpoint(self):
-        """Shift register: bit-parallel reproduces the exact latency."""
+        """Shift register: zero-delay lanes reproduce the exact latency."""
         c = Circuit("shift")
         n = c.add_input("d")
         for i in range(3):
@@ -107,7 +114,7 @@ class TestBitParallelBackend:
         stream = [1, 0, 1, 1, 0, 1, 0, 0]
         vectors = [[0]] + [[b] for b in stream]
 
-        bp = BitParallelBackend(c, batch_cycles=3).run(iter(vectors))
+        bp = _zero_delay(c, batch_cycles=3).run(iter(vectors))
         ev = EventDrivenBackend(c).run(iter(vectors))
         assert bp.final_values == ev.final_values
         assert bp.final_ff_state == ev.final_ff_state
@@ -122,7 +129,7 @@ class TestBitParallelBackend:
         nq = c.gate(CellKind.NOT, q, name="inv")
         c.add_cell(CellKind.DFF, [nq], [q], name="ff")
         c.mark_output(q)
-        stats = BitParallelBackend(c, batch_cycles=4).run(
+        stats = _zero_delay(c, batch_cycles=4).run(
             [[]] * 7, warmup=[]
         )
         assert stats.cycles == 7
@@ -132,7 +139,7 @@ class TestBitParallelBackend:
         c = random_dag_circuit(rng, n_inputs=4, n_gates=12)
         vectors = _random_vectors(rng, c, 33)
         results = [
-            BitParallelBackend(c, batch_cycles=b).run(iter(vectors))
+            _zero_delay(c, batch_cycles=b).run(iter(vectors))
             for b in (1, 5, 64, 256)
         ]
         for other in results[1:]:
@@ -142,7 +149,7 @@ class TestBitParallelBackend:
     def test_mapping_vectors_with_carry_over(self, xor_chain):
         in0 = xor_chain.net("in0")
         out = xor_chain.net("out")
-        bp = BitParallelBackend(xor_chain).run(
+        bp = _zero_delay(xor_chain).run(
             [{in0: 1}], warmup=[1, 0, 0]
         )
         # in0 was already 1: nothing changes anywhere.
@@ -152,7 +159,7 @@ class TestBitParallelBackend:
     def test_mapping_key_validation(self, xor_chain):
         internal = xor_chain.net("x1")
         with pytest.raises(ValueError, match="not a primary input"):
-            BitParallelBackend(xor_chain).run(
+            _zero_delay(xor_chain).run(
                 [{internal: 1}], warmup=[0, 0, 0]
             )
 
@@ -179,7 +186,7 @@ class TestSimulatorInputValidation:
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_bitparallel_equals_functional_eval_property(data):
-    """Hypothesis: bit-parallel settled values == zero-delay evaluation."""
+    """Hypothesis: zero-delay lanes settled values == functional eval."""
     seed = data.draw(st.integers(min_value=0, max_value=2**31))
     rng = random.Random(seed)
     c = random_dag_circuit(rng, n_inputs=4, n_gates=10)
@@ -189,7 +196,7 @@ def test_bitparallel_equals_functional_eval_property(data):
         for _ in range(n_cycles + 1)
     ]
     batch = data.draw(st.integers(min_value=1, max_value=4))
-    stats = BitParallelBackend(c, batch_cycles=batch).run(iter(vectors))
+    stats = _zero_delay(c, batch_cycles=batch).run(iter(vectors))
     state = {}
     for vec in vectors:
         values, state = c.evaluate(vec, state=dict(state))

@@ -7,12 +7,12 @@ Two contracts under test:
   useful, useless and active-cycle counts, settled values and flipflop
   state — across circuits, delay models, batch sizes (including the
   64-cycle word-boundary sizes its packing is built around), sharded
-  runs and resume.  In zero-delay mode it must match the bit-parallel
-  engine the same way.
+  runs and resume.  In zero-delay mode it must match the lanes
+  engine's zero-delay mode the same way.
 * **Graceful absence.**  numpy is an optional ``[perf]`` extra: with
   it missing (simulated here by monkeypatching the module's probe),
   the registry reports the backend unavailable, ``auto`` falls back to
-  the interpreted engines, and constructing the backend raises
+  the pure-Python lanes engine, and constructing the backend raises
   :class:`BackendUnavailableError` with an actionable message.
 """
 
@@ -25,8 +25,8 @@ from repro.core.activity import ActivityRun
 from repro.netlist.cells import CellKind
 from repro.sim.backends import (
     BackendUnavailableError,
-    BitParallelBackend,
     EventDrivenBackend,
+    LanesBackend,
     SimBackend,
     available_backends,
     backend_unavailable_reason,
@@ -96,7 +96,7 @@ class TestProtocolAndRegistry:
         )
 
     def test_listed_available(self):
-        assert "vector" in available_backends()
+        assert available_backends() == ["event", "lanes", "vector"]
         assert backend_unavailable_reason("vector") is None
 
     def test_rejects_bad_batch_size(self, xor_chain):
@@ -149,9 +149,9 @@ class TestEquivalenceWithEventDriven:
                 rng, n_inputs=4, n_gates=20, with_ffs=trial % 2 == 1
             )
             vectors = _random_vectors(rng, c, 33)
-            bp = BitParallelBackend(c).run(iter(vectors))
+            zl = LanesBackend(c, ZeroDelay()).run(iter(vectors))
             vc = VectorBackend(c, ZeroDelay()).run(iter(vectors))
-            _assert_stats_equal(bp, vc)
+            _assert_stats_equal(zl, vc)
 
     def test_monitor_restriction(self, rng):
         c = random_dag_circuit(rng, n_inputs=4, n_gates=15)
@@ -247,7 +247,7 @@ class TestActivitySession:
         run = ActivityRun(c, delay_model=ZeroDelay(), backend="vector")
         assert run.exact_glitches is False
         reference = ActivityRun(
-            c, delay_model=ZeroDelay(), backend="bitparallel"
+            c, delay_model=ZeroDelay(), backend="lanes"
         ).run(iter(vectors))
         result = run.run(iter(vectors))
         assert result.per_node == reference.per_node
@@ -313,14 +313,15 @@ class TestWithoutNumpy:
     def test_probe_reports_unavailable(self):
         assert not numpy_available()
         assert "vector" not in available_backends()
+        assert available_backends() == ["event", "lanes"]
         reason = backend_unavailable_reason("np")
         assert "'vector' backend is unavailable" in reason
         assert "numpy" in reason
 
     def test_auto_policy_falls_back_to_pure_python(self):
-        assert select_backend() == "waveform"
-        assert select_backend(UnitDelay()) == "waveform"
-        assert select_backend(ZeroDelay()) == "bitparallel"
+        assert select_backend() == "lanes"
+        assert select_backend(UnitDelay()) == "lanes"
+        assert select_backend(ZeroDelay()) == "lanes"
 
     def test_constructor_raises(self, xor_chain):
         with pytest.raises(BackendUnavailableError, match="numpy"):
@@ -334,13 +335,14 @@ class TestWithoutNumpy:
 
     def test_auto_session_still_works(self, xor_chain):
         run = ActivityRun(xor_chain, backend="auto")
-        assert run.backend_name == "waveform"
+        assert run.backend_name == "lanes"
         stats = run.run(iter([[0, 0, 0], [1, 0, 1], [0, 1, 1]]))
         assert stats.cycles == 2
 
     def test_zero_delay_helper_falls_back(self, xor_chain):
         backend = zero_delay_backend(xor_chain)
-        assert isinstance(backend, BitParallelBackend)
+        assert isinstance(backend, LanesBackend)
+        assert backend.exact_glitches is False
 
 
 @needs_numpy

@@ -1,10 +1,14 @@
-"""Property-based equivalence suite for the waveform backend.
+"""Property-based equivalence suite for the lanes engine's glitch mode.
 
-The waveform backend's contract is *bit-identity* with the
+With a timed delay model the lanes backend (``repro.sim.lanes``) runs
+the waveform-lane algorithm.  Its contract is *bit-identity* with the
 event-driven reference on every aggregated statistic: per-net toggle,
 rise, useful, useless and active-cycle counts, settled values and
 flipflop state — across circuits, delay models, batch sizes, warm-up
-and mid-stream resume semantics, and sharded runs.
+and mid-stream resume semantics, and sharded runs.  The zero-delay
+mode has its own suite, ``tests/test_sim_codegen.py``; the two files
+keep the names of the retired ``waveform`` and ``codegen`` engines,
+which are now aliases of ``lanes``.
 """
 
 import random
@@ -14,10 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.activity import ActivityRun
 from repro.sim.backends import (
-    BitParallelBackend,
     EventDrivenBackend,
+    LanesBackend,
     SimBackend,
-    WaveformBackend,
     get_backend,
     select_backend,
 )
@@ -61,40 +64,44 @@ def _assert_stats_equal(a, b):
 
 class TestProtocolAndRegistry:
     def test_satisfies_protocol(self, xor_chain):
-        assert isinstance(WaveformBackend(xor_chain), SimBackend)
+        assert isinstance(LanesBackend(xor_chain), SimBackend)
 
     def test_registered_with_aliases(self, xor_chain):
-        assert isinstance(
-            get_backend("waveform", xor_chain), WaveformBackend
-        )
-        assert isinstance(get_backend("wave", xor_chain), WaveformBackend)
+        for alias in ("lanes", "waveform", "wave", "codegen"):
+            backend = get_backend(alias, xor_chain)
+            assert isinstance(backend, LanesBackend)
+            assert backend.exact_glitches is True
 
-    def test_exactness_flag(self):
-        assert WaveformBackend.exact_glitches is True
+    def test_exactness_flag(self, xor_chain):
+        assert LanesBackend.exact_glitches is True
+        assert LanesBackend(xor_chain).exact_glitches is True
 
     def test_rejects_zero_delay(self, xor_chain):
+        # Only an explicit ZeroDelay selects the settled mode; a timed
+        # model that assigns zero delays is a glitch-mode error.
+        all_zero = PerKindDelay({}, default=0)
         with pytest.raises(ValueError, match="delays >= 1"):
-            WaveformBackend(xor_chain, delay_model=ZeroDelay())
+            LanesBackend(xor_chain, delay_model=all_zero)
 
     def test_rejects_sub_unit_per_kind_delay(self, xor_chain):
         sneaky = PerKindDelay({CellKind.XOR: 0}, default=1)
         with pytest.raises(ValueError, match="delays >= 1"):
-            WaveformBackend(xor_chain, delay_model=sneaky)
+            LanesBackend(xor_chain, delay_model=sneaky)
 
     def test_rejects_bad_batch_size(self, xor_chain):
         with pytest.raises(ValueError, match="batch_cycles"):
-            WaveformBackend(xor_chain, batch_cycles=0)
+            LanesBackend(xor_chain, batch_cycles=0)
 
     def test_empty_stream(self, xor_chain):
-        stats = WaveformBackend(xor_chain).run(iter([]))
+        stats = LanesBackend(xor_chain).run(iter([]))
         assert stats.cycles == 0 and stats.per_node == {}
 
 
 class TestSelectBackendPolicy:
     def test_aggregate_glitch_exact_runs_use_fastest(self):
         # With the [perf] extra the vector backend wins everywhere;
-        # without numpy the policy falls back to the waveform engine.
-        expected = "vector" if numpy_available() else "waveform"
+        # without numpy the policy falls back to the lanes engine.
+        expected = "vector" if numpy_available() else "lanes"
         assert select_backend() == expected
         assert select_backend(UnitDelay()) == expected
         assert select_backend(SumCarryDelay()) == expected
@@ -105,12 +112,12 @@ class TestSelectBackendPolicy:
         assert select_backend(UnitDelay(), record_events=True) == "event"
 
     def test_zero_delay_uses_fastest_settled_engine(self):
-        expected = "vector" if numpy_available() else "bitparallel"
+        expected = "vector" if numpy_available() else "lanes"
         assert select_backend(ZeroDelay()) == expected
 
     def test_activity_run_resolves_auto(self, xor_chain):
-        glitch = "vector" if numpy_available() else "waveform"
-        settled = "vector" if numpy_available() else "bitparallel"
+        glitch = "vector" if numpy_available() else "lanes"
+        settled = glitch
         assert ActivityRun(xor_chain, backend="auto").backend_name == glitch
         run = ActivityRun(
             xor_chain, delay_model=ZeroDelay(), backend="auto"
@@ -126,11 +133,26 @@ class TestSelectBackendPolicy:
         assert len(traces) == 3  # first vector consumed as warm-up
 
 
+#: Retired engine names: the glitch-capable ones alias ``lanes``, the
+#: bit-parallel ones alias its zero-delay mode.
+GLITCH_NAMES = ("waveform", "wave", "codegen")
+SETTLED_NAMES = ("bitparallel", "bit-parallel", "batch")
+
+
+class TestRetiredNames:
+    @pytest.mark.parametrize("name", GLITCH_NAMES + SETTLED_NAMES)
+    def test_activity_run_resolves_to_lanes(self, xor_chain, name):
+        run = ActivityRun(xor_chain, backend=name)
+        assert run.backend_name == "lanes"
+        assert run.exact_glitches is (name in GLITCH_NAMES)
+        assert not run.failover  # a named backend, not the auto policy
+
+
 class TestEquivalenceWithEventDriven:
     def test_glitchy_and_counts(self, glitchy_and):
         vectors = [[k % 2] for k in range(9)]
         ev = EventDrivenBackend(glitchy_and).run(iter(vectors))
-        wf = WaveformBackend(glitchy_and).run(iter(vectors))
+        wf = LanesBackend(glitchy_and).run(iter(vectors))
         _assert_stats_equal(ev, wf)
         y = glitchy_and.net("y")
         assert wf.per_node[y].useless == wf.per_node[y].toggles
@@ -146,14 +168,14 @@ class TestEquivalenceWithEventDriven:
             vectors = _random_vectors(rng, c, rng.randint(2, 40))
             for dm in _delay_models(rng, c):
                 ev = EventDrivenBackend(c, dm).run(iter(vectors))
-                wf = WaveformBackend(c, dm).run(iter(vectors))
+                wf = LanesBackend(c, dm).run(iter(vectors))
                 _assert_stats_equal(ev, wf)
 
     def test_batch_size_invariance(self, rng):
         c = random_dag_circuit(rng, n_inputs=4, n_gates=20, with_ffs=True)
         vectors = _random_vectors(rng, c, 33)
         results = [
-            WaveformBackend(c, batch_cycles=b).run(iter(vectors))
+            LanesBackend(c, batch_cycles=b).run(iter(vectors))
             for b in (1, 2, 7, 32, 256)
         ]
         for other in results[1:]:
@@ -164,7 +186,7 @@ class TestEquivalenceWithEventDriven:
         vectors = _random_vectors(rng, c, 20)
         watch = [c.cells[0].outputs[0]]
         ev = EventDrivenBackend(c, monitor=watch).run(iter(vectors))
-        wf = WaveformBackend(c, monitor=watch).run(iter(vectors))
+        wf = LanesBackend(c, monitor=watch).run(iter(vectors))
         _assert_stats_equal(ev, wf)
         assert set(wf.per_node) <= set(watch)
 
@@ -175,7 +197,7 @@ class TestEquivalenceWithEventDriven:
         ev = EventDrivenBackend(xor_chain).run(
             iter(vectors), warmup=[0, 1, 0]
         )
-        wf = WaveformBackend(xor_chain).run(
+        wf = LanesBackend(xor_chain).run(
             iter(vectors), warmup=[0, 1, 0]
         )
         _assert_stats_equal(ev, wf)
@@ -183,7 +205,7 @@ class TestEquivalenceWithEventDriven:
     def test_mapping_key_validation(self, xor_chain):
         internal = xor_chain.net("x1")
         with pytest.raises(ValueError, match="not a primary input"):
-            WaveformBackend(xor_chain).run(
+            LanesBackend(xor_chain).run(
                 [{internal: 1}], warmup=[0, 0, 0]
             )
 
@@ -197,10 +219,10 @@ class TestWarmupAndResume:
             )
             vectors = _random_vectors(rng, c, 24)
             cut = rng.randint(1, len(vectors) - 1)
-            whole = WaveformBackend(c).run(iter(vectors))
+            whole = LanesBackend(c).run(iter(vectors))
 
-            head = WaveformBackend(c).run(iter(vectors[:cut]))
-            tail = WaveformBackend(c).run(
+            head = LanesBackend(c).run(iter(vectors[:cut]))
+            tail = LanesBackend(c).run(
                 iter(vectors[cut:]),
                 initial_values=head.final_values,
                 initial_ff_state=head.final_ff_state,
@@ -225,18 +247,20 @@ class TestWarmupAndResume:
             iter(vectors), warmup=start,
             initial_values=[0] * len(c.nets), initial_ff_state={},
         )
-        wf = WaveformBackend(c).run(
+        wf = LanesBackend(c).run(
             iter(vectors), warmup=start,
             initial_values=[0] * len(c.nets), initial_ff_state={},
         )
         _assert_stats_equal(ev, wf)
 
     def test_bitparallel_boundary_handoff(self, rng):
-        """Fast-forward with bit-parallel, continue glitch-exact."""
+        """Fast-forward in zero-delay mode, continue glitch-exact."""
         c = random_dag_circuit(rng, n_inputs=4, n_gates=16, with_ffs=True)
         vectors = _random_vectors(rng, c, 30)
-        ff = BitParallelBackend(c, monitor=()).run(iter(vectors[:20]))
-        wf = WaveformBackend(c).run(
+        ff = LanesBackend(c, ZeroDelay(), monitor=()).run(
+            iter(vectors[:20])
+        )
+        wf = LanesBackend(c).run(
             iter(vectors[20:]),
             initial_values=ff.final_values,
             initial_ff_state=ff.final_ff_state,
@@ -257,7 +281,7 @@ class TestActivitySession:
             )
             vectors = _random_vectors(rng, c, 41)
             reference = ActivityRun(c, backend="event").run(iter(vectors))
-            run = ActivityRun(c, backend="waveform")
+            run = ActivityRun(c, backend="lanes")
             sharded = run.run_sharded(
                 iter(vectors), shards=shards, processes=processes
             )
@@ -265,18 +289,24 @@ class TestActivitySession:
             assert sharded.per_node == reference.per_node
 
     def test_zero_delay_session_rejected(self, xor_chain):
+        # Dual-mode: ZeroDelay selects the settled mode rather than an
+        # error; only the event engine, which has no such mode,
+        # rejects a zero-delay session.
+        run = ActivityRun(
+            xor_chain, delay_model=ZeroDelay(), backend="waveform"
+        )
+        assert run.backend_name == "lanes" and not run.exact_glitches
         with pytest.raises(ValueError, match="ZeroDelay hides"):
-            ActivityRun(xor_chain, delay_model=ZeroDelay(),
-                        backend="waveform")
+            ActivityRun(xor_chain, delay_model=ZeroDelay(), backend="event")
 
     def test_figure5_pinned_with_waveform_backend(self):
-        """The paper's Figure 5 numbers, bit-exact on the new backend."""
+        """The paper's Figure 5 numbers, bit-exact on the lanes engine."""
         from repro.circuits.adders import build_rca_circuit
         from repro.sim.vectors import WordStimulus
 
         circuit, ports = build_rca_circuit(16, with_cin=False)
         stim = WordStimulus({"a": ports["a"], "b": ports["b"]})
-        result = ActivityRun(circuit, backend="waveform").run(
+        result = ActivityRun(circuit, backend="lanes").run(
             stim.random(random.Random(1995), 4001)
         )
         summary = result.summary()
@@ -314,5 +344,5 @@ def test_waveform_equals_event_property(data):
     ]
     batch = data.draw(st.integers(min_value=1, max_value=6))
     ev = EventDrivenBackend(c, dm).run(iter(vectors))
-    wf = WaveformBackend(c, dm, batch_cycles=batch).run(iter(vectors))
+    wf = LanesBackend(c, dm, batch_cycles=batch).run(iter(vectors))
     _assert_stats_equal(ev, wf)
