@@ -1,37 +1,33 @@
 """Infrastructure benchmark — design-space exploration throughput.
 
 Measures candidates evaluated per second on the 8-bit ripple-carry
-adder's default transform space for the two search regimes:
+adder's default transform space for the two search regimes, which
+differ only in strategy:
 
-* ``sim-everything`` — exhaustive search on the from-scratch reference
-  path (``INCREMENTAL_EXPANSION`` off): every candidate is rebuilt,
-  recompiled and re-estimated from nothing and every unique one pays a
-  glitch-exact simulation (the oracle baseline);
-* ``estimate-pruned`` — beam search on the incremental path:
-  expansions replay structural deltas, recompute only edit cones, and
-  only the surviving frontier is simulated.
+* ``sim-everything`` — exhaustive search: every unique candidate pays
+  a glitch-exact simulation (the oracle baseline);
+* ``estimate-pruned`` — beam search: only the estimate-surviving
+  frontier is simulated.
 
-The per-candidate speedup of the estimate-pruned regime is the whole
-point of the subsystem, so it is part of the committed perf
-trajectory: ``benchmarks/run_benchmarks.py`` folds both medians into
-``BENCH_sim.json`` and the ``repro bench report --diff`` gate fails CI
-on regression like any simulator or estimator workload.
+Both run on a circuit object explored once beforehand, so transform
+results come from the per-parent memo and the timed region measures
+estimation, pruning and simulation.  The per-candidate speedup of the
+estimate-pruned regime is the whole point of the subsystem, so it is
+part of the committed perf trajectory: ``benchmarks/run_benchmarks.py``
+folds both medians into ``BENCH_sim.json`` and the ``repro bench
+report --diff`` gate fails CI on regression like any simulator or
+estimator workload.
 """
 
 import pytest
 
 from repro.circuits.adders import build_rca_circuit
-from repro.explore import search
 from repro.explore.search import explore
 
 _N_VECTORS = 60
 _STRATEGY = {
     "sim-everything": "exhaustive",
     "estimate-pruned": "beam",
-}
-_INCREMENTAL = {
-    "sim-everything": False,
-    "estimate-pruned": True,
 }
 #: Unique candidates in rca8's default space after fingerprint dedup.
 #: run_benchmarks.py divides the median by this to get candidates/s —
@@ -43,15 +39,14 @@ N_CANDIDATES = 10
 @pytest.fixture(scope="module")
 def rca8():
     circuit, _ = build_rca_circuit(8, with_cin=False)
-    # Warm the compile/fingerprint memos so the timed region measures
-    # search work, not one-time setup.
+    # Warm the compile, fingerprint and transform memos so the timed
+    # region measures search work, not one-time setup.
     explore(circuit, strategy="beam", n_vectors=4)
     return circuit
 
 
 @pytest.mark.parametrize("mode", ["sim-everything", "estimate-pruned"])
-def test_explore_throughput_rca8(benchmark, rca8, mode, monkeypatch):
-    monkeypatch.setattr(search, "INCREMENTAL_EXPANSION", _INCREMENTAL[mode])
+def test_explore_throughput_rca8(benchmark, rca8, mode):
     result = benchmark(
         explore, rca8, strategy=_STRATEGY[mode], n_vectors=_N_VECTORS
     )

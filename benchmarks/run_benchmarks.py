@@ -40,7 +40,6 @@ BENCHES = [
     Path(__file__).resolve().parent / "bench_sim_throughput.py",
     Path(__file__).resolve().parent / "bench_estimate_throughput.py",
     Path(__file__).resolve().parent / "bench_explore.py",
-    Path(__file__).resolve().parent / "bench_incremental.py",
     Path(__file__).resolve().parent / "bench_obs_overhead.py",
 ]
 OUT = ROOT / "BENCH_sim.json"
@@ -138,28 +137,6 @@ def normalize(data: dict) -> dict:
                 "candidates_per_s": round(N_CANDIDATES / median, 1),
             }
             continue
-        elif bench["name"].startswith("test_incremental_"):
-            # test_incremental_<stage>_<circuit>[<mode>] -> one entry
-            # per (stage, mode) pair; "delta" vs its "full" twin.
-            mode = params["mode"]
-            stage, circ = (
-                bench["name"].split("[", 1)[0]
-                .removeprefix("test_incremental_").rsplit("_", 1)
-            )
-            backend = f"incremental-{stage}-{mode}"
-            key = f"{backend}/{circ}"
-            workloads = {
-                "compile": f"{circ} retime edit, compiled-circuit build",
-                "estimate": f"{circ} retime edit, workload re-estimation",
-                "expand": f"{circ} default space, beam expansion",
-            }
-            results[key] = {
-                "backend": backend,
-                "workload": workloads[stage],
-                "median_s": round(median, 6),
-                "ops_per_s": round(1.0 / median, 1),
-            }
-            continue
         else:
             continue
         results[key] = {
@@ -185,15 +162,6 @@ def normalize(data: dict) -> dict:
                 ref = results.get("explore-sim-everything/rca8")
                 if ref is not None:
                     entry["speedup_vs_sim_everything"] = round(
-                        ref["median_s"] / entry["median_s"], 2
-                    )
-            continue
-        if backend.startswith("incremental-"):
-            if backend.endswith("-delta"):
-                twin = backend[: -len("delta")] + "full"
-                ref = results.get(f"{twin}/{key.split('/', 1)[1]}")
-                if ref is not None:
-                    entry["speedup_vs_full"] = round(
                         ref["median_s"] / entry["median_s"], 2
                     )
             continue
@@ -234,16 +202,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"  ({entry['speedup_vs_sim_everything']}x vs "
                 "sim-everything)"
             )
-        elif "speedup_vs_full" in entry:
-            extra_txt = f"  ({entry['speedup_vs_full']}x vs full)"
         else:
             extra_txt = ""
         if "cycles_per_s" in entry:
             rate_txt = f"{entry['cycles_per_s']:>10.1f} cycles/s"
         elif "candidates_per_s" in entry:
             rate_txt = f"{entry['candidates_per_s']:>10.1f} candidates/s"
-        elif "ops_per_s" in entry:
-            rate_txt = f"{entry['ops_per_s']:>10.1f} ops/s"
         else:
             rate_txt = f"{entry['passes_per_s']:>10.1f} passes/s"
         print(

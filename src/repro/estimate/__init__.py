@@ -20,10 +20,9 @@ probabilistic estimates break down (reconvergent fanout, glitches):
   implementations, kept as the oracle the compiled-IR estimators are
   property-tested against (1e-12 agreement).
 
-Both production estimators run as fused passes over the compiled
-circuit IR (:mod:`repro.netlist.compiled` generates per-cell
-probability/density kernels at compile time, next to the simulation
-kernels).
+Both production estimators run as generated flat passes over the
+compiled circuit IR (:mod:`repro.netlist.codegen` emits one
+straight-line probability/density function per compiled circuit).
 """
 
 from repro.estimate.probability import (

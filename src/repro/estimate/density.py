@@ -24,9 +24,7 @@ compiled IR through the generated flat density pass
 exec-compiled straight-line function over flat per-net float arrays
 with the Boolean-difference probabilities in closed form per kind,
 instead of the reference implementation's per-(cell, pin) truth-table
-enumeration (:mod:`repro.estimate.reference`).  The pass emits the
-per-cell fused kernels' arithmetic verbatim, so both agree bit for
-bit.
+enumeration (:mod:`repro.estimate.reference`).
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ def _density_array(
     probs: list,
     input_densities: Mapping[int, float],
 ) -> list:
-    """Flat per-net transition densities via the fused kernels.
+    """Flat per-net transition densities via the generated pass.
 
     *probs* is the flat one-probability array
     (:func:`~repro.estimate.probability._probability_array`) — taken as
@@ -67,71 +65,6 @@ def _density_array(
             d = dens[ff_d[i]]
             dens[q] = d if d < 1.0 else 1.0
         density_pass(probs, dens)
-    return dens
-
-
-def _density_array_cone(
-    cc: CompiledCircuit,
-    probs: list,
-    input_densities: Mapping[int, float],
-    base: list,
-    cone_cells,
-) -> list:
-    """Cone-limited variant of :func:`_density_array`.
-
-    *base* is the parent's final density array, *probs* the **child's**
-    final probability array; only *cone_cells* are re-evaluated via
-    the per-cell kernels (:attr:`CompiledCircuit.cell_density`).
-    Bit-identical to the full pass under the same two cone conditions
-    as :func:`repro.estimate.probability._probability_array_cone`.
-
-    The full pass's trajectory is position-sensitive: in round one the
-    flipflop update reads the *initial* array (zero everywhere except
-    primary-input densities), not converged values — so the cone
-    replay seeds cone flipflop outputs from that same initial rule
-    before its first pass, then re-reads current densities for the
-    second round, exactly like the full pass does.  Non-cone values
-    are frozen at parent-final throughout (purely combinational
-    remainder, or untouched flipflop trajectories).
-    """
-    dens = list(base)
-    if cc.n_nets > len(dens):
-        dens.extend([0.0] * (cc.n_nets - len(dens)))
-    for net, d in input_densities.items():
-        dens[net] = d
-    kernels = cc.cell_density
-    cell_outputs = cc.cell_outputs
-    cone_topo = [ci for ci in cc.topo if ci in cone_cells]
-
-    def cone_pass() -> None:
-        for ci in cone_topo:
-            outs = kernels[ci](probs, dens)
-            for out_net, v in zip(cell_outputs[ci], outs):
-                dens[out_net] = v
-
-    ff_d, ff_q = cc.ff_d, cc.ff_q
-    cone_ffs = [i for i, ci in enumerate(cc.ff_cells) if ci in cone_cells]
-    if not cone_ffs:
-        cone_pass()
-        return dens
-    # Round-one register reads see the full pass's *initial* array:
-    # input densities on primary inputs, the just-updated value on Q
-    # nets of flipflops earlier in the update order (register chains),
-    # zero everywhere else.
-    updated: Dict[int, float] = {}
-    for i in cone_ffs:
-        dn = ff_d[i]
-        d0 = updated.get(dn)
-        if d0 is None:
-            d0 = input_densities.get(dn, 0.0)
-        v = d0 if d0 < 1.0 else 1.0
-        dens[ff_q[i]] = v
-        updated[ff_q[i]] = v
-    cone_pass()
-    for i in cone_ffs:
-        d = dens[ff_d[i]]
-        dens[ff_q[i]] = d if d < 1.0 else 1.0
-    cone_pass()
     return dens
 
 

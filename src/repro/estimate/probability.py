@@ -19,14 +19,12 @@ ablation experiment quantifies this gap).
 The propagation runs on the compiled circuit IR through the *generated
 flat probability pass*
 (:data:`~repro.netlist.compiled.CompiledCircuit.prob_pass`, one
-exec-compiled function with one straight-line statement per cell,
-emitting exactly the per-cell fused kernels' arithmetic) over a flat
-per-net float array — no per-cell call, kind branching or truth-table
-enumeration in the loop.  The original dict walking implementation
-survives as the oracle in :mod:`repro.estimate.reference`; property
-tests pin agreement to 1e-12, and the generated pass is bit-equal to
-the fused per-cell kernels by construction (identical expressions,
-identical association order).
+exec-compiled function with one straight-line statement per cell)
+over a flat per-net float array — no per-cell call, kind branching or
+truth-table enumeration in the loop.  The original dict walking
+implementation survives as the oracle in
+:mod:`repro.estimate.reference`; property tests pin agreement to
+1e-12.
 """
 
 from __future__ import annotations
@@ -85,7 +83,7 @@ def _validated_input_values(
 def _probability_array(
     cc: CompiledCircuit, input_probs: Dict[int, float]
 ) -> List[float]:
-    """Flat per-net one-probabilities via the fused kernels.
+    """Flat per-net one-probabilities via the generated pass.
 
     Undriven non-input nets read as 0.5 (maximum uncertainty), like
     the reference implementation's ``values.get(n, 0.5)``.  Flipflop
@@ -105,74 +103,6 @@ def _probability_array(
             new = values[ff_d[i]]
             if abs(values[q] - new) > 1e-12:
                 values[q] = new
-                changed = True
-        if not changed:
-            break
-    return values
-
-
-def _probability_array_cone(
-    cc: CompiledCircuit,
-    input_probs: Dict[int, float],
-    base: List[float],
-    cone_cells,
-) -> List[float]:
-    """Cone-limited variant of :func:`_probability_array`.
-
-    *base* is the parent circuit's converged probability array (the
-    child extends it index-aligned — see
-    :mod:`repro.netlist.delta`); only cells in *cone_cells* are
-    re-evaluated, through the per-cell fused kernels
-    (:attr:`CompiledCircuit.cell_prob` — bit-equal to the generated
-    full pass by construction).
-
-    Bit-identical to the full pass under either exactness condition
-    the caller (:func:`repro.estimate.workload.incremental_workload`)
-    enforces:
-
-    * **no flipflop lies in the cone** — every non-cone net (flipflop
-      trajectories included) evolves exactly as in the parent run, so
-      the cone's converged values are one kernel pass over final fanin
-      values;
-    * **every flipflop lies in the cone** — the non-cone remainder is
-      purely combinational and thus frozen at its (parent-final)
-      values from the first pass on, so the full run's fixed-point
-      trajectory is replayed exactly over the cone alone: same 0.5
-      initialisation of the cone flipflop outputs, same per-round
-      kernel order, same 1e-12 update threshold, same break condition.
-
-    Mixed cones (some flipflops in, some out) are not exact and must
-    take the full pass.
-    """
-    values = list(base)
-    if cc.n_nets > len(values):
-        values.extend([0.5] * (cc.n_nets - len(values)))
-    for net, p in input_probs.items():
-        values[net] = p
-    kernels = cc.cell_prob
-    cell_outputs = cc.cell_outputs
-    cone_topo = [ci for ci in cc.topo if ci in cone_cells]
-
-    def cone_pass() -> None:
-        for ci in cone_topo:
-            outs = kernels[ci](values)
-            for out_net, v in zip(cell_outputs[ci], outs):
-                values[out_net] = v
-
-    ff_d, ff_q = cc.ff_d, cc.ff_q
-    cone_ffs = [i for i, ci in enumerate(cc.ff_cells) if ci in cone_cells]
-    if not cone_ffs:
-        cone_pass()
-        return values
-    for i in cone_ffs:
-        values[ff_q[i]] = 0.5
-    for _ in range(64):
-        cone_pass()
-        changed = False
-        for i in cone_ffs:
-            new = values[ff_d[i]]
-            if abs(values[ff_q[i]] - new) > 1e-12:
-                values[ff_q[i]] = new
                 changed = True
         if not changed:
             break

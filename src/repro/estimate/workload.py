@@ -28,14 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from repro.estimate.density import _density_array, _density_array_cone
-from repro.estimate.probability import (
-    _as_net_dict,
-    _probability_array,
-    _probability_array_cone,
-)
+from repro.estimate.density import _density_array
+from repro.estimate.probability import _as_net_dict, _probability_array
 from repro.netlist.circuit import Circuit
-from repro.netlist.compiled import CompiledCircuit, compile_circuit
+from repro.netlist.compiled import compile_circuit
 from repro.obs import trace as obs
 from repro.sim.vectors import (
     BurstMarkovStimulus,
@@ -250,12 +246,7 @@ def _estimate_workload(circuit, spec, p, d, prob_map, dens_map):
 
 
 def _assemble_estimate(circuit, cc, spec, p, d, prob_array, dens_array):
-    """Shape flat probability/density arrays into an :class:`EstimateResult`.
-
-    The per-net dict / aggregate assembly shared by the full and the
-    cone-limited estimation paths — O(nets) either way, so only the
-    array propagation itself differs between them.
-    """
+    """Shape flat probability/density arrays into an :class:`EstimateResult`."""
     probabilities = _as_net_dict(cc, prob_array)
     iid_input_activity = 2.0 * p * (1.0 - p)
     alpha = d / iid_input_activity if iid_input_activity else 0.0
@@ -277,105 +268,4 @@ def _assemble_estimate(circuit, cc, spec, p, d, prob_array, dens_array):
         densities=densities,
         monitored=tuple(monitored),
         node_names={n.index: n.name for n in circuit.nets},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Incremental (cone-limited) re-estimation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WorkloadSnapshot:
-    """One circuit's estimate plus the flat arrays it converged to.
-
-    The reusable per-candidate state the explore layer carries down
-    the beam-search tree: a child candidate produced by a
-    pure-additive delta extends :attr:`prob_array` / :attr:`dens_array`
-    index-aligned and re-propagates only its edit cone
-    (:func:`incremental_workload`) instead of re-running the full
-    fixed-point passes.
-    """
-
-    result: EstimateResult
-    cc: CompiledCircuit
-    prob_array: List[float]
-    dens_array: List[float]
-
-
-def workload_snapshot(
-    circuit: Circuit,
-    stimulus: StimulusSpec | None = None,
-) -> WorkloadSnapshot:
-    """:func:`estimate_workload`, also keeping the converged arrays.
-
-    The returned estimate is identical to :func:`estimate_workload`'s
-    (same passes, same assembly); the snapshot additionally exposes
-    the flat arrays so descendants can reuse them.
-    """
-    spec = stimulus if stimulus is not None else UniformStimulus()
-    p, d = input_statistics(spec)
-    prob_map = {n: p for n in circuit.inputs}
-    dens_map = {n: d for n in circuit.inputs}
-    with obs.span("estimate.workload", circuit=circuit.name):
-        cc = compile_circuit(circuit)
-        obs.inc("estimate.full_nets", cc.n_nets)
-        prob_array = _probability_array(cc, prob_map)
-        dens_array = _density_array(cc, prob_array, dens_map)
-        result = _assemble_estimate(
-            circuit, cc, spec, p, d, prob_array, dens_array
-        )
-    return WorkloadSnapshot(
-        result=result, cc=cc, prob_array=prob_array, dens_array=dens_array
-    )
-
-
-def incremental_workload(
-    circuit: Circuit,
-    cc: CompiledCircuit,
-    parent: WorkloadSnapshot,
-    cone_cells,
-    cone_nets,
-    stimulus: StimulusSpec | None = None,
-) -> WorkloadSnapshot | None:
-    """Re-estimate *circuit* by re-propagating only its edit cone.
-
-    *circuit* must extend the parent's circuit index-aligned (a
-    pure-additive :class:`~repro.netlist.delta.CircuitDelta` replay),
-    *cc* is its compiled form, *cone_cells* /*cone_nets* the
-    **register-crossing** fanout cone of the delta's touched cells
-    (:func:`repro.netlist.delta.full_fanout_cone`), and *stimulus*
-    must match the parent snapshot's.
-
-    Returns a snapshot whose estimate is bit-identical to the full
-    :func:`workload_snapshot` (the property suite pins it to exact
-    float equality, well inside the issue's 1e-12 budget), or ``None``
-    when the cone shape falls outside the exact-replay conditions —
-    some but not all flipflops in the cone — in which case the caller
-    runs the full pass.
-    """
-    ff_in_cone = [ci in cone_cells for ci in cc.ff_cells]
-    if any(ff_in_cone) and not all(ff_in_cone):
-        obs.inc("estimate.cone_mixed_ffs")
-        return None
-    spec = stimulus if stimulus is not None else UniformStimulus()
-    p, d = input_statistics(spec)
-    prob_map = {n: p for n in circuit.inputs}
-    dens_map = {n: d for n in circuit.inputs}
-    with obs.span(
-        "estimate.workload_cone",
-        circuit=circuit.name,
-        cone=len(cone_cells),
-    ):
-        obs.inc("estimate.cone_nets", len(cone_nets))
-        prob_array = _probability_array_cone(
-            cc, prob_map, parent.prob_array, cone_cells
-        )
-        dens_array = _density_array_cone(
-            cc, prob_array, dens_map, parent.dens_array, cone_cells
-        )
-        result = _assemble_estimate(
-            circuit, cc, spec, p, d, prob_array, dens_array
-        )
-    return WorkloadSnapshot(
-        result=result, cc=cc, prob_array=prob_array, dens_array=dens_array
     )

@@ -55,10 +55,6 @@ def transition_instant_sets(
     transition (zero instants — no entry here).  Sets are bounded by
     the critical path length, so the pass is cheap even on deep
     circuits.
-
-    The full sets (not just their sizes) are exposed so the
-    incremental explore path can splice a child circuit's sets from
-    its parent's (:func:`spliced_instant_state`).
     """
     empty: FrozenSet[int] = frozenset()
     edge: FrozenSet[int] = frozenset({0})
@@ -88,78 +84,6 @@ def transition_instants(
     """
     sets = transition_instant_sets(circuit, delay_model)
     return {net: len(times) for net, times in sets.items()}
-
-
-def spliced_instant_state(
-    parent_sets: Dict[int, FrozenSet[int]],
-    parent_arrivals: Dict[int, int],
-    child: Circuit,
-    delay_model: DelayModel,
-    cone_cells,
-) -> Tuple[Dict[int, FrozenSet[int]], Dict[int, int]]:
-    """Child instant sets + arrival levels from the parent's, cone only.
-
-    *child* must extend the parent index-aligned (pure-additive delta
-    replay) and *cone_cells* must contain every **combinational**
-    child cell whose inputs' instant sets or arrival levels can differ
-    from the parent run — the comb-fanout closure of the delta's
-    touched cells, widened by the drivers of fanout-changed nets
-    (load-dependent delay models re-time a cell when its output gains
-    a reader, even though the cell itself was not rewired; the explore
-    layer computes that widened seed set from the delta).  Sequential
-    indices in *cone_cells* are ignored: register outputs pin to the
-    clock edge regardless.
-
-    Only cone cells are re-propagated, in child topological order —
-    everything else keeps the parent's values, which the cone-closure
-    property guarantees are identical to a from-scratch pass
-    (:func:`transition_instant_sets` / :meth:`Circuit.levelize` with
-    the same delay model — the property suite pins both).
-    """
-    empty: FrozenSet[int] = frozenset()
-    edge: FrozenSet[int] = frozenset({0})
-    sets = dict(parent_sets)
-    arr = dict(parent_arrivals)
-    for n in child.inputs:
-        sets[n] = edge
-        arr[n] = 0
-    for cell in child.cells:
-        if cell.is_sequential:
-            for out in cell.outputs:
-                sets[out] = edge
-                arr[out] = 0
-    if not cone_cells:
-        return sets, arr
-    for cell in child.topological_cells():
-        if cell.index not in cone_cells:
-            continue
-        arrivals: FrozenSet[int] = empty
-        for n in cell.inputs:
-            arrivals |= sets.get(n, empty)
-        at = max((arr.get(n, 0) for n in cell.inputs), default=0)
-        for pos, out in enumerate(cell.outputs):
-            d = delay_model.delay(cell, pos)
-            sets[out] = frozenset(t + d for t in arrivals)
-            arr[out] = at + d
-    return sets, arr
-
-
-def period_from_arrivals(circuit: Circuit, arrivals: Dict[int, int]) -> int:
-    """Critical path from a maintained arrival-level map.
-
-    Mirrors :meth:`Circuit.critical_path_length` exactly — max arrival
-    over primary outputs and flipflop D-inputs — but reads the levels
-    from the incrementally-spliced map instead of re-levelizing.  The
-    levels come from a separate arrival map rather than the instant
-    sets because the two disagree on constant-driven cells: a cell
-    with no transitioning input has an *empty* instant set but still
-    a nonzero arrival level.
-    """
-    endpoints = list(circuit.outputs)
-    for c in circuit.cells:
-        if c.is_sequential:
-            endpoints.extend(c.inputs)
-    return max((arrivals.get(n, 0) for n in endpoints), default=0)
 
 
 @dataclass(frozen=True)
@@ -340,15 +264,11 @@ def estimated_cost_from(
     instant_counts: Dict[int, int],
     period: int,
 ) -> CostVector:
-    """:func:`estimated_cost` from already-computed ingredients.
+    """Assemble :func:`estimated_cost`'s :class:`CostVector`.
 
-    The incremental explore path produces the workload estimate, the
-    instant counts and the period by cone-limited reuse of the parent
-    candidate's state; this assembles the identical
-    :class:`CostVector` without recomputing any of them.  The power
-    loop itself stays O(nets) — it is cheap arithmetic, and keeping
-    one code path (:func:`_power_from_estimate`) is what guarantees
-    the incremental and from-scratch costs are bit-identical.
+    Takes the already-computed ingredients — the workload estimate,
+    the per-net instant counts and the critical path — and adds the
+    analytic power (:func:`_power_from_estimate`) and the area.
     """
     _, tech, _, area_model = context.resolved()
     power = _power_from_estimate(circuit, context, estimate, instant_counts)

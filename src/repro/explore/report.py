@@ -77,10 +77,4 @@ def format_front(result: ExploreResult) -> str:
 
 def format_explore(result: ExploreResult) -> str:
     """Candidate table plus front, ready to print."""
-    parts = [format_candidates(result), format_front(result)]
-    if result.delta_reuse_frac is not None:
-        parts.append(
-            f"delta reuse: {result.delta_reuse_frac:.0%} of candidate "
-            f"expansions served incrementally"
-        )
-    return "\n\n".join(parts)
+    return "\n\n".join([format_candidates(result), format_front(result)])

@@ -35,14 +35,8 @@ from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.compiled import content_digest
-from repro.netlist.delta import CircuitDelta, diff_circuits
-from repro.opt.balance import balance_paths, balance_paths_delta
-from repro.opt.transform import (
-    propagate_constants,
-    propagate_constants_delta,
-    strip_buffers,
-    strip_buffers_delta,
-)
+from repro.opt.balance import balance_paths
+from repro.opt.transform import propagate_constants, strip_buffers
 from repro.retime.graph import RetimingGraph
 from repro.retime.pipeline import pipeline_circuit
 from repro.sim.delays import DelayModel
@@ -122,56 +116,6 @@ TRANSFORMS: Dict[str, Callable[..., Tuple[Circuit, Dict[str, Any]]]] = {
 }
 
 
-def _apply_balance_delta(
-    circuit: Circuit, delay_model: DelayModel
-) -> Tuple[Circuit, Dict[str, Any], CircuitDelta]:
-    balanced, stats, delta = balance_paths_delta(circuit, delay_model)
-    return balanced, {"buffers_inserted": stats.buffers_inserted}, delta
-
-
-def _apply_retime_delta(
-    circuit: Circuit, delay_model: DelayModel, stages: int = 1
-) -> Tuple[Circuit, Dict[str, Any], CircuitDelta]:
-    retimed, info = _apply_retime(circuit, delay_model, stages)
-    return retimed, info, diff_circuits(circuit, retimed)
-
-
-def _apply_cleanup_delta(
-    circuit: Circuit, delay_model: DelayModel
-) -> Tuple[Circuit, Dict[str, Any], CircuitDelta]:
-    cleaned, delta = propagate_constants_delta(circuit)
-    return (
-        cleaned,
-        {"cells_removed": len(circuit.cells) - len(cleaned.cells)},
-        delta,
-    )
-
-
-def _apply_strip_buffers_delta(
-    circuit: Circuit, delay_model: DelayModel
-) -> Tuple[Circuit, Dict[str, Any], CircuitDelta]:
-    stripped, delta = strip_buffers_delta(circuit)
-    return (
-        stripped,
-        {"cells_removed": len(circuit.cells) - len(stripped.cells)},
-        delta,
-    )
-
-
-#: Delta-producing companions to :data:`TRANSFORMS`: ``(circuit,
-#: delay_model, **params) -> (new_circuit, info, delta)``.  Kinds
-#: absent here fall back to apply-then-diff in
-#: :meth:`TransformSpec.apply_delta`.
-TRANSFORMS_DELTA: Dict[
-    str, Callable[..., Tuple[Circuit, Dict[str, Any], CircuitDelta]]
-] = {
-    "balance": _apply_balance_delta,
-    "retime": _apply_retime_delta,
-    "cleanup": _apply_cleanup_delta,
-    "strip_buffers": _apply_strip_buffers_delta,
-}
-
-
 @dataclass(frozen=True)
 class TransformSpec:
     """One parameterized transform: a registry kind plus frozen params."""
@@ -203,23 +147,6 @@ class TransformSpec:
         ``latency`` for transforms that add pipeline stages.
         """
         return TRANSFORMS[self.kind](circuit, delay_model, **dict(self.params))
-
-    def apply_delta(
-        self, circuit: Circuit, delay_model: DelayModel
-    ) -> Tuple[Circuit, Dict[str, Any], CircuitDelta]:
-        """Apply this transform, also returning the structural delta.
-
-        Same contract as :meth:`apply` plus the
-        :class:`~repro.netlist.delta.CircuitDelta` from *circuit* to
-        the result — the handle the incremental compile/estimate paths
-        key on.  Kinds without a registered delta variant fall back to
-        apply-then-diff, so external registrations keep working.
-        """
-        fn = TRANSFORMS_DELTA.get(self.kind)
-        if fn is not None:
-            return fn(circuit, delay_model, **dict(self.params))
-        child, info = self.apply(circuit, delay_model)
-        return child, info, diff_circuits(circuit, child)
 
     def describe(self) -> str:
         if not self.params:

@@ -9,12 +9,11 @@ straight-line statement per cell, in the cached topological order —
 and ``exec``-compiling it into a single flat function (chunked for
 very large netlists, see :data:`CHUNK_CELLS`).
 
-Two passes are generated per compiled circuit, each mirroring one of
-the fused kernel families **expression for expression**, so results
-are float-identical (the closed forms keep the same association order,
-so no rounding step can differ): :func:`build_prob_pass` /
-:func:`build_density_pass` — the signal-probability and
-transition-density topological passes used by :mod:`repro.estimate`.
+Two passes are generated per compiled circuit: :func:`build_prob_pass`
+/ :func:`build_density_pass` — the signal-probability and
+transition-density topological passes used by :mod:`repro.estimate`,
+property-tested against the reference estimators
+(:mod:`repro.estimate.reference`).
 
 It is also home to the structural *levelization* used by the numpy
 tier (:mod:`repro.sim.vector`): :func:`level_groups` buckets the topo
@@ -83,11 +82,13 @@ def _compile_blocks(
 # Per-kind expression emitters
 # ---------------------------------------------------------------------------
 #
-# Each emitter returns ``(prelude_statements, output_expressions)``.
-# The expressions are *exactly* the fused-kernel arithmetic from
-# repro.netlist.compiled with the captured indices inlined as literals;
-# any deviation (operand order, association) would break the
-# float-identity contract the estimators are tested against.
+# Each emitter returns ``(prelude_statements, output_expressions)``
+# with the cell's input net indices inlined as literals.  A probability
+# expression gives the cell's output one-probabilities under spatial
+# independence of its inputs.  A density expression gives the output
+# transition densities through Boolean-difference sensitisation:
+# ``D(y) = sum_i P(dy/dx_i) * D(x_i)`` with the difference probability
+# taken over the other inputs.
 
 def _prob_exprs(
     kind: CellKind, ins: Tuple[int, ...]
@@ -261,48 +262,6 @@ def levelize_cells(cc: "CompiledCircuit") -> List[int]:
             if lvl + 1 > net_level[out]:
                 net_level[out] = lvl + 1
     return cell_level
-
-
-def levelize_cells_delta(
-    parent_cc: "CompiledCircuit",
-    child_cc: "CompiledCircuit",
-    cone_cells,
-) -> List[int]:
-    """Splice :func:`levelize_cells` results across a delta compile.
-
-    Parent levels are reused verbatim for cells outside the edit cone
-    (their transitive fanin is unchanged, so their structural depth
-    is too); only cells at or downstream of the edit frontier —
-    *cone_cells*, the combinational fanout cone of the touched cells —
-    are recomputed, in the child's topo order.  Identical to running
-    :func:`levelize_cells` on the child from scratch.
-    """
-    n_cells = len(child_cc.cell_kinds)
-    levels = list(parent_cc.cell_levels)
-    levels.extend([0] * (n_cells - len(levels)))
-    if not cone_cells:
-        return levels
-    # Driver of each combinational-cell output net, for on-demand net
-    # levels: a net is level 0 at a source (PI, ff output, undriven)
-    # and driver level + 1 otherwise — the same arithmetic the full
-    # pass applies, evaluated only where the cone reads it.
-    driver: Dict[int, int] = {}
-    cell_is_seq = child_cc.cell_is_seq
-    for ci, outs in enumerate(child_cc.cell_outputs):
-        if not cell_is_seq[ci]:
-            for out in outs:
-                driver[out] = ci
-    cell_inputs = child_cc.cell_inputs
-    for ci in child_cc.topo:
-        if ci not in cone_cells:
-            continue
-        lvl = 0
-        for n in cell_inputs[ci]:
-            drv = driver.get(n)
-            if drv is not None and levels[drv] + 1 > lvl:
-                lvl = levels[drv] + 1
-        levels[ci] = lvl
-    return levels
 
 
 @dataclass(frozen=True)

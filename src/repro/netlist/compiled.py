@@ -360,259 +360,6 @@ def _fuse_bits(
     return _fuse_bits_generic(_BIT_EVALUATORS[kind], nets)
 
 
-# ---------------------------------------------------------------------------
-# Fused probability / transition-density kernels
-# ---------------------------------------------------------------------------
-#
-# The estimation layer (:mod:`repro.estimate`) propagates *floats* —
-# signal one-probabilities and Najm transition densities — through the
-# same netlist the simulators evaluate.  The seed estimators branched
-# on the cell kind and enumerated truth tables per evaluation; these
-# kernels instead specialize the closed-form propagation rule per cell
-# instance, reading flat per-net float arrays via captured indices,
-# exactly like :func:`_fuse_cell` does for bits.  They are part of the
-# compiled snapshot (memoized with it), built lazily on first
-# estimator access — see :attr:`CompiledCircuit.cell_prob`.
-#
-# A probability kernel maps the flat ``probs`` array to the cell's
-# output one-probabilities under spatial independence of its inputs.
-# A density kernel maps ``(probs, dens)`` to the cell's output
-# transition densities through Boolean-difference sensitisation:
-# ``D(y) = sum_i P(dy/dx_i) * D(x_i)`` with the difference probability
-# taken over the other inputs.  Kinds outside the closed-form tables
-# fall back to truth-table enumeration (the seed semantics), so every
-# kind keeps working; the fallback matches the specialized forms to
-# float rounding.
-
-def _prob_table_generic(kind: CellKind, nets):
-    """Truth-table probability fallback (seed enumeration order)."""
-    from itertools import product as iter_product
-
-    from repro.netlist.cells import OUTPUT_COUNT
-
-    evaluator = _EVALUATORS[kind]
-    n_out = OUTPUT_COUNT[kind]
-    combos = tuple(iter_product((0, 1), repeat=len(nets)))
-
-    def f(probs, _nets=nets, _combos=combos, _e=evaluator, _n_out=n_out):
-        out = [0.0] * _n_out
-        for combo in _combos:
-            weight = 1.0
-            for bit, net in zip(combo, _nets):
-                p = probs[net]
-                weight *= p if bit else 1.0 - p
-            outs = _e(combo)
-            for k in range(_n_out):
-                if outs[k]:
-                    out[k] += weight
-        return tuple(out)
-
-    return f
-
-
-def _fuse_prob(kind: CellKind, nets: Tuple[int, ...]):
-    """Build the fused signal-probability kernel for one cell."""
-    n = len(nets)
-    if kind is CellKind.CONST0:
-        return lambda probs: (0.0,)
-    if kind is CellKind.CONST1:
-        return lambda probs: (1.0,)
-    if kind in (CellKind.BUF, CellKind.DFF):
-        a, = nets
-        return lambda probs, _a=a: (probs[_a],)
-    if kind is CellKind.NOT:
-        a, = nets
-        return lambda probs, _a=a: (1.0 - probs[_a],)
-    if kind is CellKind.MUX2:
-        s, a, b = nets
-        return lambda probs, _s=s, _a=a, _b=b: (
-            (1.0 - probs[_s]) * probs[_a] + probs[_s] * probs[_b],
-        )
-    if kind is CellKind.HA:
-        a, b = nets
-        def f_ha(probs, _a=a, _b=b):
-            pa, pb = probs[_a], probs[_b]
-            return (pa * (1.0 - pb) + pb * (1.0 - pa), pa * pb)
-        return f_ha
-    if kind is CellKind.FA:
-        a, b, c = nets
-        def f_fa(probs, _a=a, _b=b, _c=c):
-            pa, pb, pc = probs[_a], probs[_b], probs[_c]
-            prod = (1.0 - 2.0 * pa) * (1.0 - 2.0 * pb) * (1.0 - 2.0 * pc)
-            carry = pa * pb + pc * (pa * (1.0 - pb) + pb * (1.0 - pa))
-            return ((1.0 - prod) / 2.0, carry)
-        return f_fa
-    if kind in (CellKind.AND, CellKind.NAND):
-        inv = kind is CellKind.NAND
-        if n == 2:
-            a, b = nets
-            if inv:
-                return lambda probs, _a=a, _b=b: (
-                    1.0 - probs[_a] * probs[_b],
-                )
-            return lambda probs, _a=a, _b=b: (probs[_a] * probs[_b],)
-        def f_and(probs, _n=nets, _inv=inv):
-            p = 1.0
-            for net in _n:
-                p *= probs[net]
-            return (1.0 - p,) if _inv else (p,)
-        return f_and
-    if kind in (CellKind.OR, CellKind.NOR):
-        inv = kind is CellKind.NOR
-        if n == 2:
-            a, b = nets
-            if inv:
-                return lambda probs, _a=a, _b=b: (
-                    (1.0 - probs[_a]) * (1.0 - probs[_b]),
-                )
-            return lambda probs, _a=a, _b=b: (
-                1.0 - (1.0 - probs[_a]) * (1.0 - probs[_b]),
-            )
-        def f_or(probs, _n=nets, _inv=inv):
-            q = 1.0
-            for net in _n:
-                q *= 1.0 - probs[net]
-            return (q,) if _inv else (1.0 - q,)
-        return f_or
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        inv = kind is CellKind.XNOR
-        def f_xor(probs, _n=nets, _inv=inv):
-            prod = 1.0
-            for net in _n:
-                prod *= 1.0 - 2.0 * probs[net]
-            p_odd = (1.0 - prod) / 2.0
-            return (1.0 - p_odd,) if _inv else (p_odd,)
-        return f_xor
-    return _prob_table_generic(kind, nets)
-
-
-def _density_table_generic(kind: CellKind, nets):
-    """Truth-table Boolean-difference fallback (seed enumeration order)."""
-    from itertools import product as iter_product
-
-    from repro.netlist.cells import OUTPUT_COUNT
-
-    evaluator = _EVALUATORS[kind]
-    n_out = OUTPUT_COUNT[kind]
-    arity = len(nets)
-
-    def f(probs, dens, _nets=nets, _e=evaluator, _n_out=n_out, _ar=arity):
-        totals = [0.0] * _n_out
-        for pin in range(_ar):
-            d_in = dens[_nets[pin]]
-            if d_in == 0.0:
-                continue
-            others = [i for i in range(_ar) if i != pin]
-            diff = [0.0] * _n_out
-            for combo in iter_product((0, 1), repeat=len(others)):
-                weight = 1.0
-                assignment = [0] * _ar
-                for idx, bit in zip(others, combo):
-                    assignment[idx] = bit
-                    p = probs[_nets[idx]]
-                    weight *= p if bit else 1.0 - p
-                assignment[pin] = 0
-                low = _e(assignment)
-                assignment[pin] = 1
-                high = _e(assignment)
-                for k in range(_n_out):
-                    if low[k] != high[k]:
-                        diff[k] += weight
-            for k in range(_n_out):
-                totals[k] += diff[k] * d_in
-        return tuple(totals)
-
-    return f
-
-
-def _fuse_density(kind: CellKind, nets: Tuple[int, ...]):
-    """Build the fused transition-density kernel for one cell."""
-    n = len(nets)
-    if kind in (CellKind.CONST0, CellKind.CONST1):
-        return lambda probs, dens: (0.0,)
-    if kind in (CellKind.BUF, CellKind.DFF, CellKind.NOT):
-        a, = nets
-        return lambda probs, dens, _a=a: (dens[_a],)
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        # Every pin is always sensitised: D(y) = sum_i D(x_i).
-        def f_xor(probs, dens, _n=nets):
-            total = 0.0
-            for net in _n:
-                total += dens[net]
-            return (total,)
-        return f_xor
-    if kind is CellKind.MUX2:
-        s, a, b = nets
-        def f_mux(probs, dens, _s=s, _a=a, _b=b):
-            ps, pa, pb = probs[_s], probs[_a], probs[_b]
-            return (
-                (pa * (1.0 - pb) + pb * (1.0 - pa)) * dens[_s]
-                + (1.0 - ps) * dens[_a]
-                + ps * dens[_b],
-            )
-        return f_mux
-    if kind is CellKind.HA:
-        a, b = nets
-        def f_ha(probs, dens, _a=a, _b=b):
-            da, db = dens[_a], dens[_b]
-            return (da + db, probs[_b] * da + probs[_a] * db)
-        return f_ha
-    if kind is CellKind.FA:
-        a, b, c = nets
-        def f_fa(probs, dens, _a=a, _b=b, _c=c):
-            pa, pb, pc = probs[_a], probs[_b], probs[_c]
-            da, db, dc = dens[_a], dens[_b], dens[_c]
-            # d(carry)/dx = XOR of the other two inputs (majority).
-            return (
-                da + db + dc,
-                (pb * (1.0 - pc) + pc * (1.0 - pb)) * da
-                + (pa * (1.0 - pc) + pc * (1.0 - pa)) * db
-                + (pa * (1.0 - pb) + pb * (1.0 - pa)) * dc,
-            )
-        return f_fa
-    if kind in (CellKind.AND, CellKind.NAND):
-        # dy/dx_i = AND of the other inputs (inversion cancels out).
-        if n == 2:
-            a, b = nets
-            return lambda probs, dens, _a=a, _b=b: (
-                probs[_b] * dens[_a] + probs[_a] * dens[_b],
-            )
-        def f_and(probs, dens, _n=nets):
-            total = 0.0
-            for pin, net in enumerate(_n):
-                d_in = dens[net]
-                if d_in == 0.0:
-                    continue
-                w = 1.0
-                for j, other in enumerate(_n):
-                    if j != pin:
-                        w *= probs[other]
-                total += w * d_in
-            return (total,)
-        return f_and
-    if kind in (CellKind.OR, CellKind.NOR):
-        if n == 2:
-            a, b = nets
-            return lambda probs, dens, _a=a, _b=b: (
-                (1.0 - probs[_b]) * dens[_a]
-                + (1.0 - probs[_a]) * dens[_b],
-            )
-        def f_or(probs, dens, _n=nets):
-            total = 0.0
-            for pin, net in enumerate(_n):
-                d_in = dens[net]
-                if d_in == 0.0:
-                    continue
-                w = 1.0
-                for j, other in enumerate(_n):
-                    if j != pin:
-                        w *= 1.0 - probs[other]
-                total += w * d_in
-            return (total,)
-        return f_or
-    return _density_table_generic(kind, nets)
-
-
 @dataclass(frozen=True)
 class CompiledCircuit:
     """Flat arrays mirroring one :class:`Circuit` at one version.
@@ -646,12 +393,11 @@ class CompiledCircuit:
     max_delay: int
 
     # ------------------------------------------------------------------
-    # The per-engine and estimator kernel tables are built lazily on
-    # first access: a compile only pays for the tables its consumer
-    # reads, while the one compiled snapshot per (circuit, delay model)
-    # still amortizes them across runs.  ``cached_property`` writes
-    # straight into the instance ``__dict__``, which the frozen
-    # dataclass permits.
+    # The per-engine kernel tables are built lazily on first access: a
+    # compile only pays for the tables its consumer reads, while the
+    # one compiled snapshot per (circuit, delay model) still amortizes
+    # them across runs.  ``cached_property`` writes straight into the
+    # instance ``__dict__``, which the frozen dataclass permits.
 
     @cached_property
     def cell_eval_bits(
@@ -665,38 +411,6 @@ class CompiledCircuit:
         """
         return tuple(
             _fuse_bits(kind, nets)
-            for kind, nets in zip(self.cell_kinds, self.cell_inputs)
-        )
-
-    @cached_property
-    def cell_prob(
-        self,
-    ) -> Tuple[Callable[[Sequence[float]], Tuple[float, ...]], ...]:
-        """Per-cell fused signal-probability kernels (:func:`_fuse_prob`).
-
-        Flat per-net float array in, output one-probabilities out.
-        The estimation layer (:mod:`repro.estimate`) runs one pass
-        over these instead of branching on kinds per cell per
-        evaluation.
-        """
-        return tuple(
-            _fuse_prob(kind, nets)
-            for kind, nets in zip(self.cell_kinds, self.cell_inputs)
-        )
-
-    @cached_property
-    def cell_density(
-        self,
-    ) -> Tuple[
-        Callable[[Sequence[float], Sequence[float]], Tuple[float, ...]], ...
-    ]:
-        """Per-cell fused transition-density kernels (:func:`_fuse_density`).
-
-        ``(probs, dens)`` flat arrays in, output Najm transition
-        densities out.
-        """
-        return tuple(
-            _fuse_density(kind, nets)
             for kind, nets in zip(self.cell_kinds, self.cell_inputs)
         )
 
@@ -721,12 +435,7 @@ class CompiledCircuit:
 
     @cached_property
     def cell_levels(self):
-        """Per-cell structural levels (:func:`repro.netlist.codegen.levelize_cells`).
-
-        Delta-compiled snapshots pre-seed this by splicing the parent's
-        levels and recomputing only at/downstream of the edit frontier
-        (:func:`repro.netlist.codegen.levelize_cells_delta`).
-        """
+        """Per-cell structural levels (:func:`repro.netlist.codegen.levelize_cells`)."""
         from repro.netlist import codegen
 
         return codegen.levelize_cells(self)
@@ -972,219 +681,3 @@ def _build(
         out_specs=None if out_specs is None else tuple(out_specs),
         max_delay=max_delay,
     )
-
-
-# ---------------------------------------------------------------------------
-# Delta compilation: patch the parent snapshot instead of rebuilding
-# ---------------------------------------------------------------------------
-
-def compile_delta(
-    parent: "Circuit",
-    delta,
-    child: "Circuit",
-    delay_model: "DelayModel | None" = None,
-) -> CompiledCircuit:
-    """Compile *child* by patching *parent*'s compiled snapshot.
-
-    *delta* is the :class:`~repro.netlist.delta.CircuitDelta` from
-    *parent* to *child* (which must be index-aligned with the parent —
-    the shape :meth:`CircuitDelta.apply` produces).  Fused kernels are
-    reused for every untouched parent cell, the topological order is
-    spliced (only the combinational fanout cone of the touched cells
-    is re-sorted), and the structural levelization is recomputed only
-    at/downstream of the edit frontier.  The result is inserted into
-    the ordinary ``(Circuit, DelayModel)`` memo, so later
-    :func:`compile_circuit` calls on *child* hit it.
-
-    Bit-identical to a from-scratch :func:`_build` — the property
-    suite pins evaluation, probability and density behaviour.  When
-    the delta is not pure-additive (indices shifted) or does not match
-    *parent*, this transparently falls back to :func:`compile_circuit`.
-    """
-    key: Hashable = None if delay_model is None else delay_model.cache_token()
-    per_circuit = _CACHE.get(child)
-    if per_circuit is not None:
-        cached = per_circuit.get(key)
-        if cached is not None and cached.version == child.version:
-            per_circuit.move_to_end(key)
-            return cached
-    if (
-        not delta.is_pure_addition
-        or len(parent.nets) != delta.parent_n_nets
-        or len(parent.cells) != delta.parent_n_cells
-        or parent.fingerprint() != delta.parent_fingerprint
-    ):
-        obs.inc("compile.delta_fallback")
-        return compile_circuit(child, delay_model)
-    parent_cc = compile_circuit(parent, delay_model)
-    with obs.span(
-        "compile.delta",
-        circuit=getattr(child, "name", "?"),
-        delay=key is not None,
-        touched=len(delta.touched_cells),
-    ):
-        obs.inc("compile.delta")
-        compiled = _build_delta(parent_cc, delta, child, delay_model)
-    if per_circuit is None:
-        per_circuit = _CACHE[child] = OrderedDict()
-    elif per_circuit and next(
-        iter(per_circuit.values())
-    ).version != child.version:
-        per_circuit.clear()
-    per_circuit[key] = compiled
-    per_circuit.move_to_end(key)
-    while len(per_circuit) > MEMO_DELAY_MODELS:
-        per_circuit.popitem(last=False)
-    return compiled
-
-
-def _cone_topo(child: "Circuit", cone) -> List[int]:
-    """Kahn sub-sort of the (combinational) cone cells of *child*."""
-    cells = child.cells
-    nets = child.nets
-    indeg: Dict[int, int] = {}
-    ready: List[int] = []
-    for ci in cone:
-        deg = 0
-        for n in cells[ci].inputs:
-            drv = nets[n].driver
-            if drv is not None and drv[0] in cone:
-                deg += 1
-        indeg[ci] = deg
-        if deg == 0:
-            ready.append(ci)
-    order: List[int] = []
-    while ready:
-        ci = ready.pop()
-        order.append(ci)
-        for out in cells[ci].outputs:
-            for reader in nets[out].fanout:
-                deg = indeg.get(reader)
-                if deg is not None:
-                    indeg[reader] = deg - 1
-                    if deg == 1:
-                        ready.append(reader)
-    if len(order) != len(cone):
-        raise ValueError(
-            f"combinational cycle through the edit cone of {child.name!r}"
-        )
-    return order
-
-
-def _build_delta(
-    parent_cc: CompiledCircuit,
-    delta,
-    child: "Circuit",
-    delay_model: "DelayModel | None",
-) -> CompiledCircuit:
-    from repro.netlist import codegen
-    from repro.netlist.delta import comb_fanout_cone
-
-    touched_names = delta.touched_cells
-    parent_n_cells = delta.parent_n_cells
-    cells = child.cells
-    nets = child.nets
-
-    cell_kinds = []
-    cell_inputs = []
-    cell_outputs = []
-    cell_eval_fused = []
-    cell_is_seq = []
-    reused: List[bool] = []
-    touched_idx: List[int] = []
-    ff_cells: List[int] = []
-    ff_d: List[int] = []
-    ff_q: List[int] = []
-    out_specs: List[Tuple[Tuple[int, int], ...]] | None = (
-        None if delay_model is None else []
-    )
-    max_delay = 0
-    parent_fused = parent_cc.cell_eval_fused
-    for cell in cells:
-        ci = cell.index
-        reuse = ci < parent_n_cells and cell.name not in touched_names
-        reused.append(reuse)
-        cell_kinds.append(cell.kind)
-        cell_inputs.append(cell.inputs)
-        cell_outputs.append(cell.outputs)
-        if reuse:
-            # Index alignment makes the parent's closures (which
-            # captured net indices) valid verbatim in the child.
-            cell_eval_fused.append(parent_fused[ci])
-        else:
-            touched_idx.append(ci)
-            cell_eval_fused.append(_fuse_cell(cell.kind, cell.inputs))
-        seq = cell.is_sequential
-        cell_is_seq.append(seq)
-        if seq:
-            ff_cells.append(ci)
-            ff_d.append(cell.inputs[0])
-            ff_q.append(cell.outputs[0])
-            if out_specs is not None:
-                out_specs.append(((cell.outputs[0], 0),))
-        elif out_specs is not None:
-            # Delays are re-resolved for every cell, not spliced: a
-            # load-dependent model may change an untouched cell's
-            # delay when its fanout gained a reader.
-            spec = tuple(
-                (out, delay_model.delay(cell, pos))
-                for pos, out in enumerate(cell.outputs)
-            )
-            out_specs.append(spec)
-            for _, d in spec:
-                if d > max_delay:
-                    max_delay = d
-
-    cone = comb_fanout_cone(child, touched_idx)
-    if cone:
-        prefix = [ci for ci in parent_cc.topo if ci not in cone]
-        topo = tuple(prefix + _cone_topo(child, cone))
-    else:
-        topo = parent_cc.topo
-
-    compiled = CompiledCircuit(
-        name=child.name,
-        version=child.version,
-        n_nets=len(nets),
-        inputs=tuple(child.inputs),
-        input_set=frozenset(child.inputs),
-        outputs=tuple(child.outputs),
-        driven=tuple(net.driver is not None for net in nets),
-        cell_kinds=tuple(cell_kinds),
-        cell_inputs=tuple(cell_inputs),
-        cell_outputs=tuple(cell_outputs),
-        cell_eval_fused=tuple(cell_eval_fused),
-        cell_is_seq=tuple(cell_is_seq),
-        comb_fanout=tuple(
-            tuple(ci for ci in net.fanout if not cell_is_seq[ci])
-            for net in nets
-        ),
-        topo=topo,
-        ff_cells=tuple(ff_cells),
-        ff_d=tuple(ff_d),
-        ff_q=tuple(ff_q),
-        out_specs=None if out_specs is None else tuple(out_specs),
-        max_delay=max_delay,
-    )
-    # Pre-seed the lazy tables that splice cheaply.  Levelization only
-    # recomputes the cone; the estimator kernel tables reuse parent
-    # closures for untouched cells, but only when the parent has (or
-    # will plausibly need) them — sim-only snapshots never pay.
-    compiled.__dict__["cell_levels"] = codegen.levelize_cells_delta(
-        parent_cc, compiled, cone
-    )
-    if delay_model is None or "cell_prob" in parent_cc.__dict__:
-        parent_prob = parent_cc.cell_prob
-        compiled.__dict__["cell_prob"] = tuple(
-            parent_prob[ci] if reused[ci]
-            else _fuse_prob(cell_kinds[ci], cell_inputs[ci])
-            for ci in range(len(cells))
-        )
-    if delay_model is None or "cell_density" in parent_cc.__dict__:
-        parent_density = parent_cc.cell_density
-        compiled.__dict__["cell_density"] = tuple(
-            parent_density[ci] if reused[ci]
-            else _fuse_density(cell_kinds[ci], cell_inputs[ci])
-            for ci in range(len(cells))
-        )
-    return compiled

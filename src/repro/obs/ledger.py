@@ -59,14 +59,13 @@ ROW_SCHEMA: Dict[str, Any] = {
 }
 
 #: Rate keys a row may carry, in display-preference order.
-RATE_KEYS = ("cycles_per_s", "passes_per_s", "ops_per_s", "candidates_per_s")
+RATE_KEYS = ("cycles_per_s", "passes_per_s", "candidates_per_s")
 
 #: Speedup keys a row may carry.
 SPEEDUP_KEYS = (
     "speedup_vs_event",
     "speedup_vs_reference",
     "speedup_vs_sim_everything",
-    "speedup_vs_full",
 )
 
 

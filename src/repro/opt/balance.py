@@ -25,7 +25,6 @@ from typing import Dict, Tuple
 
 from repro.netlist.cells import Cell, CellKind
 from repro.netlist.circuit import Circuit
-from repro.netlist.delta import CircuitDelta, diff_circuits
 from repro.sim.delays import DelayModel, UnitDelay
 
 
@@ -142,21 +141,6 @@ def balance_paths(
         original_cells=len(circuit.cells),
     )
     return new, stats
-
-
-def balance_paths_delta(
-    circuit: Circuit,
-    delay_model: DelayModel | None = None,
-    name: str | None = None,
-) -> Tuple[Circuit, BalanceStats, CircuitDelta]:
-    """:func:`balance_paths` plus the delta it performed.
-
-    Balancing only inserts buffer chains and rewires combinational
-    input pins, so the delta is always pure-additive: every parent net
-    and cell keeps its index in the child.
-    """
-    new, stats = balance_paths(circuit, delay_model, name)
-    return new, stats, diff_circuits(circuit, new)
 
 
 def balancing_report(

@@ -20,7 +20,6 @@ from typing import Dict, Optional
 
 from repro.netlist.cells import CellKind, evaluate_kind
 from repro.netlist.circuit import Circuit
-from repro.netlist.delta import CircuitDelta, diff_circuits
 
 
 def _rebuild(
@@ -238,33 +237,3 @@ def strip_buffers(circuit: Circuit) -> Circuit:
         replace_input=lambda net: forward.get(net, net),
         name_suffix="_nobuf",
     )
-
-
-# ---------------------------------------------------------------------------
-# Delta-producing variants
-# ---------------------------------------------------------------------------
-# The clean-up passes remove cells and (through ``_rebuild``) drop
-# unreferenced nets, so their deltas are rarely pure-additive — but the
-# diff is cheap and uniform, and downstream consumers decide per delta
-# whether the incremental paths apply or the full rebuild runs.
-
-def dead_cell_elimination_delta(
-    circuit: Circuit,
-) -> tuple[Circuit, CircuitDelta]:
-    """:func:`dead_cell_elimination` plus the delta it performed."""
-    new = dead_cell_elimination(circuit)
-    return new, diff_circuits(circuit, new)
-
-
-def propagate_constants_delta(
-    circuit: Circuit,
-) -> tuple[Circuit, CircuitDelta]:
-    """:func:`propagate_constants` plus the delta it performed."""
-    new = propagate_constants(circuit)
-    return new, diff_circuits(circuit, new)
-
-
-def strip_buffers_delta(circuit: Circuit) -> tuple[Circuit, CircuitDelta]:
-    """:func:`strip_buffers` plus the delta it performed."""
-    new = strip_buffers(circuit)
-    return new, diff_circuits(circuit, new)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, Mapping, Tuple
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.delta import CircuitDelta, diff_circuits
 from repro.retime.graph import HOST_OUT, RetimingGraph
 
 
@@ -91,19 +90,3 @@ def apply_retiming(
         w = graph.retimed_weight(conn, r)
         new.mark_output(registered(conn.src_net, w))
     return new
-
-
-def apply_retiming_delta(
-    graph: RetimingGraph,
-    r: Mapping[int, int],
-    name: str | None = None,
-) -> Tuple[Circuit, CircuitDelta]:
-    """:func:`apply_retiming` plus the delta it performed.
-
-    Retiming a purely combinational circuit only adds DFF chains, so
-    its delta is pure-additive; retiming a circuit that already holds
-    registers rebuilds them at new depths (the old ones are removed),
-    which downstream incremental consumers treat as a full rebuild.
-    """
-    new = apply_retiming(graph, r, name)
-    return new, diff_circuits(graph.circuit, new)

@@ -200,51 +200,6 @@ def cached_estimate(
     return result
 
 
-def reusable_result_nets(
-    parent: Circuit,
-    delta,
-    child: Circuit,
-) -> frozenset:
-    """Child net *names* whose simulated counts must equal the parent's.
-
-    For a pure-additive :class:`~repro.netlist.delta.CircuitDelta`
-    from *parent* to *child*, every driven net outside the edit's full
-    fanout cone — crossing registers, and widened by the drivers of
-    fanout-changed nets, whose delays a load-dependent model may
-    re-time — sees bit-identical stimulus through bit-identical logic
-    under bit-identical delays, so its per-net counts are reusable
-    across the two runs.  Returns net names (the identity payload rows
-    are keyed by); empty for non-additive deltas.
-
-    *child* may be the delta's replay of *parent* or any circuit with
-    the replay's fingerprint — the cone is resolved by cell/net name,
-    not index.
-    """
-    from repro.netlist.delta import cone_net_indices, full_fanout_cone
-
-    if not delta.is_pure_addition:
-        return frozenset()
-    changed_net_names: set = set()
-    for record in delta.added_cells:
-        changed_net_names.update(record[2])
-    for record in delta.rewired_cells:
-        changed_net_names.update(record[2])
-        for n in parent.cell(record[0]).inputs:
-            changed_net_names.add(parent.net_name(n))
-    seeds = {child.cell(name).index for name in delta.touched_cells}
-    for name in changed_net_names:
-        drv = child.nets[child.net(name)].driver
-        if drv is not None:
-            seeds.add(drv[0])
-    cone = full_fanout_cone(child, seeds)
-    excluded = cone_net_indices(child, cone, delta)
-    return frozenset(
-        net.name
-        for net in child.nets
-        if net.driver is not None and net.index not in excluded
-    )
-
-
 def cached_run(
     circuit: Circuit,
     words: WordStimulus | Mapping[str, Sequence[int]],

@@ -170,55 +170,6 @@ def decode_result(
     )
 
 
-def share_per_node_rows(
-    parent_payload: Dict[str, Any],
-    child_payload: Dict[str, Any],
-    net_names: Iterable[str],
-) -> int:
-    """Verify and reference-share per-net rows across two run payloads.
-
-    For *net_names* — nets the delta analysis proved unchanged between
-    a parent candidate's run and its child's
-    (:func:`repro.service.runner.reusable_result_nets`) — each row
-    present in both payloads is checked for equality and the child's
-    copy replaced by a reference to the parent's (one list object
-    instead of two; a beam exploration holds every candidate's payload
-    at once).  Agreements count ``store.nets_reused``; a disagreement
-    counts ``store.nets_reuse_mismatch`` and keeps the child's own row
-    — the simulation stays authoritative, the counter flags the cone
-    analysis bug.
-
-    Only meaningful for simulation payloads (``glitch-exact`` /
-    ``settled``) of the **same delay regime**; payloads of a different
-    shape or with differing delay descriptions are left untouched.
-    Returns the number of rows shared.
-    """
-    try:
-        parent_rows = parent_payload["per_node"]
-        child_rows = child_payload["per_node"]
-    except (TypeError, KeyError):
-        return 0
-    if parent_payload.get("delay_description") != child_payload.get(
-        "delay_description"
-    ) or parent_payload.get("cycles") != child_payload.get("cycles"):
-        return 0
-    shared = 0
-    for name in net_names:
-        prow = parent_rows.get(name)
-        crow = child_rows.get(name)
-        if prow is None or crow is None:
-            continue
-        if prow == crow:
-            child_rows[name] = prow
-            shared += 1
-        else:
-            obs.inc("store.nets_reuse_mismatch")
-            obs.instant("store.per_node_reuse_mismatch", net=name)
-    if shared:
-        obs.inc("store.nets_reused", shared)
-    return shared
-
-
 def encode_estimate(result: "EstimateResult") -> Dict[str, Any]:
     """Serialize an :class:`~repro.estimate.workload.EstimateResult`.
 

@@ -552,3 +552,51 @@ class TestDocumentedDefaults:
         )
         assert select_backend() == "lanes"
         assert select_backend(ZeroDelay()) == "lanes"
+
+    @staticmethod
+    def _option(command, flag):
+        import argparse
+
+        from repro.cli import make_parser
+
+        sub = next(
+            a for a in make_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        return next(
+            a for a in sub.choices[command]._actions
+            if flag in a.option_strings
+        )
+
+    def test_retry_policy_matches_submit_help(self):
+        """``submit --retries`` says "default 2" (three attempts in
+        all) and ``--task-timeout`` says "default 300"."""
+        import re
+
+        from repro.service.pool import RetryPolicy
+
+        policy = RetryPolicy()
+        assert policy.max_attempts == 3
+        assert policy.timeout_s == 300.0
+        retries = self._option("submit", "--retries").help
+        timeout = self._option("submit", "--task-timeout").help
+        assert int(re.search(r"default (\d+)", retries).group(1)) == (
+            policy.max_attempts - 1
+        )
+        assert float(re.search(r"default (\d+)", timeout).group(1)) == (
+            policy.timeout_s
+        )
+
+    def test_bench_gate_threshold_is_25_percent(self):
+        """README: ``bench report --diff`` flags regressions past
+        ``--threshold``, default 25%."""
+        import inspect
+
+        from repro.cli import make_parser
+        from repro.obs.ledger import format_diff
+
+        args = make_parser().parse_args(["bench", "report"])
+        assert args.threshold == 0.25
+        assert inspect.signature(format_diff).parameters[
+            "threshold"
+        ].default == 0.25

@@ -1,5 +1,7 @@
 """Tests for the design-space exploration subsystem (:mod:`repro.explore`)."""
 
+import random
+
 import pytest
 
 from repro.circuits.adders import build_rca_circuit
@@ -29,7 +31,9 @@ from repro.opt.balance import balance_paths
 from repro.retime.pipeline import pipeline_circuit
 from repro.service.jobs import CircuitTask, run_circuit_tasks
 from repro.service.store import EXPLORE, ResultStore, payload_summary
+from repro.obs import trace as obs
 from repro.sim.delays import UnitDelay
+from repro.sim.engine import Simulator
 from repro.sim.vectors import UniformStimulus, WordStimulus
 
 
@@ -384,6 +388,72 @@ class TestExplore:
         assert EXPLORE not in classes
         assert "glitch-exact" in classes
 
+    def test_payload_with_delta_reuse_frac_decodes(self):
+        # Payloads stored by earlier versions carry a reuse statistic
+        # this version neither writes nor reads.
+        circuit, _ = build_named_circuit("rca4")
+        result = explore(
+            circuit, default_space(max_depth=1), strategy="beam",
+            beam_width=2, n_vectors=8,
+        )
+        payload = result.to_payload()
+        assert "delta_reuse_frac" not in payload
+        payload["delta_reuse_frac"] = 0.75
+        back = ExploreResult.from_payload(payload)
+        assert back.summary() == result.summary()
+        assert [c.label for c in back.front()] == [
+            c.label for c in result.front()
+        ]
+
+    def test_deduplicated_chains_skip_estimate_work(self, monkeypatch):
+        import repro.explore.search as search
+
+        calls = []
+        real = search.estimated_cost
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "estimated_cost", counting)
+        circuit, _ = build_named_circuit("rca4")
+        with obs.capture() as rec:
+            result = explore(
+                circuit, default_space(max_depth=2), strategy="beam",
+                beam_width=4, n_vectors=8,
+            )
+        # Estimation ran at most once per *unique* candidate; the
+        # fingerprint-collapsed chains cost no estimator work and were
+        # charged to the prune counter.
+        assert len(calls) <= len(result.candidates)
+        collapsed = result.n_enumerated - len(result.candidates)
+        assert collapsed > 0
+        counters = rec.metrics.snapshot()["counters"]
+        assert counters.get("explore.pruned", 0) >= collapsed
+
+    def test_second_explore_on_same_circuit_applies_no_transform(
+        self, monkeypatch
+    ):
+        circuit, _ = build_named_circuit("rca4")
+        space = default_space(max_depth=2)
+        first = explore(circuit, space, strategy="beam", n_vectors=8)
+        calls = []
+        real = TransformSpec.apply
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(TransformSpec, "apply", counting)
+        second = explore(circuit, space, strategy="beam", n_vectors=8)
+        assert calls == []
+        assert second.summary() == first.summary()
+        # A fresh build of the same netlist is a different parent
+        # object, so its transforms do run.
+        fresh, _ = build_named_circuit("rca4")
+        explore(fresh, space, strategy="beam", n_vectors=8)
+        assert calls
+
     def test_candidate_sims_shared_between_strategies(self, tmp_path):
         circuit, _ = build_named_circuit("rca4")
         beam_store = ResultStore(tmp_path)
@@ -477,3 +547,131 @@ class TestAcceptanceArray8:
         assert exhaustive.rank_agreement is not None
         assert exhaustive.rank_agreement > 0.5
         assert beam.rank_agreement is not None
+
+
+#: Beam search on array8 (width 3, depth 3, 24 vectors): for every
+#: unique candidate, in expansion order, its estimated and simulated
+#: ``(power_mw, area_mm2, latency, period)`` (``None`` when the beam
+#: pruned its simulation).
+ARRAY8_BEAM3 = (
+    ("original",
+     (1.6507878400067408, 0.3195384615384615, 0, 15),
+     (0.9977343750000012, 0.3195384615384615, 0, 15)),
+    ("balance",
+     (0.8984177184285143, 0.45307692307692304, 0, 15),
+     (0.9162760416666679, 0.45307692307692304, 0, 15)),
+    ("retime(stages=1)",
+     (2.0502892470259724, 0.37538461538461537, 1, 8),
+     (1.4601302083333338, 0.37538461538461537, 1, 8)),
+    ("retime(stages=2)",
+     (2.5753322551617943, 0.482, 2, 5),
+     (2.34359375, 0.482, 2, 5)),
+    ("balance+retime(stages=1)",
+     (1.4739069434989231, 0.5089230769230769, 1, 8),
+     (1.4961718750000004, 0.5089230769230769, 1, 8)),
+    ("balance+retime(stages=2)",
+     (2.546336230255555, 0.6155384615384616, 2, 5),
+     None),
+    ("retime(stages=1)+balance",
+     (1.4616022559989224, 0.5046153846153847, 1, 8),
+     (1.485234375000001, 0.5046153846153847, 1, 8)),
+    ("retime(stages=1)+retime(stages=2)",
+     (3.2500986715324354, 0.5505384615384615, 3, 4),
+     (3.029713541666667, 0.5505384615384615, 3, 4)),
+    ("retime(stages=2)+balance",
+     (2.3285808639008296, 0.5398461538461539, 2, 5),
+     (2.342526041666668, 0.5398461538461539, 2, 5)),
+    ("retime(stages=2)+retime(stages=2)",
+     (4.164531771239087, 0.6596923076923077, 4, 3),
+     (4.057213541666667, 0.6596923076923077, 4, 3)),
+    ("retime(stages=1)+balance+retime(stages=1)",
+     (2.536473405522513, 0.6112307692307692, 2, 5),
+     None),
+    ("retime(stages=1)+balance+retime(stages=2)",
+     (3.232242841648635, 0.6797692307692308, 3, 4),
+     (3.257708333333334, 0.6797692307692308, 3, 4)),
+    ("balance+retime(stages=1)+retime(stages=2)",
+     (3.242574416381677, 0.684076923076923, 3, 4),
+     (3.2670312500000005, 0.684076923076923, 3, 4)),
+    ("retime(stages=2)+balance+retime(stages=1)",
+     (3.166890107649604, 0.6083846153846154, 3, 4),
+     (3.111510416666667, 0.6083846153846154, 3, 4)),
+    ("retime(stages=2)+balance+retime(stages=2)",
+     (4.236143238493905, 0.7175384615384616, 4, 3),
+     (4.1967187500000005, 0.7175384615384616, 4, 3)),
+)
+
+ARRAY8_BEAM3_FRONT = [
+    "balance", "original", "retime(stages=1)", "retime(stages=2)+balance",
+    "retime(stages=2)", "retime(stages=1)+retime(stages=2)",
+    "retime(stages=2)+retime(stages=2)",
+]
+
+
+def _assert_cost(got, want, what):
+    if want is None:
+        assert got is None, what
+        return
+    power, area, latency, period = want
+    assert got.power_mw == pytest.approx(power, rel=1e-12), what
+    assert (got.area_mm2, got.latency, got.period) == (
+        area, latency, period
+    ), what
+
+
+class TestPinnedFront:
+    def test_array8_beam_depth3_front_pinned(self):
+        circuit, _ = build_named_circuit("array8")
+        result = explore(
+            circuit, default_space(max_depth=3), strategy="beam",
+            beam_width=3, n_vectors=24,
+        )
+        assert [c.label for c in result.candidates] == [
+            row[0] for row in ARRAY8_BEAM3
+        ]
+        assert result.n_enumerated == 29
+        assert [c.label for c in result.front()] == ARRAY8_BEAM3_FRONT
+        for cand, (label, estimate, exact) in zip(
+            result.candidates, ARRAY8_BEAM3
+        ):
+            _assert_cost(cand.estimate, estimate, f"{label} estimate")
+            _assert_cost(cand.exact, exact, f"{label} exact")
+
+
+class TestChainEquivalence:
+    """Every candidate explore emits implements its input, mod latency."""
+
+    WARMUP = 6
+    COMPARED = 24
+
+    @pytest.mark.parametrize("name", ["rca4", "array4"])
+    def test_exhaustive_depth2_candidates_sequentially_equivalent(
+        self, name
+    ):
+        base, _ = build_named_circuit(name)
+        result = explore(
+            base, default_space(max_depth=2), strategy="exhaustive",
+            n_vectors=8,
+        )
+        assert any(len(c.chain) == 2 for c in result.candidates)
+        rng = random.Random(1995)
+        for cand in result.candidates:
+            lat = cand.latency
+            n = self.WARMUP + self.COMPARED + lat
+            vectors = [
+                [rng.randint(0, 1) for _ in base.inputs] for _ in range(n)
+            ]
+            sim_ref = Simulator(base)
+            sim_cand = Simulator(cand.circuit)
+            sim_ref.settle(vectors[0])
+            sim_cand.settle(vectors[0])
+            ref, got = [], []
+            for vec in vectors:
+                sim_ref.step(vec)
+                ref.append([sim_ref.values[o] for o in base.outputs])
+                sim_cand.step(vec)
+                got.append(
+                    [sim_cand.values[o] for o in cand.circuit.outputs]
+                )
+            for k in range(self.WARMUP, n - lat):
+                assert got[k + lat] == ref[k], (cand.label, k)

@@ -266,6 +266,17 @@ class TestMetrics:
         assert "pool.retry" in text
 
 
+class TestObsGauge:
+    def test_gauge_hook_reaches_registry(self):
+        with trace.capture() as rec:
+            trace.gauge("x.y", 0.25)
+            trace.gauge("x.y", 0.75)
+        assert rec.metrics.snapshot()["gauges"]["x.y"] == 0.75
+
+    def test_gauge_noop_when_disabled(self):
+        trace.gauge("x.z", 1.0)  # must not raise
+
+
 class TestWarnEvent:
     def test_warns_and_records(self):
         class CustomWarning(UserWarning):
