@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Refresh the committed simulator/estimator-throughput trajectory.
 
-Runs ``bench_sim_throughput.py`` and ``bench_estimate_throughput.py``
+Runs ``bench_sim_throughput.py``, ``bench_estimate_throughput.py``,
+``bench_explore.py``, ``bench_obs_overhead.py`` and ``bench_retime.py``
 through pytest-benchmark's JSON export and normalizes the result into
 ``BENCH_sim.json`` at the repo root: one entry per (backend, workload)
 with the median wall time and derived rates, plus per-workload
@@ -41,6 +42,7 @@ BENCHES = [
     Path(__file__).resolve().parent / "bench_estimate_throughput.py",
     Path(__file__).resolve().parent / "bench_explore.py",
     Path(__file__).resolve().parent / "bench_obs_overhead.py",
+    Path(__file__).resolve().parent / "bench_retime.py",
 ]
 OUT = ROOT / "BENCH_sim.json"
 
@@ -122,6 +124,20 @@ def normalize(data: dict) -> dict:
                 "disabled_overhead_frac": extra.get(
                     "disabled_overhead_frac"
                 ),
+            }
+            continue
+        elif bench["name"].startswith("test_retime_minperiod_balance_array16"):
+            from bench_retime import N_EDGES, N_VERTICES
+
+            key = "retime-minperiod/balance-array16"
+            results[key] = {
+                "backend": "retime-minperiod",
+                "workload": (
+                    f"balance(array16) + 1 output stage, {N_VERTICES} "
+                    f"vertices / {N_EDGES} edges, minimum_period"
+                ),
+                "median_s": round(median, 6),
+                "passes_per_s": round(1.0 / median, 1),
             }
             continue
         elif bench["name"].startswith("test_explore_throughput_rca8"):

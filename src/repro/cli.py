@@ -631,15 +631,15 @@ def _run_explore(circuit: Circuit, args: argparse.Namespace) -> int:
     from repro.explore.specs import default_space
     from repro.sim.vectors import UniformStimulus
 
-    space = default_space(
-        delay=args.delay or "unit",
-        max_stages=args.max_stages,
-        max_depth=args.max_depth,
-        max_area_mm2=args.max_area,
-        max_latency=args.max_latency,
-    )
     store = _open_store(args.cache)
     try:
+        space = default_space(
+            delay=args.delay or "unit",
+            max_stages=args.max_stages,
+            max_depth=args.max_depth,
+            max_area_mm2=args.max_area,
+            max_latency=args.max_latency,
+        )
         result = explore(
             circuit,
             space=space,

@@ -26,7 +26,7 @@ service layer caches (:func:`repro.service.runner.cached_estimate`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, Tuple
 
 from repro.estimate.density import _density_array
 from repro.estimate.probability import _as_net_dict, _probability_array
@@ -231,22 +231,55 @@ def estimate_workload(
     """
     spec = stimulus if stimulus is not None else UniformStimulus()
     p, d = input_statistics(spec)
-    prob_map = {n: p for n in circuit.inputs}
-    dens_map = {n: d for n in circuit.inputs}
     with obs.span("estimate.workload", circuit=circuit.name):
-        return _estimate_workload(circuit, spec, p, d, prob_map, dens_map)
+        cc, prob_array, probabilities, activities = _probability_estimate(
+            circuit, p, d
+        )
+        obs.inc("estimate.full_nets", cc.n_nets)
+        dens_array = _density_array(
+            cc, prob_array, {n: d for n in circuit.inputs}
+        )
+        return EstimateResult(
+            circuit_name=circuit.name,
+            stimulus_description=spec.describe(),
+            input_probability=p,
+            input_density=d,
+            probabilities=probabilities,
+            activities=activities,
+            densities=_as_net_dict(cc, dens_array),
+            monitored=tuple(
+                net.index for net in circuit.nets if net.driver is not None
+            ),
+            node_names={n.index: n.name for n in circuit.nets},
+        )
 
 
-def _estimate_workload(circuit, spec, p, d, prob_map, dens_map):
+def useful_activities(
+    circuit: Circuit,
+    stimulus: StimulusSpec | None = None,
+) -> Dict[int, float]:
+    """Per-net zero-delay useful-transition rate under *stimulus*.
+
+    Exactly :attr:`EstimateResult.activities` of
+    :func:`estimate_workload`, from the probability pass alone: the
+    density pass is neither generated nor run.  The design-space
+    explorer's candidate estimate reads nothing else.
+    """
+    spec = stimulus if stimulus is not None else UniformStimulus()
+    p, d = input_statistics(spec)
+    with obs.span("estimate.useful", circuit=circuit.name):
+        return _probability_estimate(circuit, p, d)[3]
+
+
+def _probability_estimate(circuit: Circuit, p: float, d: float):
+    """The probability pass and the useful rates it implies.
+
+    Returns ``(cc, prob_array, probabilities, activities)``: the
+    compiled circuit, the flat one-probability array, and its
+    per-net projections ``q`` and ``alpha * 2 q (1 - q)``.
+    """
     cc = compile_circuit(circuit)
-    obs.inc("estimate.full_nets", cc.n_nets)
-    prob_array = _probability_array(cc, prob_map)
-    dens_array = _density_array(cc, prob_array, dens_map)
-    return _assemble_estimate(circuit, cc, spec, p, d, prob_array, dens_array)
-
-
-def _assemble_estimate(circuit, cc, spec, p, d, prob_array, dens_array):
-    """Shape flat probability/density arrays into an :class:`EstimateResult`."""
+    prob_array = _probability_array(cc, {n: p for n in circuit.inputs})
     probabilities = _as_net_dict(cc, prob_array)
     iid_input_activity = 2.0 * p * (1.0 - p)
     alpha = d / iid_input_activity if iid_input_activity else 0.0
@@ -254,18 +287,4 @@ def _assemble_estimate(circuit, cc, spec, p, d, prob_array, dens_array):
         net: alpha * 2.0 * q * (1.0 - q)
         for net, q in probabilities.items()
     }
-    densities = _as_net_dict(cc, dens_array)
-    monitored: List[int] = [
-        net.index for net in circuit.nets if net.driver is not None
-    ]
-    return EstimateResult(
-        circuit_name=circuit.name,
-        stimulus_description=spec.describe(),
-        input_probability=p,
-        input_density=d,
-        probabilities=probabilities,
-        activities=activities,
-        densities=densities,
-        monitored=tuple(monitored),
-        node_names={n.index: n.name for n in circuit.nets},
-    )
+    return cc, prob_array, probabilities, activities

@@ -12,7 +12,8 @@ differs:
   three-component model (:func:`repro.core.power.estimate_power`);
 * :func:`estimated_cost` replaces simulation with the fused analytic
   estimate: the zero-delay useful-transition rate per net
-  (:func:`repro.estimate.workload.estimate_workload`) multiplied by a
+  (:func:`repro.estimate.workload.useful_activities`, the probability
+  pass alone) multiplied by a
   *glitch multiplier* from :func:`transition_instants` — the number of
   distinct time instants at which the driving cell's inputs can
   arrive under the chosen delay model.  A path-balanced cell has one
@@ -32,7 +33,7 @@ from typing import Dict, FrozenSet, Sequence, Tuple
 
 from repro.core.activity import ActivityResult
 from repro.core.power import dynamic_power, estimate_power
-from repro.estimate.workload import estimate_workload
+from repro.estimate.workload import useful_activities
 from repro.netlist.circuit import Circuit
 from repro.sim.delays import DelayModel
 from repro.sim.vectors import StimulusSpec
@@ -214,32 +215,38 @@ def estimated_cost(
     as :func:`repro.core.power.estimate_power`, so the two cost paths
     differ only in how glitches enter the logic term.
     """
-    estimate = estimate_workload(circuit, stimulus)
+    activities = useful_activities(circuit, stimulus)
     instants = transition_instants(circuit, delay_model)
     period = circuit.critical_path_length(
         lambda cell, pos: delay_model.delay(cell, pos)
     )
     return estimated_cost_from(
-        circuit, context, latency, estimate, instants, period
+        circuit, context, latency, activities, instants, period
     )
 
 
 def _power_from_estimate(
     circuit: Circuit,
     context: CostContext,
-    estimate,
+    activities: Dict[int, float],
     instant_counts: Dict[int, int],
 ) -> float:
-    """Total analytic power (W) from an estimate + instant counts."""
+    """Total analytic power (W) from useful rates + instant counts.
+
+    The logic term sums over the cell-driven nets in net order, the
+    set :attr:`~repro.estimate.workload.EstimateResult.monitored`
+    holds.
+    """
     frequency, tech, clock_model, _ = context.resolved()
     ff_outputs = {
         c.outputs[0] for c in circuit.cells if c.is_sequential
     }
     logic = 0.0
-    for net in estimate.monitored:
-        if net in ff_outputs:
+    for node in circuit.nets:
+        net = node.index
+        if node.driver is None or net in ff_outputs:
             continue
-        rate = estimate.activities.get(net, 0.0) * instant_counts.get(net, 0)
+        rate = activities.get(net, 0.0) * instant_counts.get(net, 0)
         if rate <= 0.0:
             continue
         logic += dynamic_power(
@@ -260,18 +267,18 @@ def estimated_cost_from(
     circuit: Circuit,
     context: CostContext,
     latency: int,
-    estimate,
+    activities: Dict[int, float],
     instant_counts: Dict[int, int],
     period: int,
 ) -> CostVector:
     """Assemble :func:`estimated_cost`'s :class:`CostVector`.
 
-    Takes the already-computed ingredients — the workload estimate,
+    Takes the already-computed ingredients — the per-net useful rates,
     the per-net instant counts and the critical path — and adds the
     analytic power (:func:`_power_from_estimate`) and the area.
     """
     _, tech, _, area_model = context.resolved()
-    power = _power_from_estimate(circuit, context, estimate, instant_counts)
+    power = _power_from_estimate(circuit, context, activities, instant_counts)
     area = area_model.circuit_area_mm2(circuit, tech)
     return CostVector(
         power_mw=power * 1e3, area_mm2=area, latency=latency, period=period

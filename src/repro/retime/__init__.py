@@ -6,9 +6,10 @@ Leiserson–Saxe framework the cited tools derive from:
 
 * :mod:`repro.retime.graph` — extract the retiming graph
   ``G = (V, E, d, w)`` from a netlist (combinational cells as vertices,
-  flipflop counts as edge weights, a host vertex for I/O);
+  flipflop counts as edge weights, a host vertex for I/O), lowered
+  onto flat int arrays;
 * :mod:`repro.retime.leiserson_saxe` — the FEAS feasibility algorithm
-  and binary-search minimum-period retiming;
+  and binary-search minimum-period retiming over those arrays;
 * :mod:`repro.retime.pipeline` — pipelining: seed extra register
   stages on the output edges, then retime them into the fabric;
 * :mod:`repro.retime.apply` — rebuild a netlist from a retiming

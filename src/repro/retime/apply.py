@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Tuple
 
 from repro.netlist.circuit import Circuit
-from repro.retime.graph import HOST_OUT, RetimingGraph
+from repro.retime.graph import HOST_OUT_SLOT, RetimingGraph
 
 
 def apply_retiming(
@@ -36,7 +36,7 @@ def apply_retiming(
     ``rt_<source-net>_<depth>``.
     """
     old = graph.circuit
-    if not graph.is_legal(dict(r)):
+    if not graph.is_legal(r):
         raise ValueError("illegal retiming (negative edge weight or host lag)")
     new = Circuit(name or f"{old.name}_retimed")
 
@@ -65,17 +65,23 @@ def apply_retiming(
             chains[key] = new.add_dff(prev, name=f"rt_{src_name}_{depth}")
         return chains[key]
 
-    conn_map = graph.connection_map()
+    # (destination slot, pin) -> (source net, retimed weight).
+    taps = {
+        (d, pin): (net, w)
+        for d, pin, net, w in zip(
+            graph.dst, graph.dst_pin, graph.src_net,
+            graph.retimed_weights(graph.lags(r)),
+        )
+    }
 
     # Combinational cells in a dependency-safe order is not required
     # (nets pre-exist), so original order keeps names stable.
     for ci in graph.vertices:
         cell = old.cells[ci]
-        new_inputs = []
-        for pin in range(len(cell.inputs)):
-            conn = conn_map[(ci, pin)]
-            w = graph.retimed_weight(conn, r)
-            new_inputs.append(registered(conn.src_net, w))
+        s = graph.slot[ci]
+        new_inputs = [
+            registered(*taps[(s, pin)]) for pin in range(len(cell.inputs))
+        ]
         new.add_cell(
             cell.kind,
             new_inputs,
@@ -86,7 +92,5 @@ def apply_retiming(
 
     # Primary outputs, preserving order.
     for slot in range(len(old.outputs)):
-        conn = conn_map[(HOST_OUT, slot)]
-        w = graph.retimed_weight(conn, r)
-        new.mark_output(registered(conn.src_net, w))
+        new.mark_output(registered(*taps[(HOST_OUT_SLOT, slot)]))
     return new

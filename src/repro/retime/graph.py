@@ -13,11 +13,23 @@ primary inputs and outputs.  A retiming ``r: V -> Z`` (with
 every cell-input and primary-output path into edge weights, remembering
 enough provenance (source net, destination pin) for
 :func:`repro.retime.apply.apply_retiming` to rebuild a netlist.
+
+The graph is lowered once onto flat int arrays over dense vertex
+*slots*: the two host halves sit at slots 0 and 1 and cell
+``vertices[i]`` at slot ``i + 2`` (:data:`HOST_SLOT`,
+:data:`HOST_OUT_SLOT`, :data:`CELL_SLOT`).  Edge ``e`` runs from slot
+``src[e]`` to slot ``dst[e]`` with ``weight[e]`` registers, and the
+out-edges of slot ``v`` are ``out_edge[out_start[v]:out_start[v + 1]]``
+(CSR).  Lags travel as per-slot lists inside the package; the public
+API keeps lag dicts keyed by cell index plus :data:`HOST` /
+:data:`HOST_OUT`.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Dict, List, Mapping, Tuple
 
 from repro.netlist.circuit import Circuit
@@ -31,6 +43,10 @@ from repro.sim.delays import DelayModel, UnitDelay
 #: by any legal retiming.
 HOST = -1  # source side: drives the primary inputs
 HOST_OUT = -2  # sink side: consumes the primary outputs
+
+#: Array slots of the two host halves; cell ``vertices[i]`` sits at
+#: slot ``CELL_SLOT + i``.
+HOST_SLOT, HOST_OUT_SLOT, CELL_SLOT = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -53,7 +69,7 @@ class Connection:
 
 
 class RetimingGraph:
-    """The extracted graph plus vertex delays."""
+    """The extracted graph plus vertex delays, as flat per-slot arrays."""
 
     def __init__(
         self,
@@ -66,6 +82,21 @@ class RetimingGraph:
         self.vertices = vertices
         self.delay = delay
         self.connections = connections
+        by_slot = [HOST, HOST_OUT] + list(vertices)
+        #: Vertex id -> slot.
+        self.slot = slot = {v: s for s, v in enumerate(by_slot)}
+        self.slot_delay = [delay[v] for v in by_slot]
+        self.src = [slot[c.src] for c in connections]
+        self.dst = [slot[c.dst] for c in connections]
+        self.weight = [c.weight for c in connections]
+        self.src_net = [c.src_net for c in connections]
+        self.dst_pin = [c.dst_pin for c in connections]
+        # CSR out-adjacency: edge ids grouped by source slot.
+        counts = [0] * (len(by_slot) + 1)
+        for s in self.src:
+            counts[s + 1] += 1
+        self.out_start = list(accumulate(counts))
+        self.out_edge = sorted(range(len(self.src)), key=self.src.__getitem__)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -136,26 +167,52 @@ class RetimingGraph:
         This seeds pipelining: the FEAS retiming then pulls the seeded
         registers backwards into the combinational fabric to meet the
         target period (paper Section 5's "introducing flipflops using
-        retiming and pipelining").
+        retiming and pipelining").  The copy shares every array but the
+        weight list, and every connection record but the output edges'.
         """
         if stages < 0:
             raise ValueError("stage count cannot be negative")
-        connections = [
+        staged = copy.copy(self)
+        staged.weight = [
+            w + stages if d == HOST_OUT_SLOT else w
+            for w, d in zip(self.weight, self.dst)
+        ]
+        staged.connections = [
             replace(c, weight=c.weight + stages) if c.dst == HOST_OUT else c
             for c in self.connections
         ]
-        return RetimingGraph(self.circuit, self.vertices, self.delay, connections)
+        return staged
 
     # ------------------------------------------------------------------
-    def retimed_weight(self, conn: Connection, r: Mapping[int, int]) -> int:
-        """``w_r(e) = w(e) + r(dst) - r(src)`` for one connection."""
-        return conn.weight + r.get(conn.dst, 0) - r.get(conn.src, 0)
+    def lags(self, r: Mapping[int, int]) -> List[int]:
+        """Per-slot lag list of the lag dict *r* (absent vertices lag 0)."""
+        lags = [0] * len(self.slot_delay)
+        slot = self.slot
+        for v, lag in r.items():
+            s = slot.get(v)
+            if s is not None:
+                lags[s] = lag
+        return lags
+
+    def lag_dict(self, lags: List[int]) -> Dict[int, int]:
+        """The public lag dict of a per-slot lag list."""
+        r = dict(zip(self.vertices, lags[CELL_SLOT:]))
+        r[HOST] = lags[HOST_SLOT]
+        r[HOST_OUT] = lags[HOST_OUT_SLOT]
+        return r
+
+    def retimed_weights(self, lags: List[int]) -> List[int]:
+        """``w_r(e) = w(e) + r(dst) - r(src)`` for every edge, in edge order."""
+        return [
+            w + lags[d] - lags[s]
+            for w, s, d in zip(self.weight, self.src, self.dst)
+        ]
 
     def is_legal(self, r: Mapping[int, int]) -> bool:
         """True iff host lags are 0 and every retimed weight is non-negative."""
         if r.get(HOST, 0) != 0 or r.get(HOST_OUT, 0) != 0:
             return False
-        return all(self.retimed_weight(c, r) >= 0 for c in self.connections)
+        return min(self.retimed_weights(self.lags(r)), default=0) >= 0
 
     def count_flipflops(self, r: Mapping[int, int] | None = None) -> int:
         """Flipflop count after retiming *r*, with chain sharing.
@@ -166,15 +223,16 @@ class RetimingGraph:
         distinct source net costs ``max`` — not ``sum`` — of its
         connection weights.
         """
-        r = r or {}
         depth_by_net: Dict[int, int] = {}
-        for c in self.connections:
-            w = self.retimed_weight(c, r)
+        for net, w in zip(
+            self.src_net, self.retimed_weights(self.lags(r or {}))
+        ):
             if w < 0:
                 raise ValueError("illegal retiming: negative edge weight")
-            depth_by_net[c.src_net] = max(depth_by_net.get(c.src_net, 0), w)
+            if w > depth_by_net.get(net, 0):
+                depth_by_net[net] = w
         return sum(depth_by_net.values())
 
     def connection_map(self) -> Dict[Tuple[int, int], Connection]:
-        """``{(dst_vertex, dst_pin): connection}`` for netlist rebuild."""
+        """``{(dst_vertex, dst_pin): connection}`` over every edge."""
         return {(c.dst, c.dst_pin): c for c in self.connections}

@@ -10,18 +10,37 @@ retiming and produces a legal retiming when it is:
    with ``Delta(v) > c``;
 3. feasible iff afterwards ``max Delta <= c``.
 
-This is O(|V| * |E|) per candidate period; the minimum period is found
-by binary search between the largest single-vertex delay and the
-unretimed critical path.  Exact for the integer delays used throughout
-this library.
+The minimum period is found by binary search between the largest
+single-vertex delay and the unretimed critical path, one cold FEAS per
+probe.  Exact for the integer delays used throughout this library.
+
+Everything runs on the flat arrays of
+:class:`~repro.retime.graph.RetimingGraph` with lags as a per-slot
+list.  One arrival pass costs ``O(|V| + |E|)`` and allocates only a
+few per-slot lists:
+
+* a sweep of the edge arrays computes every retimed weight, rejects a
+  negative weight (an illegal retiming) or a zero-weight self-loop,
+  and counts each vertex's zero-weight in-edges;
+* Kahn's algorithm over the CSR out-adjacency, restricted to the
+  zero-weight edges, then visits the vertices in topological order and
+  pushes each arrival time forward, rejecting a zero-weight cycle when
+  some vertex is never reached.
+
+The topological order is recomputed per pass rather than fixed once:
+in a graph with feedback (a register on a loop) the zero-weight edges
+change with every lag update, so no single order of the full graph
+serves every retiming.  FEAS reuses the last pass of its loop as the
+final check, so a probe that settles after *k* updates runs ``k + 1``
+passes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.netlist.circuit import Circuit
-from repro.retime.graph import HOST, HOST_OUT, RetimingGraph
+from repro.retime.graph import CELL_SLOT, RetimingGraph
 from repro.sim.delays import DelayModel, UnitDelay
 
 
@@ -40,45 +59,43 @@ def combinational_delays(
 
 
 def _arrival_times(
-    graph: RetimingGraph, r: Dict[int, int]
-) -> Optional[Dict[int, int]]:
-    """Longest-path arrival per vertex over zero-weight retimed edges.
+    graph: RetimingGraph, lags: List[int]
+) -> Optional[List[int]]:
+    """Per-slot longest-path arrival over zero-weight retimed edges.
 
-    Returns ``None`` when the zero-weight subgraph has a cycle (i.e.
-    the retiming leaves a register-free loop — infeasible).
+    Returns ``None`` when a retimed weight is negative or the
+    zero-weight subgraph has a cycle (the retiming leaves a
+    register-free loop — infeasible).
     """
-    vertices = [HOST, HOST_OUT] + list(graph.vertices)
-    zero_in: Dict[int, list[int]] = {v: [] for v in vertices}
-    out_edges: Dict[int, list[int]] = {v: [] for v in vertices}
-    indeg: Dict[int, int] = {v: 0 for v in vertices}
-    for conn in graph.connections:
-        w = graph.retimed_weight(conn, r)
-        if w < 0:
-            return None
-        if w == 0 and conn.src != conn.dst:
-            zero_in[conn.dst].append(conn.src)
-            out_edges[conn.src].append(conn.dst)
-            indeg[conn.dst] += 1
-        elif w == 0 and conn.src == conn.dst:
-            return None  # zero-weight self loop
-    arrival: Dict[int, int] = {}
-    ready = [v for v in vertices if indeg[v] == 0]
-    processed = 0
-    order: list[int] = []
+    dst = graph.dst
+    wr = graph.retimed_weights(lags)
+    n = len(lags)
+    indeg = [0] * n
+    for w, s, d in zip(wr, graph.src, dst):
+        if w <= 0:
+            if w < 0 or s == d:
+                return None
+            indeg[d] += 1
+    delay = graph.slot_delay
+    out_start, out_edge = graph.out_start, graph.out_edge
+    arrival = [0] * n
+    ready = [v for v in range(n) if not indeg[v]]
+    reached = 0
     while ready:
         v = ready.pop()
-        order.append(v)
-        processed += 1
-        for succ in out_edges[v]:
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                ready.append(succ)
-    if processed != len(vertices):
+        reached += 1
+        a = arrival[v] + delay[v]
+        arrival[v] = a
+        for e in out_edge[out_start[v]:out_start[v + 1]]:
+            if not wr[e]:
+                t = dst[e]
+                if a > arrival[t]:
+                    arrival[t] = a
+                indeg[t] -= 1
+                if not indeg[t]:
+                    ready.append(t)
+    if reached != n:
         return None  # zero-weight cycle
-    for v in order:
-        incoming = zero_in[v]
-        base = max((arrival[u] for u in incoming), default=0)
-        arrival[v] = base + graph.delay[v]
     return arrival
 
 
@@ -88,29 +105,27 @@ def feas(
     """Return a legal retiming achieving *period*, or ``None``.
 
     ``r`` maps vertices to integer lags; the host is pinned at 0.
+    Every arrival pass rejects negative retimed weights, so a lag list
+    that passes the final check is legal.
     """
-    if period < max(graph.delay.values(), default=0):
+    if period < max(graph.slot_delay):
         return None
-    r: Dict[int, int] = {v: 0 for v in graph.vertices}
-    r[HOST] = 0
-    r[HOST_OUT] = 0
+    lags = [0] * len(graph.slot_delay)
+    arrival = _arrival_times(graph, lags)
     for _ in range(max(len(graph.vertices) - 1, 0)):
-        arrival = _arrival_times(graph, r)
         if arrival is None:
             return None
-        changed = False
-        for v in graph.vertices:
-            if arrival[v] > period:
-                r[v] += 1
-                changed = True
-        if not changed:
+        late = [
+            v for v in range(CELL_SLOT, len(lags)) if arrival[v] > period
+        ]
+        if not late:
             break
-    arrival = _arrival_times(graph, r)
-    if arrival is None or max(arrival.values()) > period:
+        for v in late:
+            lags[v] += 1
+        arrival = _arrival_times(graph, lags)
+    if arrival is None or max(arrival) > period:
         return None
-    if not graph.is_legal(r):
-        return None
-    return r
+    return graph.lag_dict(lags)
 
 
 def retime_for_period(
@@ -127,11 +142,11 @@ def minimum_period(
     graph: RetimingGraph,
 ) -> Tuple[int, Dict[int, int]]:
     """Binary-search the smallest achievable period; returns ``(c, r)``."""
-    arrival0 = _arrival_times(graph, {v: 0 for v in graph.vertices})
+    arrival0 = _arrival_times(graph, [0] * len(graph.slot_delay))
     if arrival0 is None:
         raise ValueError("circuit has a register-free cycle; no legal period")
-    hi = max(arrival0.values())
-    lo = max(graph.delay.values(), default=0)
+    hi = max(arrival0)
+    lo = max(graph.slot_delay)
     best_r = feas(graph, hi)
     assert best_r is not None, "unretimed period must be feasible"
     best_c = hi

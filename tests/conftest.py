@@ -50,14 +50,22 @@ def random_dag_circuit(
     n_inputs: int = 4,
     n_gates: int = 12,
     with_ffs: bool = False,
+    loops: int = 0,
 ) -> Circuit:
     """A random combinational (optionally sequential) DAG circuit.
 
     Used by property-based tests: any circuit this returns is valid by
-    construction (single drivers, no combinational cycles).
+    construction (single drivers, no combinational cycles).  With
+    *loops* > 0 it also closes that many DFF feedback loops: each loop
+    net is readable by every gate and is driven, once all gates exist,
+    by a DFF on a random gate output, so every cycle holds a register
+    and none is flipflop-only.
     """
     c = Circuit("random_dag")
     nets = [c.add_input(f"i{k}") for k in range(n_inputs)]
+    loop_nets = [c.new_net(f"fb{k}") for k in range(loops)]
+    nets.extend(loop_nets)
+    gate_outputs = []
     one_out = [
         CellKind.NOT,
         CellKind.BUF,
@@ -83,9 +91,14 @@ def random_dag_circuit(
             ins = [rng.choice(nets) for _ in range(rng.randint(2, 4))]
         cell = c.add_cell(kind, ins, name=f"g{g}")
         nets.extend(cell.outputs)
+        gate_outputs.extend(cell.outputs)
         if with_ffs and rng.random() < 0.2:
             q = c.add_dff(rng.choice(nets), name=f"ff{g}")
             nets.append(q)
+    for k, fb in enumerate(loop_nets):
+        c.add_cell(
+            CellKind.DFF, [rng.choice(gate_outputs)], [fb], name=f"fbff{k}"
+        )
     # Mark the last few nets as outputs so nothing useful is floating.
     for k, n in enumerate(nets[-4:]):
         c.mark_output(n, f"o{k}")

@@ -1,10 +1,34 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_named_circuit, main
+
+
+def _run_cli(args):
+    """Run ``python -m repro.cli *args`` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _assert_one_line_error(proc, message):
+    """*proc* failed with exactly *message* on stderr and no traceback."""
+    assert proc.returncode != 0
+    assert proc.stderr.strip() == message
+    assert "Traceback" not in proc.stderr + proc.stdout
 
 
 class TestBuildNamedCircuit:
@@ -378,6 +402,14 @@ class TestExploreCommand:
         with pytest.raises(SystemExit):
             main(["explore", "--circuit", "nonsense"])
 
+    def test_max_depth_zero_is_a_one_line_error(self):
+        """``--max-depth 0`` exits like ``--beam-width 0``: non-zero,
+        with the space's own message and no traceback."""
+        _assert_one_line_error(
+            _run_cli(["explore", "--circuit", "rca4", "--max-depth", "0"]),
+            "max_depth must be >= 1",
+        )
+
 
 class TestImportCommand:
     def _export(self, tmp_path, name="rca4"):
@@ -414,6 +446,18 @@ class TestImportCommand:
             "import", str(path), "--action", "explore", "--vectors", "20",
         ]) == 0
         assert "Pareto front" in capsys.readouterr().out
+
+    def test_import_explore_max_depth_zero_is_a_one_line_error(
+        self, tmp_path
+    ):
+        path = self._export(tmp_path)
+        _assert_one_line_error(
+            _run_cli([
+                "import", str(path), "--action", "explore",
+                "--max-depth", "0",
+            ]),
+            "max_depth must be >= 1",
+        )
 
     def test_import_missing_file(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):

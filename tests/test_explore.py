@@ -166,6 +166,31 @@ class TestCostModel:
         assert est_orig.power_mw > 0
         assert est_bal.area_mm2 > est_orig.area_mm2
 
+    def test_estimate_builds_no_density_pass(self, monkeypatch):
+        """The candidate estimate reads useful rates only: it never
+        generates the transition-density pass, and its costs are the
+        same with that pass made unbuildable."""
+        from repro.netlist import codegen
+
+        def costs():
+            array8, _ = build_named_circuit("array8")
+            estimate = estimated_cost(
+                array8, UnitDelay(), UniformStimulus(), CostContext()
+            )
+            rca8, _ = build_named_circuit("rca8")
+            result = explore(rca8, n_vectors=24)
+            return estimate, [
+                (c.label, c.estimate, c.exact) for c in result.candidates
+            ]
+
+        expected = costs()
+
+        def refuse(cc):
+            raise AssertionError(f"density pass built for {cc.name}")
+
+        monkeypatch.setattr(codegen, "build_density_pass", refuse)
+        assert costs() == expected
+
     def test_dominates(self):
         a = CostVector(1.0, 1.0, 0, period=4)
         b = CostVector(2.0, 1.0, 0, period=4)

@@ -1,17 +1,22 @@
 """Unit tests for FEAS and minimum-period retiming."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
-from repro.retime.graph import RetimingGraph
+from repro.retime.graph import HOST, HOST_OUT, RetimingGraph
 from repro.retime.leiserson_saxe import (
     combinational_delays,
     feas,
     minimum_period,
     retime_for_period,
 )
-from repro.sim.delays import PerKindDelay
+from repro.sim.delays import PerKindDelay, SumCarryDelay, UnitDelay
+from tests import retime_oracle as oracle
+from tests.conftest import random_dag_circuit
 
 
 def _chain_circuit(length: int, registered_output: bool = True) -> Circuit:
@@ -132,3 +137,103 @@ class TestDelays:
         c = _chain_circuit(2)
         d = combinational_delays(c)
         assert all(not c.cells[i].is_sequential for i in d)
+
+
+#: The delay regimes the oracle suite crosses with every random graph:
+#: uniform, the paper's split sum/carry adder delays, and per-kind
+#: delays that make some single vertices slower than others.
+ORACLE_DELAYS = (
+    UnitDelay(),
+    SumCarryDelay(dsum=2, dcarry=1),
+    PerKindDelay({CellKind.XOR: 3, CellKind.FA: 2, CellKind.MUX2: 2}),
+)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the ``ValueError`` message it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _random_lags(g: RetimingGraph, rng: random.Random) -> dict:
+    """A lag dict that is often illegal, sometimes moves a host half,
+    and may name a vertex the graph does not have."""
+    r = {v: rng.randint(-1, 1) for v in g.vertices if rng.random() < 0.5}
+    if rng.random() < 0.1:
+        r[rng.choice((HOST, HOST_OUT))] = rng.choice((-1, 1))
+    if rng.random() < 0.1:
+        r[len(g.circuit.cells) + 7] = 1
+    return r
+
+
+def _assert_matches_oracle(
+    base: RetimingGraph, stages: int, rng: random.Random
+) -> int:
+    """Check every FEAS probe and the period search of *base* with
+    *stages* output stages; return the probe count.
+
+    The oracle side seeds the stages on its own connection records, so
+    :meth:`RetimingGraph.with_output_stages` is under test as well.
+    """
+    g = base.with_output_stages(stages)
+    ref = oracle.with_output_stages(base, stages)
+    assert g.connections == ref.connections
+    hi = oracle.unretimed_period(ref)
+    assert hi is not None  # every generated cycle holds a register
+    assert minimum_period(g) == oracle.minimum_period(ref)
+    lo = max(ref.delay.values())
+    for c in range(lo, hi + 1):
+        r = feas(g, c)
+        assert r == oracle.feas(ref, c), c
+        probes = [_random_lags(g, rng)] + ([r] if r is not None else [])
+        for lags in probes:
+            assert g.is_legal(lags) == oracle.is_legal(ref, lags)
+            assert _outcome(g.count_flipflops, lags) == _outcome(
+                oracle.count_flipflops, ref, lags
+            )
+    return hi - lo + 1
+
+
+class TestMatchesDictOracle:
+    """The array FEAS returns exactly what the dict-walking original did."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        loops=st.integers(0, 2),
+        with_ffs=st.booleans(),
+    )
+    def test_random_circuits_with_feedback(self, seed, loops, with_ffs):
+        rng = random.Random(seed)
+        circuit = random_dag_circuit(
+            rng,
+            n_inputs=rng.randint(2, 5),
+            n_gates=rng.randint(2, 14),
+            with_ffs=with_ffs,
+            loops=loops,
+        )
+        for delay_model in ORACLE_DELAYS:
+            base = RetimingGraph.from_circuit(circuit, delay_model)
+            for stages in range(4):
+                _assert_matches_oracle(base, stages, rng)
+
+    def test_feedback_loops_close_through_registers(self, rng):
+        """The generator really builds loops, and FEAS retimes around them."""
+        circuit = random_dag_circuit(rng, n_inputs=3, n_gates=12, loops=2)
+        g = RetimingGraph.from_circuit(circuit)
+        # Peel off vertices with no remaining in-edges; a cycle is left over.
+        indeg = {v: 0 for v in [HOST, HOST_OUT] + g.vertices}
+        for c in g.connections:
+            indeg[c.dst] += 1
+        ready = [v for v, k in indeg.items() if not k]
+        while ready:
+            v = ready.pop()
+            for c in g.connections:
+                if c.src == v:
+                    indeg[c.dst] -= 1
+                    if not indeg[c.dst]:
+                        ready.append(c.dst)
+        assert any(indeg.values()), "no feedback loop was built"
+        assert _assert_matches_oracle(g, 1, rng) >= 1
