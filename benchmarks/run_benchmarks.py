@@ -108,6 +108,19 @@ def normalize(data: dict) -> dict:
                 "passes_per_s": round(1.0 / median, 1),
             }
             continue
+        elif bench["name"].startswith("test_estimate_first_call_array16"):
+            backend = f"estimate-{params['estimator']}-first"
+            key = f"{backend}/16x16"
+            results[key] = {
+                "backend": backend,
+                "workload": (
+                    "array16 multiplier, first estimate on a fresh "
+                    "circuit (compile + pass)"
+                ),
+                "median_s": round(median, 6),
+                "passes_per_s": round(1.0 / median, 1),
+            }
+            continue
         elif bench["name"].startswith("test_trace_overhead_event16"):
             from bench_obs_overhead import N_BITS, N_CYCLES
 

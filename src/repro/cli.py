@@ -42,6 +42,7 @@ from the content-addressed store with zero simulation work.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from typing import List, Sequence, Tuple
@@ -1189,8 +1190,6 @@ def _finish_observed(args: argparse.Namespace, rec) -> None:
     store — drops a manifest next to the job records in
     ``<cache>/manifests``.
     """
-    import os
-
     from repro.obs import trace as obs
     from repro.obs.manifest import build_manifest, write_manifest
 
@@ -1221,6 +1220,18 @@ def _finish_observed(args: argparse.Namespace, rec) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
+    try:
+        status = _run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro export ... | head``):
+        # keep the interpreter's exit flush quiet, report it in the status.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
     observed = (
         getattr(args, "trace", None)
         or getattr(args, "metrics", False)

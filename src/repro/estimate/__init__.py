@@ -12,17 +12,15 @@ probabilistic estimates break down (reconvergent fanout, glitches):
 * :mod:`repro.estimate.density` — Najm-style transition densities via
   Boolean-difference sensitisation, an upper-bound proxy that *does*
   grow with glitch activity;
+* :mod:`repro.estimate.passes` — the per-kind rules both run, as one
+  loop per pass over the compiled IR's topological order;
 * :mod:`repro.estimate.workload` — stimulus-aware input statistics
   derived from the declarative :class:`~repro.sim.vectors.StimulusSpec`
   registry, bundled into one :class:`EstimateResult` per (circuit,
   workload) — the unit the service layer caches;
 * :mod:`repro.estimate.reference` — the original dict-walking
-  implementations, kept as the oracle the compiled-IR estimators are
+  implementations, kept as the oracle the loop passes are
   property-tested against (1e-12 agreement).
-
-Both production estimators run as generated flat passes over the
-compiled circuit IR (:mod:`repro.netlist.codegen` emits one
-straight-line probability/density function per compiled circuit).
 """
 
 from repro.estimate.probability import (

@@ -18,19 +18,19 @@ random bit toggles with probability 1/2 per cycle.  Stimulus-aware
 densities (correlated / burst streams) come from
 :func:`repro.estimate.workload.input_statistics`.
 
-Like :mod:`repro.estimate.probability`, the propagation runs on the
-compiled IR through the generated flat density pass
-(:data:`~repro.netlist.compiled.CompiledCircuit.density_pass`): one
-exec-compiled straight-line function over flat per-net float arrays
-with the Boolean-difference probabilities in closed form per kind,
-instead of the reference implementation's per-(cell, pin) truth-table
-enumeration (:mod:`repro.estimate.reference`).
+Like :mod:`repro.estimate.probability`, the propagation is one loop
+over the compiled IR's topological steps
+(:func:`repro.estimate.passes.density_pass`) over flat per-net float
+arrays, with the Boolean-difference probabilities in closed form per
+kind instead of the reference implementation's per-(cell, pin)
+truth-table enumeration (:mod:`repro.estimate.reference`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping
 
+from repro.estimate.passes import density_pass
 from repro.estimate.probability import (
     _as_net_dict,
     _probability_array,
@@ -46,7 +46,7 @@ def _density_array(
     probs: list,
     input_densities: Mapping[int, float],
 ) -> list:
-    """Flat per-net transition densities via the generated pass.
+    """Flat per-net transition densities via :func:`density_pass`.
 
     *probs* is the flat one-probability array
     (:func:`~repro.estimate.probability._probability_array`) — taken as
@@ -57,14 +57,14 @@ def _density_array(
     dens = [0.0] * cc.n_nets
     for net, d in input_densities.items():
         dens[net] = d
-    density_pass = cc.density_pass
+    steps = cc.topo_steps
     ff_d, ff_q = cc.ff_d, cc.ff_q
     # Feed-forward propagation; one refinement pass settles pipelines.
     for _ in range(2 if ff_q else 1):
         for i, q in enumerate(ff_q):
             d = dens[ff_d[i]]
             dens[q] = d if d < 1.0 else 1.0
-        density_pass(probs, dens)
+        density_pass(steps, probs, dens)
     return dens
 
 

@@ -16,13 +16,10 @@ transitions**: a zero-delay model cannot represent glitches, which is
 precisely the gap the paper's simulation-based method fills (the
 ablation experiment quantifies this gap).
 
-The propagation runs on the compiled circuit IR through the *generated
-flat probability pass*
-(:data:`~repro.netlist.compiled.CompiledCircuit.prob_pass`, one
-exec-compiled function with one straight-line statement per cell)
-over a flat per-net float array — no per-cell call, kind branching or
-truth-table enumeration in the loop.  The original dict walking
-implementation survives as the oracle in
+The propagation runs on the compiled circuit IR: one loop over its
+topological steps (:func:`repro.estimate.passes.probability_pass`, one
+closed-form rule per cell kind) over a flat per-net float array.  The
+original dict-walking implementation survives as the oracle in
 :mod:`repro.estimate.reference`; property tests pin agreement to
 1e-12.
 """
@@ -31,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping
 
+from repro.estimate.passes import probability_pass
 from repro.netlist.circuit import Circuit
 from repro.netlist.compiled import CompiledCircuit, compile_circuit
 from repro.obs import trace as obs
@@ -83,7 +81,7 @@ def _validated_input_values(
 def _probability_array(
     cc: CompiledCircuit, input_probs: Dict[int, float]
 ) -> List[float]:
-    """Flat per-net one-probabilities via the generated pass.
+    """Flat per-net one-probabilities via :func:`probability_pass`.
 
     Undriven non-input nets read as 0.5 (maximum uncertainty), like
     the reference implementation's ``values.get(n, 0.5)``.  Flipflop
@@ -94,10 +92,10 @@ def _probability_array(
     values = [0.5] * cc.n_nets
     for net, p in input_probs.items():
         values[net] = p
-    prob_pass = cc.prob_pass
+    steps = cc.topo_steps
     ff_d, ff_q = cc.ff_d, cc.ff_q
     for _ in range(64 if ff_q else 2):
-        prob_pass(values)
+        probability_pass(steps, values)
         changed = False
         for i, q in enumerate(ff_q):
             new = values[ff_d[i]]

@@ -1,11 +1,12 @@
 """Reference (seed) estimator implementations — the executable spec.
 
-These are the original per-cell dict-walking estimators the compiled
-fused pass in :mod:`repro.estimate.probability` and
-:mod:`repro.estimate.density` was rebuilt from.  They stay because they
-*are* the semantics: the rebuilt estimators are property-tested to
-agree with these to 1e-12 over random circuits, biased input mappings
-and the whole circuit catalog.  They branch on the cell kind per
+These are the original per-cell dict-walking estimators the per-kind
+loop rules of :mod:`repro.estimate.passes` (run by
+:mod:`repro.estimate.probability` and :mod:`repro.estimate.density`)
+were rebuilt from.  They stay because they *are* the semantics: the
+rebuilt estimators are property-tested to agree with these to 1e-12
+over random circuits, biased input mappings and the whole circuit
+catalog.  They branch on the cell kind per
 evaluation and enumerate truth tables for the compound kinds, so they
 are O(cells · 2^arity) per pass — fine as an oracle, too slow as a
 production path.

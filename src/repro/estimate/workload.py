@@ -262,7 +262,7 @@ def useful_activities(
 
     Exactly :attr:`EstimateResult.activities` of
     :func:`estimate_workload`, from the probability pass alone: the
-    density pass is neither generated nor run.  The design-space
+    density pass does not run.  The design-space
     explorer's candidate estimate reads nothing else.
     """
     spec = stimulus if stimulus is not None else UniformStimulus()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 class CellKind(enum.Enum):
@@ -83,93 +83,91 @@ INPUT_ARITY = {
 }
 
 
-def _eval_const0(values: Sequence[int]) -> Tuple[int, ...]:
+def _bits_const0(ins, mask):
     return (0,)
 
 
-def _eval_const1(values: Sequence[int]) -> Tuple[int, ...]:
-    return (1,)
+def _bits_const1(ins, mask):
+    return (mask,)
 
 
-def _eval_buf(values: Sequence[int]) -> Tuple[int, ...]:
-    return (values[0],)
+def _bits_buf(ins, mask):
+    return (ins[0],)
 
 
-def _eval_not(values: Sequence[int]) -> Tuple[int, ...]:
-    return (values[0] ^ 1,)
+def _bits_not(ins, mask):
+    return (ins[0] ^ mask,)
 
 
-def _eval_and(values: Sequence[int]) -> Tuple[int, ...]:
-    out = 1
-    for v in values:
+def _bits_and(ins, mask):
+    out = mask
+    for v in ins:
         out &= v
     return (out,)
 
 
-def _eval_or(values: Sequence[int]) -> Tuple[int, ...]:
+def _bits_or(ins, mask):
     out = 0
-    for v in values:
+    for v in ins:
         out |= v
     return (out,)
 
 
-def _eval_nand(values: Sequence[int]) -> Tuple[int, ...]:
-    return (_eval_and(values)[0] ^ 1,)
+def _bits_nand(ins, mask):
+    return (_bits_and(ins, mask)[0] ^ mask,)
 
 
-def _eval_nor(values: Sequence[int]) -> Tuple[int, ...]:
-    return (_eval_or(values)[0] ^ 1,)
+def _bits_nor(ins, mask):
+    return (_bits_or(ins, mask)[0] ^ mask,)
 
 
-def _eval_xor(values: Sequence[int]) -> Tuple[int, ...]:
+def _bits_xor(ins, mask):
     out = 0
-    for v in values:
+    for v in ins:
         out ^= v
     return (out,)
 
 
-def _eval_xnor(values: Sequence[int]) -> Tuple[int, ...]:
-    return (_eval_xor(values)[0] ^ 1,)
+def _bits_xnor(ins, mask):
+    return (_bits_xor(ins, mask)[0] ^ mask,)
 
 
-def _eval_mux2(values: Sequence[int]) -> Tuple[int, ...]:
-    sel, a, b = values
-    return (b if sel else a,)
+def _bits_mux2(ins, mask):
+    sel, a, b = ins
+    return (a ^ ((a ^ b) & sel),)
 
 
-def _eval_ha(values: Sequence[int]) -> Tuple[int, ...]:
-    a, b = values
+def _bits_ha(ins, mask):
+    a, b = ins
     return (a ^ b, a & b)
 
 
-def _eval_fa(values: Sequence[int]) -> Tuple[int, ...]:
-    a, b, cin = values
+def _bits_fa(ins, mask):
+    a, b, cin = ins
     p = a ^ b
     return (p ^ cin, (a & b) | (cin & p))
 
 
-def _eval_dff(values: Sequence[int]) -> Tuple[int, ...]:
-    # Combinational view of a DFF is transparent; the simulator never
-    # calls this during intra-cycle propagation.  It is used only by
-    # zero-delay functional evaluation helpers that unroll state.
-    return (values[0],)
-
-
-_EVALUATORS: dict[CellKind, Callable[[Sequence[int]], Tuple[int, ...]]] = {
-    CellKind.CONST0: _eval_const0,
-    CellKind.CONST1: _eval_const1,
-    CellKind.BUF: _eval_buf,
-    CellKind.NOT: _eval_not,
-    CellKind.AND: _eval_and,
-    CellKind.OR: _eval_or,
-    CellKind.NAND: _eval_nand,
-    CellKind.NOR: _eval_nor,
-    CellKind.XOR: _eval_xor,
-    CellKind.XNOR: _eval_xnor,
-    CellKind.MUX2: _eval_mux2,
-    CellKind.HA: _eval_ha,
-    CellKind.FA: _eval_fa,
-    CellKind.DFF: _eval_dff,
+#: The Boolean function of every kind, over bitmask lanes: one int per
+#: input, each bit an independent lane, inversions against *mask*
+#: (``mask=1`` is plain 0/1 evaluation).  ``DFF`` maps to its
+#: transparent (buffer) view; no simulator evaluates a sequential cell
+#: through it.
+_BIT_EVALUATORS = {
+    CellKind.CONST0: _bits_const0,
+    CellKind.CONST1: _bits_const1,
+    CellKind.BUF: _bits_buf,
+    CellKind.NOT: _bits_not,
+    CellKind.AND: _bits_and,
+    CellKind.OR: _bits_or,
+    CellKind.NAND: _bits_nand,
+    CellKind.NOR: _bits_nor,
+    CellKind.XOR: _bits_xor,
+    CellKind.XNOR: _bits_xnor,
+    CellKind.MUX2: _bits_mux2,
+    CellKind.HA: _bits_ha,
+    CellKind.FA: _bits_fa,
+    CellKind.DFF: _bits_buf,
 }
 
 
@@ -179,7 +177,7 @@ def evaluate_kind(kind: CellKind, values: Sequence[int]) -> Tuple[int, ...]:
     Values are ints in {0, 1}; the result is a tuple with one entry per
     output of the kind (see :data:`OUTPUT_COUNT`).
     """
-    return _EVALUATORS[kind](values)
+    return _BIT_EVALUATORS[kind](values, 1)
 
 
 @dataclass

@@ -18,7 +18,10 @@ The :class:`CompiledCircuit` holds:
 * ``comb_fanout`` — per net, the combinational cells reading it (the
   event-driven hot loop never needs sequential readers);
 * a cached topological order of the combinational cells;
-* the flipflop wiring (cell, D net, Q net) as parallel tuples.
+* the flipflop wiring (cell, D net, Q net) as parallel tuples;
+* lazy views, each built for the one consumer that reads it: the lanes
+  engine's bitmask kernels, the estimators' ``topo_steps`` and the
+  vector tier's levels and groups.
 
 Memoization is keyed on the circuit object (weakly, so compiled forms
 die with their circuits) plus :meth:`DelayModel.cache_token`, and
@@ -48,7 +51,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.netlist.cells import CellKind, _EVALUATORS
+from repro.netlist.cells import CellKind, _BIT_EVALUATORS
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -65,15 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 # evaluation, which the timed backends pay millions of times per run.
 # A *fused* evaluator captures the cell's input net indices at compile
 # time and reads the flat ``values`` array directly, with a branch-free
-# bitop body specialized per (kind, arity).  Cells outside the
-# specialization table fall back to the generic list-building form, so
-# every kind keeps working.
-
-def _fuse_generic(evaluator, nets):
-    def f(values, _e=evaluator, _n=nets):
-        return _e([values[n] for n in _n])
-    return f
-
+# bitop body specialized per (kind, arity); wider n-ary gates loop
+# over their captured nets.  It computes :func:`cells.evaluate_kind`
+# (``tests/test_cell_semantics.py`` checks every kind and pattern).
 
 def _fuse_cell(
     kind: CellKind, nets: Tuple[int, ...]
@@ -84,7 +81,7 @@ def _fuse_cell(
         return lambda values: (0,)
     if kind is CellKind.CONST1:
         return lambda values: (1,)
-    if kind is CellKind.BUF:
+    if kind in (CellKind.BUF, CellKind.DFF):
         a, = nets
         return lambda values, _a=a: (values[_a],)
     if kind is CellKind.NOT:
@@ -163,7 +160,7 @@ def _fuse_cell(
                 out ^= values[net]
             return (out,)
         return f_xor
-    return _fuse_generic(_EVALUATORS[kind], nets)
+    raise ValueError(f"no fused evaluator for {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,94 +172,9 @@ def _fuse_cell(
 # lane mask.  The lanes engine (repro.sim.lanes) packs one clock cycle
 # per lane in zero-delay mode and one intra-cycle event time per lane
 # in glitch mode, and evaluates every cell exactly once per batch
-# through these kernels.  Built lazily: see
-# :attr:`CompiledCircuit.cell_eval_bits`.
-
-def _bits_const0(ins, mask):
-    return (0,)
-
-
-def _bits_const1(ins, mask):
-    return (mask,)
-
-
-def _bits_buf(ins, mask):
-    return (ins[0],)
-
-
-def _bits_not(ins, mask):
-    return (ins[0] ^ mask,)
-
-
-def _bits_and(ins, mask):
-    out = mask
-    for v in ins:
-        out &= v
-    return (out,)
-
-
-def _bits_or(ins, mask):
-    out = 0
-    for v in ins:
-        out |= v
-    return (out,)
-
-
-def _bits_nand(ins, mask):
-    return (_bits_and(ins, mask)[0] ^ mask,)
-
-
-def _bits_nor(ins, mask):
-    return (_bits_or(ins, mask)[0] ^ mask,)
-
-
-def _bits_xor(ins, mask):
-    out = 0
-    for v in ins:
-        out ^= v
-    return (out,)
-
-
-def _bits_xnor(ins, mask):
-    return (_bits_xor(ins, mask)[0] ^ mask,)
-
-
-def _bits_mux2(ins, mask):
-    sel, a, b = ins
-    return (a ^ ((a ^ b) & sel),)
-
-
-def _bits_ha(ins, mask):
-    a, b = ins
-    return (a ^ b, a & b)
-
-
-def _bits_fa(ins, mask):
-    a, b, cin = ins
-    p = a ^ b
-    return (p ^ cin, (a & b) | (cin & p))
-
-
-#: Generic bitwise evaluators by kind (fallback for the fused forms).
-#: ``DFF`` maps to its transparent (buffer) view; the lanes engine
-#: never evaluates a sequential cell through these.
-_BIT_EVALUATORS = {
-    CellKind.CONST0: _bits_const0,
-    CellKind.CONST1: _bits_const1,
-    CellKind.BUF: _bits_buf,
-    CellKind.NOT: _bits_not,
-    CellKind.AND: _bits_and,
-    CellKind.OR: _bits_or,
-    CellKind.NAND: _bits_nand,
-    CellKind.NOR: _bits_nor,
-    CellKind.XOR: _bits_xor,
-    CellKind.XNOR: _bits_xnor,
-    CellKind.MUX2: _bits_mux2,
-    CellKind.HA: _bits_ha,
-    CellKind.FA: _bits_fa,
-    CellKind.DFF: _bits_buf,
-}
-
+# through these kernels.  Gates wider than three inputs fall back to
+# the kind's table entry (:data:`cells._BIT_EVALUATORS`).  Built lazily:
+# see :attr:`CompiledCircuit.cell_eval_bits`.
 
 def _fuse_bits_generic(evaluator, nets):
     def f(bits, mask, _e=evaluator, _n=nets):
@@ -414,24 +326,16 @@ class CompiledCircuit:
             for kind, nets in zip(self.cell_kinds, self.cell_inputs)
         )
 
-    # ------------------------------------------------------------------
-    # Generated flat estimator passes (see repro.netlist.codegen):
-    # whole-circuit straight-line kernels exec-compiled on first access
-    # and memoized with the snapshot, exactly like the kernel tables.
-
     @cached_property
-    def prob_pass(self):
-        """Generated ``f(p)`` signal-probability topo pass (in place)."""
-        from repro.netlist import codegen
+    def topo_steps(self) -> Tuple[tuple, ...]:
+        """``(kind, *input_nets, *output_nets)`` per cell, in topo order.
 
-        return codegen.build_prob_pass(self)
-
-    @cached_property
-    def density_pass(self):
-        """Generated ``f(p, d)`` transition-density topo pass (in place)."""
-        from repro.netlist import codegen
-
-        return codegen.build_density_pass(self)
+        One flat tuple per combinational cell, so a whole-circuit pass
+        reads a cell with one unpack.  The estimators' per-kind rules
+        (:mod:`repro.estimate.passes`) loop over it.
+        """
+        kinds, ins, outs = self.cell_kinds, self.cell_inputs, self.cell_outputs
+        return tuple((kinds[ci], *ins[ci], *outs[ci]) for ci in self.topo)
 
     @cached_property
     def cell_levels(self):

@@ -11,8 +11,11 @@ import repro
 from repro.cli import build_named_circuit, main
 
 
-def _run_cli(args):
-    """Run ``python -m repro.cli *args`` in a fresh interpreter."""
+def _run_cli(args, **streams):
+    """Run ``python -m repro.cli *args`` in a fresh interpreter.
+
+    Output is captured unless *streams* redirects it (``stdout=...``).
+    """
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
@@ -20,7 +23,8 @@ def _run_cli(args):
     )
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        text=True, env=env, timeout=120,
+        **(streams or {"capture_output": True}),
     )
 
 
@@ -492,6 +496,67 @@ class TestImportCommand:
         capsys.readouterr()
         assert main(args) == 0
         assert "[cache] cache" in capsys.readouterr().out
+
+    def test_import_estimate_one_input_gate(self, tmp_path):
+        """``y = AND(XOR(a, b))``: a one-input AND is a legal cell, and
+        its density is its input's (the empty product is 1.0)."""
+        from repro.core.report import format_table
+        from repro.estimate.reference import (
+            switching_activity_reference,
+            transition_densities_reference,
+        )
+        from repro.estimate.workload import summarize_rates
+        from repro.netlist.cells import CellKind
+        from repro.netlist.circuit import Circuit
+        from repro.netlist.io import circuit_to_json
+
+        c = Circuit("and1")
+        a, b = c.add_input("a"), c.add_input("b")
+        x = c.gate(CellKind.XOR, a, b, name="x")
+        y = c.gate(CellKind.AND, x, name="y")
+        c.mark_output(y, "out")
+        path = tmp_path / "and1.json"
+        path.write_text(circuit_to_json(c))
+        proc = _run_cli(["import", str(path), "--action", "estimate"])
+        assert proc.returncode == 0, proc.stderr
+        useful = switching_activity_reference(c, 0.5)
+        total = transition_densities_reference(c, 0.5)
+        expected = summarize_rates(
+            2, useful[x] + useful[y], total[x] + total[y]
+        )
+        assert format_table(
+            ["metric", "value"], [[k, v] for k, v in expected.items()]
+        ) in proc.stdout
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early gets no traceback."""
+
+    def _into_closed_pipe(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # gone before the command writes a byte
+        try:
+            return _run_cli(args, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+
+    def test_export(self):
+        proc = self._into_closed_pipe(["export", "--circuit", "array16"])
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+
+    def test_trace_file(self, tmp_path, capsys):
+        trace_path = tmp_path / "t.json"
+        assert main([
+            "analyze", "--circuit", "rca8", "--vectors", "20",
+            "--backend", "event", "--trace", str(trace_path),
+        ]) == 0
+        capsys.readouterr()
+        proc = self._into_closed_pipe(["trace", str(trace_path)])
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
 
 
 class TestFrontierExperiment:

@@ -1,8 +1,8 @@
 """Property tests for the compiled-IR estimation backend.
 
 The estimators in :mod:`repro.estimate.probability` /
-:mod:`repro.estimate.density` run as fused passes over the compiled
-IR's per-cell kernels; :mod:`repro.estimate.reference` keeps the
+:mod:`repro.estimate.density` run per-kind loop rules over the compiled
+IR's topological steps; :mod:`repro.estimate.reference` keeps the
 original dict-walking implementations as the oracle.  These tests pin:
 
 * rebuilt == reference to 1e-12 over random circuits × random input
@@ -11,9 +11,11 @@ original dict-walking implementations as the oracle.  These tests pin:
   *shared* bias of both implementations on small reconvergent circuits
   (the independence assumption is wrong there — identically wrong);
 * the stimulus-aware workload statistics and the
-  :class:`~repro.estimate.workload.EstimateResult` aggregates.
+  :class:`~repro.estimate.workload.EstimateResult` aggregates;
+* a sha256 digest of every estimated float on four circuits.
 """
 
+import hashlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -37,8 +39,6 @@ from repro.estimate.workload import (
 )
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
-from repro.netlist.codegen import kernel_source
-from repro.netlist.compiled import compile_circuit
 from repro.sim.vectors import (
     BurstMarkovStimulus,
     CorrelatedStimulus,
@@ -134,23 +134,14 @@ class TestAgreementWithReference:
 
 
 class TestGeneratedEstimatorPasses:
-    """The estimators run as exec-compiled flat passes (codegen tier).
+    """Biased-input agreement through the per-kind loop passes.
 
-    :func:`signal_probabilities` / :func:`transition_densities` invoke
-    the compiled snapshot's generated ``prob_pass`` / ``density_pass``
-    — straight-line Python with no interpreter loop — so the agreement
-    suite above already gates them against the oracle.  These tests
-    pin the mechanism itself: the passes exist, their source is flat,
-    and biased-input agreement holds through the generated code.
+    :func:`signal_probabilities` / :func:`transition_densities` run
+    :mod:`repro.estimate.passes` over the compiled snapshot's
+    ``topo_steps``, so the agreement suite above already gates them
+    against the oracle; these cases add biased inputs on catalog
+    circuits with MUX2/DFF structure.
     """
-
-    def test_passes_are_generated_flat_code(self):
-        circuit, _ = build_named_circuit("array8")
-        cc = compile_circuit(circuit)
-        assert callable(cc.prob_pass) and callable(cc.density_pass)
-        for which in ("prob", "density"):
-            src = kernel_source(cc, which)
-            assert "def " in src and "for " not in src
 
     @pytest.mark.parametrize("name", ("rca8", "array8", "detector"))
     def test_generated_passes_match_reference_biased(self, name):
@@ -166,6 +157,38 @@ class TestGeneratedEstimatorPasses:
             transition_densities(circuit, dens, probs),
             transition_densities_reference(circuit, dens, probs),
         )
+
+
+class TestBitIdentityPin:
+    """Every estimate float, pinned bit for bit.
+
+    The digest was recorded with the previous estimator implementation
+    (one exec-compiled straight-line function per pass): the per-kind
+    loop rules keep its operand order, so the probabilities,
+    activities and densities are unchanged to the last bit.
+    """
+
+    DIGEST = "4c7ba3a056c37303176a2a0217afad5c92946a510031d04e353411b61009997e"
+
+    def test_estimate_workload_digest(self):
+        circuits = [
+            (name, build_named_circuit(name)[0])
+            for name in ("array16", "wallace8", "detector")
+        ]
+        circuits.append(("random", random_dag_circuit(
+            random.Random(1995), n_inputs=6, n_gates=40, with_ffs=True,
+            loops=2,
+        )))
+        h = hashlib.sha256()
+        for label, circuit in circuits:
+            est = estimate_workload(circuit)
+            for field in ("probabilities", "activities", "densities"):
+                values = getattr(est, field)
+                for net in sorted(values):
+                    h.update(
+                        f"{label} {field} {net} {values[net].hex()}\n".encode()
+                    )
+        assert h.hexdigest() == self.DIGEST
 
 
 def _exhaustive_probability(circuit: Circuit, net: int) -> float:

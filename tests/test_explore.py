@@ -168,9 +168,10 @@ class TestCostModel:
 
     def test_estimate_builds_no_density_pass(self, monkeypatch):
         """The candidate estimate reads useful rates only: it never
-        generates the transition-density pass, and its costs are the
-        same with that pass made unbuildable."""
-        from repro.netlist import codegen
+        runs the transition-density pass, and its costs are the same
+        with that pass made to fail."""
+        from repro.estimate import density
+        from repro.estimate.workload import estimate_workload
 
         def costs():
             array8, _ = build_named_circuit("array8")
@@ -185,10 +186,13 @@ class TestCostModel:
 
         expected = costs()
 
-        def refuse(cc):
-            raise AssertionError(f"density pass built for {cc.name}")
+        def refuse(steps, p, d):
+            raise AssertionError("density pass run")
 
-        monkeypatch.setattr(codegen, "build_density_pass", refuse)
+        monkeypatch.setattr(density, "density_pass", refuse)
+        # The patch is live: a full estimate does run the density pass.
+        with pytest.raises(AssertionError, match="density pass run"):
+            estimate_workload(build_named_circuit("rca4")[0])
         assert costs() == expected
 
     def test_dominates(self):

@@ -20,8 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.activity import ActivityRun
 from repro.core.transitions import NodeActivity
 from repro.netlist.cells import CellKind
-from repro.netlist.codegen import kernel_source
-from repro.netlist.compiled import compile_circuit
 from repro.sim.backends import (
     EventDrivenBackend,
     LanesBackend,
@@ -132,13 +130,6 @@ class TestProtocolAndRegistry:
         stats = _zero_delay(xor_chain).run(iter([]))
         assert stats.cycles == 0 and stats.per_node == {}
         assert stats.final_values == [0] * len(xor_chain.nets)
-
-
-class TestGeneratedSource:
-    def test_unknown_pass_rejected(self, xor_chain):
-        cc = compile_circuit(xor_chain)
-        with pytest.raises(ValueError, match="unknown pass"):
-            kernel_source(cc, "nope")
 
 
 class TestEquivalenceWithEventDriven:
