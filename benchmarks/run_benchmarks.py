@@ -2,8 +2,8 @@
 """Refresh the committed simulator/estimator-throughput trajectory.
 
 Runs ``bench_sim_throughput.py``, ``bench_estimate_throughput.py``,
-``bench_explore.py``, ``bench_obs_overhead.py`` and ``bench_retime.py``
-through pytest-benchmark's JSON export and normalizes the result into
+``bench_explore.py``, ``bench_obs_overhead.py``, ``bench_retime.py``
+and ``bench_netlist.py`` through pytest-benchmark's JSON export and normalizes the result into
 ``BENCH_sim.json`` at the repo root: one entry per (backend, workload)
 with the median wall time and derived rates, plus per-workload
 speedups relative to the event-driven reference (simulators) or the
@@ -43,7 +43,17 @@ BENCHES = [
     Path(__file__).resolve().parent / "bench_explore.py",
     Path(__file__).resolve().parent / "bench_obs_overhead.py",
     Path(__file__).resolve().parent / "bench_retime.py",
+    Path(__file__).resolve().parent / "bench_netlist.py",
 ]
+
+#: ``bench_netlist.py`` test -> (row backend, what one timed pass does).
+NETLIST_ROWS = {
+    "test_netlist_build_farm16": ("netlist-build", "build_named_circuit"),
+    "test_compile_farm16": ("compile", "delay-resolved compile (unit delay)"),
+    "test_fingerprint_farm16": (
+        "fingerprint", "circuit + delay fingerprints of a compiled circuit"
+    ),
+}
 OUT = ROOT / "BENCH_sim.json"
 
 
@@ -149,6 +159,18 @@ def normalize(data: dict) -> dict:
                     f"balance(array16) + 1 output stage, {N_VERTICES} "
                     f"vertices / {N_EDGES} edges, minimum_period"
                 ),
+                "median_s": round(median, 6),
+                "passes_per_s": round(1.0 / median, 1),
+            }
+            continue
+        elif bench["name"] in NETLIST_ROWS:
+            from bench_netlist import N_CELLS
+
+            backend, what = NETLIST_ROWS[bench["name"]]
+            key = f"{backend}/farm16"
+            results[key] = {
+                "backend": backend,
+                "workload": f"fresh farm16 ({N_CELLS} cells), {what}",
                 "median_s": round(median, 6),
                 "passes_per_s": round(1.0 / median, 1),
             }

@@ -29,6 +29,7 @@ search must respect.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
@@ -49,7 +50,9 @@ Chain = Tuple["TransformSpec", ...]
 #: dominant cost of expanding several ``retime(stages=k)`` candidates
 #: from one parent, so graphs are shared per (circuit, delay regime).
 #: Keyed by ``Circuit.version`` inside the per-circuit slot so a
-#: mutated netlist never reuses a stale graph.
+#: mutated netlist never reuses a stale graph.  Entries hold the graph
+#: detached from its circuit (``circuit=None``): a value that pointed
+#: back at its own weak key would keep every explored circuit alive.
 _GRAPH_MEMO: "weakref.WeakKeyDictionary[Circuit, Dict[Tuple[int, str], RetimingGraph]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -65,7 +68,10 @@ def _shared_graph(circuit: Circuit, delay_model: DelayModel) -> RetimingGraph:
         graph = per_delay[key] = RetimingGraph.from_circuit(
             circuit, delay_model
         )
-    return graph
+        graph.circuit = None
+    bound = copy.copy(graph)  # shares every array; rebinds the circuit
+    bound.circuit = circuit
+    return bound
 
 
 def _apply_balance(

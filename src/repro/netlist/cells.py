@@ -22,7 +22,14 @@ from typing import Sequence, Tuple
 
 
 class CellKind(enum.Enum):
-    """Enumeration of supported cell kinds."""
+    """Enumeration of supported cell kinds.
+
+    Members hash by identity: every kind-keyed table and kind set is
+    probed once per cell, and ``Enum.__hash__`` would hash the name in
+    Python on each probe.
+    """
+
+    __hash__ = object.__hash__
 
     CONST0 = "CONST0"
     CONST1 = "CONST1"
@@ -180,7 +187,7 @@ def evaluate_kind(kind: CellKind, values: Sequence[int]) -> Tuple[int, ...]:
     return _BIT_EVALUATORS[kind](values, 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     """A netlist cell instance.
 
@@ -210,7 +217,7 @@ class Cell:
     @property
     def is_sequential(self) -> bool:
         """True for clocked cells (DFF)."""
-        return self.kind in SEQUENTIAL_KINDS
+        return self.kind is CellKind.DFF
 
     def evaluate(self, values: Sequence[int]) -> Tuple[int, ...]:
         """Evaluate this cell's combinational function on *values*."""

@@ -19,7 +19,7 @@ from repro.netlist.cells import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Net:
     """A single-driver signal node.
 
@@ -71,7 +71,9 @@ class Circuit:
         self._anon_net = 0
         self._anon_cell = 0
         self._version = 0
-        self._fingerprint: Tuple[int, str] | None = None
+        #: ``(version, digest, canonical cell order)``, written by
+        #: :func:`repro.netlist.compiled.circuit_fingerprint`.
+        self._fingerprint: Tuple[int, str, Tuple[int, ...]] | None = None
 
     @property
     def version(self) -> int:
@@ -88,19 +90,20 @@ class Circuit:
     # ------------------------------------------------------------------
     def new_net(self, name: str | None = None) -> int:
         """Create a new undriven net and return its index."""
+        by_name = self._net_by_name
         if name is None:
             name = f"n{self._anon_net}"
             self._anon_net += 1
-            while name in self._net_by_name:
+            while name in by_name:
                 name = f"n{self._anon_net}"
                 self._anon_net += 1
-        if name in self._net_by_name:
+        elif name in by_name:
             raise ValueError(f"duplicate net name {name!r}")
-        net = Net(name=name, index=len(self.nets))
-        self.nets.append(net)
-        self._net_by_name[name] = net.index
+        index = len(self.nets)
+        self.nets.append(Net(name, index, None, []))
+        by_name[name] = index
         self._version += 1
-        return net.index
+        return index
 
     def new_net_word(self, name: str, width: int) -> List[int]:
         """Create *width* nets named ``name[0] .. name[width-1]`` (LSB first)."""
@@ -143,42 +146,47 @@ class Circuit:
 
         If *outputs* is ``None``, fresh anonymous nets are created for
         every output.  Returns the :class:`Cell` (its ``outputs`` carry
-        the driven net indices).
+        the driven net indices).  Every check runs before the circuit
+        changes, so a rejected cell leaves no net behind.
         """
-        if outputs is None:
-            outputs = [self.new_net() for _ in range(OUTPUT_COUNT[kind])]
-        check_arity(kind, len(inputs), len(outputs))
+        inputs = tuple(inputs)
+        n_out = OUTPUT_COUNT[kind] if outputs is None else len(outputs)
+        check_arity(kind, len(inputs), n_out)
         if name is None:
             name = f"u{self._anon_cell}_{kind.value.lower()}"
             self._anon_cell += 1
             while name in self._cell_by_name:
                 name = f"u{self._anon_cell}_{kind.value.lower()}"
                 self._anon_cell += 1
-        if name in self._cell_by_name:
+        elif name in self._cell_by_name:
             raise ValueError(f"duplicate cell name {name!r}")
-        for n in list(inputs) + list(outputs):
-            if not 0 <= n < len(self.nets):
+        nets = self.nets
+        for n in inputs if outputs is None else (*inputs, *outputs):
+            if not 0 <= n < len(nets):
                 raise ValueError(f"cell {name!r}: no such net index {n}")
-        cell = Cell(
-            name=name,
-            kind=kind,
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-            delay_hint=tuple(delay_hint) if delay_hint is not None else None,
-            index=len(self.cells),
-        )
-        for pos, out in enumerate(cell.outputs):
-            net = self.nets[out]
-            if net.driver is not None:
-                raise ValueError(
-                    f"net {net.name!r} already driven by "
-                    f"{self.cells[net.driver[0]].name!r}"
-                )
-            net.driver = (cell.index, pos)
-        for inp in cell.inputs:
-            self.nets[inp].fanout.append(cell.index)
+        if outputs is None:
+            new_net = self.new_net
+            outputs = (new_net(),) if n_out == 1 else tuple(new_net() for _ in range(n_out))
+        else:
+            outputs = tuple(outputs)
+            for n in outputs:
+                driver = nets[n].driver
+                if driver is not None:
+                    raise ValueError(
+                        f"net {nets[n].name!r} already driven by "
+                        f"{self.cells[driver[0]].name!r}"
+                    )
+            if len(set(outputs)) < n_out:
+                raise ValueError(f"cell {name!r} drives one net twice")
+        index = len(self.cells)
+        hint = None if delay_hint is None else tuple(delay_hint)
+        cell = Cell(name, kind, inputs, outputs, hint, index)
+        for pos, out in enumerate(outputs):
+            nets[out].driver = (index, pos)
+        for inp in inputs:
+            nets[inp].fanout.append(index)
         self.cells.append(cell)
-        self._cell_by_name[name] = cell.index
+        self._cell_by_name[name] = index
         self._version += 1
         return cell
 
@@ -191,15 +199,13 @@ class Circuit:
         name: str | None = None,
     ) -> int:
         """Add a single-output gate and return its output net index."""
-        outs = None if output is None else [output]
-        cell = self.add_cell(kind, list(inputs), outs, name=name)
-        return cell.outputs[0]
+        outs = None if output is None else (output,)
+        return self.add_cell(kind, inputs, outs, name=name).outputs[0]
 
     def add_dff(self, d: int, q: int | None = None, name: str | None = None) -> int:
         """Add a D-flipflop from net *d*; returns the ``q`` net index."""
-        outs = None if q is None else [q]
-        cell = self.add_cell(CellKind.DFF, [d], outs, name=name)
-        return cell.outputs[0]
+        outs = None if q is None else (q,)
+        return self.add_cell(CellKind.DFF, (d,), outs, name=name).outputs[0]
 
     def add_dff_word(self, word: Sequence[int], name: str | None = None) -> List[int]:
         """Register every bit of *word* through a DFF; returns the q word."""
@@ -238,16 +244,25 @@ class Circuit:
         service layer uses this as the circuit half of its
         content-addressed result keys; the compiled-IR memo shares the
         same identity notion via :attr:`version` invalidation.
-        Memoized per version, so repeated calls are free.
+        Memoized per version, together with :meth:`canonical_order`,
+        so repeated calls are free.
         """
-        from repro.netlist.compiled import circuit_fingerprint
-
         cached = self._fingerprint
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        digest = circuit_fingerprint(self)
-        self._fingerprint = (self._version, digest)
-        return digest
+        from repro.netlist.compiled import circuit_fingerprint
+
+        return circuit_fingerprint(self)
+
+    def canonical_order(self) -> Tuple[int, ...]:
+        """Cell indices in the fingerprint's canonical (name-sorted) order.
+
+        The same order for every insertion order of one netlist, so a
+        per-cell fact listed in it hashes insertion-order
+        independently (:func:`repro.netlist.compiled.delay_fingerprint`).
+        """
+        self.fingerprint()
+        return self._fingerprint[2]
 
     # ------------------------------------------------------------------
     # structure queries
@@ -277,36 +292,14 @@ class Circuit:
 
         DFF outputs and primary inputs are sources; DFF inputs are
         sinks (the clock edge cuts those arcs).  Raises ``ValueError``
-        on a combinational cycle.
+        on a combinational cycle.  The order is computed once per
+        version by :func:`repro.netlist.compiled.compile_circuit`
+        (:attr:`~repro.netlist.compiled.CompiledCircuit.topo`).
         """
-        indeg: dict[int, int] = {}
-        for c in self.cells:
-            if c.is_sequential:
-                continue
-            deg = 0
-            for n in c.inputs:
-                drv = self.nets[n].driver
-                if drv is not None and not self.cells[drv[0]].is_sequential:
-                    deg += 1
-            indeg[c.index] = deg
-        ready = [i for i, d in indeg.items() if d == 0]
-        order: List[Cell] = []
-        while ready:
-            ci = ready.pop()
-            cell = self.cells[ci]
-            order.append(cell)
-            for out in cell.outputs:
-                for succ in self.nets[out].fanout:
-                    if succ in indeg:
-                        indeg[succ] -= 1
-                        if indeg[succ] == 0:
-                            ready.append(succ)
-        if len(order) != len(indeg):
-            raise ValueError(
-                f"{self.name}: combinational cycle among "
-                f"{len(indeg) - len(order)} cells"
-            )
-        return order
+        from repro.netlist.compiled import compile_circuit
+
+        cells = self.cells
+        return [cells[ci] for ci in compile_circuit(self).topo]
 
     def levelize(self, delay_of=None) -> dict[int, int]:
         """Arrival level per net under a per-cell-output delay function.

@@ -1,4 +1,4 @@
-"""Levelization of the compiled IR: structural levels, vector groups, horizon.
+"""Levelization of the compiled IR: structural levels, vector groups, windows.
 
 The numpy tier (:mod:`repro.sim.vector`) evaluates every cell of one
 structural level and one kind as a single array operation.  This
@@ -6,9 +6,9 @@ module derives those batches from the compiled circuit's cached
 topological order: :func:`levelize_cells` assigns each cell its
 unit-depth level, and :func:`level_groups` buckets the topo order into
 ``(level, kind, arity, delays)`` groups whose members can be evaluated
-together.  :func:`static_event_horizon` levelizes the delay-resolved
-order into the per-cycle time axis of the two glitch-exact batch
-engines (lanes and vector).
+together.  :func:`arrival_windows` records when each net can change
+within a cycle; the two glitch-exact batch engines (lanes and vector)
+take their per-cycle time axis from it (:func:`static_event_horizon`).
 
 Everything here is pure Python — numpy is only touched by the vector
 backend that consumes :func:`level_groups`.
@@ -110,28 +110,54 @@ def _level_groups(cc: "CompiledCircuit") -> Tuple[CellGroup, ...]:
     return tuple(groups)
 
 
+def arrival_windows(cc: "CompiledCircuit") -> Tuple[List[int], List[int]]:
+    """Per net, the earliest and latest delta time it can change at.
+
+    Primary inputs and flipflop outputs change at the clock edge (time
+    0), a combinational output ``d`` deltas after the earliest / latest
+    change of its inputs; before and after that window a net holds its
+    old and its new settled value.  Returns ``(lo, hi)`` lists indexed
+    by net, both ``-1`` for a net that never changes (constants,
+    undriven nets and logic fed only by them).
+    """
+    lo = [-1] * cc.n_nets
+    hi = [-1] * cc.n_nets
+    for net in (*cc.inputs, *cc.ff_q):
+        lo[net] = hi[net] = 0
+    cell_inputs, out_specs = cc.cell_inputs, cc.out_specs
+    for ci in cc.topo:
+        first = last = -1
+        for n in cell_inputs[ci]:
+            h = hi[n]
+            if h >= 0:
+                if h > last:
+                    last = h
+                if first < 0 or lo[n] < first:
+                    first = lo[n]
+        if last >= 0:
+            for out_net, dly in out_specs[ci]:
+                lo[out_net] = first + dly
+                hi[out_net] = last + dly
+    return lo, hi
+
+
 def static_event_horizon(
     cc: "CompiledCircuit", circuit, delay_model, backend_label: str
 ) -> int:
     """``W``: 1 + the latest possible intra-cycle event time.
 
-    Levelizes the delay-resolved topo order and rejects sub-unit
-    combinational delays with the standard backend error message —
-    shared by the lanes and vector engines' glitch modes.  The
-    successful result is memoized on the compiled snapshot (one value
-    per (circuit, delay model) pair by construction), so repeated
-    backend construction skips the levelization.
+    Read off the arrival windows (:func:`arrival_windows`); rejects
+    sub-unit combinational delays with the standard backend error
+    message — shared by the lanes and vector engines' glitch modes.
+    The successful result is memoized on the compiled snapshot (one
+    value per (circuit, delay model) pair by construction), so repeated
+    backend construction is free.
     """
     cached = cc.__dict__.get("_static_event_horizon")
     if cached is not None:
         return cached
-    level = [0] * cc.n_nets
     for ci in cc.topo:
-        arrival = 0
-        for n in cc.cell_inputs[ci]:
-            if level[n] > arrival:
-                arrival = level[n]
-        for out_net, dly in cc.out_specs[ci]:
+        for _, dly in cc.out_specs[ci]:
             if dly < 1:
                 raise ValueError(
                     f"the {backend_label} backend requires combinational "
@@ -140,8 +166,6 @@ def static_event_horizon(
                     f"{dly}; pass an explicit ZeroDelay model for "
                     "zero-delay simulation"
                 )
-            if arrival + dly > level[out_net]:
-                level[out_net] = arrival + dly
-    W = (max(level) if level else 0) + 1
+    W = max(0, max(cc.arrival_windows[1], default=0)) + 1
     cc.__dict__["_static_event_horizon"] = W
     return W

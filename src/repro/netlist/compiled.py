@@ -1,27 +1,27 @@
 """Compiled circuit IR: flat, cache-friendly arrays built once per netlist.
 
 A :class:`Circuit` is convenient to build and query but expensive to
-simulate directly: every :meth:`Circuit.evaluate` re-runs a topological
-sort, and every simulator instance used to re-resolve cells, delays and
-fanout into private lists.  :func:`compile_circuit` performs that
-flattening exactly once per ``(Circuit, DelayModel)`` pair and memoizes
-the result, so constructing simulators and evaluating circuits becomes
-O(nets) instead of O(cells·outputs) with repeated delay-model calls.
+simulate directly.  :func:`compile_circuit` flattens it exactly once
+per ``(Circuit version, DelayModel)`` pair and memoizes the result, so
+constructing simulators and evaluating circuits becomes O(nets)
+instead of O(cells·outputs) with repeated delay-model calls.
 
-The :class:`CompiledCircuit` holds:
+A compile builds only the flat core that every consumer reads:
 
-* per-cell flat tuples — input nets, output nets, kind, fused
-  evaluator, sequential flag;
-* ``out_specs`` — per combinational cell, ``((out_net, delay), ...)``
-  pairs pre-resolved through the delay model (``None`` when compiled
+* per-cell flat tuples — kind, input nets, output nets, sequential flag;
+* ``out_specs`` — per cell, ``((out_net, delay), ...)`` pairs
+  pre-resolved through the delay model (``None`` when compiled
   without one, e.g. for purely functional evaluation);
-* ``comb_fanout`` — per net, the combinational cells reading it (the
-  event-driven hot loop never needs sequential readers);
-* a cached topological order of the combinational cells;
-* the flipflop wiring (cell, D net, Q net) as parallel tuples;
-* lazy views, each built for the one consumer that reads it: the lanes
-  engine's bitmask kernels, the estimators' ``topo_steps`` and the
-  vector tier's levels and groups.
+* the topological order of the combinational cells (which
+  :meth:`Circuit.topological_cells` reads);
+* the flipflop wiring (cell, D net, Q net) as parallel tuples.
+
+Everything else is a lazy view, built on first access for the
+consumer that reads it: the event engine's fused evaluators, the
+combinational fanout (event and lanes), the lanes engine's bitmask
+kernels, the estimators' ``topo_steps``, the vector tier's groups and
+the arrival windows.  :meth:`CompiledCircuit.evaluate_flat` reads the
+kind table, so a vector or estimate run builds no per-cell closure.
 
 Memoization is keyed on the circuit object (weakly, so compiled forms
 die with their circuits) plus :meth:`DelayModel.cache_token`, and
@@ -65,12 +65,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #
 # The generic evaluation pattern — ``ins = [values[n] for n in nets];
 # outs = evaluator(ins)`` — allocates one throwaway list per cell per
-# evaluation, which the timed backends pay millions of times per run.
-# A *fused* evaluator captures the cell's input net indices at compile
-# time and reads the flat ``values`` array directly, with a branch-free
+# evaluation, which the event engine pays millions of times per run.
+# A *fused* evaluator captures the cell's input net indices once and
+# reads the flat ``values`` array directly, with a branch-free
 # bitop body specialized per (kind, arity); wider n-ary gates loop
 # over their captured nets.  It computes :func:`cells.evaluate_kind`
 # (``tests/test_cell_semantics.py`` checks every kind and pattern).
+# Built lazily: only the event engine reads them
+# (:attr:`CompiledCircuit.cell_eval_fused`).
 
 def _fuse_cell(
     kind: CellKind, nets: Tuple[int, ...]
@@ -290,13 +292,7 @@ class CompiledCircuit:
     cell_kinds: Tuple[CellKind, ...]
     cell_inputs: Tuple[Tuple[int, ...], ...]
     cell_outputs: Tuple[Tuple[int, ...], ...]
-    #: Per-cell fused kernels (see :func:`_fuse_cell`): read the flat
-    #: ``values`` array directly via captured net indices — no
-    #: per-evaluation input-list allocation.  Shared by the
-    #: event-driven engine and :meth:`evaluate_flat`.
-    cell_eval_fused: Tuple[Callable[[Sequence[int]], Tuple[int, ...]], ...]
     cell_is_seq: Tuple[bool, ...]
-    comb_fanout: Tuple[Tuple[int, ...], ...]
     topo: Tuple[int, ...]
     ff_cells: Tuple[int, ...]
     ff_d: Tuple[int, ...]
@@ -310,6 +306,26 @@ class CompiledCircuit:
     # one compiled snapshot per (circuit, delay model) still amortizes
     # them across runs.  ``cached_property`` writes straight into the
     # instance ``__dict__``, which the frozen dataclass permits.
+
+    @cached_property
+    def cell_eval_fused(
+        self,
+    ) -> Tuple[Callable[[Sequence[int]], Tuple[int, ...]], ...]:
+        """Per-cell fused 0/1 evaluators (:func:`_fuse_cell`), for the event engine."""
+        return tuple(
+            _fuse_cell(kind, nets)
+            for kind, nets in zip(self.cell_kinds, self.cell_inputs)
+        )
+
+    @cached_property
+    def comb_fanout(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per net, its combinational readers: :attr:`Net.fanout` minus flipflops."""
+        fanout: List[List[int]] = [[] for _ in range(self.n_nets)]
+        for ci, (nets, seq) in enumerate(zip(self.cell_inputs, self.cell_is_seq)):
+            if not seq:
+                for n in nets:
+                    fanout[n].append(ci)
+        return tuple(map(tuple, fanout))
 
     @cached_property
     def cell_eval_bits(
@@ -351,6 +367,13 @@ class CompiledCircuit:
 
         return codegen.level_groups(self)
 
+    @cached_property
+    def arrival_windows(self) -> Tuple[List[int], List[int]]:
+        """Per-net change windows (:func:`repro.netlist.codegen.arrival_windows`)."""
+        from repro.netlist import codegen
+
+        return codegen.arrival_windows(self)
+
     # ------------------------------------------------------------------
     def evaluate_flat(
         self,
@@ -375,10 +398,11 @@ class CompiledCircuit:
             values[net] = int(bool(v))
         for i, ci in enumerate(self.ff_cells):
             values[self.ff_q[i]] = state.get(ci, 0)
+        kinds, cell_inputs = self.cell_kinds, self.cell_inputs
         cell_outputs = self.cell_outputs
-        fused = self.cell_eval_fused
+        table = _BIT_EVALUATORS
         for ci in self.topo:
-            outs = fused[ci](values)
+            outs = table[kinds[ci]]([values[n] for n in cell_inputs[ci]], 1)
             for out_net, v in zip(cell_outputs[ci], outs):
                 values[out_net] = v
         next_state = {
@@ -465,26 +489,30 @@ def circuit_fingerprint(circuit: "Circuit") -> str:
     changes the hash; re-building the identical netlist in a different
     order does not.
 
-    Prefer :meth:`Circuit.fingerprint`, which memoizes this per
-    circuit version.
+    The records' sort order is the canonical cell order, memoized with
+    the digest per circuit version (:meth:`Circuit.canonical_order`).
+    Prefer :meth:`Circuit.fingerprint`, which reads that memo.
     """
-    nets = circuit.nets
-    cells = tuple(sorted(
+    names = [net.name for net in circuit.nets]
+    records = [
         (
             cell.kind.value,
-            tuple(nets[n].name for n in cell.inputs),
-            tuple(nets[n].name for n in cell.outputs),
+            tuple([names[n] for n in cell.inputs]),
+            tuple([names[n] for n in cell.outputs]),
         )
         for cell in circuit.cells
-    ))
+    ]
+    order = sorted(range(len(records)), key=records.__getitem__)
     doc = (
         "circuit-v1",
-        tuple(nets[n].name for n in circuit.inputs),
-        tuple(nets[n].name for n in circuit.outputs),
-        tuple(sorted(net.name for net in nets)),
-        cells,
+        tuple([names[n] for n in circuit.inputs]),
+        tuple([names[n] for n in circuit.outputs]),
+        tuple(sorted(names)),
+        tuple([records[ci] for ci in order]),
     )
-    return _digest(doc)
+    digest = _digest(doc)
+    circuit._fingerprint = (circuit.version, digest, tuple(order))
+    return digest
 
 
 #: Fingerprint shared by every zero-delay regime (``delay_model is
@@ -501,87 +529,115 @@ def delay_fingerprint(
     Hashing the resolved per-cell-output delays (rather than the model
     object) makes the fingerprint exact for stateful models such as
     :class:`~repro.sim.delays.LoadDelay`, and makes differently-named
-    models that assign identical delays hash identically.  Records are
-    keyed by net names, so the hash is insertion-order independent
-    like :func:`circuit_fingerprint`.
+    models that assign identical delays hash identically.  The digest
+    covers the circuit fingerprint plus the compiled snapshot's
+    per-output delays listed in the canonical cell order
+    (:meth:`Circuit.canonical_order`), so it is insertion-order
+    independent like :func:`circuit_fingerprint` (``delay-v2``).
     """
     from repro.sim.delays import ZeroDelay
 
     if delay_model is None or isinstance(delay_model, ZeroDelay):
         return ZERO_DELAY_FINGERPRINT
-    cc = compile_circuit(circuit, delay_model)
-    nets = circuit.nets
-    rows = tuple(sorted(
-        (
-            cell.kind.value,
-            tuple(nets[n].name for n in cell.inputs),
-            tuple((nets[out].name, d) for out, d in spec),
-        )
-        for cell, spec in zip(circuit.cells, cc.out_specs)
-    ))
-    return _digest(("delay-v1", rows))
+    specs = compile_circuit(circuit, delay_model).out_specs
+    delays = tuple([
+        d for ci in circuit.canonical_order() for _, d in specs[ci]
+    ])
+    return _digest(("delay-v2", circuit.fingerprint(), delays))
 
 
 def _build(
     circuit: "Circuit", delay_model: "DelayModel | None"
 ) -> CompiledCircuit:
-    n_nets = len(circuit.nets)
-    cell_kinds = []
-    cell_inputs = []
-    cell_outputs = []
-    cell_eval_fused = []
-    cell_is_seq = []
-    ff_cells: List[int] = []
-    ff_d: List[int] = []
-    ff_q: List[int] = []
-    out_specs: List[Tuple[Tuple[int, int], ...]] | None = (
-        None if delay_model is None else []
-    )
+    nets = circuit.nets
+    cells = circuit.cells
+    DFF = CellKind.DFF
+    cell_kinds = tuple([cell.kind for cell in cells])
+    cell_inputs = tuple([cell.inputs for cell in cells])
+    cell_outputs = tuple([cell.outputs for cell in cells])
+    cell_is_seq = tuple([kind is DFF for kind in cell_kinds])
+    ff_cells = tuple([ci for ci, seq in enumerate(cell_is_seq) if seq])
+    out_specs: List[Tuple[Tuple[int, int], ...]] | None = None
     max_delay = 0
-    for cell in circuit.cells:
-        cell_kinds.append(cell.kind)
-        cell_inputs.append(cell.inputs)
-        cell_outputs.append(cell.outputs)
-        cell_eval_fused.append(_fuse_cell(cell.kind, cell.inputs))
-        seq = cell.is_sequential
-        cell_is_seq.append(seq)
-        if seq:
-            ff_cells.append(cell.index)
-            ff_d.append(cell.inputs[0])
-            ff_q.append(cell.outputs[0])
-            if out_specs is not None:
-                out_specs.append(((cell.outputs[0], 0),))
-        elif out_specs is not None:
-            spec = tuple(
-                (out, delay_model.delay(cell, pos))
-                for pos, out in enumerate(cell.outputs)
-            )
+    if delay_model is not None:
+        delay = delay_model.delay
+        out_specs = []
+        for cell in cells:
+            outs = cell.outputs
+            if cell.kind is DFF:
+                out_specs.append(((outs[0], 0),))
+                continue
+            spec = tuple([(out, delay(cell, pos)) for pos, out in enumerate(outs)])
             out_specs.append(spec)
             for _, d in spec:
                 if d > max_delay:
                     max_delay = d
-    comb_fanout: List[Tuple[int, ...]] = [
-        tuple(ci for ci in net.fanout if not cell_is_seq[ci])
-        for net in circuit.nets
-    ]
     return CompiledCircuit(
         name=circuit.name,
         version=circuit.version,
-        n_nets=n_nets,
+        n_nets=len(nets),
         inputs=tuple(circuit.inputs),
         input_set=frozenset(circuit.inputs),
         outputs=tuple(circuit.outputs),
-        driven=tuple(net.driver is not None for net in circuit.nets),
-        cell_kinds=tuple(cell_kinds),
-        cell_inputs=tuple(cell_inputs),
-        cell_outputs=tuple(cell_outputs),
-        cell_eval_fused=tuple(cell_eval_fused),
-        cell_is_seq=tuple(cell_is_seq),
-        comb_fanout=tuple(comb_fanout),
-        topo=tuple(c.index for c in circuit.topological_cells()),
-        ff_cells=tuple(ff_cells),
-        ff_d=tuple(ff_d),
-        ff_q=tuple(ff_q),
+        driven=tuple([net.driver is not None for net in nets]),
+        cell_kinds=cell_kinds,
+        cell_inputs=cell_inputs,
+        cell_outputs=cell_outputs,
+        cell_is_seq=cell_is_seq,
+        topo=_topo_order(
+            circuit.name, cell_inputs, cell_outputs, cell_is_seq,
+            [net.fanout for net in nets],
+        ),
+        ff_cells=ff_cells,
+        ff_d=tuple([cell_inputs[ci][0] for ci in ff_cells]),
+        ff_q=tuple([cell_outputs[ci][0] for ci in ff_cells]),
         out_specs=None if out_specs is None else tuple(out_specs),
         max_delay=max_delay,
     )
+
+
+def _topo_order(
+    name: str, cell_inputs: Sequence[Tuple[int, ...]],
+    cell_outputs: Sequence[Tuple[int, ...]], cell_is_seq: Sequence[bool],
+    fanout: Sequence[Sequence[int]],
+) -> Tuple[int, ...]:
+    """Kahn's order of the combinational cells over the flat arrays.
+
+    Sources (cells no combinational cell feeds) are stacked in cell
+    order and popped LIFO; successors are released in *fanout* order.
+    Raises ``ValueError`` on a combinational cycle.
+    """
+    comb_driven = bytearray(len(fanout))
+    for outs, seq in zip(cell_outputs, cell_is_seq):
+        if not seq:
+            for out in outs:
+                comb_driven[out] = 1
+    indeg = [-1] * len(cell_is_seq)  # -1 marks a flipflop
+    ready: List[int] = []
+    for ci, (nets, seq) in enumerate(zip(cell_inputs, cell_is_seq)):
+        if seq:
+            continue
+        deg = 0
+        for n in nets:
+            deg += comb_driven[n]
+        indeg[ci] = deg
+        if not deg:
+            ready.append(ci)
+    n_comb = len(cell_is_seq) - cell_is_seq.count(True)
+    order: List[int] = []
+    pop, push, emit = ready.pop, ready.append, order.append
+    while ready:
+        ci = pop()
+        emit(ci)
+        for out in cell_outputs[ci]:
+            for succ in fanout[out]:
+                if indeg[succ] > 0:
+                    indeg[succ] -= 1
+                    if not indeg[succ]:
+                        push(succ)
+    if len(order) != n_comb:
+        raise ValueError(
+            f"{name}: combinational cycle among "
+            f"{n_comb - len(order)} cells"
+        )
+    return tuple(order)

@@ -13,11 +13,18 @@ Lane packing differs from the lanes backend: a net's state is a row of
 words for an *nb*-cycle batch).  The glitch-exact mode adds a second
 axis of ``W`` intra-cycle delta times — ``wave[net, t]`` packs the
 value at delta time *t* across all cycles — so transport delay is an
-axis-1 slice shift seeded with the previous cycle's settled bits, and
-transition extraction is one XOR of adjacent time rows.  The
-statistics fall out of ``np.bitwise_count`` reductions and are
-**bit-identical** to the event-driven engine (same property suite as
-the lanes backend).
+axis-1 offset, and transition extraction is one XOR of adjacent time
+rows.
+
+A net can only change inside its arrival window
+(:func:`repro.netlist.codegen.arrival_windows`); before it, it holds
+the previous cycle's settled bits and after it the new ones, both
+known from the settled pre-pass.  So each group is evaluated only on
+its window rows, one ``[lo, hi]`` per output position (a full adder's
+sum and carry have different delays), and its toggles, rises and
+active cycles are ``np.bitwise_count`` reductions over that slice
+alone.  The statistics are **bit-identical** to the event-driven
+engine (same property suite as the lanes backend).
 
 The module imports cleanly without numpy; constructing the backend
 then raises :class:`~repro.sim.backends.BackendUnavailableError` and
@@ -114,12 +121,13 @@ def _apply_group(kind, ins, Mw):
 
 
 class _VecGroup:
-    __slots__ = ("kind", "pins", "outs")
+    __slots__ = ("kind", "pins", "outs", "rows")
 
-    def __init__(self, kind, pins, outs):
+    def __init__(self, kind, pins, outs, rows):
         self.kind = kind
         self.pins = pins    # per pin: np.intp index array over nets
-        self.outs = outs    # per output position: (delay|None, intp array)
+        self.outs = outs    # per output position: (intp array, lo, hi + 1)
+        self.rows = rows    # input rows (first, last + 1), or None: constant
 
 
 class _VecPlan:
@@ -129,22 +137,34 @@ class _VecPlan:
     )
 
     def __init__(self, cc: CompiledCircuit):
-        #: Last-used (wave, chg) ndarray pair keyed by shape — reused
-        #: across runs (and backend instances) so short repeated runs
-        #: don't pay a fresh multi-MB allocation + zero-fill each time.
-        #: Safe because runs are synchronous and never nested.
-        self.buffers: Dict[tuple, tuple] = {}
-        self.groups = [
-            _VecGroup(
+        #: Last-used waveform ndarray keyed by shape — reused across
+        #: runs (and backend instances) so short repeated runs don't
+        #: pay a fresh multi-MB allocation each time.  Safe because
+        #: runs are synchronous and never nested.
+        self.buffers: Dict[tuple, object] = {}
+        if cc.out_specs is not None:
+            lo, hi = (np.asarray(w, dtype=np.int64) for w in cc.arrival_windows)
+        self.groups = []
+        for g in cc.cell_groups:
+            outs = [np.asarray(nets, dtype=np.intp) for _, nets in g.outs]
+            rows = None
+            if cc.out_specs is not None and hi[outs[0]].max() >= 0:
+                # The union of the members' windows.  The members share
+                # their delays, so every output position reads the same
+                # input rows, each at its own offset.
+                h = hi[outs[0]]
+                dly = g.outs[0][0]
+                rows = (int(lo[outs[0]][h >= 0].min()) - dly, int(h.max()) - dly + 1)
+            self.groups.append(_VecGroup(
                 g.kind,
                 [np.asarray(p, dtype=np.intp) for p in g.pins],
                 [
-                    (dly, np.asarray(nets, dtype=np.intp))
-                    for dly, nets in g.outs
+                    (idx, None, None) if rows is None
+                    else (idx, rows[0] + dly, rows[1] + dly)
+                    for idx, (dly, _) in zip(outs, g.outs)
                 ],
-            )
-            for g in cc.cell_groups
-        ]
+                rows,
+            ))
         self.edge_idx = np.asarray(
             tuple(cc.inputs) + tuple(cc.ff_q), dtype=np.intp
         )
@@ -224,14 +244,14 @@ class VectorBackend:
         for g in self._plan.groups:
             kind = g.kind
             if kind is CellKind.CONST0:
-                lanes[g.outs[0][1]] = 0
+                lanes[g.outs[0][0]] = 0
                 continue
             if kind is CellKind.CONST1:
-                lanes[g.outs[0][1]] = Mw
+                lanes[g.outs[0][0]] = Mw
                 continue
             ins = [lanes[idx] for idx in g.pins]
             outs = _apply_group(kind, ins, Mw)
-            for (_dly, oidx), arr in zip(g.outs, outs):
+            for (oidx, _lo, _hi), arr in zip(g.outs, outs):
                 lanes[oidx] = arr
 
     def _settle(self, sl, Mw, v0bits, nb):
@@ -306,19 +326,9 @@ class VectorBackend:
         return nw, Mw
 
     def _finish(self, acc, v0bits):
-        acc_tog, acc_rise, acc_useful, acc_useless, acc_active = acc
-        per_node = {}
-        nz = np.nonzero((acc_tog != 0) & self._monitored)[0]
-        cols = [
-            a[nz].tolist()
-            for a in (acc_tog, acc_rise, acc_useful, acc_useless,
-                      acc_active)
-        ]
-        for i, net in enumerate(nz.tolist()):
-            per_node[net] = NodeActivity(
-                cols[0][i], cols[1][i], cols[2][i], cols[3][i],
-                cols[4][i],
-            )
+        nz = np.nonzero((acc[0] != 0) & self._monitored)[0]
+        cols = [a[nz].tolist() for a in acc]
+        per_node = dict(zip(nz.tolist(), map(NodeActivity, *cols)))
         return per_node, v0bits.astype(np.int64).tolist()
 
     # ------------------------------------------------------------------
@@ -374,11 +384,11 @@ class VectorBackend:
         edge = plan.edge_idx
         acc = tuple(np.zeros(n_nets, np.int64) for _ in range(5))
         acc_tog, acc_rise, acc_useful, acc_useless, acc_active = acc
-        wave = chg = None
+        wave = None
         wave_shape = None
 
         def step(batch):
-            nonlocal v0bits, wave, chg, wave_shape
+            nonlocal v0bits, wave, wave_shape
             nonlocal acc_tog, acc_rise, acc_useful, acc_useless, acc_active
             nb = len(batch)
             nw, Mw = self._word_consts(nb)
@@ -391,52 +401,48 @@ class VectorBackend:
             ps[:, 0] |= v0bits
 
             # Waveform array: value at delta time t, cycles bit-packed.
-            # The change array mirrors it; rows the group loop never
-            # writes (edges, constants, undriven nets) stay zero, so
-            # the whole-array reductions below count them as quiet.
             if wave_shape != (n_nets, W, nw):
                 wave_shape = (n_nets, W, nw)
-                cached = plan.buffers.get(wave_shape)
-                if cached is None:
+                wave = plan.buffers.get(wave_shape)
+                if wave is None:
                     wave = np.empty(wave_shape, np.uint64)
-                    chg = np.zeros(wave_shape, np.uint64)
                     plan.buffers.clear()  # keep one shape resident
-                    plan.buffers[wave_shape] = (wave, chg)
-                else:
-                    wave, chg = cached
-            # Pre-fill every net with its pre-batch constant; uint64
-            # wrap-around turns the 0/1 column into a 0/~0 fill mask.
-            wave[...] = ((np.uint64(0) - v0bits)[:, None, None]) & Mw
-            # Clock-edge nets hold their settled value all cycle long.
+                    plan.buffers[wave_shape] = wave
+            # Every net starts each row at its previous settled bits:
+            # the value before its window, and forever for nets that
+            # never change.  Clock-edge nets hold their new settled
+            # value all cycle long; a group writes its window rows and
+            # the new settled bits on every row after the window.
+            wave[...] = ps[:, None, :]
             wave[edge] = sl[edge][:, None, :]
 
+            btog = np.zeros(n_nets, np.int64)
+            brise = np.zeros(n_nets, np.int64)
+            bact = np.zeros(n_nets, np.int64)
             for g in plan.groups:
-                kind = g.kind
-                if kind in (CellKind.CONST0, CellKind.CONST1):
+                if g.rows is None:
                     continue  # constant waveforms, no transitions
-                ins = [wave[idx] for idx in g.pins]
-                raws = _apply_group(kind, ins, Mw)
-                for (dly, oidx), raw in zip(g.outs, raws):
-                    out = np.empty_like(raw)
-                    out[:, :dly, :] = ps[oidx][:, None, :]
-                    out[:, dly:, :] = raw[:, : W - dly, :]
-                    wave[oidx] = out
-                    ch = np.empty_like(out)
-                    ch[:, 0, :] = 0
-                    ch[:, 1:, :] = out[:, 1:, :] ^ out[:, :-1, :]
-                    chg[oidx] = ch
-
-            # Statistics in a handful of whole-array reductions (far
-            # cheaper than per-group partial sums): toggles and rises
-            # from the change array, active cycles from its
-            # delta-time OR, useful counts from the settled parity.
-            btog = np.bitwise_count(chg).sum(axis=(1, 2), dtype=np.int64)
-            brise = np.bitwise_count(chg & wave).sum(
-                axis=(1, 2), dtype=np.int64
-            )
-            bact = np.bitwise_count(
-                np.bitwise_or.reduce(chg, axis=1)
-            ).sum(axis=1, dtype=np.int64)
+                first, stop = g.rows
+                ins = [wave[idx, first:stop] for idx in g.pins]
+                raws = _apply_group(g.kind, ins, Mw)
+                for (oidx, lo, hi), raw in zip(g.outs, raws):
+                    wave[oidx, lo:hi] = raw
+                    wave[oidx, hi:] = sl[oidx][:, None, :]
+                    # Changes inside the window; the row before it is
+                    # the previous settled value, the rows after it
+                    # repeat the window's last row.
+                    ch = np.empty_like(raw)
+                    ch[:, 0] = raw[:, 0] ^ ps[oidx]
+                    np.bitwise_xor(raw[:, 1:], raw[:, :-1], out=ch[:, 1:])
+                    btog[oidx] = np.bitwise_count(ch).sum(
+                        axis=(1, 2), dtype=np.int64
+                    )
+                    brise[oidx] = np.bitwise_count(ch & raw).sum(
+                        axis=(1, 2), dtype=np.int64
+                    )
+                    bact[oidx] = np.bitwise_count(
+                        np.bitwise_or.reduce(ch, axis=1)
+                    ).sum(axis=1, dtype=np.int64)
 
             # Edge transitions happen at the clock edge: toggles equal
             # settled changes, every one useful and rising with sl.

@@ -10,6 +10,9 @@ it agrees:
 * the fused 0/1 evaluator (:func:`repro.netlist.compiled._fuse_cell`);
 * the fused bitmask kernel (:func:`repro.netlist.compiled._fuse_bits`)
   on one lane and on two lanes at once;
+* the vector tier's group op (:func:`repro.sim.vector._apply_group`,
+  every non-constant kind) on Python ints at mask 1 and on a two-lane
+  ``uint64`` array;
 * the probability rule: inputs at probability 0.0/1.0 give exactly the
   Boolean output;
 * the density rule: with the same probabilities and unit density on
@@ -24,11 +27,17 @@ import itertools
 
 import pytest
 
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    np = None
+
 from repro.estimate.density import transition_densities
 from repro.estimate.probability import signal_probabilities
 from repro.netlist.cells import INPUT_ARITY, OUTPUT_COUNT, CellKind, evaluate_kind
 from repro.netlist.circuit import Circuit
 from repro.netlist.compiled import _fuse_bits, _fuse_cell
+from repro.sim.vector import _apply_group
 
 _SPEC = {
     CellKind.CONST0: lambda x: (0,),
@@ -75,9 +84,17 @@ def test_every_pattern(kind, arity):
         assert bits(pattern, 1) == expected
         # Two lanes at once: the pattern in lane 0, its complement in 1.
         complement = _SPEC[kind]([v ^ 1 for v in pattern])
-        assert bits([v | (v ^ 1) << 1 for v in pattern], 3) == tuple(
-            e | c << 1 for e, c in zip(expected, complement)
-        )
+        two_lanes = tuple(e | c << 1 for e, c in zip(expected, complement))
+        assert bits([v | (v ^ 1) << 1 for v in pattern], 3) == two_lanes
+        if kind not in (CellKind.CONST0, CellKind.CONST1):
+            assert _apply_group(kind, list(pattern), 1) == expected
+            if np is not None:
+                lanes = [
+                    np.array([v | (v ^ 1) << 1], dtype=np.uint64)
+                    for v in pattern
+                ]
+                got = _apply_group(kind, lanes, np.array([3], dtype=np.uint64))
+                assert tuple(int(a[0]) for a in got) == two_lanes
 
         probs = {net: float(v) for net, v in zip(ins, pattern)}
         p_out = signal_probabilities(circuit, probs)

@@ -1,6 +1,8 @@
 """Tests for the design-space exploration subsystem (:mod:`repro.explore`)."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -482,6 +484,17 @@ class TestExplore:
         fresh, _ = build_named_circuit("rca4")
         explore(fresh, space, strategy="beam", n_vectors=8)
         assert calls
+
+    def test_memos_release_explored_circuits(self):
+        # The transform and retiming-graph memos are weak-keyed by
+        # circuit; no memo value may point back at its key, or the root
+        # and every candidate it spawned would live until exit.
+        circuit, _ = build_named_circuit("array8")
+        root = weakref.ref(circuit)
+        explore(circuit, n_vectors=24)
+        del circuit
+        gc.collect()
+        assert root() is None
 
     def test_candidate_sims_shared_between_strategies(self, tmp_path):
         circuit, _ = build_named_circuit("rca4")

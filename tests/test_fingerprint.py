@@ -172,6 +172,39 @@ class TestDelayFingerprint:
             b, UnitDelay()
         )
 
+    def test_memoized_canonical_order_tracks_mutation(self):
+        """The canonical cell order is memoized with the circuit digest;
+        growing a fingerprinted circuit must refresh it, and the result
+        must equal a fresh build of the same netlist in another order."""
+
+        def grown(order):
+            c = _two_gate(order)
+            c.fingerprint()  # memoize the digest and canonical order
+            before = delay_fingerprint(c, SumCarryDelay(dsum=2, dcarry=1))
+            fa = c.add_cell(
+                CellKind.FA, [c.net("a"), c.net("b"), c.net("x")], name="fa"
+            )
+            c.mark_output(fa.outputs[1])
+            after = delay_fingerprint(c, SumCarryDelay(dsum=2, dcarry=1))
+            assert after != before
+            return after
+
+        def fresh():
+            c = Circuit("two_gate")
+            a, b = c.add_input("a"), c.add_input("b")
+            x, y = c.new_net("x"), c.new_net("y")
+            s = c.new_net("n0")  # the anonymous names grown() gets
+            carry = c.new_net("n1")
+            c.add_cell(CellKind.FA, [a, b, x], [s, carry], name="fa")
+            c.gate(CellKind.AND, a, b, output=y, name="gy")
+            c.gate(CellKind.XOR, a, b, output=x, name="gx")
+            c.mark_output(x)
+            c.mark_output(y)
+            c.mark_output(carry)
+            return delay_fingerprint(c, SumCarryDelay(dsum=2, dcarry=1))
+
+        assert grown("ab") == grown("ba") == fresh()
+
 
 class TestCompileMemoBound:
     def test_lru_cap_bounds_delay_entries(self):

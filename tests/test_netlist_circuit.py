@@ -45,6 +45,31 @@ class TestConstruction:
         with pytest.raises(ValueError, match="no such net"):
             c.add_cell(CellKind.NOT, [a], [999])
 
+    @pytest.mark.parametrize(
+        "kind,inputs,outputs",
+        [
+            (CellKind.AND, [], None),
+            (CellKind.AND, ["a", 99], None),
+            (CellKind.FA, ["a", "a"], None),
+            (CellKind.FA, ["a", "a", "a"], ["x", "x"]),
+        ],
+        ids=["and-no-inputs", "and-bad-index", "fa-short", "fa-one-net-twice"],
+    )
+    def test_rejected_cell_leaves_no_nets(self, kind, inputs, outputs):
+        c = Circuit("t")
+        named = {"a": c.add_input("a"), "x": c.new_net("x")}
+        nets, version, fp = len(c.nets), c.version, c.fingerprint()
+        with pytest.raises(ValueError):
+            c.add_cell(
+                kind,
+                [named.get(n, n) for n in inputs],
+                None if outputs is None else [named[n] for n in outputs],
+            )
+        assert len(c.nets) == nets
+        assert c.version == version
+        assert c.fingerprint() == fp
+        assert c.nets[named["x"]].driver is None
+
     def test_duplicate_cell_name_rejected(self):
         c = Circuit("t")
         a = c.add_input("a")

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.activity import ActivityRun
 from repro.netlist.cells import CellKind
+from repro.netlist.circuit import Circuit
 from repro.sim.backends import (
     BackendUnavailableError,
     EventDrivenBackend,
@@ -131,6 +132,33 @@ class TestEquivalenceWithEventDriven:
                 ev = EventDrivenBackend(c, dm).run(iter(vectors))
                 vc = VectorBackend(c, dm).run(iter(vectors))
                 _assert_stats_equal(ev, vc)
+
+    def test_windowless_nets_and_two_output_windows(self):
+        """Per net: a gate fed only by a constant and one fed by an
+        undriven net (neither net can ever change, so neither has an
+        arrival window), logic mixing such a net with an input, and a
+        full adder whose sum and carry have different delays, hence
+        different windows."""
+        c = Circuit("windows")
+        a, b, cin = (c.add_input(n) for n in ("a", "b", "cin"))
+        one = c.gate(CellKind.CONST1, name="one")
+        from_const = c.gate(CellKind.NOT, one, name="from_const")
+        floating = c.new_net("floating")
+        from_floating = c.gate(CellKind.NOT, floating, name="from_floating")
+        mixed = c.gate(CellKind.OR, from_const, a, name="mixed")
+        fa = c.add_cell(CellKind.FA, [a, b, cin], name="fa")
+        skew = c.gate(CellKind.XOR, *fa.outputs, name="skew")
+        for net in (from_const, from_floating, mixed, skew):
+            c.mark_output(net)
+        rng = random.Random(5)
+        vectors = _random_vectors(rng, c, 70)
+        dm = SumCarryDelay(dsum=2, dcarry=1)
+        ev = EventDrivenBackend(c, dm).run(iter(vectors))
+        for batch in (1, 7, 64, 256):
+            vc = VectorBackend(c, dm, batch_cycles=batch).run(iter(vectors))
+            _assert_stats_equal(ev, vc)
+        zero = LanesBackend(c, ZeroDelay()).run(iter(vectors))
+        _assert_stats_equal(zero, VectorBackend(c, ZeroDelay()).run(iter(vectors)))
 
     def test_batch_size_invariance_at_word_boundaries(self, rng):
         """Lane packing is per-64-cycle word; straddle every edge."""
@@ -357,12 +385,16 @@ def test_vector_equals_event_property(data):
         n_inputs=data.draw(st.integers(min_value=2, max_value=5)),
         n_gates=data.draw(st.integers(min_value=3, max_value=25)),
         with_ffs=data.draw(st.booleans()),
+        loops=data.draw(st.integers(min_value=0, max_value=2)),
     )
+    # LoadDelay gives the members of one vector group different
+    # arrival windows.
     dm = data.draw(
         st.sampled_from([
             UnitDelay(),
             SumCarryDelay(dsum=2, dcarry=1),
             PerKindDelay({CellKind.AND: 2}, default=1),
+            LoadDelay(c),
         ])
     )
     n_cycles = data.draw(st.integers(min_value=1, max_value=12))
