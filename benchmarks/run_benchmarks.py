@@ -2,8 +2,9 @@
 """Refresh the committed simulator/estimator-throughput trajectory.
 
 Runs ``bench_sim_throughput.py``, ``bench_estimate_throughput.py``,
-``bench_explore.py``, ``bench_obs_overhead.py``, ``bench_retime.py``
-and ``bench_netlist.py`` through pytest-benchmark's JSON export and normalizes the result into
+``bench_explore.py``, ``bench_obs_overhead.py``, ``bench_retime.py``,
+``bench_netlist.py`` and ``bench_startup.py`` through pytest-benchmark's
+JSON export and normalizes the result into
 ``BENCH_sim.json`` at the repo root: one entry per (backend, workload)
 with the median wall time and derived rates, plus per-workload
 speedups relative to the event-driven reference (simulators) or the
@@ -44,6 +45,7 @@ BENCHES = [
     Path(__file__).resolve().parent / "bench_obs_overhead.py",
     Path(__file__).resolve().parent / "bench_retime.py",
     Path(__file__).resolve().parent / "bench_netlist.py",
+    Path(__file__).resolve().parent / "bench_startup.py",
 ]
 
 #: ``bench_netlist.py`` test -> (row backend, what one timed pass does).
@@ -171,6 +173,20 @@ def normalize(data: dict) -> dict:
             results[key] = {
                 "backend": backend,
                 "workload": f"fresh farm16 ({N_CELLS} cells), {what}",
+                "median_s": round(median, 6),
+                "passes_per_s": round(1.0 / median, 1),
+            }
+            continue
+        elif bench["name"].startswith("test_startup"):
+            from bench_startup import SPAWNS, describe
+
+            key = f"startup/{params['row']}"
+            results[key] = {
+                "backend": "startup",
+                "workload": (
+                    f"fresh process, {describe(params['row'])} "
+                    f"(median of {SPAWNS} spawns)"
+                ),
                 "median_s": round(median, 6),
                 "passes_per_s": round(1.0 / median, 1),
             }

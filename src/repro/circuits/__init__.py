@@ -18,70 +18,31 @@ so generators compose.
   scan direction detector (paper Section 4.2, Figure 8).
 """
 
-from repro.circuits.primitives import (
-    full_adder,
-    half_adder,
-    full_adder_gates,
-    constant_word,
-)
-from repro.circuits.adders import (
-    ripple_carry_adder,
-    build_rca_circuit,
-    carry_lookahead_adder,
-    carry_select_adder,
-    kogge_stone_adder,
-)
-from repro.circuits.multipliers import (
-    array_multiplier,
-    wallace_tree_multiplier,
-    baugh_wooley_multiplier,
-    reduce_and_add_columns,
-    build_multiplier_circuit,
-)
-from repro.circuits.comparators import (
-    greater_than,
-    equality,
-    min_max,
-    abs_diff,
-    subtractor,
-)
-from repro.circuits.direction_detector import (
-    build_direction_detector,
-    DirectionDetectorPorts,
-)
-from repro.circuits.datapath import (
-    constant_multiplier,
-    mac_unit,
-    transposed_fir,
-    reference_fir,
-)
-from repro.circuits.catalog import build_named_circuit
+from repro import _lazy_exports
 
-__all__ = [
-    "full_adder",
-    "half_adder",
-    "full_adder_gates",
-    "constant_word",
-    "ripple_carry_adder",
-    "build_rca_circuit",
-    "carry_lookahead_adder",
-    "carry_select_adder",
-    "kogge_stone_adder",
-    "array_multiplier",
-    "wallace_tree_multiplier",
-    "baugh_wooley_multiplier",
-    "reduce_and_add_columns",
-    "build_multiplier_circuit",
-    "greater_than",
-    "equality",
-    "min_max",
-    "abs_diff",
-    "subtractor",
-    "build_direction_detector",
-    "DirectionDetectorPorts",
-    "constant_multiplier",
-    "mac_unit",
-    "transposed_fir",
-    "reference_fir",
-    "build_named_circuit",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".primitives": ("full_adder", "half_adder", "full_adder_gates", "constant_word"),
+    ".adders": (
+        "ripple_carry_adder",
+        "build_rca_circuit",
+        "carry_lookahead_adder",
+        "carry_select_adder",
+        "kogge_stone_adder",
+    ),
+    ".multipliers": (
+        "array_multiplier",
+        "wallace_tree_multiplier",
+        "baugh_wooley_multiplier",
+        "reduce_and_add_columns",
+        "build_multiplier_circuit",
+    ),
+    ".comparators": ("greater_than", "equality", "min_max", "abs_diff", "subtractor"),
+    ".direction_detector": ("build_direction_detector", "DirectionDetectorPorts"),
+    ".datapath": (
+        "constant_multiplier",
+        "mac_unit",
+        "transposed_fir",
+        "reference_fir",
+    ),
+    ".catalog": ("build_named_circuit",),
+})

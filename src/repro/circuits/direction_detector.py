@@ -18,8 +18,9 @@ threshold.  Outputs mirror Figure 8: the 2-bit ``direction`` code, the
 flags that tell whether the default direction attains the extreme.
 
 The paper's exact netlist is proprietary; this reconstruction follows
-the figure's block structure with era-typical ripple arithmetic (see
-DESIGN.md substitutions).  What the experiment needs from it — a
+the figure's block structure with era-typical ripple arithmetic (the
+README's "Architecture" section, layer 1, lists it with the other
+circuit builders).  What the experiment needs from it — a
 realistic video datapath whose cascaded ripple units produce a large
 useless/useful ratio — is structural, not numerical.
 

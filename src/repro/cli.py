@@ -37,6 +37,9 @@ Circuit names: ``rcaN`` (ripple-carry adder), ``arrayN`` / ``wallaceN``
 ``--cache DIR`` routes runs through the service layer
 (:mod:`repro.service`): identical re-runs are served bit-identically
 from the content-addressed store with zero simulation work.
+
+Only the standard library loads with this module: each command imports
+the layers it runs, so ``--help`` costs about one interpreter start.
 """
 
 from __future__ import annotations
@@ -45,16 +48,12 @@ import argparse
 import os
 import random
 import sys
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from repro.circuits.catalog import build_named_circuit as _catalog_build
-from repro.core.activity import ActivityRun
-from repro.core.report import format_table
-from repro.netlist.circuit import Circuit
-from repro.netlist.io import circuit_to_dot, circuit_to_json
-from repro.sim.backends import ZERO_DELAY_ALIASES
-from repro.sim.delays import DelayModel, SumCarryDelay, UnitDelay
-from repro.sim.vectors import WordStimulus
+if TYPE_CHECKING:
+    from repro.netlist.circuit import Circuit
+    from repro.sim.delays import DelayModel
+    from repro.sim.vectors import WordStimulus
 
 #: ``--backend`` values: the ``auto`` policy, the three engines, and
 #: the retired engine names that still resolve to ``lanes`` (the
@@ -71,8 +70,10 @@ def build_named_circuit(name: str) -> Tuple[Circuit, WordStimulus]:
     Thin wrapper over :func:`repro.circuits.catalog.build_named_circuit`
     that converts lookup errors into ``SystemExit``.
     """
+    from repro.circuits.catalog import build_named_circuit as build
+
     try:
-        return _catalog_build(name)
+        return build(name)
     except ValueError as exc:
         raise SystemExit(str(exc))
 
@@ -87,6 +88,8 @@ def _parse_size(name: str, prefix: str) -> int:
 
 
 def _delay_model(spec: str) -> DelayModel:
+    from repro.sim.delays import SumCarryDelay, UnitDelay
+
     if spec == "unit":
         return UnitDelay()
     if spec == "sumcarry":
@@ -130,7 +133,9 @@ def _require_backend(name: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.sim.backends import select_backend
+    from repro.core.activity import ActivityRun
+    from repro.core.report import format_table
+    from repro.sim.backends import ZERO_DELAY_ALIASES, select_backend
 
     circuit, stim = build_named_circuit(args.circuit)
     if args.shards < 1:
@@ -272,6 +277,8 @@ def _estimate_for(circuit: Circuit, stimulus, store):
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.core.report import format_table
+
     circuit, _ = build_named_circuit(args.circuit)
     stimulus = _make_stimulus_arg(args)
     estimate = _estimate_for(circuit, stimulus, _open_store(args.cache))
@@ -340,6 +347,7 @@ def _dispatch_experiment(name: str, args: argparse.Namespace, store) -> None:
             table2_experiment(n_vectors=args.vectors, store=store), "Table 2"
         ))
     elif name == "sec42":
+        from repro.core.report import format_table
         from repro.experiments.detector import section42_experiment
 
         data = section42_experiment(n_vectors=args.vectors, store=store)
@@ -433,6 +441,7 @@ def _make_stimulus_arg(args: argparse.Namespace):
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
+    from repro.core.report import format_table
     from repro.service.jobs import BatchScheduler, JobSpec
 
     _require_backend(args.backend)
@@ -505,6 +514,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
+    from repro.core.report import format_table
     from repro.service.jobs import load_job_records
 
     store = _open_store(args.cache)
@@ -551,6 +561,8 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    from repro.core.report import format_table
+
     store = _open_store(args.dir)
     if store is None:
         raise SystemExit("cache requires --dir DIR")
@@ -617,6 +629,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from repro.netlist.io import circuit_to_dot, circuit_to_json
+
     circuit, _ = build_named_circuit(args.circuit)
     if args.format == "json":
         print(circuit_to_json(circuit, indent=2))
@@ -697,6 +711,7 @@ def _load_imported_circuit(path: str) -> Circuit:
 
 def cmd_import(args: argparse.Namespace) -> int:
     """Load an exported/externally generated netlist and analyze it."""
+    from repro.core.report import format_table
     from repro.netlist.io import words_from_inputs
 
     circuit = _load_imported_circuit(args.path)
@@ -738,6 +753,8 @@ def cmd_import(args: argparse.Namespace) -> int:
         store.flush()
         print(f"[cache] {source}: {store.root}")
     else:
+        from repro.core.activity import ActivityRun
+
         run = ActivityRun(circuit, delay_model=delay, backend="auto")
         result = run.run(
             UniformStimulus(seed=args.seed).vectors(stim, args.vectors + 1)
@@ -895,7 +912,8 @@ def make_parser() -> argparse.ArgumentParser:
         help=(
             "simulation backend (default auto: the fastest glitch-exact "
             "engine — vector with the [perf] extra, lanes without, "
-            "event-driven when --vcd is given); event is the reference "
+            "event-driven when --vcd is given; numpy is imported only "
+            "when a run picks vector); event is the reference "
             "engine; waveform, wave and codegen are aliases of lanes; "
             "bitparallel, bit-parallel and batch run lanes in zero-delay "
             "mode, counting useful activity only"

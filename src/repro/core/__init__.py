@@ -9,58 +9,24 @@ and the three-component dynamic power model of Section 5
 (:mod:`repro.core.power`).
 """
 
-from repro.core.transitions import (
-    classify_toggle_count,
-    glitch_count,
-    NodeActivity,
-)
-from repro.core.activity import (
-    ActivityResult,
-    ActivityRun,
-    analyze,
-    accumulate_traces,
-)
-from repro.core.analytical import (
-    transition_ratio_sum,
-    transition_ratio_carry,
-    useful_ratio_sum,
-    useless_ratio_sum,
-    useful_ratio_carry,
-    useless_ratio_carry,
-    rca_expected_counts,
-    rca_per_bit_table,
-    worst_case_transitions,
-    worst_case_probability,
-    worst_case_vectors,
-)
-from repro.core.power import (
-    dynamic_power,
-    PowerBreakdown,
-    estimate_power,
-)
-from repro.core.report import format_table
+from repro import _lazy_exports
 
-__all__ = [
-    "classify_toggle_count",
-    "glitch_count",
-    "NodeActivity",
-    "ActivityResult",
-    "ActivityRun",
-    "analyze",
-    "accumulate_traces",
-    "transition_ratio_sum",
-    "transition_ratio_carry",
-    "useful_ratio_sum",
-    "useless_ratio_sum",
-    "useful_ratio_carry",
-    "useless_ratio_carry",
-    "rca_expected_counts",
-    "rca_per_bit_table",
-    "worst_case_transitions",
-    "worst_case_probability",
-    "worst_case_vectors",
-    "dynamic_power",
-    "PowerBreakdown",
-    "estimate_power",
-    "format_table",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".transitions": ("classify_toggle_count", "glitch_count", "NodeActivity"),
+    ".activity": ("ActivityResult", "ActivityRun", "analyze", "accumulate_traces"),
+    ".analytical": (
+        "transition_ratio_sum",
+        "transition_ratio_carry",
+        "useful_ratio_sum",
+        "useless_ratio_sum",
+        "useful_ratio_carry",
+        "useless_ratio_carry",
+        "rca_expected_counts",
+        "rca_per_bit_table",
+        "worst_case_transitions",
+        "worst_case_probability",
+        "worst_case_vectors",
+    ),
+    ".power": ("dynamic_power", "PowerBreakdown", "estimate_power"),
+    ".report": ("format_table",),
+})

@@ -23,24 +23,15 @@ probabilistic estimates break down (reconvergent fanout, glitches):
   property-tested against (1e-12 agreement).
 """
 
-from repro.estimate.probability import (
-    signal_probabilities,
-    switching_activity,
-)
-from repro.estimate.density import transition_densities
-from repro.estimate.workload import (
-    EstimateResult,
-    estimate_workload,
-    input_statistics,
-    net_class,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "signal_probabilities",
-    "switching_activity",
-    "transition_densities",
-    "EstimateResult",
-    "estimate_workload",
-    "input_statistics",
-    "net_class",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".probability": ("signal_probabilities", "switching_activity"),
+    ".density": ("transition_densities",),
+    ".workload": (
+        "EstimateResult",
+        "estimate_workload",
+        "input_statistics",
+        "net_class",
+    ),
+})

@@ -1,8 +1,10 @@
 """Experiment drivers — one module per paper table/figure.
 
 Each driver returns plain dict/list data (and can render a text table)
-so the same code backs the benchmarks, the examples and EXPERIMENTS.md.
-The mapping to the paper is catalogued in DESIGN.md Section 3:
+so the same code backs the CLI (``repro experiment NAME``), the
+benchmarks and the examples.  The README's "Architecture" section
+places them in the system and its "Verifying" section quotes the
+pinned Figure 5 numbers:
 
 * :mod:`repro.experiments.rca` — Figure 5 and the Section 3.1 worst
   case (E1, E6);
@@ -16,27 +18,16 @@ The mapping to the paper is catalogued in DESIGN.md Section 3:
   (A1).
 """
 
-from repro.experiments.rca import figure5_experiment, worst_case_experiment
-from repro.experiments.multipliers import (
-    table1_experiment,
-    table2_experiment,
-    correlation_experiment,
-)
-from repro.experiments.detector import section42_experiment
-from repro.experiments.retiming_power import (
-    table3_experiment,
-    ff_activity_experiment,
-)
-from repro.experiments.adder_sweep import adder_architecture_experiment
+from repro import _lazy_exports
 
-__all__ = [
-    "figure5_experiment",
-    "worst_case_experiment",
-    "table1_experiment",
-    "table2_experiment",
-    "correlation_experiment",
-    "section42_experiment",
-    "table3_experiment",
-    "ff_activity_experiment",
-    "adder_architecture_experiment",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".rca": ("figure5_experiment", "worst_case_experiment"),
+    ".multipliers": (
+        "table1_experiment",
+        "table2_experiment",
+        "correlation_experiment",
+    ),
+    ".detector": ("section42_experiment",),
+    ".retiming_power": ("table3_experiment", "ff_activity_experiment"),
+    ".adder_sweep": ("adder_architecture_experiment",),
+})

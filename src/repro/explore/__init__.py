@@ -27,53 +27,27 @@ Exposed on the CLI as ``repro explore`` and reproduced across the
 circuit catalog by :mod:`repro.experiments.explore_frontier`.
 """
 
-from repro.explore.cost import (
-    CostContext,
-    CostVector,
-    estimated_cost,
-    rank_agreement,
-    simulated_cost,
-    transition_instants,
-)
-from repro.explore.pareto import dominated_with_margin, pareto_front
-from repro.explore.report import format_candidates, format_explore, format_front
-from repro.explore.search import (
-    Candidate,
-    ExploreResult,
-    explore,
-    explore_key,
-)
-from repro.explore.specs import (
-    TRANSFORMS,
-    Chain,
-    ExploreSpace,
-    TransformSpec,
-    apply_chain,
-    default_space,
-    describe_chain,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CostContext",
-    "CostVector",
-    "estimated_cost",
-    "rank_agreement",
-    "simulated_cost",
-    "transition_instants",
-    "dominated_with_margin",
-    "pareto_front",
-    "format_candidates",
-    "format_explore",
-    "format_front",
-    "Candidate",
-    "ExploreResult",
-    "explore",
-    "explore_key",
-    "TRANSFORMS",
-    "Chain",
-    "ExploreSpace",
-    "TransformSpec",
-    "apply_chain",
-    "default_space",
-    "describe_chain",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".cost": (
+        "CostContext",
+        "CostVector",
+        "estimated_cost",
+        "rank_agreement",
+        "simulated_cost",
+        "transition_instants",
+    ),
+    ".pareto": ("dominated_with_margin", "pareto_front"),
+    ".report": ("format_candidates", "format_explore", "format_front"),
+    ".search": ("Candidate", "ExploreResult", "explore", "explore_key"),
+    ".specs": (
+        "TRANSFORMS",
+        "Chain",
+        "ExploreSpace",
+        "TransformSpec",
+        "apply_chain",
+        "default_space",
+        "describe_chain",
+    ),
+})

@@ -8,39 +8,26 @@ engine (:mod:`repro.retime`) and the transition-activity analysis
 (:mod:`repro.core`) operate.
 """
 
-from repro.netlist.cells import (
-    CellKind,
-    Cell,
-    COMBINATIONAL_KINDS,
-    SEQUENTIAL_KINDS,
-    evaluate_kind,
-)
-from repro.netlist.circuit import Circuit, Net
-from repro.netlist.compiled import (
-    CompiledCircuit,
-    circuit_fingerprint,
-    compile_circuit,
-    delay_fingerprint,
-)
-from repro.netlist.validate import ValidationIssue, ValidationError, validate
-from repro.netlist.io import circuit_to_json, circuit_from_json, circuit_to_dot
+from repro import _lazy_exports
 
-__all__ = [
-    "CellKind",
-    "Cell",
-    "Circuit",
-    "CompiledCircuit",
-    "circuit_fingerprint",
-    "compile_circuit",
-    "delay_fingerprint",
-    "Net",
-    "COMBINATIONAL_KINDS",
-    "SEQUENTIAL_KINDS",
-    "evaluate_kind",
-    "ValidationIssue",
-    "ValidationError",
-    "validate",
-    "circuit_to_json",
-    "circuit_from_json",
-    "circuit_to_dot",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".cells": (
+        "CellKind",
+        "Cell",
+        "COMBINATIONAL_KINDS",
+        "SEQUENTIAL_KINDS",
+        "evaluate_kind",
+    ),
+    ".circuit": ("Circuit", "Net"),
+    ".compiled": (
+        "CompiledCircuit",
+        "circuit_fingerprint",
+        "compile_circuit",
+        "delay_fingerprint",
+    ),
+    ".validate": ("ValidationIssue", "ValidationError", "validate"),
+    ".io": ("circuit_to_json", "circuit_from_json", "circuit_to_dot"),
+})
+# The submodule of the same name would shadow a lazy binding once it
+# loads, so the function is bound now.
+validate = __getattr__("validate")

@@ -18,67 +18,42 @@ into the trace; :mod:`repro.obs.ledger` renders and diffs the
 committed perf trajectory.
 """
 
-from repro.obs.hist import Histogram
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sampler import ResourceSampler, register_probe, unregister_probe
-from repro.obs.trace import (
-    ENV_VAR,
-    NULL_SPAN,
-    Recorder,
-    TRACE_SCHEMA,
-    active,
-    capture,
-    chrome_trace,
-    disable,
-    enable,
-    enabled,
-    format_tree,
-    gauge,
-    hist,
-    inc,
-    instant,
-    set_event_sink,
-    span,
-    validate_chrome_trace,
-    warn_event,
-    write_chrome_trace,
-)
-from repro.obs.manifest import (
-    build_manifest,
-    environment,
-    phase_times,
-    span_coverage,
-    write_manifest,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ENV_VAR",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "Recorder",
-    "ResourceSampler",
-    "TRACE_SCHEMA",
-    "active",
-    "build_manifest",
-    "capture",
-    "chrome_trace",
-    "disable",
-    "enable",
-    "enabled",
-    "environment",
-    "format_tree",
-    "gauge",
-    "hist",
-    "inc",
-    "instant",
-    "phase_times",
-    "register_probe",
-    "set_event_sink",
-    "span",
-    "span_coverage",
-    "unregister_probe",
-    "validate_chrome_trace",
-    "warn_event",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".hist": ("Histogram",),
+    ".metrics": ("MetricsRegistry",),
+    ".sampler": ("ResourceSampler", "register_probe", "unregister_probe"),
+    ".trace": (
+        "ENV_VAR",
+        "NULL_SPAN",
+        "Recorder",
+        "TRACE_SCHEMA",
+        "active",
+        "capture",
+        "chrome_trace",
+        "disable",
+        "enable",
+        "enabled",
+        "format_tree",
+        "gauge",
+        "hist",
+        "inc",
+        "instant",
+        "set_event_sink",
+        "span",
+        "validate_chrome_trace",
+        "warn_event",
+        "write_chrome_trace",
+    ),
+    ".manifest": (
+        "build_manifest",
+        "environment",
+        "phase_times",
+        "span_coverage",
+        "write_manifest",
+    ),
+})
+# The submodule of the same name would shadow a lazy binding once it
+# loads, so the function is bound now.
+hist = __getattr__("hist")

@@ -46,20 +46,31 @@ def environment() -> Dict[str, Any]:
         ).stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
         git = None
-    try:
-        import numpy
-
-        numpy_version: Optional[str] = numpy.__version__
-    except Exception:
-        numpy_version = None
     return {
         "git": git,
         "python": platform.python_version(),
-        "numpy": numpy_version,
+        "numpy": _numpy_version(),
         "platform": platform.platform(),
         "pid": os.getpid(),
         "argv": list(sys.argv),
     }
+
+
+def _numpy_version() -> Optional[str]:
+    """The numpy version, without importing numpy for it.
+
+    Read from the numpy this run loaded, or else from the installed
+    package metadata; ``None`` when neither exists.
+    """
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        return getattr(numpy, "__version__", None)
+    from importlib import metadata
+
+    try:
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        return None
 
 
 def _top_spans(

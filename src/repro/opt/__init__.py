@@ -17,17 +17,13 @@ passes (dead-cell elimination, constant propagation, buffer removal)
 used when comparing optimised variants fairly.
 """
 
-from repro.opt.balance import balance_paths, balancing_report
-from repro.opt.transform import (
-    dead_cell_elimination,
-    propagate_constants,
-    strip_buffers,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "balance_paths",
-    "balancing_report",
-    "dead_cell_elimination",
-    "propagate_constants",
-    "strip_buffers",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".balance": ("balance_paths", "balancing_report"),
+    ".transform": (
+        "dead_cell_elimination",
+        "propagate_constants",
+        "strip_buffers",
+    ),
+})

@@ -16,25 +16,16 @@ Leiserson–Saxe framework the cited tools derive from:
   assignment, sharing flipflop chains per driving net.
 """
 
-from repro.retime.graph import RetimingGraph, HOST, HOST_OUT
-from repro.retime.leiserson_saxe import (
-    combinational_delays,
-    feas,
-    minimum_period,
-    retime_for_period,
-)
-from repro.retime.pipeline import pipeline_circuit, PipelineResult
-from repro.retime.apply import apply_retiming
+from repro import _lazy_exports
 
-__all__ = [
-    "RetimingGraph",
-    "HOST",
-    "HOST_OUT",
-    "combinational_delays",
-    "feas",
-    "minimum_period",
-    "retime_for_period",
-    "pipeline_circuit",
-    "PipelineResult",
-    "apply_retiming",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".graph": ("RetimingGraph", "HOST", "HOST_OUT"),
+    ".leiserson_saxe": (
+        "combinational_delays",
+        "feas",
+        "minimum_period",
+        "retime_for_period",
+    ),
+    ".pipeline": ("pipeline_circuit", "PipelineResult"),
+    ".apply": ("apply_retiming",),
+})

@@ -39,75 +39,40 @@ The CLI exposes the service as ``repro.cli submit / status / cache``
 ``analyze`` and ``experiment``.
 """
 
-from repro.service.store import (
-    ESTIMATE,
-    GLITCH_EXACT,
-    SETTLED,
-    ResultStore,
-    RunKey,
-    decode_estimate,
-    decode_result,
-    encode_estimate,
-    encode_result,
-    payload_summary,
-)
-from repro.service.runner import (
-    cached_estimate,
-    cached_run,
-    configure_default_store,
-    default_store,
-    estimate_key,
-    run_key,
-    word_layout,
-)
-from repro.service.jobs import (
-    BatchReport,
-    BatchScheduler,
-    JobPoint,
-    JobSpec,
-    PointOutcome,
-    load_job_records,
-    resolve_delay,
-)
-from repro.service.faults import FaultPlan, FaultSpec
-from repro.service.pool import (
-    PoolResult,
-    RetryPolicy,
-    TaskFailure,
-    run_supervised,
-)
-from repro.service.store import StoreWriteWarning
+from repro import _lazy_exports
 
-__all__ = [
-    "ESTIMATE",
-    "GLITCH_EXACT",
-    "SETTLED",
-    "ResultStore",
-    "RunKey",
-    "decode_estimate",
-    "decode_result",
-    "encode_estimate",
-    "encode_result",
-    "payload_summary",
-    "cached_estimate",
-    "cached_run",
-    "configure_default_store",
-    "default_store",
-    "estimate_key",
-    "run_key",
-    "word_layout",
-    "BatchReport",
-    "BatchScheduler",
-    "JobPoint",
-    "JobSpec",
-    "PointOutcome",
-    "load_job_records",
-    "resolve_delay",
-    "FaultPlan",
-    "FaultSpec",
-    "PoolResult",
-    "RetryPolicy",
-    "StoreWriteWarning",
-    "TaskFailure",
-    "run_supervised",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".store": (
+        "ESTIMATE",
+        "GLITCH_EXACT",
+        "SETTLED",
+        "ResultStore",
+        "RunKey",
+        "decode_estimate",
+        "decode_result",
+        "encode_estimate",
+        "encode_result",
+        "payload_summary",
+        "StoreWriteWarning",
+    ),
+    ".runner": (
+        "cached_estimate",
+        "cached_run",
+        "configure_default_store",
+        "default_store",
+        "estimate_key",
+        "run_key",
+        "word_layout",
+    ),
+    ".jobs": (
+        "BatchReport",
+        "BatchScheduler",
+        "JobPoint",
+        "JobSpec",
+        "PointOutcome",
+        "load_job_records",
+        "resolve_delay",
+    ),
+    ".faults": ("FaultPlan", "FaultSpec"),
+    ".pool": ("PoolResult", "RetryPolicy", "TaskFailure", "run_supervised"),
+})

@@ -52,6 +52,7 @@ from repro.service.store import (
     encode_result,
     payload_summary,
 )
+from repro.sim.backends import preload_backends
 from repro.sim.delays import DelayModel, SumCarryDelay, UnitDelay
 from repro.sim.vectors import StimulusSpec, UniformStimulus, stimulus_from_dict
 
@@ -471,6 +472,7 @@ def run_circuit_tasks(
     ]
     labels = [tasks[i].label for i, _ in unique]
     if processes and processes > 1 and len(unique) > 1:
+        preload_backends(tasks[i].backend for i, _ in unique)
         docs = [tasks[i].to_dict() for i, _ in unique]
         pool_result = run_supervised(
             _compute_circuit_task, docs,
@@ -763,6 +765,7 @@ class BatchScheduler:
         processes = None
         if self.processes and self.processes > 1 and len(docs) > 1:
             processes = min(self.processes, len(docs))
+            preload_backends(p.backend for p, _ in unique if not p.estimate)
         pool_result = run_supervised(
             _compute_point, docs,
             processes=processes, policy=self.policy,

@@ -24,70 +24,41 @@ enabling the paper's unit-delay experiments (Table 1) and the
 ``dsum = 2*dcarry`` refinement (Table 2) without touching the netlist.
 """
 
-from repro.sim.delays import (
-    DelayModel,
-    UnitDelay,
-    ZeroDelay,
-    PerKindDelay,
-    SumCarryDelay,
-    HintedDelay,
-    LoadDelay,
-)
-from repro.sim.engine import Simulator, CycleTrace
-from repro.sim.backends import (
-    SimBackend,
-    RunStats,
-    EventDrivenBackend,
-    LanesBackend,
-    canonical_backend,
-    get_backend,
-    select_backend,
-)
-from repro.sim.vectors import (
-    WordStimulus,
-    StimulusSpec,
-    UniformStimulus,
-    CorrelatedStimulus,
-    BurstMarkovStimulus,
-    STIMULI,
-    make_stimulus,
-    stimulus_from_dict,
-    random_words,
-    correlated_words,
-    walking_ones,
-    gray_sequence,
-)
-from repro.sim.vcd import VcdWriter, dump_vcd
+from repro import _lazy_exports
 
-__all__ = [
-    "DelayModel",
-    "UnitDelay",
-    "ZeroDelay",
-    "PerKindDelay",
-    "SumCarryDelay",
-    "HintedDelay",
-    "LoadDelay",
-    "Simulator",
-    "CycleTrace",
-    "SimBackend",
-    "RunStats",
-    "EventDrivenBackend",
-    "LanesBackend",
-    "canonical_backend",
-    "get_backend",
-    "select_backend",
-    "WordStimulus",
-    "StimulusSpec",
-    "UniformStimulus",
-    "CorrelatedStimulus",
-    "BurstMarkovStimulus",
-    "STIMULI",
-    "make_stimulus",
-    "stimulus_from_dict",
-    "random_words",
-    "correlated_words",
-    "walking_ones",
-    "gray_sequence",
-    "VcdWriter",
-    "dump_vcd",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".delays": (
+        "DelayModel",
+        "UnitDelay",
+        "ZeroDelay",
+        "PerKindDelay",
+        "SumCarryDelay",
+        "HintedDelay",
+        "LoadDelay",
+    ),
+    ".engine": ("Simulator", "CycleTrace"),
+    ".backends": (
+        "SimBackend",
+        "RunStats",
+        "EventDrivenBackend",
+        "LanesBackend",
+        "canonical_backend",
+        "get_backend",
+        "select_backend",
+    ),
+    ".vectors": (
+        "WordStimulus",
+        "StimulusSpec",
+        "UniformStimulus",
+        "CorrelatedStimulus",
+        "BurstMarkovStimulus",
+        "STIMULI",
+        "make_stimulus",
+        "stimulus_from_dict",
+        "random_words",
+        "correlated_words",
+        "walking_ones",
+        "gray_sequence",
+    ),
+    ".vcd": ("VcdWriter", "dump_vcd"),
+})

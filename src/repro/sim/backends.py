@@ -41,7 +41,8 @@ unsharded run (settled values provably equal zero-delay evaluation).
 :func:`select_backend` implements the ``"auto"`` policy used by the
 session API and the CLI: event-driven whenever traces/VCD recording
 are requested; otherwise the vector backend when numpy is available,
-the lanes backend without it.
+the lanes backend without it.  Asking that question is what imports
+numpy: importing this module does not.
 """
 
 from __future__ import annotations
@@ -494,6 +495,21 @@ def get_backend(
     if pins_zero_delay(name, delay_model):
         delay_model = ZeroDelay()
     return BACKENDS[canonical](circuit, delay_model, monitor)
+
+
+def preload_backends(names: Iterable[str]) -> None:
+    """Import, in this process, what the engines behind *names* import.
+
+    A supervisor calls this before its pool forks: resolving ``auto``
+    or a vector name here imports numpy once, and every forked worker
+    inherits it instead of importing it again.  Other names, unknown
+    ones included, are left to the workers.
+    """
+    if any(
+        name == AUTO_BACKEND or _ALIASES.get(name) == VectorBackend.name
+        for name in names
+    ):
+        numpy_available()
 
 
 def zero_delay_backend(

@@ -26,11 +26,14 @@ active cycles are ``np.bitwise_count`` reductions over that slice
 alone.  The statistics are **bit-identical** to the event-driven
 engine (same property suite as the lanes backend).
 
-The module imports cleanly without numpy; constructing the backend
-then raises :class:`~repro.sim.backends.BackendUnavailableError` and
+Importing the module does not import numpy: the first
+:func:`numpy_available` call or backend construction does, so commands
+that never simulate on this tier never pay for it.  When numpy cannot
+be imported, or is older than 2.0 (``np.bitwise_count`` needs 2.0,
+hence the ``[perf]`` extra's floor), constructing the backend raises
+:class:`~repro.sim.backends.BackendUnavailableError` and
 :func:`numpy_available` lets the auto policy fall back to the
-pure-Python lanes engine.  ``np.bitwise_count`` requires numpy >= 2.0,
-hence the ``[perf]`` extra's floor.
+pure-Python lanes engine.
 """
 
 from __future__ import annotations
@@ -44,36 +47,46 @@ from repro.netlist.codegen import static_event_horizon
 from repro.netlist.compiled import CompiledCircuit, compile_circuit
 from repro.sim.delays import DelayModel, UnitDelay, ZeroDelay
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-
-if np is None:  # pragma: no cover - exercised by the no-numpy CI job
-    _NUMPY_ERROR: str | None = (
-        "numpy is not installed (pip install 'repro-leijten-date95[perf]')"
-    )
-elif not hasattr(np, "bitwise_count"):
-    _NUMPY_ERROR = (
-        f"numpy {np.__version__} lacks bitwise_count "
-        "(the [perf] extra needs numpy >= 2.0)"
-    )
-else:
-    _NUMPY_ERROR = None
-
-if np is not None:
-    _U1 = np.uint64(1)
-    _U63 = np.uint64(63)
+#: numpy, bound by the first :func:`numpy_unavailable_reason` call that
+#: finds a usable one; importing this module does not import numpy.
+np = None
+_U1 = _U63 = None
 _WORD = 0xFFFFFFFFFFFFFFFF
+_UNPROBED = "numpy has not been probed yet"
+#: Why the vector backend cannot run here; ``None`` once numpy loaded.
+_NUMPY_ERROR: str | None = _UNPROBED
+
+
+def _load_numpy() -> str | None:
+    """Import numpy for the kernels; returns why it is unusable, or None."""
+    global np, _U1, _U63
+    try:
+        import numpy
+    except ImportError:
+        return "numpy is not installed (pip install 'repro-leijten-date95[perf]')"
+    if not hasattr(numpy, "bitwise_count"):
+        return (
+            f"numpy {numpy.__version__} lacks bitwise_count "
+            "(the [perf] extra needs numpy >= 2.0)"
+        )
+    np = numpy
+    _U1, _U63 = np.uint64(1), np.uint64(63)
+    return None
 
 
 def numpy_available() -> bool:
     """Whether the vector backend can run in this environment."""
-    return _NUMPY_ERROR is None
+    return numpy_unavailable_reason() is None
 
 
 def numpy_unavailable_reason() -> str | None:
-    """Why the vector backend can't run here, or ``None`` if it can."""
+    """Why the vector backend can't run here, or ``None`` if it can.
+
+    The first call imports numpy.
+    """
+    global _NUMPY_ERROR
+    if _NUMPY_ERROR is _UNPROBED:
+        _NUMPY_ERROR = _load_numpy()
     return _NUMPY_ERROR
 
 
@@ -207,11 +220,12 @@ class VectorBackend:
         monitor: Iterable[int] | None = None,
         batch_cycles: int = 256,
     ) -> None:
-        if _NUMPY_ERROR is not None:
+        reason = numpy_unavailable_reason()
+        if reason is not None:
             from repro.sim.backends import BackendUnavailableError
 
             raise BackendUnavailableError(
-                f"the 'vector' backend is unavailable: {_NUMPY_ERROR}"
+                f"the 'vector' backend is unavailable: {reason}"
             )
         if batch_cycles < 1:
             raise ValueError("batch_cycles must be >= 1")

@@ -9,29 +9,16 @@ material, so this package synthesises fields with known edge structure
 (moving diagonal ramps + noise), drives the detector with them, and —
 because ground truth is known — can also score detection quality.
 
-This is the documented substitution for the paper's video data (see
-DESIGN.md) and powers the A5 ablation: the paper claims video
-correlation is destroyed "immediately after the absolute differences
-are taken", so glitch statistics under real video should resemble the
-random-input numbers of Section 4.2.
+This is the substitution for the paper's video data (the workload the
+README's "Architecture" section lists under layer 7) and powers the A5
+ablation: the paper claims video correlation is destroyed "immediately
+after the absolute differences are taken", so glitch statistics under
+real video should resemble the random-input numbers of Section 4.2.
 """
 
-from repro.video.frames import (
-    diagonal_edge_field,
-    moving_sequence,
-    add_noise,
-)
-from repro.video.scan import (
-    detector_sites,
-    site_vectors,
-    deinterlace_frame,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "diagonal_edge_field",
-    "moving_sequence",
-    "add_noise",
-    "detector_sites",
-    "site_vectors",
-    "deinterlace_frame",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".frames": ("diagonal_edge_field", "moving_sequence", "add_noise"),
+    ".scan": ("detector_sites", "site_vectors", "deinterlace_frame"),
+})

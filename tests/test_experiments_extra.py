@@ -63,9 +63,32 @@ class TestPublicApi:
             assert getattr(repro, name) is not None, name
 
     def test_version(self):
+        """The package ships the version ``repro.__version__`` states.
+
+        pyproject.toml declares the version dynamic and names that
+        attribute, which setuptools reads as a literal from the source.
+        """
+        import ast
+        import re
+        from pathlib import Path
+
         import repro
 
-        assert repro.__version__ == "1.0.0"
+        root = Path(__file__).resolve().parent.parent
+        pyproject = (root / "pyproject.toml").read_text()
+        project = pyproject.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        assert re.search(r'^dynamic = \["version"\]$', project, re.M)
+        assert not re.search(r"^version\s*=", project, re.M)
+        assert 'version = { attr = "repro.__version__" }' in pyproject
+        tree = ast.parse((root / "src" / "repro" / "__init__.py").read_text())
+        (literal,) = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["__version__"]
+        ]
+        assert literal == repro.__version__
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
 
     def test_subpackage_exports_resolve(self):
         import repro.circuits as c
