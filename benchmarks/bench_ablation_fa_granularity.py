@@ -1,7 +1,8 @@
 """Ablation — modelling granularity: FA cells vs gate-level FAs.
 
-DESIGN.md decision 1: the paper simulates full adders as single
-two-output cells ("unit delay model for every full adder stage").  This
+README "Architecture" (the netlist layer): the paper simulates full
+adders as single two-output cells ("unit delay model for every full
+adder stage").  This
 bench re-runs the RCA activity experiment with the FA decomposed into
 XOR/AND/OR gates and compares.
 

@@ -55,6 +55,10 @@ NETLIST_ROWS = {
     "test_fingerprint_farm16": (
         "fingerprint", "circuit + delay fingerprints of a compiled circuit"
     ),
+    "test_codec_put_farm16": (
+        "codec-put", "encode_result + put of one result into a fresh store"
+    ),
+    "test_codec_get_farm16": ("codec-get", "get + decode_result of one result"),
 }
 OUT = ROOT / "BENCH_sim.json"
 

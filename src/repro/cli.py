@@ -889,6 +889,17 @@ def _obs_options(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _vector_count(text: str) -> int:
+    """argparse type of every ``--vectors``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -901,7 +912,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="count useful/useless transitions")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--vectors", type=int, default=500)
+    p.add_argument("--vectors", type=_vector_count, default=500)
     p.add_argument("--seed", type=int, default=1995)
     p.add_argument(
         "--delay", default=None, choices=["unit", "sumcarry"],
@@ -974,7 +985,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p.add_argument("name")
-    p.add_argument("--vectors", type=int, default=300)
+    p.add_argument("--vectors", type=_vector_count, default=300)
     p.add_argument(
         "--cache", default=None, metavar="DIR",
         help="serve repeated runs from the service result store at DIR",
@@ -987,7 +998,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="run a declarative (sweep) batch job through the service",
     )
     p.add_argument("--circuit", default="array8")
-    p.add_argument("--vectors", type=int, default=500)
+    p.add_argument("--vectors", type=_vector_count, default=500)
     p.add_argument("--seed", type=int, default=1995)
     p.add_argument(
         "--delay", default="unit", choices=["unit", "sumcarry", "zero"],
@@ -1123,11 +1134,11 @@ def make_parser() -> argparse.ArgumentParser:
         "balance", help="compare balancing vs retiming on an RCA"
     )
     p.add_argument("--circuit", default="rca12")
-    p.add_argument("--vectors", type=int, default=300)
+    p.add_argument("--vectors", type=_vector_count, default=300)
     p.set_defaults(func=cmd_balance)
 
     def _explore_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--vectors", type=int, default=120)
+        p.add_argument("--vectors", type=_vector_count, default=120)
         p.add_argument("--seed", type=int, default=1995)
         p.add_argument(
             "--strategy", default="beam",
@@ -1199,14 +1210,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finish_observed(args: argparse.Namespace, rec) -> None:
+def _finish_observed(args: argparse.Namespace, rec, run_id: str | None) -> None:
     """Persist the observability artifacts of an instrumented run.
 
     Called after the recorder is disarmed so the export itself is not
     traced.  Writes the Chrome-trace file (``--trace``), prints the
     counter table (``--metrics``) and — whenever the run had a result
     store — drops a manifest next to the job records in
-    ``<cache>/manifests``.
+    ``<cache>/manifests`` under *run_id* (read while the log was armed).
     """
     from repro.obs import trace as obs
     from repro.obs.manifest import build_manifest, write_manifest
@@ -1231,6 +1242,7 @@ def _finish_observed(args: argparse.Namespace, rec) -> None:
             command=args.command,
             backend=getattr(args, "backend", None),
             seed=getattr(args, "seed", None),
+            extra={"run_id": run_id} if run_id else None,
         )
         path = write_manifest(os.path.join(cache, "manifests"), manifest)
         print(f"[manifest] {path}")
@@ -1262,10 +1274,11 @@ def _run(args: argparse.Namespace) -> int:
 
         rec = obs.enable()
         log_path = getattr(args, "log", None)
+        run_id = None
         if log_path:
             from repro.obs import log as obs_log
 
-            obs_log.enable(log_path)
+            run_id = obs_log.enable(log_path).run_id
         sample_hz = getattr(args, "sample", None)
         sampler = None
         if sample_hz is not None and sample_hz > 0:
@@ -1279,7 +1292,7 @@ def _run(args: argparse.Namespace) -> int:
             if sampler is not None:
                 sampler.stop()
             obs.disable()  # also closes the event log, if armed
-            _finish_observed(args, rec)
+            _finish_observed(args, rec, run_id)
     return args.func(args)
 
 

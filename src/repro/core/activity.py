@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.transitions import NodeActivity
+from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.obs import trace as obs
 from repro.sim.backends import (
@@ -474,7 +475,7 @@ class ActivityRun:
         return ActivityResult(
             circuit_name=self.circuit.name,
             delay_description=self.delay_description,
-            node_names={n.index: n.name for n in self.circuit.nets},
+            node_names=dict(enumerate(self.circuit.net_names)),
         )
 
     # ------------------------------------------------------------------
@@ -507,7 +508,7 @@ class ActivityRun:
             stats,
             self.circuit.name,
             self.delay_description,
-            node_names={n.index: n.name for n in self.circuit.nets},
+            node_names=dict(enumerate(self.circuit.net_names)),
         )
 
     def run_sharded(
@@ -653,7 +654,11 @@ class ActivityRun:
         footnote-1 assumption that flipflop inputs change ~50% of the
         time.
         """
-        ff_d = [c.inputs[0] for c in self.circuit.flipflops]
+        ff_d = [
+            ins[0]
+            for kind, ins in zip(self.circuit.cell_kinds, self.circuit.cell_inputs)
+            if kind is CellKind.DFF
+        ]
         if not ff_d:
             return {"flipflops": 0, "cycles": 0, "mean_d_activity": 0.0}
         bp = zero_delay_backend(self.circuit, monitor=set(ff_d))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.activity import ActivityResult
+from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.tech.clock import ClockTreeModel
 from repro.tech.library import TechnologyLibrary
@@ -90,7 +91,9 @@ def estimate_power(
     clock_model = clock_model or ClockTreeModel()
 
     ff_outputs = {
-        c.outputs[0] for c in circuit.cells if c.is_sequential
+        outs[0]
+        for kind, outs in zip(circuit.cell_kinds, circuit.cell_outputs)
+        if kind is CellKind.DFF
     }
     logic = 0.0
     for net, node_activity in activity.per_node.items():

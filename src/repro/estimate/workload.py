@@ -116,13 +116,13 @@ def net_class(circuit: Circuit, net: int) -> str:
     the classes the paper's Figure 5 separates.  Undriven internal
     nets are ``"undriven"``.
     """
-    drv = circuit.nets[net].driver
-    if drv is None:
+    ci = circuit.net_driver[net]
+    if ci < 0:
         return "input" if net in set(circuit.inputs) else "undriven"
-    cell = circuit.cells[drv[0]]
-    if len(cell.outputs) == 2:
-        return f"{cell.kind.value}.{('sum', 'carry')[drv[1]]}"
-    return cell.kind.value
+    kind, outs = circuit.cell_kinds[ci], circuit.cell_outputs[ci]
+    if len(outs) == 2:
+        return f"{kind.value}.{('sum', 'carry')[outs.index(net)]}"
+    return kind.value
 
 
 @dataclass
@@ -248,9 +248,9 @@ def estimate_workload(
             activities=activities,
             densities=_as_net_dict(cc, dens_array),
             monitored=tuple(
-                net.index for net in circuit.nets if net.driver is not None
+                net for net, ci in enumerate(circuit.net_driver) if ci >= 0
             ),
-            node_names={n.index: n.name for n in circuit.nets},
+            node_names=dict(enumerate(circuit.net_names)),
         )
 
 

@@ -34,7 +34,9 @@ from typing import Dict, FrozenSet, Sequence, Tuple
 from repro.core.activity import ActivityResult
 from repro.core.power import dynamic_power, estimate_power
 from repro.estimate.workload import useful_activities
+from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
+from repro.netlist.compiled import compile_circuit
 from repro.sim.delays import DelayModel
 from repro.sim.vectors import StimulusSpec
 from repro.tech.area import AreaModel
@@ -57,19 +59,17 @@ def transition_instant_sets(
     the critical path length, so the pass is cheap even on deep
     circuits.
     """
+    compiled = compile_circuit(circuit, delay_model)
     empty: FrozenSet[int] = frozenset()
     edge: FrozenSet[int] = frozenset({0})
     instants: Dict[int, FrozenSet[int]] = {n: edge for n in circuit.inputs}
-    for cell in circuit.cells:
-        if cell.is_sequential:
-            for out in cell.outputs:
-                instants[out] = edge
-    for cell in circuit.topological_cells():
+    instants.update(dict.fromkeys(compiled.ff_q, edge))
+    inputs, specs = compiled.cell_inputs, compiled.out_specs
+    for ci in compiled.topo:
         arrivals: FrozenSet[int] = empty
-        for n in cell.inputs:
+        for n in inputs[ci]:
             arrivals |= instants.get(n, empty)
-        for pos, out in enumerate(cell.outputs):
-            d = delay_model.delay(cell, pos)
+        for out, d in specs[ci]:
             instants[out] = frozenset(t + d for t in arrivals)
     return instants
 
@@ -192,9 +192,7 @@ def structural_metrics(
     _, tech, _, area_model = context.resolved()
     return (
         area_model.circuit_area_mm2(circuit, tech),
-        circuit.critical_path_length(
-            lambda cell, pos: delay_model.delay(cell, pos)
-        ),
+        circuit.critical_path_length(delay_model.delay),
     )
 
 
@@ -217,9 +215,7 @@ def estimated_cost(
     """
     activities = useful_activities(circuit, stimulus)
     instants = transition_instants(circuit, delay_model)
-    period = circuit.critical_path_length(
-        lambda cell, pos: delay_model.delay(cell, pos)
-    )
+    period = circuit.critical_path_length(delay_model.delay)
     return estimated_cost_from(
         circuit, context, latency, activities, instants, period
     )
@@ -239,12 +235,13 @@ def _power_from_estimate(
     """
     frequency, tech, clock_model, _ = context.resolved()
     ff_outputs = {
-        c.outputs[0] for c in circuit.cells if c.is_sequential
+        outs[0]
+        for kind, outs in zip(circuit.cell_kinds, circuit.cell_outputs)
+        if kind is CellKind.DFF
     }
     logic = 0.0
-    for node in circuit.nets:
-        net = node.index
-        if node.driver is None or net in ff_outputs:
+    for net, driver in enumerate(circuit.net_driver):
+        if driver < 0 or net in ff_outputs:
             continue
         rate = activities.get(net, 0.0) * instant_counts.get(net, 0)
         if rate <= 0.0:

@@ -4,12 +4,17 @@ A :class:`Circuit` is a single-clock synchronous network.  Nets have at
 most one driver (a cell output or a primary input).  Words (buses) are
 plain Python lists of net indices, least-significant bit first; helper
 methods create and register them under dotted names such as ``a[3]``.
+
+The netlist is flat lists (fanout: CSR arrays per version); ``cells``
+and ``nets`` are read-only sequences building values on each access.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from repro.netlist.cells import (
     Cell,
@@ -21,7 +26,7 @@ from repro.netlist.cells import (
 
 @dataclass(slots=True)
 class Net:
-    """A single-driver signal node.
+    """A single-driver signal node (a value built by :attr:`Circuit.nets`).
 
     Attributes
     ----------
@@ -47,6 +52,27 @@ class Net:
         return self.driver is not None
 
 
+class _Rows(_SequenceABC):
+    """A read-only sequence whose item *i* is ``row(i)``, built on access."""
+
+    __slots__ = ("_row", "_column")
+
+    def __init__(self, row: Callable[[int], object], column: list) -> None:
+        self._row = row
+        self._column = column  # a live flat list: its length is ours
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(j) for j in range(len(self._column))[i]]
+        return self._row(range(len(self._column))[i])
+
+    def __iter__(self):
+        return map(self._row, range(len(self._column)))
+
+
 class Circuit:
     """A flat, single-clock, cell-level netlist.
 
@@ -58,12 +84,22 @@ class Circuit:
         s, cout = ripple_carry_adder(c, a, b)   # from repro.circuits
         c.mark_output_word(s, "s")
         c.mark_output(cout, "cout")
+
+    Read the flat lists; change them only through the construction
+    methods, which check every change and bump :attr:`version`.
     """
 
     def __init__(self, name: str = "circuit") -> None:
         self.name = name
-        self.nets: List[Net] = []
-        self.cells: List[Cell] = []
+        #: Per cell: kind, input nets, output nets, name, delay hint.
+        self.cell_kinds: List[CellKind] = []
+        self.cell_inputs: List[Tuple[int, ...]] = []
+        self.cell_outputs: List[Tuple[int, ...]] = []
+        self.cell_names: List[str] = []
+        self.cell_hints: List[Tuple[int, ...] | None] = []
+        #: Per net: name, and driving cell index (-1: undriven or input).
+        self.net_names: List[str] = []
+        self.net_driver: List[int] = []
         self._net_by_name: dict[str, int] = {}
         self._cell_by_name: dict[str, int] = {}
         self.inputs: List[int] = []
@@ -71,6 +107,8 @@ class Circuit:
         self._anon_net = 0
         self._anon_cell = 0
         self._version = 0
+        #: ``(version, (start, readers))``, written by :meth:`fanout_csr`.
+        self._fanout: Tuple[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] | None = None
         #: ``(version, digest, canonical cell order)``, written by
         #: :func:`repro.netlist.compiled.circuit_fingerprint`.
         self._fingerprint: Tuple[int, str, Tuple[int, ...]] | None = None
@@ -84,6 +122,50 @@ class Circuit:
         staleness instead of hashing the whole netlist.
         """
         return self._version
+
+    @property
+    def cells(self) -> Sequence[Cell]:
+        """Every cell, in creation order, as :class:`Cell` values."""
+        return _Rows(self._cell_row, self.cell_kinds)
+
+    @property
+    def nets(self) -> Sequence[Net]:
+        """Every net, in creation order, as :class:`Net` values."""
+        return _Rows(self._net_row, self.net_names)
+
+    def _cell_row(self, ci: int) -> Cell:
+        return Cell(self.cell_names[ci], self.cell_kinds[ci], self.cell_inputs[ci],
+                    self.cell_outputs[ci], self.cell_hints[ci], ci)
+
+    def _net_row(self, n: int) -> Net:
+        ci = self.net_driver[n]
+        start, readers = self.fanout_csr()
+        return Net(
+            self.net_names[n], n,
+            None if ci < 0 else (ci, self.cell_outputs[ci].index(n)),
+            list(readers[start[n]:start[n + 1]]),
+        )
+
+    def fanout_csr(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Every net's readers, once per pin and in cell order, as CSR arrays:
+        net *n* is read by ``readers[start[n]:start[n + 1]]``.  Memoized
+        per :attr:`version`, as tuples: the collector stops tracking them."""
+        cached = self._fanout
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        counts = [0] * (len(self.net_names) + 1)
+        for ins in self.cell_inputs:
+            for n in ins:
+                counts[n + 1] += 1
+        start = list(accumulate(counts))
+        fill = start[:-1]
+        readers = [0] * start[-1]
+        for ci, ins in enumerate(self.cell_inputs):
+            for n in ins:
+                readers[fill[n]] = ci
+                fill[n] += 1
+        csr = self._fanout = (self._version, (tuple(start), tuple(readers)))
+        return csr[1]
 
     # ------------------------------------------------------------------
     # construction
@@ -99,8 +181,9 @@ class Circuit:
                 self._anon_net += 1
         elif name in by_name:
             raise ValueError(f"duplicate net name {name!r}")
-        index = len(self.nets)
-        self.nets.append(Net(name, index, None, []))
+        index = len(self.net_names)
+        self.net_names.append(name)
+        self.net_driver.append(-1)
         by_name[name] = index
         self._version += 1
         return index
@@ -121,7 +204,7 @@ class Circuit:
 
     def mark_output(self, net: int, alias: str | None = None) -> int:
         """Register *net* as a primary output (optionally aliasing its name)."""
-        if not 0 <= net < len(self.nets):
+        if not 0 <= net < len(self.net_names):
             raise ValueError(f"no such net index {net}")
         if alias is not None and alias not in self._net_by_name:
             self._net_by_name[alias] = net
@@ -149,6 +232,12 @@ class Circuit:
         the driven net indices).  Every check runs before the circuit
         changes, so a rejected cell leaves no net behind.
         """
+        return self._cell_row(
+            self._add_cell(kind, inputs, outputs, name, delay_hint)
+        )
+
+    def _add_cell(self, kind, inputs, outputs=None, name=None, delay_hint=None) -> int:
+        """:meth:`add_cell` without building the returned value: the new index."""
         inputs = tuple(inputs)
         n_out = OUTPUT_COUNT[kind] if outputs is None else len(outputs)
         check_arity(kind, len(inputs), n_out)
@@ -160,35 +249,35 @@ class Circuit:
                 self._anon_cell += 1
         elif name in self._cell_by_name:
             raise ValueError(f"duplicate cell name {name!r}")
-        nets = self.nets
+        n_nets = len(self.net_names)
         for n in inputs if outputs is None else (*inputs, *outputs):
-            if not 0 <= n < len(nets):
+            if not 0 <= n < n_nets:
                 raise ValueError(f"cell {name!r}: no such net index {n}")
+        driver = self.net_driver
         if outputs is None:
             new_net = self.new_net
-            outputs = (new_net(),) if n_out == 1 else tuple(new_net() for _ in range(n_out))
+            outputs = (new_net(),) if n_out == 1 else tuple([new_net() for _ in range(n_out)])
         else:
             outputs = tuple(outputs)
             for n in outputs:
-                driver = nets[n].driver
-                if driver is not None:
+                if driver[n] >= 0:
                     raise ValueError(
-                        f"net {nets[n].name!r} already driven by "
-                        f"{self.cells[driver[0]].name!r}"
+                        f"net {self.net_names[n]!r} already driven by "
+                        f"{self.cell_names[driver[n]]!r}"
                     )
             if len(set(outputs)) < n_out:
                 raise ValueError(f"cell {name!r} drives one net twice")
-        index = len(self.cells)
-        hint = None if delay_hint is None else tuple(delay_hint)
-        cell = Cell(name, kind, inputs, outputs, hint, index)
-        for pos, out in enumerate(outputs):
-            nets[out].driver = (index, pos)
-        for inp in inputs:
-            nets[inp].fanout.append(index)
-        self.cells.append(cell)
+        index = len(self.cell_kinds)
+        for out in outputs:
+            driver[out] = index
+        self.cell_kinds.append(kind)
+        self.cell_inputs.append(inputs)
+        self.cell_outputs.append(outputs)
+        self.cell_names.append(name)
+        self.cell_hints.append(None if delay_hint is None else tuple(delay_hint))
         self._cell_by_name[name] = index
         self._version += 1
-        return cell
+        return index
 
     # convenience single-output gate constructors -----------------------
     def gate(
@@ -200,12 +289,12 @@ class Circuit:
     ) -> int:
         """Add a single-output gate and return its output net index."""
         outs = None if output is None else (output,)
-        return self.add_cell(kind, inputs, outs, name=name).outputs[0]
+        return self.cell_outputs[self._add_cell(kind, inputs, outs, name)][0]
 
     def add_dff(self, d: int, q: int | None = None, name: str | None = None) -> int:
         """Add a D-flipflop from net *d*; returns the ``q`` net index."""
         outs = None if q is None else (q,)
-        return self.add_cell(CellKind.DFF, (d,), outs, name=name).outputs[0]
+        return self.cell_outputs[self._add_cell(CellKind.DFF, (d,), outs, name)][0]
 
     def add_dff_word(self, word: Sequence[int], name: str | None = None) -> List[int]:
         """Register every bit of *word* through a DFF; returns the q word."""
@@ -223,11 +312,11 @@ class Circuit:
         return self._net_by_name[name]
 
     def net_name(self, index: int) -> str:
-        return self.nets[index].name
+        return self.net_names[index]
 
     def cell(self, name: str) -> Cell:
         """Return the cell called *name*."""
-        return self.cells[self._cell_by_name[name]]
+        return self._cell_row(self._cell_by_name[name])
 
     def __contains__(self, name: str) -> bool:
         return name in self._net_by_name
@@ -274,7 +363,7 @@ class Circuit:
 
     @property
     def num_flipflops(self) -> int:
-        return sum(1 for c in self.cells if c.is_sequential)
+        return self.cell_kinds.count(CellKind.DFF)
 
     @property
     def combinational_cells(self) -> List[Cell]:
@@ -283,8 +372,8 @@ class Circuit:
     def kind_histogram(self) -> dict[str, int]:
         """Cell count per kind name (useful in reports and tests)."""
         hist: dict[str, int] = {}
-        for c in self.cells:
-            hist[c.kind.value] = hist.get(c.kind.value, 0) + 1
+        for kind in self.cell_kinds:
+            hist[kind.value] = hist.get(kind.value, 0) + 1
         return hist
 
     def topological_cells(self) -> List[Cell]:
@@ -298,8 +387,7 @@ class Circuit:
         """
         from repro.netlist.compiled import compile_circuit
 
-        cells = self.cells
-        return [cells[ci] for ci in compile_circuit(self).topo]
+        return [self._cell_row(ci) for ci in compile_circuit(self).topo]
 
     def levelize(self, delay_of=None) -> dict[int, int]:
         """Arrival level per net under a per-cell-output delay function.
@@ -309,26 +397,29 @@ class Circuit:
         are at level 0.  Returns ``{net_index: level}`` for every driven
         or primary-input net.
         """
-        if delay_of is None:
-            delay_of = lambda cell, pos: 1  # noqa: E731 - tiny default
-        level: dict[int, int] = {n: 0 for n in self.inputs}
-        for c in self.cells:
-            if c.is_sequential:
-                for out in c.outputs:
-                    level[out] = 0
-        for cell in self.topological_cells():
-            at = max((level.get(n, 0) for n in cell.inputs), default=0)
-            for pos, out in enumerate(cell.outputs):
-                level[out] = at + delay_of(cell, pos)
+        from repro.netlist.compiled import compile_circuit
+
+        compiled = compile_circuit(self)
+        level: dict[int, int] = dict.fromkeys(self.inputs, 0)
+        level.update(dict.fromkeys(compiled.ff_q, 0))
+        get, cell_inputs = level.get, self.cell_inputs
+        for ci in compiled.topo:
+            at = max([get(n, 0) for n in cell_inputs[ci]], default=0)
+            if delay_of is None:
+                for out in self.cell_outputs[ci]:
+                    level[out] = at + 1
+            else:
+                cell = self._cell_row(ci)
+                for pos, out in enumerate(cell.outputs):
+                    level[out] = at + delay_of(cell, pos)
         return level
 
     def critical_path_length(self, delay_of=None) -> int:
         """Longest register-to-register / input-to-output delay."""
+        from repro.netlist.compiled import compile_circuit
+
         level = self.levelize(delay_of)
-        endpoints = list(self.outputs)
-        for c in self.cells:
-            if c.is_sequential:
-                endpoints.extend(c.inputs)
+        endpoints = (*self.outputs, *compile_circuit(self).ff_d)
         return max((level.get(n, 0) for n in endpoints), default=0)
 
     # ------------------------------------------------------------------
@@ -368,8 +459,8 @@ class Circuit:
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Circuit({self.name!r}: {len(self.cells)} cells, "
-            f"{len(self.nets)} nets, {len(self.inputs)} in, "
+            f"Circuit({self.name!r}: {len(self.cell_kinds)} cells, "
+            f"{len(self.net_names)} nets, {len(self.inputs)} in, "
             f"{len(self.outputs)} out, {self.num_flipflops} FFs)"
         )
 

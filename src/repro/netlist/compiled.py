@@ -319,7 +319,7 @@ class CompiledCircuit:
 
     @cached_property
     def comb_fanout(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per net, its combinational readers: :attr:`Net.fanout` minus flipflops."""
+        """Per net, its combinational readers: the fanout minus flipflops."""
         fanout: List[List[int]] = [[] for _ in range(self.n_nets)]
         for ci, (nets, seq) in enumerate(zip(self.cell_inputs, self.cell_is_seq)):
             if not seq:
@@ -493,14 +493,16 @@ def circuit_fingerprint(circuit: "Circuit") -> str:
     the digest per circuit version (:meth:`Circuit.canonical_order`).
     Prefer :meth:`Circuit.fingerprint`, which reads that memo.
     """
-    names = [net.name for net in circuit.nets]
+    names = circuit.net_names
     records = [
         (
-            cell.kind.value,
-            tuple([names[n] for n in cell.inputs]),
-            tuple([names[n] for n in cell.outputs]),
+            kind.value,
+            tuple([names[n] for n in ins]),
+            tuple([names[n] for n in outs]),
         )
-        for cell in circuit.cells
+        for kind, ins, outs in zip(
+            circuit.cell_kinds, circuit.cell_inputs, circuit.cell_outputs
+        )
     ]
     order = sorted(range(len(records)), key=records.__getitem__)
     doc = (
@@ -549,12 +551,10 @@ def delay_fingerprint(
 def _build(
     circuit: "Circuit", delay_model: "DelayModel | None"
 ) -> CompiledCircuit:
-    nets = circuit.nets
-    cells = circuit.cells
     DFF = CellKind.DFF
-    cell_kinds = tuple([cell.kind for cell in cells])
-    cell_inputs = tuple([cell.inputs for cell in cells])
-    cell_outputs = tuple([cell.outputs for cell in cells])
+    cell_kinds = tuple(circuit.cell_kinds)
+    cell_inputs = tuple(circuit.cell_inputs)
+    cell_outputs = tuple(circuit.cell_outputs)
     cell_is_seq = tuple([kind is DFF for kind in cell_kinds])
     ff_cells = tuple([ci for ci, seq in enumerate(cell_is_seq) if seq])
     out_specs: List[Tuple[Tuple[int, int], ...]] | None = None
@@ -562,7 +562,7 @@ def _build(
     if delay_model is not None:
         delay = delay_model.delay
         out_specs = []
-        for cell in cells:
+        for cell in circuit.cells:
             outs = cell.outputs
             if cell.kind is DFF:
                 out_specs.append(((outs[0], 0),))
@@ -575,18 +575,18 @@ def _build(
     return CompiledCircuit(
         name=circuit.name,
         version=circuit.version,
-        n_nets=len(nets),
+        n_nets=len(circuit.net_names),
         inputs=tuple(circuit.inputs),
         input_set=frozenset(circuit.inputs),
         outputs=tuple(circuit.outputs),
-        driven=tuple([net.driver is not None for net in nets]),
+        driven=tuple([ci >= 0 for ci in circuit.net_driver]),
         cell_kinds=cell_kinds,
         cell_inputs=cell_inputs,
         cell_outputs=cell_outputs,
         cell_is_seq=cell_is_seq,
         topo=_topo_order(
             circuit.name, cell_inputs, cell_outputs, cell_is_seq,
-            [net.fanout for net in nets],
+            circuit.net_driver,
         ),
         ff_cells=ff_cells,
         ff_d=tuple([cell_inputs[ci][0] for ci in ff_cells]),
@@ -599,19 +599,17 @@ def _build(
 def _topo_order(
     name: str, cell_inputs: Sequence[Tuple[int, ...]],
     cell_outputs: Sequence[Tuple[int, ...]], cell_is_seq: Sequence[bool],
-    fanout: Sequence[Sequence[int]],
+    driver: Sequence[int],
 ) -> Tuple[int, ...]:
     """Kahn's order of the combinational cells over the flat arrays.
 
-    Sources (cells no combinational cell feeds) are stacked in cell
-    order and popped LIFO; successors are released in *fanout* order.
-    Raises ``ValueError`` on a combinational cycle.
+    *driver* maps each net to its driving cell (-1: none).  Sources
+    (cells no combinational cell feeds) are stacked in cell order and
+    popped LIFO; successors are released in fanout order (by output,
+    then reader cell, once per pin).  Raises ``ValueError`` on a
+    combinational cycle.
     """
-    comb_driven = bytearray(len(fanout))
-    for outs, seq in zip(cell_outputs, cell_is_seq):
-        if not seq:
-            for out in outs:
-                comb_driven[out] = 1
+    readers: List[List[int]] = [[] for _ in driver]
     indeg = [-1] * len(cell_is_seq)  # -1 marks a flipflop
     ready: List[int] = []
     for ci, (nets, seq) in enumerate(zip(cell_inputs, cell_is_seq)):
@@ -619,7 +617,10 @@ def _topo_order(
             continue
         deg = 0
         for n in nets:
-            deg += comb_driven[n]
+            d = driver[n]
+            if d >= 0 and not cell_is_seq[d]:
+                deg += 1
+                readers[n].append(ci)
         indeg[ci] = deg
         if not deg:
             ready.append(ci)
@@ -630,11 +631,10 @@ def _topo_order(
         ci = pop()
         emit(ci)
         for out in cell_outputs[ci]:
-            for succ in fanout[out]:
-                if indeg[succ] > 0:
-                    indeg[succ] -= 1
-                    if not indeg[succ]:
-                        push(succ)
+            for succ in readers[out]:
+                indeg[succ] -= 1
+                if not indeg[succ]:
+                    push(succ)
     if len(order) != n_comb:
         raise ValueError(
             f"{name}: combinational cycle among "

@@ -66,22 +66,21 @@ def circuit_to_json(circuit: Circuit, indent: int | None = None) -> str:
     doc: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
         "name": circuit.name,
-        "nets": [n.name for n in circuit.nets],
+        "nets": list(circuit.net_names),
         "inputs": list(circuit.inputs),
         "outputs": list(circuit.outputs),
         "cells": [
             {
-                "name": c.name,
-                "kind": c.kind.value,
-                "inputs": list(c.inputs),
-                "outputs": list(c.outputs),
-                **(
-                    {"delay_hint": list(c.delay_hint)}
-                    if c.delay_hint is not None
-                    else {}
-                ),
+                "name": name,
+                "kind": kind.value,
+                "inputs": list(ins),
+                "outputs": list(outs),
+                **({"delay_hint": list(hint)} if hint is not None else {}),
             }
-            for c in circuit.cells
+            for name, kind, ins, outs, hint in zip(
+                circuit.cell_names, circuit.cell_kinds, circuit.cell_inputs,
+                circuit.cell_outputs, circuit.cell_hints,
+            )
         ],
     }
     return json.dumps(doc, indent=indent)
@@ -100,13 +99,8 @@ def circuit_from_json(text: str) -> Circuit:
         else:
             circuit.new_net(name)
     for cd in doc["cells"]:
-        circuit.add_cell(
-            CellKind(cd["kind"]),
-            cd["inputs"],
-            cd["outputs"],
-            name=cd["name"],
-            delay_hint=cd.get("delay_hint"),
-        )
+        circuit._add_cell(CellKind(cd["kind"]), cd["inputs"], cd["outputs"],
+                          cd["name"], cd.get("delay_hint"))
     for out in doc["outputs"]:
         circuit.mark_output(out)
     return circuit
@@ -125,9 +119,10 @@ def circuit_to_dot(circuit: Circuit, max_cells: int = 2000) -> str:
     Raises ``ValueError`` above *max_cells* to avoid producing
     unrenderable graphs by accident.
     """
-    if len(circuit.cells) > max_cells:
+    kinds, driver = circuit.cell_kinds, circuit.net_driver
+    if len(kinds) > max_cells:
         raise ValueError(
-            f"{circuit.name} has {len(circuit.cells)} cells "
+            f"{circuit.name} has {len(kinds)} cells "
             f"(max_cells={max_cells}); raise the limit explicitly"
         )
     lines = [f'digraph "{circuit.name}" {{', "  rankdir=LR;"]
@@ -135,20 +130,18 @@ def circuit_to_dot(circuit: Circuit, max_cells: int = 2000) -> str:
         lines.append(
             f'  "pi_{n}" [label="{circuit.net_name(n)}" shape=triangle];'
         )
-    for c in circuit.cells:
-        shape = _DOT_SHAPE.get(c.kind, "ellipse")
+    for ci, (name, kind) in enumerate(zip(circuit.cell_names, kinds)):
+        shape = _DOT_SHAPE.get(kind, "ellipse")
         lines.append(
-            f'  "c{c.index}" [label="{c.name}\\n{c.kind.value}" shape={shape}];'
+            f'  "c{ci}" [label="{name}\\n{kind.value}" shape={shape}];'
         )
-    for c in circuit.cells:
-        for n in c.inputs:
-            drv = circuit.nets[n].driver
-            src = f"c{drv[0]}" if drv is not None else f"pi_{n}"
-            lines.append(f'  "{src}" -> "c{c.index}";')
+    for ci, ins in enumerate(circuit.cell_inputs):
+        for n in ins:
+            src = f"c{driver[n]}" if driver[n] >= 0 else f"pi_{n}"
+            lines.append(f'  "{src}" -> "c{ci}";')
     for i, out in enumerate(circuit.outputs):
         lines.append(f'  "po_{i}" [label="{circuit.net_name(out)}" shape=invtriangle];')
-        drv = circuit.nets[out].driver
-        src = f"c{drv[0]}" if drv is not None else f"pi_{out}"
+        src = f"c{driver[out]}" if driver[out] >= 0 else f"pi_{out}"
         lines.append(f'  "{src}" -> "po_{i}";')
     lines.append("}")
     return "\n".join(lines)

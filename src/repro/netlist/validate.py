@@ -47,65 +47,65 @@ def validate(circuit: Circuit, strict: bool = False) -> List[ValidationIssue]:
     issues: List[ValidationIssue] = []
     input_set = set(circuit.inputs)
     output_set = set(circuit.outputs)
+    net_names, driver = circuit.net_names, circuit.net_driver
+    cell_names = circuit.cell_names
+    start = circuit.fanout_csr()[0]
 
-    for net in circuit.nets:
-        if net.driver is not None and net.index in input_set:
+    for n, ci in enumerate(driver):
+        if ci >= 0 and n in input_set:
             issues.append(
                 ValidationIssue(
                     "error",
                     "driven-input",
-                    f"primary input {net.name!r} is also driven by "
-                    f"{circuit.cells[net.driver[0]].name!r}",
+                    f"primary input {net_names[n]!r} is also driven by "
+                    f"{cell_names[ci]!r}",
                 )
             )
 
-    for cell in circuit.cells:
-        for n in cell.inputs:
-            net = circuit.nets[n]
-            if net.driver is None and n not in input_set:
+    for name, ins, outs in zip(cell_names, circuit.cell_inputs, circuit.cell_outputs):
+        for n in ins:
+            if driver[n] < 0 and n not in input_set:
                 issues.append(
                     ValidationIssue(
                         "error",
                         "undriven",
-                        f"cell {cell.name!r} reads undriven net {net.name!r}",
+                        f"cell {name!r} reads undriven net {net_names[n]!r}",
                     )
                 )
         unused = [
             out
-            for out in cell.outputs
-            if not circuit.nets[out].fanout and out not in output_set
+            for out in outs
+            if start[out] == start[out + 1] and out not in output_set
         ]
         # A multi-output cell with at least one used output may leave
         # the others unconnected (e.g. an unused carry-out) — that is
         # normal datapath practice, not a modelling error.
-        if unused and len(unused) == len(cell.outputs):
+        if unused and len(unused) == len(outs):
             for out in unused:
                 issues.append(
                     ValidationIssue(
                         "warning",
                         "floating",
-                        f"net {circuit.nets[out].name!r} driven by "
-                        f"{cell.name!r} has no fanout and is not an output",
+                        f"net {net_names[out]!r} driven by "
+                        f"{name!r} has no fanout and is not an output",
                     )
                 )
 
     for out in circuit.outputs:
-        if not 0 <= out < len(circuit.nets):
+        if not 0 <= out < len(net_names):
             issues.append(
                 ValidationIssue(
                     "error", "bad-output", f"output net index {out} out of range"
                 )
             )
-        else:
-            net = circuit.nets[out]
-            if net.driver is None and out not in input_set:
-                issues.append(
-                    ValidationIssue(
-                        "warning",
-                        "undriven-output",
-                        f"primary output {net.name!r} is undriven",
-                    )
+        elif driver[out] < 0 and out not in input_set:
+            issues.append(
+                ValidationIssue(
+                    "warning",
+                    "undriven-output",
+                    f"primary output {net_names[out]!r} is undriven",
                 )
+            )
 
     try:
         circuit.topological_cells()

@@ -71,17 +71,19 @@ def balance_paths(
     delay_model = delay_model or UnitDelay()
     d_buf = _buffer_delay(delay_model)
 
-    level = circuit.levelize(
-        lambda cell, pos: delay_model.delay(cell, pos)
-    )
+    level = circuit.levelize(delay_model.delay)
 
     new = Circuit(name or f"{circuit.name}_balanced")
+    names = circuit.net_names
+    kinds, inputs, outputs = (
+        circuit.cell_kinds, circuit.cell_inputs, circuit.cell_outputs
+    )
     net_map: Dict[int, int] = {}
     for pi in circuit.inputs:
-        net_map[pi] = new.add_input(circuit.net_name(pi))
-    for cell in circuit.cells:
-        for out in cell.outputs:
-            net_map[out] = new.new_net(circuit.net_name(out))
+        net_map[pi] = new.add_input(names[pi])
+    for outs in outputs:
+        for out in outs:
+            net_map[out] = new.new_net(names[out])
 
     chains: Dict[Tuple[int, int], int] = {}
     buffers = 0
@@ -99,38 +101,28 @@ def balance_paths(
         key = (old_net, skew)
         if key not in chains:
             prev = delayed(old_net, skew - d_buf)
-            src_name = circuit.net_name(old_net)
-            src_name = src_name.replace("[", "_").replace("]", "")
+            src_name = names[old_net].replace("[", "_").replace("]", "")
             chains[key] = new.gate(
                 CellKind.BUF, prev, name=f"bal_{src_name}_{skew}"
             )
             buffers += 1
         return chains[key]
 
-    for cell in circuit.cells:
-        if cell.is_sequential:
-            new.add_cell(
-                cell.kind,
-                [net_map[n] for n in cell.inputs],
-                [net_map[out] for out in cell.outputs],
-                name=cell.name,
-                delay_hint=cell.delay_hint,
-            )
-            continue
-        arrivals = [level.get(n, 0) for n in cell.inputs]
-        latest = max(arrivals, default=0)
-        new_inputs = []
-        for n, at in zip(cell.inputs, arrivals):
-            skew = latest - at
-            max_skew = max(max_skew, skew)
-            new_inputs.append(delayed(n, skew))
-        new.add_cell(
-            cell.kind,
-            new_inputs,
-            [net_map[out] for out in cell.outputs],
-            name=cell.name,
-            delay_hint=cell.delay_hint,
-        )
+    cell_names, hints = circuit.cell_names, circuit.cell_hints
+    for ci, kind in enumerate(kinds):
+        ins = inputs[ci]
+        if kind is CellKind.DFF:
+            new_inputs = [net_map[n] for n in ins]
+        else:
+            arrivals = [level.get(n, 0) for n in ins]
+            latest = max(arrivals, default=0)
+            new_inputs = []
+            for n, at in zip(ins, arrivals):
+                skew = latest - at
+                max_skew = max(max_skew, skew)
+                new_inputs.append(delayed(n, skew))
+        new._add_cell(kind, new_inputs, [net_map[out] for out in outputs[ci]],
+                      cell_names[ci], hints[ci])
 
     for out in circuit.outputs:
         new.mark_output(net_map[out])
@@ -138,7 +130,7 @@ def balance_paths(
     stats = BalanceStats(
         buffers_inserted=buffers,
         max_skew_padded=max_skew,
-        original_cells=len(circuit.cells),
+        original_cells=len(kinds),
     )
     return new, stats
 
@@ -155,14 +147,12 @@ def balancing_report(
     transitions").
     """
     delay_model = delay_model or UnitDelay()
-    level = circuit.levelize(
-        lambda cell, pos: delay_model.delay(cell, pos)
-    )
+    level = circuit.levelize(delay_model.delay)
     skews = []
-    for cell in circuit.cells:
-        if cell.is_sequential or len(cell.inputs) < 2:
+    for kind, ins in zip(circuit.cell_kinds, circuit.cell_inputs):
+        if kind is CellKind.DFF or len(ins) < 2:
             continue
-        arrivals = [level.get(n, 0) for n in cell.inputs]
+        arrivals = [level.get(n, 0) for n in ins]
         skews.append(max(arrivals) - min(arrivals))
     if not skews:
         return {"cells": 0, "mean_skew": 0.0, "max_skew": 0, "skewed_fraction": 0.0}

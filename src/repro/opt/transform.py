@@ -20,6 +20,7 @@ from typing import Dict, Optional
 
 from repro.netlist.cells import CellKind, evaluate_kind
 from repro.netlist.circuit import Circuit
+from repro.netlist.compiled import compile_circuit
 
 
 def _rebuild(
@@ -30,19 +31,20 @@ def _rebuild(
 ) -> Circuit:
     """Copy *circuit*, dropping cells and rewiring inputs via callbacks.
 
-    ``keep_cell(cell) -> bool`` decides survival; ``replace_input(net)
-    -> net`` redirects any consumer pin (applied transitively before
-    the copy).
+    ``keep_cell(cell_index) -> bool`` decides survival;
+    ``replace_input(net) -> net`` redirects any consumer pin (applied
+    transitively before the copy).
     """
     new = Circuit(f"{circuit.name}{name_suffix}")
+    names = circuit.net_names
+    kept = [ci for ci in range(len(circuit.cell_kinds)) if keep_cell(ci)]
     net_map: Dict[int, int] = {}
     for pi in circuit.inputs:
-        net_map[pi] = new.add_input(circuit.net_name(pi))
-    for cell in circuit.cells:
-        if not keep_cell(cell):
-            continue
-        for out in cell.outputs:
-            net_map[out] = new.new_net(circuit.net_name(out))
+        net_map[pi] = new.add_input(names[pi])
+    outputs = circuit.cell_outputs
+    for ci in kept:
+        for out in outputs[ci]:
+            net_map[out] = new.new_net(names[out])
 
     def resolve(old_net: int) -> int:
         seen = set()
@@ -57,21 +59,14 @@ def _rebuild(
             # Undriven internal nets (legal: they read as constant 0)
             # are materialized on demand so consumers and outputs can
             # still reference them instead of crashing the rebuild.
-            mapped = net_map[old_net] = new.new_net(
-                circuit.net_name(old_net)
-            )
+            mapped = net_map[old_net] = new.new_net(names[old_net])
         return mapped
 
-    for cell in circuit.cells:
-        if not keep_cell(cell):
-            continue
-        new.add_cell(
-            cell.kind,
-            [resolve(n) for n in cell.inputs],
-            [net_map[out] for out in cell.outputs],
-            name=cell.name,
-            delay_hint=cell.delay_hint,
-        )
+    kinds, inputs = circuit.cell_kinds, circuit.cell_inputs
+    cell_names, hints = circuit.cell_names, circuit.cell_hints
+    for ci in kept:
+        new._add_cell(kinds[ci], [resolve(n) for n in inputs[ci]],
+                      [net_map[out] for out in outputs[ci]], cell_names[ci], hints[ci])
     for out in circuit.outputs:
         new.mark_output(resolve(out))
     return new
@@ -80,27 +75,23 @@ def _rebuild(
 def dead_cell_elimination(circuit: Circuit) -> Circuit:
     """Remove cells that cannot influence any output or flipflop."""
     live_nets = set(circuit.outputs)
-    for cell in circuit.cells:
-        if cell.is_sequential:
-            live_nets.update(cell.inputs)
+    for kind, ins in zip(circuit.cell_kinds, circuit.cell_inputs):
+        if kind is CellKind.DFF:
+            live_nets.update(ins)
     # Walk backwards until fixpoint.
+    driver, inputs = circuit.net_driver, circuit.cell_inputs
     live_cells: set[int] = set()
     frontier = list(live_nets)
     while frontier:
-        net = frontier.pop()
-        driver = circuit.nets[net].driver
-        if driver is None:
-            continue
-        ci = driver[0]
-        if ci in live_cells:
+        ci = driver[frontier.pop()]
+        if ci < 0 or ci in live_cells:
             continue
         live_cells.add(ci)
-        for n in circuit.cells[ci].inputs:
-            frontier.append(n)
+        frontier.extend(inputs[ci])
 
     return _rebuild(
         circuit,
-        keep_cell=lambda cell: cell.index in live_cells,
+        keep_cell=live_cells.__contains__,
         replace_input=lambda net: net,
         name_suffix="_dce",
     )
@@ -121,104 +112,101 @@ def propagate_constants(circuit: Circuit) -> Circuit:
     * ``HA(a, 0) -> (BUF(a), 0)``, ``HA(a, 1) -> (NOT(a), BUF(a))``;
     * ``MUX2`` with a constant select becomes a BUF of the taken leg.
     """
+    kinds, inputs, outputs = (
+        circuit.cell_kinds, circuit.cell_inputs, circuit.cell_outputs
+    )
     const_value: Dict[int, int] = {}
-    for cell in circuit.cells:
-        if cell.kind is CellKind.CONST0:
-            const_value[cell.outputs[0]] = 0
-        elif cell.kind is CellKind.CONST1:
-            const_value[cell.outputs[0]] = 1
+    for kind, outs in zip(kinds, outputs):
+        if kind is CellKind.CONST0:
+            const_value[outs[0]] = 0
+        elif kind is CellKind.CONST1:
+            const_value[outs[0]] = 1
 
     # Pass 1: decide replacements on the original circuit.
     # replacement: cell index -> list of (kind, input nets, output nets)
     replacement: Dict[int, list] = {}
-    for cell in circuit.topological_cells():
-        if cell.kind in (CellKind.CONST0, CellKind.CONST1, CellKind.DFF):
+    for ci in compile_circuit(circuit).topo:
+        kind, cell_ins, cell_outs = kinds[ci], inputs[ci], outputs[ci]
+        if kind in (CellKind.CONST0, CellKind.CONST1):
             continue
-        values: list[Optional[int]] = [const_value.get(n) for n in cell.inputs]
+        values: list[Optional[int]] = [const_value.get(n) for n in cell_ins]
         if all(v is not None for v in values):
-            outs = evaluate_kind(cell.kind, values)  # type: ignore[arg-type]
-            replacement[cell.index] = [
+            outs = evaluate_kind(kind, values)  # type: ignore[arg-type]
+            replacement[ci] = [
                 (
                     CellKind.CONST1 if bit else CellKind.CONST0,
                     [],
                     [out_net],
                 )
-                for bit, out_net in zip(outs, cell.outputs)
+                for bit, out_net in zip(outs, cell_outs)
             ]
-            for bit, out_net in zip(outs, cell.outputs):
+            for bit, out_net in zip(outs, cell_outs):
                 const_value[out_net] = bit
             continue
-        kind = cell.kind
         if kind is CellKind.AND and any(v == 0 for v in values):
-            replacement[cell.index] = [(CellKind.CONST0, [], [cell.outputs[0]])]
-            const_value[cell.outputs[0]] = 0
+            replacement[ci] = [(CellKind.CONST0, [], [cell_outs[0]])]
+            const_value[cell_outs[0]] = 0
         elif kind is CellKind.OR and any(v == 1 for v in values):
-            replacement[cell.index] = [(CellKind.CONST1, [], [cell.outputs[0]])]
-            const_value[cell.outputs[0]] = 1
+            replacement[ci] = [(CellKind.CONST1, [], [cell_outs[0]])]
+            const_value[cell_outs[0]] = 1
         elif kind is CellKind.FA and sum(v is not None for v in values) == 1:
-            free = [n for n, v in zip(cell.inputs, values) if v is None]
+            free = [n for n, v in zip(cell_ins, values) if v is None]
             fixed = next(v for v in values if v is not None)
-            s_net, c_net = cell.outputs
+            s_net, c_net = cell_outs
             if fixed == 0:
-                replacement[cell.index] = [
+                replacement[ci] = [
                     (CellKind.HA, free, [s_net, c_net])
                 ]
             else:
-                replacement[cell.index] = [
+                replacement[ci] = [
                     (CellKind.XNOR, free, [s_net]),
                     (CellKind.OR, free, [c_net]),
                 ]
         elif kind is CellKind.HA and sum(v is not None for v in values) == 1:
-            free = next(n for n, v in zip(cell.inputs, values) if v is None)
+            free = next(n for n, v in zip(cell_ins, values) if v is None)
             fixed = next(v for v in values if v is not None)
-            s_net, c_net = cell.outputs
+            s_net, c_net = cell_outs
             if fixed == 0:
-                replacement[cell.index] = [
+                replacement[ci] = [
                     (CellKind.BUF, [free], [s_net]),
                     (CellKind.CONST0, [], [c_net]),
                 ]
                 const_value[c_net] = 0
             else:
-                replacement[cell.index] = [
+                replacement[ci] = [
                     (CellKind.NOT, [free], [s_net]),
                     (CellKind.BUF, [free], [c_net]),
                 ]
         elif kind is CellKind.MUX2 and values[0] is not None:
-            taken = cell.inputs[2] if values[0] else cell.inputs[1]
-            replacement[cell.index] = [
-                (CellKind.BUF, [taken], [cell.outputs[0]])
+            taken = cell_ins[2] if values[0] else cell_ins[1]
+            replacement[ci] = [
+                (CellKind.BUF, [taken], [cell_outs[0]])
             ]
 
     # Pass 2: rebuild.
     new = Circuit(f"{circuit.name}_cp")
+    names = circuit.net_names
     net_map: Dict[int, int] = {}
     for pi in circuit.inputs:
-        net_map[pi] = new.add_input(circuit.net_name(pi))
-    for cell in circuit.cells:
-        for out in cell.outputs:
-            net_map[out] = new.new_net(circuit.net_name(out))
-    for net in circuit.nets:
+        net_map[pi] = new.add_input(names[pi])
+    for outs in outputs:
+        for out in outs:
+            net_map[out] = new.new_net(names[out])
+    for net, name in enumerate(names):
         # Undriven internal nets (constant-0 reads) survive the copy.
-        if net.index not in net_map:
-            net_map[net.index] = new.new_net(net.name)
-    for cell in circuit.cells:
-        pieces = replacement.get(cell.index)
+        if net not in net_map:
+            net_map[net] = new.new_net(name)
+    cell_names, hints = circuit.cell_names, circuit.cell_hints
+    for ci, kind in enumerate(kinds):
+        pieces = replacement.get(ci)
         if pieces is None:
-            new.add_cell(
-                cell.kind,
-                [net_map[n] for n in cell.inputs],
-                [net_map[out] for out in cell.outputs],
-                name=cell.name,
-                delay_hint=cell.delay_hint,
-            )
+            new._add_cell(kind, [net_map[n] for n in inputs[ci]],
+                          [net_map[out] for out in outputs[ci]], cell_names[ci], hints[ci])
             continue
-        for k, (kind, ins, outs) in enumerate(pieces):
-            new.add_cell(
-                kind,
-                [net_map[n] for n in ins],
-                [net_map[out] for out in outs],
-                name=cell.name if len(pieces) == 1 else f"{cell.name}__{k}",
-            )
+        name = cell_names[ci]
+        for k, (piece_kind, ins, outs) in enumerate(pieces):
+            new._add_cell(piece_kind, [net_map[n] for n in ins], [net_map[out] for out in outs],
+                          name if len(pieces) == 1 else f"{name}__{k}")
     for out in circuit.outputs:
         new.mark_output(net_map[out])
     return dead_cell_elimination(new)
@@ -226,14 +214,15 @@ def propagate_constants(circuit: Circuit) -> Circuit:
 
 def strip_buffers(circuit: Circuit) -> Circuit:
     """Remove every BUF cell, rewiring consumers to the buffer input."""
+    kinds = circuit.cell_kinds
     forward: Dict[int, int] = {}
-    for cell in circuit.cells:
-        if cell.kind is CellKind.BUF:
-            forward[cell.outputs[0]] = cell.inputs[0]
+    for kind, ins, outs in zip(kinds, circuit.cell_inputs, circuit.cell_outputs):
+        if kind is CellKind.BUF:
+            forward[outs[0]] = ins[0]
 
     return _rebuild(
         circuit,
-        keep_cell=lambda cell: cell.kind is not CellKind.BUF,
+        keep_cell=lambda ci: kinds[ci] is not CellKind.BUF,
         replace_input=lambda net: forward.get(net, net),
         name_suffix="_nobuf",
     )

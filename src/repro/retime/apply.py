@@ -41,15 +41,16 @@ def apply_retiming(
     new = Circuit(name or f"{old.name}_retimed")
 
     # Primary inputs, preserving names and order.
+    names = old.net_names
     net_map: Dict[int, int] = {}
     for pi in old.inputs:
-        net_map[pi] = new.add_input(old.net_name(pi))
+        net_map[pi] = new.add_input(names[pi])
 
     # Fresh output nets for every combinational cell, preserving names.
+    outputs = old.cell_outputs
     for ci in graph.vertices:
-        cell = old.cells[ci]
-        for out in cell.outputs:
-            net_map[out] = new.new_net(old.net_name(out))
+        for out in outputs[ci]:
+            net_map[out] = new.new_net(names[out])
 
     # Shared DFF chains per source net.
     chains: Dict[Tuple[int, int], int] = {}
@@ -61,7 +62,7 @@ def apply_retiming(
         key = (src_net, depth)
         if key not in chains:
             prev = registered(src_net, depth - 1)
-            src_name = old.net_name(src_net).replace("[", "_").replace("]", "")
+            src_name = names[src_net].replace("[", "_").replace("]", "")
             chains[key] = new.add_dff(prev, name=f"rt_{src_name}_{depth}")
         return chains[key]
 
@@ -76,19 +77,15 @@ def apply_retiming(
 
     # Combinational cells in a dependency-safe order is not required
     # (nets pre-exist), so original order keeps names stable.
+    kinds, inputs = old.cell_kinds, old.cell_inputs
+    cell_names, hints = old.cell_names, old.cell_hints
     for ci in graph.vertices:
-        cell = old.cells[ci]
         s = graph.slot[ci]
         new_inputs = [
-            registered(*taps[(s, pin)]) for pin in range(len(cell.inputs))
+            registered(*taps[(s, pin)]) for pin in range(len(inputs[ci]))
         ]
-        new.add_cell(
-            cell.kind,
-            new_inputs,
-            [net_map[out] for out in cell.outputs],
-            name=cell.name,
-            delay_hint=cell.delay_hint,
-        )
+        new._add_cell(kinds[ci], new_inputs, [net_map[out] for out in outputs[ci]],
+                      cell_names[ci], hints[ci])
 
     # Primary outputs, preserving order.
     for slot in range(len(old.outputs)):

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Dict, List, Mapping, Tuple
 
+from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.sim.delays import DelayModel, UnitDelay
 
@@ -111,7 +112,9 @@ class RetimingGraph:
         are rejected.
         """
         delay_model = delay_model or UnitDelay()
-        vertices = [c.index for c in circuit.cells if not c.is_sequential]
+        kinds, inputs = circuit.cell_kinds, circuit.cell_inputs
+        DFF = CellKind.DFF
+        vertices = [ci for ci, kind in enumerate(kinds) if kind is not DFF]
         delay: Dict[int, int] = {HOST: 0}
         for ci in vertices:
             cell = circuit.cells[ci]
@@ -120,36 +123,35 @@ class RetimingGraph:
             )
 
         input_set = set(circuit.inputs)
+        driver = circuit.net_driver
 
         def trace_back(net: int) -> Tuple[int, int, int]:
             """Walk through DFF drivers; return (src_vertex, src_net, weight)."""
             weight = 0
             seen = set()
             while True:
-                driver = circuit.nets[net].driver
-                if driver is None:
+                ci = driver[net]
+                if ci < 0:
                     if net not in input_set:
                         raise ValueError(
                             f"net {circuit.net_name(net)!r} is undriven and "
                             "not a primary input"
                         )
                     return HOST, net, weight
-                cell = circuit.cells[driver[0]]
-                if not cell.is_sequential:
-                    return cell.index, net, weight
-                if cell.index in seen:
+                if kinds[ci] is not DFF:
+                    return ci, net, weight
+                if ci in seen:
                     raise ValueError(
                         "flipflop-only cycle detected at "
-                        f"{cell.name!r}; retiming graph undefined"
+                        f"{circuit.cell_names[ci]!r}; retiming graph undefined"
                     )
-                seen.add(cell.index)
+                seen.add(ci)
                 weight += 1
-                net = cell.inputs[0]
+                net = inputs[ci][0]
 
         connections: List[Connection] = []
         for ci in vertices:
-            cell = circuit.cells[ci]
-            for pin, net in enumerate(cell.inputs):
+            for pin, net in enumerate(inputs[ci]):
                 src, src_net, weight = trace_back(net)
                 connections.append(
                     Connection(src, src_net, ci, pin, weight)

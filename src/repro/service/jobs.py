@@ -181,11 +181,14 @@ class JobSpec:
             # Validate early, in the parent, before anything simulates.
             resolve_delay(vals["delay"])
             validate_name(vals["circuit"])
+            n_vectors = int(vals["n_vectors"])
+            if n_vectors < 0:
+                raise ValueError(f"n_vectors must be >= 0, got {n_vectors}")
             points.append(JobPoint(
                 circuit=vals["circuit"],
                 delay=vals["delay"],
                 stimulus=replace(self.stimulus, seed=int(vals["seed"])),
-                n_vectors=int(vals["n_vectors"]),
+                n_vectors=n_vectors,
                 backend=self.backend,
                 estimate=_as_estimate_flag(vals["estimate"]),
             ))

@@ -17,7 +17,8 @@ Design points:
   zero-delay sessions store under ``"settled"``.
 * **per-net counts are keyed by net name** in the serialized payload,
   the same identity the fingerprints use, and are re-mapped onto the
-  requesting circuit's net indices on retrieval.
+  requesting circuit's net indices on retrieval.  A run payload holds
+  them as columns (schema 2); schema-1 payloads still decode.
 * **atomic, durable writes** — object files and the JSON-lines index
   are written to a temporary file, fsynced, ``os.replace``d, and the
   parent directory is fsynced, so an accepted write survives both a
@@ -57,6 +58,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
@@ -116,30 +118,31 @@ class RunKey:
         ))
 
 
+#: Per-net count columns of a schema-2 run payload (NodeActivity order).
+COUNT_COLUMNS = ("toggles", "rises", "useful", "useless", "cycles_active")
+
+
 def encode_result(result: ActivityResult) -> Dict[str, Any]:
     """Serialize an :class:`ActivityResult` into a JSON-safe payload.
 
-    Per-net records are keyed by net *name* — the stable identity the
+    Per-net counts are keyed by net *name* — the stable identity the
     fingerprints use — so a payload can be decoded against any circuit
     with the same fingerprint regardless of net index assignment.
+    They are stored as columns (schema 2): ``nets`` lists the names,
+    and each of :data:`COUNT_COLUMNS` lists one count per name.
     """
-    per_node = {}
-    for net, act in result.per_node.items():
-        name = result.node_names.get(net)
-        if name is None:
-            raise ValueError(
-                f"cannot serialize result: net {net} has no recorded name"
-            )
-        per_node[name] = [
-            act.toggles, act.rises, act.useful, act.useless,
-            act.cycles_active,
-        ]
+    names, acts = result.node_names, result.per_node.values()
+    if missing := result.per_node.keys() - names.keys():
+        raise ValueError(
+            f"cannot serialize result: net {min(missing)} has no recorded name"
+        )
     return {
-        "schema": 1,
+        "schema": 2,
         "circuit_name": result.circuit_name,
         "delay_description": result.delay_description,
         "cycles": result.cycles,
-        "per_node": per_node,
+        "nets": [names[net] for net in result.per_node],
+        **{c: list(map(attrgetter(c), acts)) for c in COUNT_COLUMNS},
     }
 
 
@@ -155,9 +158,12 @@ def decode_result(
     description) comes from the requesting context, so the result is
     exactly what recomputation on *circuit* would have produced.
     """
-    per_node: Dict[int, NodeActivity] = {}
-    for name, counts in payload["per_node"].items():
-        per_node[circuit.net(name)] = NodeActivity(*counts)
+    if payload.get("schema") == 1:
+        rows = payload["per_node"].items()
+    else:
+        rows = zip(payload["nets"], zip(*[payload[c] for c in COUNT_COLUMNS]))
+    net = circuit.net
+    per_node = {net(name): NodeActivity(*counts) for name, counts in rows}
     return ActivityResult(
         circuit_name=circuit.name,
         delay_description=(
@@ -166,7 +172,7 @@ def decode_result(
         ),
         cycles=payload["cycles"],
         per_node=per_node,
-        node_names={n.index: n.name for n in circuit.nets},
+        node_names=dict(enumerate(circuit.net_names)),
     )
 
 
@@ -225,7 +231,7 @@ def decode_estimate(
         activities=activities,
         densities=densities,
         monitored=tuple(circuit.net(name) for name in payload["monitored"]),
-        node_names={n.index: n.name for n in circuit.nets},
+        node_names=dict(enumerate(circuit.net_names)),
     )
 
 
@@ -261,12 +267,12 @@ def payload_summary(payload: Dict[str, Any]) -> Dict[str, float]:
                 useful += act
                 total += dens
         return summarize_rates(len(monitored), useful, total)
-    toggles = rises = useful = useless = 0
-    for counts in payload["per_node"].values():
-        toggles += counts[0]
-        rises += counts[1]
-        useful += counts[2]
-        useless += counts[3]
+    if payload.get("schema") == 1:
+        records = payload["per_node"].values()
+        columns = [[counts[i] for counts in records] for i in range(4)]
+    else:
+        columns = [payload[c] for c in COUNT_COLUMNS[:4]]
+    toggles, rises, useful, useless = map(sum, columns)
     return summarize_counts(
         payload["cycles"], toggles, rises, useful, useless
     )

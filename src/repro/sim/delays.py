@@ -137,13 +137,13 @@ class LoadDelay(DelayModel):
         self._base = base
         self._extra = extra_per_load
         self._per = loads_per_unit
-        self._fanout = {
-            net.index: len(net.fanout) for net in circuit.nets
-        }
+        start = circuit.fanout_csr()[0]
+        self._fanout = [b - a for a, b in zip(start, start[1:])]
         self._circuit_name = circuit.name
 
     def delay(self, cell: Cell, position: int) -> int:
-        fanout = self._fanout.get(cell.outputs[position], 1)
+        net = cell.outputs[position]
+        fanout = self._fanout[net] if net < len(self._fanout) else 1
         extra = self._extra * (max(fanout, 1) - 1) // self._per
         return max(1, self._base + extra)
 

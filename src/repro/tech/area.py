@@ -28,5 +28,5 @@ class AreaModel:
         """Estimated die area of *circuit* in mm^2."""
         if not 0 < self.utilisation <= 1:
             raise ValueError("utilisation must be in (0, 1]")
-        cell_um2 = sum(tech.cell_area_um2(c) for c in circuit.cells)
+        cell_um2 = sum(tech.electrical(k).area_um2 for k in circuit.cell_kinds)
         return self.overhead_mm2 + cell_um2 / self.utilisation / 1e6

@@ -108,16 +108,16 @@ class TechnologyLibrary:
 
     def net_load_capacitance(self, circuit: Circuit, net: int) -> float:
         """Total load the driver of *net* charges on a rise [F]."""
-        n = circuit.nets[net]
+        kinds = circuit.cell_kinds
         cap = 0.0
-        if n.driver is not None:
-            cell = circuit.cells[n.driver[0]]
-            cap += self.electrical(cell.kind).output_cap
-        for ci in n.fanout:
-            consumer = circuit.cells[ci]
-            # A cell may read the same net on several pins; Net.fanout
+        driver = circuit.net_driver[net]
+        if driver >= 0:
+            cap += self.electrical(kinds[driver]).output_cap
+        start, readers = circuit.fanout_csr()
+        for ci in readers[start[net]:start[net + 1]]:
+            # A cell may read the same net on several pins; the fanout
             # keeps duplicates, so each pin contributes once here.
-            cap += self.electrical(consumer.kind).input_cap
+            cap += self.electrical(kinds[ci]).input_cap
             cap += self.wire_cap_per_fanout
         return cap
 

@@ -162,6 +162,70 @@ class TestCommands:
             main([])
 
 
+class TestNegativeVectors:
+    """A negative ``--vectors`` or ``n_vectors`` sweep value is refused
+    up front: a one-line error, no traceback, nothing stored."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", "--circuit", "rca4", "--vectors", "-1"],
+            ["analyze", "--circuit", "rca4", "--vectors", "-1", "--cache"],
+            ["experiment", "fig5", "--vectors", "-5"],
+            ["submit", "--circuit", "rca4", "--vectors", "-3", "--cache"],
+        ],
+        ids=["analyze", "analyze-cache", "experiment", "submit"],
+    )
+    def test_vectors_option_rejected(self, args, tmp_path):
+        cache = tmp_path / "store"
+        args = args + [str(cache)] if args[-1] == "--cache" else args
+        proc = _run_cli(args)
+        assert proc.returncode == 2
+        value = args[args.index("--vectors") + 1]
+        assert proc.stderr.splitlines()[-1] == (
+            f"repro {args[0]}: error: argument --vectors: "
+            f"must be >= 0, got {value}"
+        )
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert not cache.exists()
+
+    def test_submit_sweep_value_rejected(self, tmp_path):
+        from repro.service.store import ResultStore
+
+        proc = _run_cli([
+            "submit", "--circuit", "rca4", "--sweep", "n_vectors=20,-2",
+            "--cache", str(tmp_path),
+        ])
+        _assert_one_line_error(proc, "n_vectors must be >= 0, got -2")
+        assert len(ResultStore(tmp_path)) == 0
+
+    def test_non_integer_keeps_the_int_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--circuit", "rca4", "--vectors", "abc"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro analyze: error: argument --vectors: invalid int value: 'abc'"
+        )
+
+    def test_zero_vectors_still_accepted(self):
+        assert main(["analyze", "--circuit", "rca4", "--vectors", "0"]) == 0
+
+
+class TestManifestRunId:
+    def test_manifest_names_the_logged_run(self, tmp_path):
+        cache, log = tmp_path / "store", tmp_path / "events.jsonl"
+        proc = _run_cli([
+            "experiment", "fig5", "--vectors", "20",
+            "--cache", str(cache), "--log", str(log),
+        ])
+        assert proc.returncode == 0, proc.stderr
+        [name] = os.listdir(cache / "manifests")
+        run_id = json.loads((cache / "manifests" / name).read_text())["run_id"]
+        lines = [json.loads(x) for x in log.read_text().splitlines()]
+        assert run_id is not None and lines
+        assert {e["run_id"] for e in lines} == {run_id}
+
+
 class TestServiceCommands:
     def test_analyze_cache_warm_output_matches_cold(self, tmp_path, capsys):
         args = [

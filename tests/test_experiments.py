@@ -2,7 +2,8 @@
 
 These tests assert the *qualitative* findings of the paper — who wins,
 in which direction ratios move, where the optimum lies — rather than
-absolute transition counts, exactly as EXPERIMENTS.md documents.
+absolute transition counts, as README "Verifying" describes for the
+paper's experiments.
 """
 
 import pytest

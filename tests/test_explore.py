@@ -255,8 +255,7 @@ class TestRunCircuitTasks:
             spec.vectors(stim, 51)
         )
         assert payload["cycles"] == direct.cycles
-        total = sum(v[0] for v in payload["per_node"].values())
-        assert total == direct.total_transitions
+        assert payload_summary(payload)["total"] == direct.total_transitions
 
     def test_fingerprint_identical_tasks_computed_once(self, tmp_path):
         circuit, _ = build_named_circuit("rca4")

@@ -1,9 +1,16 @@
 """Unit tests for the Circuit container."""
 
-import pytest
+import gc
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.circuits.catalog import build_named_circuit
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit, int_to_bits, word_value
+
+from tests.conftest import random_dag_circuit
 
 
 class TestConstruction:
@@ -213,3 +220,69 @@ class TestWordHelpers:
     def test_int_to_bits_rejects_negative(self):
         with pytest.raises(ValueError):
             int_to_bits(-1, 4)
+
+
+def _recount(circuit):
+    """Each net's driver and fanout, recounted from the cell values."""
+    drivers = [None] * len(circuit.nets)
+    fanout = [[] for _ in circuit.nets]
+    for cell in circuit.cells:
+        for pos, out in enumerate(cell.outputs):
+            drivers[out] = (cell.index, pos)
+        for n in cell.inputs:
+            fanout[n].append(cell.index)
+    return drivers, fanout
+
+
+def _assert_nets_match_cells(circuit):
+    drivers, fanout = _recount(circuit)
+    assert [net.driver for net in circuit.nets] == drivers
+    assert [net.fanout for net in circuit.nets] == fanout
+    assert [net.index for net in circuit.nets] == list(range(len(drivers)))
+
+
+class TestFlatNetlist:
+    """The netlist lives in flat lists; ``cells`` and ``nets`` are views."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        loops=st.integers(min_value=0, max_value=2),
+    )
+    def test_net_views_match_a_recount(self, seed, loops):
+        rng = random.Random(seed)
+        c = random_dag_circuit(
+            rng, n_inputs=4, n_gates=14, with_ffs=True, loops=loops
+        )
+        _assert_nets_match_cells(c)
+        # A fanout read between two add_cell calls must not go stale.
+        probe = rng.randrange(len(c.nets))
+        before = c.nets[probe].fanout
+        c.add_cell(CellKind.XOR, [probe, probe], name="late_xor")
+        assert c.nets[probe].fanout == before + [len(c.cells) - 1] * 2
+        c.gate(CellKind.NOT, probe, name="late_not")
+        _assert_nets_match_cells(c)
+
+    def test_views_are_values_of_the_lists(self):
+        c = Circuit("t")
+        a, b = c.add_input("a"), c.add_input("b")
+        s, co = c.add_cell(CellKind.HA, [a, b], name="ha").outputs
+        c.gate(CellKind.NOT, co, name="inv")
+        assert len(c.cells) == 2 and len(c.nets) == 5
+        assert [cell.name for cell in c.cells] == c.cell_names
+        assert c.cells[-1] == c.cell("inv")
+        assert [cell.name for cell in c.cells[::-1]] == ["inv", "ha"]
+        assert c.nets[co].driver == (0, 1)
+        with pytest.raises(IndexError):
+            c.cells[2]
+        with pytest.raises(AttributeError):
+            c.cells.append(None)  # read-only: grow through add_cell
+
+    def test_build_leaves_no_per_cell_objects(self):
+        build_named_circuit("array16")  # imports and module caches
+        gc.collect()
+        before = len(gc.get_objects())
+        circuit, _ = build_named_circuit("array16")
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
+        assert len(circuit.cells) == 496

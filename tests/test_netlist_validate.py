@@ -87,3 +87,20 @@ class TestValidate:
             lambda: build_direction_detector(width=4, threshold=5)[0],
         ):
             assert validate(builder()) == []
+
+    def test_reads_the_flat_lists(self, monkeypatch):
+        """No check builds a ``Net`` view, so a net read by thousands of
+        cells costs one pass, not one copy of its readers per pin."""
+        c = Circuit("t")
+        en, a, b = c.add_input("en"), c.add_input("a"), c.add_input("b")
+        c.mark_output(c.gate(CellKind.AND, a, c.new_net("dangling")))
+        c.gate(CellKind.NOT, a, name="lonely")
+        c.mark_output(c.gate(CellKind.BUF, a, output=b))
+        for i in range(2000):
+            c.mark_output(c.gate(CellKind.AND, en, a, name=f"g{i}"))
+
+        def no_view(self, n):
+            raise AssertionError(f"validate built the view of net {n}")
+
+        monkeypatch.setattr(Circuit, "_net_row", no_view)
+        assert codes(validate(c)) == ["driven-input", "floating", "undriven"]

@@ -190,6 +190,46 @@ class TestPayloadCodec:
         }
         assert back.summary() == result.summary()
 
+    def test_schema1_payload_still_decodes(self):
+        """A store filled before the columnar payload keeps serving hits."""
+        circuit = random_dag_circuit(random.Random(7), n_gates=15)
+        stim = WordStimulus({"i": list(circuit.inputs)})
+        result = ActivityRun(circuit).run(stim.random(random.Random(3), 50))
+        # The schema-1 encoder: one name -> counts record per net.
+        legacy = {
+            "schema": 1,
+            "circuit_name": result.circuit_name,
+            "delay_description": result.delay_description,
+            "cycles": result.cycles,
+            "per_node": {
+                result.node_names[net]: [
+                    a.toggles, a.rises, a.useful, a.useless, a.cycles_active,
+                ]
+                for net, a in result.per_node.items()
+            },
+        }
+        back = decode_result(legacy, circuit)
+        assert back.per_node == result.per_node
+        assert back.summary() == result.summary()
+        assert payload_summary(legacy) == result.summary()
+        assert decode_result(encode_result(result), circuit).per_node == (
+            back.per_node
+        )
+
+    def test_payload_is_columnar(self):
+        circuit = random_dag_circuit(random.Random(5), n_gates=8)
+        stim = WordStimulus({"i": list(circuit.inputs)})
+        result = ActivityRun(circuit).run(stim.random(random.Random(2), 20))
+        payload = encode_result(result)
+        assert payload["schema"] == 2
+        assert payload["nets"] == [
+            result.node_names[n] for n in result.per_node
+        ]
+        assert payload["toggles"] == [
+            a.toggles for a in result.per_node.values()
+        ]
+        assert json.loads(json.dumps(payload)) == payload
+
     def test_payload_summary_matches_result_summary(self):
         circuit = random_dag_circuit(random.Random(11), n_gates=10)
         stim = WordStimulus({"i": list(circuit.inputs)})

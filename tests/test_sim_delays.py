@@ -89,3 +89,22 @@ class TestHinted:
         m = HintedDelay()
         assert m.delay(cell, 0) == 9
         assert m.delay(cell, 1) == 1  # falls back for the carry
+
+
+def test_compile_asks_every_cell():
+    """A compile resolves each cell's own delays, so a subclass of a
+    kind-only model that reads the instance (here the hint) is honoured."""
+    from repro.netlist.circuit import Circuit
+    from repro.netlist.compiled import compile_circuit
+
+    class HintOrUnit(UnitDelay):
+        def delay(self, cell, position):
+            return cell.delay_hint[position] if cell.delay_hint else 1
+
+    c = Circuit("t")
+    a, b = c.add_input("a"), c.add_input("b")
+    x = c.add_cell(CellKind.XOR, [a, b], name="x", delay_hint=(4,)).outputs[0]
+    y = c.gate(CellKind.AND, a, b, name="y")
+    compiled = compile_circuit(c, HintOrUnit())
+    assert compiled.out_specs == (((x, 4),), ((y, 1),))
+    assert compiled.max_delay == 4
