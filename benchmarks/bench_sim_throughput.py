@@ -19,6 +19,10 @@ the heaviest netlists in the reproduction.
   skew the speedup columns.
 * ``test_sim_throughput_farm`` runs the ≥100k-cell ``farm16`` stress
   workload through the vector backend, glitch-exact.
+* ``test_sweep_point_array16`` times what one simulate point of a
+  catalog sweep does after building its circuit: draw a
+  ``UniformStimulus`` stream of 2000 vectors and run it through
+  ``ActivityRun`` on the ``auto`` backend.
 
 ``benchmarks/run_benchmarks.py`` runs this module through
 pytest-benchmark's JSON export and refreshes the committed
@@ -37,6 +41,7 @@ from repro.sim.vector import numpy_available
 from repro.sim.vectors import WordStimulus
 
 FARM_CYCLES = 20
+SWEEP_POINT_CYCLES = 2000
 
 #: Row name -> (backend, delay model) of the parametrized engine rows.
 ENGINES = {
@@ -115,4 +120,21 @@ def test_sim_throughput_farm(benchmark):
         return run.run(iter(vectors)).total_transitions
 
     total = benchmark.pedantic(simulate, rounds=2, iterations=1)
+    assert total > 0
+
+
+def test_sweep_point_array16(benchmark):
+    from repro.circuits.catalog import build_named_circuit
+    from repro.sim.vectors import UniformStimulus
+
+    circuit, stim = build_named_circuit("array16")
+    spec = UniformStimulus(seed=1995)
+    run = ActivityRun(circuit)
+    run.run(spec.vectors(stim, 2))  # warm the compile + plan caches
+
+    def point():
+        vectors = spec.vectors(stim, SWEEP_POINT_CYCLES + 1)
+        return run.run(vectors).total_transitions
+
+    total = benchmark.pedantic(point, rounds=5, iterations=1)
     assert total > 0

@@ -3,8 +3,8 @@
 
 Runs ``bench_sim_throughput.py``, ``bench_estimate_throughput.py``,
 ``bench_explore.py``, ``bench_obs_overhead.py``, ``bench_retime.py``,
-``bench_netlist.py`` and ``bench_startup.py`` through pytest-benchmark's
-JSON export and normalizes the result into
+``bench_netlist.py``, ``bench_startup.py`` and ``bench_batch_size.py``
+through pytest-benchmark's JSON export and normalizes the result into
 ``BENCH_sim.json`` at the repo root: one entry per (backend, workload)
 with the median wall time and derived rates, plus per-workload
 speedups relative to the event-driven reference (simulators) or the
@@ -46,6 +46,7 @@ BENCHES = [
     Path(__file__).resolve().parent / "bench_retime.py",
     Path(__file__).resolve().parent / "bench_netlist.py",
     Path(__file__).resolve().parent / "bench_startup.py",
+    Path(__file__).resolve().parent / "bench_batch_size.py",
 ]
 
 #: ``bench_netlist.py`` test -> (row backend, what one timed pass does).
@@ -107,6 +108,39 @@ def normalize(data: dict) -> dict:
                 ),
                 "median_s": round(median, 6),
                 "cycles_per_s": round(n_cycles / median, 1),
+            }
+            continue
+        elif bench["name"].startswith("test_sweep_point_array16"):
+            from bench_sim_throughput import SWEEP_POINT_CYCLES
+
+            key = f"sweep-point/array16x{SWEEP_POINT_CYCLES}"
+            results[key] = {
+                "backend": "sweep-point",
+                "workload": (
+                    f"array16, UniformStimulus.vectors + ActivityRun.run "
+                    f"(auto), {SWEEP_POINT_CYCLES} cycles"
+                ),
+                "median_s": round(median, 6),
+                "cycles_per_s": round(SWEEP_POINT_CYCLES / median, 1),
+            }
+            continue
+        elif bench["name"].startswith("test_batch_size"):
+            from bench_batch_size import CASES
+
+            circuit, size = params["circuit"], params["size"]
+            n_cycles = CASES[circuit][0]
+            extra = bench.get("extra_info", {})
+            key = f"batch-size/{circuit}@{size}"
+            results[key] = {
+                "backend": "batch-size",
+                "workload": (
+                    f"{circuit}, {n_cycles} cycles, vector glitch-exact, "
+                    f"{extra['batch_cycles']}-cycle batches"
+                ),
+                "median_s": round(median, 6),
+                "cycles_per_s": round(n_cycles / median, 1),
+                "batch_cycles": extra["batch_cycles"],
+                "waveform_bytes": extra["waveform_bytes"],
             }
             continue
         elif bench["name"].startswith("test_sim_throughput_array16"):

@@ -432,7 +432,12 @@ def _make_stimulus_arg(args: argparse.Namespace):
     from repro.sim.vectors import make_stimulus
 
     params = {"seed": args.seed}
-    if args.stimulus == "correlated":
+    if args.flip_probability is not None:
+        if args.stimulus != "correlated":
+            raise SystemExit(
+                "--flip-probability applies only to --stimulus correlated, "
+                f"not {args.stimulus!r}; drop it or use --stimulus correlated"
+            )
         params["flip_probability"] = args.flip_probability
     try:
         return make_stimulus(args.stimulus, **params)
@@ -973,7 +978,10 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["uniform", "correlated", "burst"],
         help="workload whose analytic input statistics drive the estimate",
     )
-    p.add_argument("--flip-probability", type=float, default=0.1)
+    p.add_argument(
+        "--flip-probability", type=float, default=None,
+        help="per-bit flip probability of --stimulus correlated (default 0.1)",
+    )
     p.add_argument(
         "--cache", default=None, metavar="DIR",
         help=(
@@ -1007,7 +1015,10 @@ def make_parser() -> argparse.ArgumentParser:
         "--stimulus", default="uniform",
         choices=["uniform", "correlated", "burst"],
     )
-    p.add_argument("--flip-probability", type=float, default=0.1)
+    p.add_argument(
+        "--flip-probability", type=float, default=None,
+        help="per-bit flip probability of --stimulus correlated (default 0.1)",
+    )
     p.add_argument("--backend", default="auto", choices=BACKEND_CHOICES)
     p.add_argument(
         "--estimate", action="store_true",

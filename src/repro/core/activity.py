@@ -50,10 +50,12 @@ from repro.sim.backends import (
     get_backend,
     pins_zero_delay,
     select_backend,
+    split_first,
     zero_delay_backend,
 )
 from repro.sim.delays import DelayModel, UnitDelay, ZeroDelay
 from repro.sim.engine import CycleTrace, Simulator
+from repro.sim.vectors import WordStream
 
 
 def summarize_counts(
@@ -304,9 +306,9 @@ def _stats_with_failover(
     from repro.service import faults
 
     name = backend_name
-    if failover:
+    if failover and not isinstance(vectors, (list, WordStream)):
         # The stream must be replayable for a mid-run re-dispatch.
-        vectors = vectors if isinstance(vectors, list) else list(vectors)
+        vectors = list(vectors)
     zero = isinstance(delay_model, ZeroDelay)
     with obs.span(
         "sim.run", circuit=circuit.name, backend=backend_name
@@ -520,11 +522,14 @@ class ActivityRun:
     ) -> ActivityResult:
         """Shard the vector stream and merge per-shard results.
 
-        The stream is materialised, split into *shards* contiguous
-        slices, and each slice is simulated independently from its
-        exact boundary state (settled net values + flipflop state,
-        fast-forwarded with the fastest zero-delay engine).  The
-        merged result is bit-identical to :meth:`run` on the same
+        The stream is split into *shards* contiguous slices, and each
+        slice is simulated independently from its exact boundary state
+        (settled net values + flipflop state, fast-forwarded with the
+        fastest zero-delay engine).  A
+        :class:`~repro.sim.vectors.WordStream` is sliced as it is, and
+        each shard's engine resolves its slice a batch at a time; any
+        other stream is first resolved into positional input vectors.
+        The merged result is bit-identical to :meth:`run` on the same
         stream.  With *processes* > 1 the shards run under the
         supervised worker pool (:func:`repro.service.pool.run_supervised`
         — crashed/hung shard workers are respawned and the shard is
@@ -536,25 +541,25 @@ class ActivityRun:
         cc_inputs = tuple(self.circuit.inputs)
         input_set = frozenset(cc_inputs)
         cur = [0] * len(cc_inputs)
-        resolved = []
-        it = iter(vectors)
         if warmup is None:
-            first = next(it, None)
-            if first is None:
+            warmup, vectors = split_first(vectors)
+            if warmup is None:
                 return self._result_shell()
-            warmup = first
         warmup = _resolve_vector(warmup, cc_inputs, input_set, cur)
-        for vec in it:
-            resolved.append(_resolve_vector(vec, cc_inputs, input_set, cur))
+        if not isinstance(vectors, WordStream):
+            vectors = [
+                _resolve_vector(vec, cc_inputs, input_set, cur)
+                for vec in vectors
+            ]
 
-        n = len(resolved)
+        n = len(vectors)
         shards = max(1, min(shards, n)) if n else 1
         base, extra = divmod(n, shards)
-        slices: List[List[List[int]]] = []
+        slices = []
         start = 0
         for s in range(shards):
             size = base + (1 if s < extra else 0)
-            slices.append(resolved[start:start + size])
+            slices.append(vectors[start:start + size])
             start += size
 
         # Fast-forward exact boundary states with the zero-delay engine

@@ -48,6 +48,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(globals(), {
     ),
     ".vectors": (
         "WordStimulus",
+        "WordStream",
         "StimulusSpec",
         "UniformStimulus",
         "CorrelatedStimulus",

@@ -48,13 +48,17 @@ numpy: importing this module does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Protocol, Sequence, Tuple, runtime_checkable
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Protocol, Sequence, Tuple,
+    runtime_checkable,
+)
 
 from repro.core.transitions import NodeActivity
 from repro.netlist.circuit import Circuit
 from repro.obs import trace as obs
 from repro.sim.delays import DelayModel, UnitDelay, ZeroDelay
 from repro.sim.engine import Simulator
+from repro.sim.vectors import WordStream
 
 InputVector = Sequence[int] | Mapping[int, int]
 
@@ -95,6 +99,15 @@ class SimBackend(Protocol):
         ...  # pragma: no cover - protocol stub
 
 
+def _require_inputs(nets: Iterable[int], input_set: frozenset) -> None:
+    for n in nets:
+        if n not in input_set:
+            raise ValueError(
+                f"net {n} is not a primary input; mapping vectors may "
+                "only drive primary inputs"
+            )
+
+
 def _resolve_vector(
     vec: InputVector,
     inputs: Tuple[int, ...],
@@ -108,12 +121,7 @@ def _resolve_vector(
     value.  Updates *current* in place and returns a copy.
     """
     if isinstance(vec, Mapping):
-        for n in vec:
-            if n not in input_set:
-                raise ValueError(
-                    f"net {n} is not a primary input; mapping vectors may "
-                    "only drive primary inputs"
-                )
+        _require_inputs(vec, input_set)
         for pos, net in enumerate(inputs):
             if net in vec:
                 current[pos] = int(bool(vec[net]))
@@ -124,6 +132,105 @@ def _resolve_vector(
             )
         current[:] = [int(bool(v)) for v in vec]
     return list(current)
+
+
+def split_first(
+    vectors: Iterable[InputVector],
+) -> Tuple[InputVector | None, Iterable[InputVector]]:
+    """``(first vector, the rest)``, or ``(None, the rest)`` when empty.
+
+    A :class:`~repro.sim.vectors.WordStream` splits into a dict and a
+    shorter stream, so the rest keeps its batch-resolvable form.
+    """
+    if isinstance(vectors, WordStream):
+        if not len(vectors):
+            return None, vectors
+        return vectors[0], vectors[1:]
+    it = iter(vectors)
+    for first in it:
+        return first, it
+    return None, it
+
+
+#: ``bytes.translate`` table: 0/1 bytes to the digits ``int(_, 2)`` reads.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack_rows(rows: List[List[int]]) -> List[int]:
+    """Per-cycle positional bit rows -> one lane per input (bit k = row k)."""
+    return [
+        int(bytes(reversed(column)).translate(_DIGITS), 2)
+        for column in zip(*rows)
+    ]
+
+
+def _bit_lanes(values: Sequence[int], width: int) -> List[int]:
+    """Transpose one word's per-cycle *values* into *width* bit lanes.
+
+    Each value is written MSB first, last cycle first, into one binary
+    string; bit *b* of every cycle then sits at a stride of *width*
+    characters, so one slice and one ``int(_, 2)`` per bit yield its
+    lane with cycle *k* at bit *k*.
+    """
+    if not width:
+        return []
+    fmt = f"0{width}b"
+    text = "".join([format(v, fmt) for v in reversed(values)])
+    return [int(text[width - 1 - b::width], 2) for b in range(width)]
+
+
+def input_lanes(
+    vectors: Iterable[InputVector],
+    inputs: Tuple[int, ...],
+    input_set: frozenset,
+    current: List[int],
+    size: int,
+) -> Iterator[Tuple[int, List[int]]]:
+    """Resolve *vectors* into batches of primary-input bit lanes.
+
+    Yields ``(nb, lanes)`` for consecutive batches of at most *size*
+    cycles: ``lanes[pos]`` holds input *pos*'s bit in the batch's cycle
+    *k* at bit *k*.  A :class:`~repro.sim.vectors.WordStream` is
+    resolved a batch at a time through one per-input ``(word, bit)``
+    layout, never as per-cycle dicts; any other iterable goes vector by
+    vector through :func:`_resolve_vector`.  Either way an input that
+    no vector drives keeps its *current* value, and *current* is left
+    at the last cycle's bits.
+    """
+    if not isinstance(vectors, WordStream):
+        rows: List[List[int]] = []
+        for vec in vectors:
+            rows.append(_resolve_vector(vec, inputs, input_set, current))
+            if len(rows) == size:
+                yield size, _pack_rows(rows)
+                rows = []
+        if rows:
+            yield len(rows), _pack_rows(rows)
+        return
+    n = len(vectors)
+    if not n:
+        return
+    source: Dict[int, Tuple[int, int]] = {}
+    for w, nets in enumerate(vectors.words):
+        for bit, net in enumerate(nets):
+            source[net] = (w, bit)
+    _require_inputs(source, input_set)
+    layout = [source.get(net) for net in inputs]
+    for k0 in range(0, n, size):
+        k1 = min(k0 + size, n)
+        nb = k1 - k0
+        held = (1 << nb) - 1
+        word_lanes = [
+            _bit_lanes(column[k0:k1], len(nets))
+            for nets, column in zip(vectors.words, vectors.values)
+        ]
+        lanes = [
+            word_lanes[src[0]][src[1]] if src is not None
+            else held * current[pos]
+            for pos, src in enumerate(layout)
+        ]
+        current[:] = [(lane >> (nb - 1)) & 1 for lane in lanes]
+        yield nb, lanes
 
 
 class EventDrivenBackend:
@@ -222,18 +329,19 @@ def run_batches(
       the first vector (or *warmup*) settles the network uncounted,
       unless an exact ``initial_values`` snapshot resumes a stream
       mid-way, in which case an explicit *warmup* re-settles from it;
-    * input resolution, with mapping carry-over (:func:`_resolve_vector`);
-    * cutting the stream into ``engine.batch_cycles``-cycle batches;
+    * input resolution into ``engine.batch_cycles``-cycle batches of
+      input bit lanes, with mapping carry-over (:func:`input_lanes`);
     * per batch, the ``sim.batch`` span, the ``sim.batch_s`` histogram
       and the ``sim.vectors`` / ``sim.cell_evals`` counters;
     * the final :class:`RunStats` state.
 
     The engine supplies ``name``, ``batch_cycles``, its compiled
     circuit ``_cc`` and ``_open(values, ff_state)``, which returns a
-    ``(step, finish)`` pair for one run: ``step(batch)`` simulates one
-    batch of resolved input vectors from the settled state the previous
-    batch left (advancing *ff_state* in place), and ``finish()``
-    returns ``(per_node, final_values)``.
+    ``(step, finish)`` pair for one run: ``step(nb, lanes)`` simulates
+    one *nb*-cycle batch of input lanes (``lanes[pos]`` bit *k* = input
+    *pos* in cycle *k*) from the settled state the previous batch left
+    (advancing *ff_state* in place), and ``finish()`` returns
+    ``(per_node, final_values)``.
     """
     cc = engine._cc
     inputs = cc.inputs
@@ -247,39 +355,23 @@ def run_batches(
         values = [0] * cc.n_nets
     cur_inputs = [values[net] for net in inputs]
 
-    it = iter(vectors)
-    if initial_values is None:
+    if initial_values is None and warmup is None:
+        warmup, vectors = split_first(vectors)
         if warmup is None:
-            try:
-                warmup = next(it)
-            except StopIteration:
-                return RunStats(final_values=values, final_ff_state=ff_state)
-        full = _resolve_vector(warmup, inputs, input_set, cur_inputs)
-        values, _ = cc.evaluate_flat(full, ff_state)
-    elif warmup is not None:
+            return RunStats(final_values=values, final_ff_state=ff_state)
+    if warmup is not None:
         full = _resolve_vector(warmup, inputs, input_set, cur_inputs)
         values, _ = cc.evaluate_flat(full, ff_state)
 
     step, finish = engine._open(values, ff_state)
-    B = engine.batch_cycles
     n_cells = len(cc.cell_kinds)
     cycles = 0
     rec = obs.active()
-    batch: List[List[int]] = []
-    exhausted = False
-    while not exhausted:
-        batch.clear()
-        for vec in it:
-            batch.append(_resolve_vector(vec, inputs, input_set, cur_inputs))
-            if len(batch) == B:
-                break
-        else:
-            exhausted = True
-        if not batch:
-            break
+    for nb, lanes in input_lanes(
+        vectors, inputs, input_set, cur_inputs, engine.batch_cycles
+    ):
         bt0 = rec.now() if rec is not None else 0
-        nb = len(batch)
-        step(batch)
+        step(nb, lanes)
         cycles += nb
         if rec is not None:
             dur = rec.complete(

@@ -142,15 +142,11 @@ def settle_lanes(
     )
 
 
-def _pack_inputs(inputs, batch, n_nets) -> List[int]:
-    """Per-net lane masks with each primary input's cycle stream."""
+def _input_bits(inputs, lanes, n_nets) -> List[int]:
+    """Per-net lane masks holding each primary input's cycle lane."""
     net_bits = [0] * n_nets
-    nb = len(batch)
-    for pos, net in enumerate(inputs):
-        stream = 0
-        for k in range(nb):
-            stream |= batch[k][pos] << k
-        net_bits[net] = stream
+    for net, lane in zip(inputs, lanes):
+        net_bits[net] = lane
     return net_bits
 
 
@@ -258,11 +254,10 @@ class LanesBackend:
         monitor = [n for n in range(n_nets) if monitored[n]]
         per_node: Dict[int, NodeActivity] = {}
 
-        def step(batch):
-            nb = len(batch)
+        def step(nb, lanes):
             mask = (1 << nb) - 1
             top = nb - 1
-            net_bits = _pack_inputs(inputs, batch, n_nets)
+            net_bits = _input_bits(inputs, lanes, n_nets)
             q_bits = settle_lanes(cc, net_bits, mask, values)
             for i, ci in enumerate(ff_cells):
                 ff_state[ci] = (q_bits[i] >> top) & 1
@@ -318,9 +313,8 @@ class LanesBackend:
         consts = None
         last_nb = 0
 
-        def step(batch):
+        def step(nb, lanes):
             nonlocal consts, last_nb
-            nb = len(batch)
             if nb != last_nb:
                 consts = _batch_consts(W, nb)
                 last_nb = nb
@@ -329,7 +323,7 @@ class LanesBackend:
             top = nb - 1
 
             # --- settled pre-pass: zero-delay lanes, one per cycle ----
-            slanes = _pack_inputs(inputs, batch, n_nets)
+            slanes = _input_bits(inputs, lanes, n_nets)
             q_lanes = settle_lanes(cc, slanes, cy_mask, values)
 
             # --- seed waveforms: clock edge + new primary inputs ------

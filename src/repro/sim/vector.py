@@ -198,6 +198,33 @@ def _plan_for(cc: CompiledCircuit) -> _VecPlan:
     return plan
 
 
+#: Waveform bytes a batch grows to: the ``(n_nets, W, words)``
+#: ``uint64`` array of glitch mode (``W`` taken as 1 in zero-delay
+#: mode), one 64-cycle word per row.  From
+#: ``benchmarks/bench_batch_size.py``: small circuits run fastest in one
+#: long batch, and 4 MB keeps a catalog sweep's peak memory where fixed
+#: 256-cycle batches left it (8 or 32 MB raise it by ~2 MB).
+BATCH_BUDGET = 4 << 20
+#: Largest waveform a 256-cycle batch may take.  In 64- or 128-cycle
+#: batches array32 and array48 ran up to ~2x slower than in 256, while
+#: farm16 (145 MB at 256 cycles) runs as fast in 64.
+BATCH_CAP = 32 << 20
+
+
+def batch_cycles_for(n_nets: int, W: int) -> int:
+    """Cycles per batch of a circuit with *n_nets* nets and horizon *W*.
+
+    As many 64-cycle words as :data:`BATCH_BUDGET` holds, and at least
+    four (256 cycles) while those fit :data:`BATCH_CAP`; a circuit too
+    large for that gets one word (64 cycles).
+    """
+    word = max(n_nets, 1) * max(W, 1) * 8
+    words = BATCH_BUDGET // word
+    if words < 4:
+        words = 4 if 4 * word <= BATCH_CAP else 1
+    return 64 * words
+
+
 class VectorBackend:
     """Levelized ndarray backend (see module docstring).
 
@@ -207,6 +234,9 @@ class VectorBackend:
     glitch-exact waveform-lane algorithm; an explicit
     :class:`~repro.sim.delays.ZeroDelay` runs settled batch evaluation
     bit-identical to the lanes backend's zero-delay mode.
+
+    ``batch_cycles`` defaults to :func:`batch_cycles_for` the compiled
+    circuit; results are invariant under the choice.
     """
 
     name = "vector"
@@ -218,7 +248,7 @@ class VectorBackend:
         circuit: Circuit,
         delay_model: DelayModel | None = None,
         monitor: Iterable[int] | None = None,
-        batch_cycles: int = 256,
+        batch_cycles: int | None = None,
     ) -> None:
         reason = numpy_unavailable_reason()
         if reason is not None:
@@ -227,10 +257,9 @@ class VectorBackend:
             raise BackendUnavailableError(
                 f"the 'vector' backend is unavailable: {reason}"
             )
-        if batch_cycles < 1:
+        if batch_cycles is not None and batch_cycles < 1:
             raise ValueError("batch_cycles must be >= 1")
         self.circuit = circuit
-        self.batch_cycles = batch_cycles
         if isinstance(delay_model, ZeroDelay):
             self.delay_model = delay_model
             self.exact_glitches = False
@@ -243,6 +272,7 @@ class VectorBackend:
                 cc, circuit, self.delay_model, "vector"
             )
         self._cc = cc
+        self.batch_cycles = batch_cycles or batch_cycles_for(cc.n_nets, self._W)
         self._plan = _plan_for(cc)
         if monitor is None:
             monitored = np.asarray(cc.driven, dtype=bool)
@@ -319,16 +349,13 @@ class VectorBackend:
         return self._open_zero(v0bits, ff_state)
 
     # ------------------------------------------------------------------
-    def _pack_inputs(self, sl, batch, inputs, nb, nw):
-        # (nb, n_inputs) bit matrix -> per-input cycle-packed words.
-        bits = np.asarray(batch, dtype=np.uint64)
-        for j in range(nw):
-            seg = bits[64 * j: 64 * j + 64]
-            shifts = np.arange(seg.shape[0], dtype=np.uint64)
-            sl[self._plan.input_idx, j] = np.bitwise_or.reduce(
-                seg << shifts[:, None], axis=0
-            )
-        return sl
+    def _pack_inputs(self, sl, lanes, nw):
+        # Per-input lane ints -> their little-endian 64-cycle words.
+        nbytes = 8 * nw
+        sl[self._plan.input_idx] = np.frombuffer(
+            b"".join([lane.to_bytes(nbytes, "little") for lane in lanes]),
+            dtype="<u8",
+        ).reshape(len(lanes), nw)
 
     @staticmethod
     def _word_consts(nb):
@@ -350,17 +377,15 @@ class VectorBackend:
         """Settled batch evaluation (zero-delay semantics)."""
         cc = self._cc
         n_nets = cc.n_nets
-        inputs = cc.inputs
         ff_cells = cc.ff_cells
         acc = tuple(np.zeros(n_nets, np.int64) for _ in range(5))
         acc_tog, acc_rise, acc_useful, _acc_useless, acc_active = acc
 
-        def step(batch):
+        def step(nb, lanes):
             nonlocal v0bits, acc_tog, acc_rise, acc_useful, acc_active
-            nb = len(batch)
             nw, Mw = self._word_consts(nb)
             sl = np.zeros((n_nets, nw), np.uint64)
-            self._pack_inputs(sl, batch, inputs, nb, nw)
+            self._pack_inputs(sl, lanes, nw)
             q_rows = self._settle(sl, Mw, v0bits, nb)
 
             prev = _shl1(sl, Mw)
@@ -392,7 +417,6 @@ class VectorBackend:
         cc = self._cc
         plan = self._plan
         n_nets = cc.n_nets
-        inputs = cc.inputs
         ff_cells = cc.ff_cells
         W = self._W
         edge = plan.edge_idx
@@ -401,13 +425,12 @@ class VectorBackend:
         wave = None
         wave_shape = None
 
-        def step(batch):
+        def step(nb, lanes):
             nonlocal v0bits, wave, wave_shape
             nonlocal acc_tog, acc_rise, acc_useful, acc_useless, acc_active
-            nb = len(batch)
             nw, Mw = self._word_consts(nb)
             sl = np.zeros((n_nets, nw), np.uint64)
-            self._pack_inputs(sl, batch, inputs, nb, nw)
+            self._pack_inputs(sl, lanes, nw)
             q_rows = self._settle(sl, Mw, v0bits, nb)
 
             # Previous-cycle settled bits per lane (cycle 0 <- v0).

@@ -14,13 +14,19 @@ analysis result stand in for recomputation bit for bit.  The registry
 (:data:`STIMULI` / :func:`make_stimulus`) covers the uniform random
 regime of the paper's experiments, the lag-one correlated ablation,
 and a two-state burst-Markov stream modelling idle/active traffic.
+
+Every generator returns a :class:`WordStream`: the drawn word values,
+not one ``{net: bit}`` dict per cycle.  The batch engines turn whole
+batches of it into input bit lanes
+(:func:`repro.sim.backends.input_lanes`); iterating it yields the
+per-cycle dicts for everything else.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from typing import Any, ClassVar, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, ClassVar, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 
 def random_words(
@@ -105,6 +111,52 @@ def gray_sequence(width: int, count: int | None = None) -> List[int]:
     return [(i ^ (i >> 1)) & ((1 << width) - 1) for i in range(n)]
 
 
+def _word_bits(words: Iterable[Tuple[Sequence[int], int]]) -> Dict[int, int]:
+    """``{net: bit}`` for ``(nets, value)`` pairs, nets LSB first."""
+    bits: Dict[int, int] = {}
+    for nets, value in words:
+        for i, net in enumerate(nets):
+            bits[net] = (value >> i) & 1
+    return bits
+
+
+class WordStream:
+    """A replayable stream of word values: what every generator returns.
+
+    ``values[i][k]`` is word *i*'s value in cycle *k*, and
+    ``words[i]`` its nets, LSB first.  Iterating yields one
+    ``{net: bit}`` dict per cycle — exactly what
+    :meth:`WordStimulus.vector` builds from those values — so the event
+    engine, sharding and every caller that iterates see the same
+    vectors; the batch engines read :attr:`values` directly.  ``len``
+    counts cycles, an index yields one cycle's dict and a slice the
+    stream of those cycles.  Values must lie within their word's width
+    (the generators draw them so).
+    """
+
+    __slots__ = ("words", "values")
+
+    def __init__(
+        self, words: Sequence[Sequence[int]], values: Sequence[Sequence[int]]
+    ) -> None:
+        self.words = words
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values[0]) if self.values else 0
+
+    def _bits(self, cycle: Sequence[int]) -> Dict[int, int]:
+        return _word_bits(zip(self.words, cycle))
+
+    def __iter__(self) -> Iterator[Dict[int, int]]:
+        return map(self._bits, zip(*self.values))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return WordStream(self.words, [col[index] for col in self.values])
+        return self._bits([col[index] for col in self.values])
+
+
 class WordStimulus:
     """Maps named input words of a circuit onto per-net bit vectors.
 
@@ -126,43 +178,44 @@ class WordStimulus:
         unknown = set(values) - set(self.words)
         if unknown:
             raise ValueError(f"unknown words: {sorted(unknown)}")
-        bits: Dict[int, int] = {}
         for name, value in values.items():
             nets = self.words[name]
             if value < 0 or value >= (1 << len(nets)):
                 raise ValueError(
                     f"value {value} out of range for {len(nets)}-bit word {name!r}"
                 )
-            for i, net in enumerate(nets):
-                bits[net] = (value >> i) & 1
-        return bits
+        return _word_bits(
+            (self.words[name], value) for name, value in values.items()
+        )
 
-    def random(
-        self, rng: random.Random, count: int
-    ) -> Iterator[Dict[int, int]]:
-        """Yield *count* uniform random vectors covering all words."""
-        for _ in range(count):
-            yield self.vector(
-                **{
-                    name: rng.randint(0, (1 << len(nets)) - 1)
-                    for name, nets in self.words.items()
-                }
-            )
+    def stream(self, values: Sequence[Sequence[int]]) -> WordStream:
+        """A :class:`WordStream` of per-word value columns (word order)."""
+        return WordStream(list(self.words.values()), values)
+
+    def random(self, rng: random.Random, count: int) -> WordStream:
+        """*count* uniform random vectors covering all words.
+
+        One ``randint`` per word per cycle, cycle-major: the draw order
+        every uniform stream has always had.
+        """
+        randint = rng.randint
+        tops = [(1 << len(nets)) - 1 for nets in self.words.values()]
+        draws = [randint(0, top) for _ in range(count) for top in tops]
+        n = len(tops)
+        return self.stream([draws[i::n] for i in range(n)])
 
     def correlated(
         self,
         rng: random.Random,
         count: int,
         flip_probability: float = 0.1,
-    ) -> Iterator[Dict[int, int]]:
-        """Yield *count* lag-one correlated vectors (see
-        :func:`correlated_words`)."""
-        streams = {
-            name: correlated_words(rng, len(nets), count, flip_probability)
-            for name, nets in self.words.items()
-        }
-        for k in range(count):
-            yield self.vector(**{name: streams[name][k] for name in streams})
+    ) -> WordStream:
+        """*count* lag-one correlated vectors (see
+        :func:`correlated_words`), drawn word by word."""
+        return self.stream([
+            correlated_words(rng, len(nets), count, flip_probability)
+            for nets in self.words.values()
+        ])
 
     def exhaustive(self) -> Iterator[Dict[int, int]]:
         """Yield every combination of word values (small widths only)."""
@@ -186,6 +239,19 @@ class WordStimulus:
 # Declarative stimulus specs
 # ---------------------------------------------------------------------------
 
+def _canonical_probability(spec: "StimulusSpec", name: str) -> None:
+    """Check probability field *name* and store it as a float.
+
+    ``0``, ``0.0`` and ``-0.0`` draw one stream, so they must give one
+    fingerprint: adding ``0.0`` maps ``-0.0`` to ``0.0`` and leaves
+    every other float as it was.
+    """
+    p = getattr(spec, name)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must be within [0, 1]")
+    object.__setattr__(spec, name, float(p) + 0.0)
+
+
 @dataclass(frozen=True)
 class StimulusSpec:
     """A frozen, hashable description of an input stream.
@@ -207,10 +273,8 @@ class StimulusSpec:
     #: Registry key; stable across releases (part of fingerprints).
     kind: ClassVar[str] = "base"
 
-    def vectors(
-        self, stim: WordStimulus, count: int
-    ) -> Iterator[Dict[int, int]]:
-        """Yield *count* per-net input vectors over *stim*'s words."""
+    def vectors(self, stim: WordStimulus, count: int) -> WordStream:
+        """The *count*-cycle stream over *stim*'s words."""
         raise NotImplementedError
 
     def to_dict(self) -> Dict[str, Any]:
@@ -251,9 +315,7 @@ class UniformStimulus(StimulusSpec):
 
     kind: ClassVar[str] = "uniform"
 
-    def vectors(
-        self, stim: WordStimulus, count: int
-    ) -> Iterator[Dict[int, int]]:
+    def vectors(self, stim: WordStimulus, count: int) -> WordStream:
         return stim.random(random.Random(self.seed), count)
 
 
@@ -266,12 +328,9 @@ class CorrelatedStimulus(StimulusSpec):
     kind: ClassVar[str] = "correlated"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.flip_probability <= 1.0:
-            raise ValueError("flip_probability must be within [0, 1]")
+        _canonical_probability(self, "flip_probability")
 
-    def vectors(
-        self, stim: WordStimulus, count: int
-    ) -> Iterator[Dict[int, int]]:
+    def vectors(self, stim: WordStimulus, count: int) -> WordStream:
         return stim.correlated(
             random.Random(self.seed), count, self.flip_probability
         )
@@ -296,34 +355,25 @@ class BurstMarkovStimulus(StimulusSpec):
     kind: ClassVar[str] = "burst"
 
     def __post_init__(self) -> None:
-        for name in ("p_burst", "p_end"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1]")
+        _canonical_probability(self, "p_burst")
+        _canonical_probability(self, "p_end")
 
-    def vectors(
-        self, stim: WordStimulus, count: int
-    ) -> Iterator[Dict[int, int]]:
+    def vectors(self, stim: WordStimulus, count: int) -> WordStream:
         rng = random.Random(self.seed)
-        names = list(stim.words)
-        bursting = dict.fromkeys(names, False)
-        value = {
-            name: rng.randint(0, (1 << len(stim.words[name])) - 1)
-            for name in names
-        }
+        tops = [(1 << len(nets)) - 1 for nets in stim.words.values()]
+        value = [rng.randint(0, top) for top in tops]
+        bursting = [False] * len(tops)
+        columns: List[List[int]] = [[] for _ in tops]
         for _ in range(count):
-            values = {}
-            for name in names:
-                if bursting[name]:
-                    value[name] = rng.randint(
-                        0, (1 << len(stim.words[name])) - 1
-                    )
+            for i, top in enumerate(tops):
+                if bursting[i]:
+                    value[i] = rng.randint(0, top)
                     if rng.random() < self.p_end:
-                        bursting[name] = False
+                        bursting[i] = False
                 elif rng.random() < self.p_burst:
-                    bursting[name] = True
-                values[name] = value[name]
-            yield stim.vector(**values)
+                    bursting[i] = True
+                columns[i].append(value[i])
+        return stim.stream(columns)
 
 
 #: Registered stimulus kinds, by :attr:`StimulusSpec.kind`.

@@ -350,6 +350,26 @@ class TestEstimateCommands:
         out = capsys.readouterr().out
         assert "correlated" in out and "D=0.1" in out
 
+    def test_flip_probability_defaults_for_correlated(self, capsys):
+        assert main([
+            "estimate", "--circuit", "rca4", "--stimulus", "correlated",
+        ]) == 0
+        assert "correlated(flip_probability=0.1, seed=1995)" in (
+            capsys.readouterr().out
+        )
+
+    @pytest.mark.parametrize("command,stimulus", [
+        (["submit", "--circuit", "rca4", "--vectors", "5"], "uniform"),
+        (["estimate", "--circuit", "rca4", "--stimulus", "burst"], "burst"),
+    ], ids=["submit", "estimate"])
+    def test_flip_probability_needs_correlated(self, command, stimulus):
+        proc = _run_cli([*command, "--flip-probability", "0.3"])
+        _assert_one_line_error(
+            proc,
+            "--flip-probability applies only to --stimulus correlated, "
+            f"not {stimulus!r}; drop it or use --stimulus correlated",
+        )
+
     def test_estimate_cache_warm(self, tmp_path, capsys):
         args = ["estimate", "--circuit", "rca8", "--cache", str(tmp_path)]
         assert main(args) == 0

@@ -208,5 +208,24 @@ class TestStimulusSpecs:
         with pytest.raises(ValueError, match="lacks a 'kind'"):
             stimulus_from_dict({"seed": 1})
 
+    def test_equal_probabilities_share_one_fingerprint(self):
+        """``0``, ``0.0`` and ``-0.0`` draw one stream: one store key."""
+        correlated = [
+            make_stimulus("correlated", seed=1, flip_probability=p)
+            for p in (0.0, -0.0, 0)
+        ]
+        assert len({s.fingerprint() for s in correlated}) == 1
+        assert {s.describe() for s in correlated} == {
+            "correlated(flip_probability=0.0, seed=1)"
+        }
+        burst = [
+            make_stimulus("burst", seed=1, p_burst=a, p_end=b)
+            for a, b in ((0, 1), (0.0, 1.0), (-0.0, 1))
+        ]
+        assert len({s.fingerprint() for s in burst}) == 1
+        # Float parameters keep their value, so stored keys still hit.
+        spec = CorrelatedStimulus(seed=1, flip_probability=0.1)
+        assert spec.to_dict()["flip_probability"] == 0.1
+
     def test_specs_are_hashable(self):
         assert len({UniformStimulus(seed=1), UniformStimulus(seed=1)}) == 1
