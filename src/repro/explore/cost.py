@@ -44,20 +44,21 @@ from repro.tech.clock import ClockTreeModel
 from repro.tech.library import TechnologyLibrary
 
 
-def transition_instant_sets(
+def transition_instants(
     circuit: Circuit, delay_model: DelayModel
-) -> Dict[int, FrozenSet[int]]:
-    """Per-net set of distinct potential transition instants per cycle.
+) -> Dict[int, int]:
+    """Per-net **count** of potential transition instants per cycle.
 
     Primary inputs and flipflop outputs switch only at the clock edge
     (one instant, t=0).  A combinational output can change at
     ``t + d`` for every distinct instant *t* at which any of its
     inputs can change, so the instant sets propagate through one
-    topological pass; their sizes bound how many times each net can
-    evaluate per cycle.  Constant-driven and undriven nets never
-    transition (zero instants — no entry here).  Sets are bounded by
-    the critical path length, so the pass is cheap even on deep
-    circuits.
+    topological pass over the delay compile's ``out_specs``; their
+    sizes bound how many times each net can evaluate per cycle — the
+    glitch multiplier :func:`estimated_cost` feeds into the analytic
+    power term.  Constant-driven and undriven nets never transition
+    (zero instants — no entry here).  Sets are bounded by the critical
+    path length, so the pass is cheap even on deep circuits.
     """
     compiled = compile_circuit(circuit, delay_model)
     empty: FrozenSet[int] = frozenset()
@@ -71,20 +72,7 @@ def transition_instant_sets(
             arrivals |= instants.get(n, empty)
         for out, d in specs[ci]:
             instants[out] = frozenset(t + d for t in arrivals)
-    return instants
-
-
-def transition_instants(
-    circuit: Circuit, delay_model: DelayModel
-) -> Dict[int, int]:
-    """Per-net **count** of potential transition instants per cycle.
-
-    The size projection of :func:`transition_instant_sets` — the
-    glitch multiplier :func:`estimated_cost` feeds into the analytic
-    power term.
-    """
-    sets = transition_instant_sets(circuit, delay_model)
-    return {net: len(times) for net, times in sets.items()}
+    return {net: len(times) for net, times in instants.items()}
 
 
 @dataclass(frozen=True)
@@ -182,20 +170,6 @@ class CostContext:
         )
 
 
-def structural_metrics(
-    circuit: Circuit,
-    delay_model: DelayModel,
-    context: CostContext,
-    latency: int,
-) -> Tuple[float, int]:
-    """``(area_mm2, period)`` — exact, simulation-free objectives."""
-    _, tech, _, area_model = context.resolved()
-    return (
-        area_model.circuit_area_mm2(circuit, tech),
-        circuit.critical_path_length(delay_model.delay),
-    )
-
-
 def estimated_cost(
     circuit: Circuit,
     delay_model: DelayModel,
@@ -213,11 +187,15 @@ def estimated_cost(
     as :func:`repro.core.power.estimate_power`, so the two cost paths
     differ only in how glitches enter the logic term.
     """
+    _, tech, _, area_model = context.resolved()
     activities = useful_activities(circuit, stimulus)
     instants = transition_instants(circuit, delay_model)
-    period = circuit.critical_path_length(delay_model.delay)
-    return estimated_cost_from(
-        circuit, context, latency, activities, instants, period
+    power = _power_from_estimate(circuit, context, activities, instants)
+    return CostVector(
+        power_mw=power * 1e3,
+        area_mm2=area_model.circuit_area_mm2(circuit, tech),
+        latency=latency,
+        period=circuit.critical_path_length(delay_model),
     )
 
 
@@ -260,28 +238,6 @@ def _power_from_estimate(
     )
 
 
-def estimated_cost_from(
-    circuit: Circuit,
-    context: CostContext,
-    latency: int,
-    activities: Dict[int, float],
-    instant_counts: Dict[int, int],
-    period: int,
-) -> CostVector:
-    """Assemble :func:`estimated_cost`'s :class:`CostVector`.
-
-    Takes the already-computed ingredients — the per-net useful rates,
-    the per-net instant counts and the critical path — and adds the
-    analytic power (:func:`_power_from_estimate`) and the area.
-    """
-    _, tech, _, area_model = context.resolved()
-    power = _power_from_estimate(circuit, context, activities, instant_counts)
-    area = area_model.circuit_area_mm2(circuit, tech)
-    return CostVector(
-        power_mw=power * 1e3, area_mm2=area, latency=latency, period=period
-    )
-
-
 def simulated_cost(
     circuit: Circuit,
     activity: ActivityResult,
@@ -290,16 +246,15 @@ def simulated_cost(
     latency: int = 0,
 ) -> CostVector:
     """Exact cost from a glitch-exact simulation of *circuit*."""
-    frequency, tech, clock_model, _ = context.resolved()
+    frequency, tech, clock_model, area_model = context.resolved()
     breakdown = estimate_power(
         circuit, activity, frequency, tech, clock_model
     )
-    area, period = structural_metrics(circuit, delay_model, context, latency)
     return CostVector(
         power_mw=breakdown.total * 1e3,
-        area_mm2=area,
+        area_mm2=area_model.circuit_area_mm2(circuit, tech),
         latency=latency,
-        period=period,
+        period=circuit.critical_path_length(delay_model),
     )
 
 

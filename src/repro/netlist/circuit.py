@@ -389,38 +389,18 @@ class Circuit:
 
         return [self._cell_row(ci) for ci in compile_circuit(self).topo]
 
-    def levelize(self, delay_of=None) -> dict[int, int]:
-        """Arrival level per net under a per-cell-output delay function.
+    def critical_path_length(self, delay_model=None) -> int:
+        """Longest register-to-register / input-to-output delay.
 
-        *delay_of(cell, output_position)* defaults to unit delay for
-        every combinational cell output.  Primary inputs and DFF outputs
-        are at level 0.  Returns ``{net_index: level}`` for every driven
-        or primary-input net.
+        The latest arrival (:attr:`CompiledCircuit.levels`) over the
+        outputs and flipflop D pins under *delay_model* (default unit).
         """
         from repro.netlist.compiled import compile_circuit
+        from repro.sim.delays import UnitDelay
 
-        compiled = compile_circuit(self)
-        level: dict[int, int] = dict.fromkeys(self.inputs, 0)
-        level.update(dict.fromkeys(compiled.ff_q, 0))
-        get, cell_inputs = level.get, self.cell_inputs
-        for ci in compiled.topo:
-            at = max([get(n, 0) for n in cell_inputs[ci]], default=0)
-            if delay_of is None:
-                for out in self.cell_outputs[ci]:
-                    level[out] = at + 1
-            else:
-                cell = self._cell_row(ci)
-                for pos, out in enumerate(cell.outputs):
-                    level[out] = at + delay_of(cell, pos)
-        return level
-
-    def critical_path_length(self, delay_of=None) -> int:
-        """Longest register-to-register / input-to-output delay."""
-        from repro.netlist.compiled import compile_circuit
-
-        level = self.levelize(delay_of)
-        endpoints = (*self.outputs, *compile_circuit(self).ff_d)
-        return max((level.get(n, 0) for n in endpoints), default=0)
+        compiled = compile_circuit(self, delay_model or UnitDelay())
+        level = compiled.levels
+        return max([level[n] for n in (*self.outputs, *compiled.ff_d)], default=0)
 
     # ------------------------------------------------------------------
     # functional evaluation (zero delay, single cycle)

@@ -9,6 +9,8 @@ unit-depth level, and :func:`level_groups` buckets the topo order into
 together.  :func:`arrival_windows` records when each net can change
 within a cycle; the two glitch-exact batch engines (lanes and vector)
 take their per-cycle time axis from it (:func:`static_event_horizon`).
+:func:`arrival_levels` gives each net's latest arrival, which the
+critical path and path balancing read.
 
 Everything here is pure Python — numpy is only touched by the vector
 backend that consumes :func:`level_groups`.
@@ -139,6 +141,23 @@ def arrival_windows(cc: "CompiledCircuit") -> Tuple[List[int], List[int]]:
                 lo[out_net] = first + dly
                 hi[out_net] = last + dly
     return lo, hi
+
+
+def arrival_levels(cc: "CompiledCircuit") -> List[int]:
+    """Per net, its latest arrival: the longest delay path that ends there.
+
+    Inputs, flipflop outputs and undriven nets are at 0; a cell output
+    at ``d`` after its latest input, or after 0 for a constant.  Unlike
+    :func:`arrival_windows`, paths from a constant count: balancing
+    pads against them, and the critical path includes them.
+    """
+    level = [0] * cc.n_nets
+    cell_inputs, out_specs = cc.cell_inputs, cc.out_specs
+    for ci in cc.topo:
+        at = max([level[n] for n in cell_inputs[ci]], default=0)
+        for out_net, dly in out_specs[ci]:
+            level[out_net] = at + dly
+    return level
 
 
 def static_event_horizon(

@@ -10,18 +10,19 @@ A compile builds only the flat core that every consumer reads:
 
 * per-cell flat tuples — kind, input nets, output nets, sequential flag;
 * ``out_specs`` — per cell, ``((out_net, delay), ...)`` pairs
-  pre-resolved through the delay model (``None`` when compiled
-  without one, e.g. for purely functional evaluation);
+  pre-resolved through the delay model (:func:`resolve_delays`;
+  ``None`` when compiled without one, e.g. for purely functional
+  evaluation);
 * the topological order of the combinational cells (which
   :meth:`Circuit.topological_cells` reads);
 * the flipflop wiring (cell, D net, Q net) as parallel tuples.
 
 Everything else is a lazy view, built on first access for the
-consumer that reads it: the event engine's fused evaluators, the
-combinational fanout (event and lanes), the lanes engine's bitmask
-kernels, the estimators' ``topo_steps``, the vector tier's groups and
-the arrival windows.  :meth:`CompiledCircuit.evaluate_flat` reads the
-kind table, so a vector or estimate run builds no per-cell closure.
+consumer that reads it: the fused bitmask kernels (event and lanes
+engines), the combinational fanout (event and lanes), the estimators'
+``topo_steps``, the vector tier's groups, the arrival windows and the
+per-net arrival levels.  :meth:`CompiledCircuit.evaluate_flat` reads
+the kind table, so a vector or estimate run builds no per-cell closure.
 
 Memoization is keyed on the circuit object (weakly, so compiled forms
 die with their circuits) plus :meth:`DelayModel.cache_token`, and
@@ -60,123 +61,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 
 # ---------------------------------------------------------------------------
-# Kind-specialized fused evaluators
+# Fused bitmask kernels
 # ---------------------------------------------------------------------------
 #
-# The generic evaluation pattern — ``ins = [values[n] for n in nets];
-# outs = evaluator(ins)`` — allocates one throwaway list per cell per
-# evaluation, which the event engine pays millions of times per run.
-# A *fused* evaluator captures the cell's input net indices once and
-# reads the flat ``values`` array directly, with a branch-free
-# bitop body specialized per (kind, arity); wider n-ary gates loop
-# over their captured nets.  It computes :func:`cells.evaluate_kind`
-# (``tests/test_cell_semantics.py`` checks every kind and pattern).
-# Built lazily: only the event engine reads them
-# (:attr:`CompiledCircuit.cell_eval_fused`).
-
-def _fuse_cell(
-    kind: CellKind, nets: Tuple[int, ...]
-) -> Callable[[Sequence[int]], Tuple[int, ...]]:
-    """Build the fused evaluator for one cell instance."""
-    n = len(nets)
-    if kind is CellKind.CONST0:
-        return lambda values: (0,)
-    if kind is CellKind.CONST1:
-        return lambda values: (1,)
-    if kind in (CellKind.BUF, CellKind.DFF):
-        a, = nets
-        return lambda values, _a=a: (values[_a],)
-    if kind is CellKind.NOT:
-        a, = nets
-        return lambda values, _a=a: (values[_a] ^ 1,)
-    if kind is CellKind.MUX2:
-        s, a, b = nets
-        # 0/1-domain branch-free select: a when s == 0, b when s == 1.
-        return lambda values, _s=s, _a=a, _b=b: (
-            values[_a] ^ ((values[_a] ^ values[_b]) & values[_s]),
-        )
-    if kind is CellKind.HA:
-        a, b = nets
-        def f_ha(values, _a=a, _b=b):
-            x, y = values[_a], values[_b]
-            return (x ^ y, x & y)
-        return f_ha
-    if kind is CellKind.FA:
-        a, b, c = nets
-        def f_fa(values, _a=a, _b=b, _c=c):
-            x, y, z = values[_a], values[_b], values[_c]
-            p = x ^ y
-            return (p ^ z, (x & y) | (z & p))
-        return f_fa
-    if kind in (CellKind.AND, CellKind.NAND):
-        inv = 1 if kind is CellKind.NAND else 0
-        if n == 2:
-            a, b = nets
-            return lambda values, _a=a, _b=b, _i=inv: (
-                (values[_a] & values[_b]) ^ _i,
-            )
-        if n == 3:
-            a, b, c = nets
-            return lambda values, _a=a, _b=b, _c=c, _i=inv: (
-                (values[_a] & values[_b] & values[_c]) ^ _i,
-            )
-        def f_and(values, _n=nets, _i=inv):
-            out = 1
-            for net in _n:
-                out &= values[net]
-            return (out ^ _i,)
-        return f_and
-    if kind in (CellKind.OR, CellKind.NOR):
-        inv = 1 if kind is CellKind.NOR else 0
-        if n == 2:
-            a, b = nets
-            return lambda values, _a=a, _b=b, _i=inv: (
-                (values[_a] | values[_b]) ^ _i,
-            )
-        if n == 3:
-            a, b, c = nets
-            return lambda values, _a=a, _b=b, _c=c, _i=inv: (
-                (values[_a] | values[_b] | values[_c]) ^ _i,
-            )
-        def f_or(values, _n=nets, _i=inv):
-            out = 0
-            for net in _n:
-                out |= values[net]
-            return (out ^ _i,)
-        return f_or
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        inv = 1 if kind is CellKind.XNOR else 0
-        if n == 2:
-            a, b = nets
-            return lambda values, _a=a, _b=b, _i=inv: (
-                values[_a] ^ values[_b] ^ _i,
-            )
-        if n == 3:
-            a, b, c = nets
-            return lambda values, _a=a, _b=b, _c=c, _i=inv: (
-                values[_a] ^ values[_b] ^ values[_c] ^ _i,
-            )
-        def f_xor(values, _n=nets, _i=inv):
-            out = _i
-            for net in _n:
-                out ^= values[net]
-            return (out,)
-        return f_xor
-    raise ValueError(f"no fused evaluator for {kind}")
-
-
-# ---------------------------------------------------------------------------
-# Fused bitwise (lane-packed) kernels
-# ---------------------------------------------------------------------------
-#
-# The same fusion idea applied to *bitmask* evaluation: one integer per
-# net, each bit one independent lane, inversions against an explicit
-# lane mask.  The lanes engine (repro.sim.lanes) packs one clock cycle
-# per lane in zero-delay mode and one intra-cycle event time per lane
-# in glitch mode, and evaluates every cell exactly once per batch
-# through these kernels.  Gates wider than three inputs fall back to
-# the kind's table entry (:data:`cells._BIT_EVALUATORS`).  Built lazily:
-# see :attr:`CompiledCircuit.cell_eval_bits`.
+# A *fused* kernel captures one cell's input net indices and reads the
+# flat per-net array directly with a bitop body specialized per (kind,
+# arity), instead of building a throwaway input list per evaluation.
+# Each net holds an integer whose bits are independent lanes;
+# inversions go against an explicit lane mask.  The event engine calls
+# the kernels with mask 1; the lanes engine packs one clock cycle (zero
+# delay) or one intra-cycle event time (glitch mode) per lane.  Gates
+# wider than three inputs fall back to :data:`cells._BIT_EVALUATORS`;
+# ``tests/test_cell_semantics.py`` checks every kind and pattern.
+# Built lazily: see :attr:`CompiledCircuit.cell_eval_bits`.
 
 def _fuse_bits_generic(evaluator, nets):
     def f(bits, mask, _e=evaluator, _n=nets):
@@ -308,16 +205,6 @@ class CompiledCircuit:
     # instance ``__dict__``, which the frozen dataclass permits.
 
     @cached_property
-    def cell_eval_fused(
-        self,
-    ) -> Tuple[Callable[[Sequence[int]], Tuple[int, ...]], ...]:
-        """Per-cell fused 0/1 evaluators (:func:`_fuse_cell`), for the event engine."""
-        return tuple(
-            _fuse_cell(kind, nets)
-            for kind, nets in zip(self.cell_kinds, self.cell_inputs)
-        )
-
-    @cached_property
     def comb_fanout(self) -> Tuple[Tuple[int, ...], ...]:
         """Per net, its combinational readers: the fanout minus flipflops."""
         fanout: List[List[int]] = [[] for _ in range(self.n_nets)]
@@ -333,9 +220,10 @@ class CompiledCircuit:
     ) -> Tuple[Callable[[Sequence[int], int], Tuple[int, ...]], ...]:
         """Per-cell fused bitmask kernels (:func:`_fuse_bits`).
 
-        The same fusion as :attr:`cell_eval_fused` over a per-net
-        integer-bitmask array, one independent lane per bit.  Only the
-        lanes engine (:mod:`repro.sim.lanes`) reads them.
+        ``cell_eval_bits[ci](values, mask)`` evaluates cell *ci* over a
+        per-net integer array, one independent lane per bit of *mask*.
+        The event engine calls them with mask 1, the lanes engine
+        (:mod:`repro.sim.lanes`) with one lane per cycle or event time.
         """
         return tuple(
             _fuse_bits(kind, nets)
@@ -373,6 +261,13 @@ class CompiledCircuit:
         from repro.netlist import codegen
 
         return codegen.arrival_windows(self)
+
+    @cached_property
+    def levels(self) -> List[int]:
+        """Per-net latest arrival (:func:`repro.netlist.codegen.arrival_levels`)."""
+        from repro.netlist import codegen
+
+        return codegen.arrival_levels(self)
 
     # ------------------------------------------------------------------
     def evaluate_flat(
@@ -548,6 +443,25 @@ def delay_fingerprint(
     return _digest(("delay-v2", circuit.fingerprint(), delays))
 
 
+def resolve_delays(
+    circuit: "Circuit", delay_model: "DelayModel"
+) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Per cell, ``((out_net, delay), ...)`` under *delay_model* (0 for a flipflop).
+
+    The one place that asks a delay model about a netlist's cells, one
+    short-lived :class:`~repro.netlist.cells.Cell` view each: the
+    snapshot's ``out_specs`` and the retiming graph's vertex delays
+    read it.  It needs no topological order, so a netlist with a
+    combinational cycle resolves too.
+    """
+    DFF, delay = CellKind.DFF, delay_model.delay
+    return tuple([
+        ((cell.outputs[0], 0),) if cell.kind is DFF
+        else tuple([(out, delay(cell, pos)) for pos, out in enumerate(cell.outputs)])
+        for cell in circuit.cells
+    ])
+
+
 def _build(
     circuit: "Circuit", delay_model: "DelayModel | None"
 ) -> CompiledCircuit:
@@ -557,21 +471,11 @@ def _build(
     cell_outputs = tuple(circuit.cell_outputs)
     cell_is_seq = tuple([kind is DFF for kind in cell_kinds])
     ff_cells = tuple([ci for ci, seq in enumerate(cell_is_seq) if seq])
-    out_specs: List[Tuple[Tuple[int, int], ...]] | None = None
+    out_specs = None
     max_delay = 0
     if delay_model is not None:
-        delay = delay_model.delay
-        out_specs = []
-        for cell in circuit.cells:
-            outs = cell.outputs
-            if cell.kind is DFF:
-                out_specs.append(((outs[0], 0),))
-                continue
-            spec = tuple([(out, delay(cell, pos)) for pos, out in enumerate(outs)])
-            out_specs.append(spec)
-            for _, d in spec:
-                if d > max_delay:
-                    max_delay = d
+        out_specs = resolve_delays(circuit, delay_model)
+        max_delay = max(0, max([d for spec in out_specs for _, d in spec], default=0))
     return CompiledCircuit(
         name=circuit.name,
         version=circuit.version,
@@ -591,7 +495,7 @@ def _build(
         ff_cells=ff_cells,
         ff_d=tuple([cell_inputs[ci][0] for ci in ff_cells]),
         ff_q=tuple([cell_outputs[ci][0] for ci in ff_cells]),
-        out_specs=None if out_specs is None else tuple(out_specs),
+        out_specs=out_specs,
         max_delay=max_delay,
     )
 

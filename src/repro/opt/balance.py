@@ -25,6 +25,7 @@ from typing import Dict, Tuple
 
 from repro.netlist.cells import Cell, CellKind
 from repro.netlist.circuit import Circuit
+from repro.netlist.compiled import compile_circuit
 from repro.sim.delays import DelayModel, UnitDelay
 
 
@@ -71,7 +72,7 @@ def balance_paths(
     delay_model = delay_model or UnitDelay()
     d_buf = _buffer_delay(delay_model)
 
-    level = circuit.levelize(delay_model.delay)
+    level = compile_circuit(circuit, delay_model).levels
 
     new = Circuit(name or f"{circuit.name}_balanced")
     names = circuit.net_names
@@ -114,7 +115,7 @@ def balance_paths(
         if kind is CellKind.DFF:
             new_inputs = [net_map[n] for n in ins]
         else:
-            arrivals = [level.get(n, 0) for n in ins]
+            arrivals = [level[n] for n in ins]
             latest = max(arrivals, default=0)
             new_inputs = []
             for n, at in zip(ins, arrivals):
@@ -147,12 +148,12 @@ def balancing_report(
     transitions").
     """
     delay_model = delay_model or UnitDelay()
-    level = circuit.levelize(delay_model.delay)
+    level = compile_circuit(circuit, delay_model).levels
     skews = []
     for kind, ins in zip(circuit.cell_kinds, circuit.cell_inputs):
         if kind is CellKind.DFF or len(ins) < 2:
             continue
-        arrivals = [level.get(n, 0) for n in ins]
+        arrivals = [level[n] for n in ins]
         skews.append(max(arrivals) - min(arrivals))
     if not skews:
         return {"cells": 0, "mean_skew": 0.0, "max_skew": 0, "skewed_fraction": 0.0}

@@ -21,7 +21,6 @@ from repro import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(globals(), {
     ".graph": ("RetimingGraph", "HOST", "HOST_OUT"),
     ".leiserson_saxe": (
-        "combinational_delays",
         "feas",
         "minimum_period",
         "retime_for_period",

@@ -34,6 +34,7 @@ from typing import Dict, List, Mapping, Tuple
 
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
+from repro.netlist.compiled import resolve_delays
 from repro.sim.delays import DelayModel, UnitDelay
 
 #: Vertex ids of the host (I/O) vertices; real vertices are cell indices.
@@ -111,16 +112,13 @@ class RetimingGraph:
         path between combinational cells / ports; cyclic FF-only loops
         are rejected.
         """
-        delay_model = delay_model or UnitDelay()
         kinds, inputs = circuit.cell_kinds, circuit.cell_inputs
         DFF = CellKind.DFF
         vertices = [ci for ci, kind in enumerate(kinds) if kind is not DFF]
+        specs = resolve_delays(circuit, delay_model or UnitDelay())
         delay: Dict[int, int] = {HOST: 0}
         for ci in vertices:
-            cell = circuit.cells[ci]
-            delay[ci] = max(
-                delay_model.delay(cell, pos) for pos in range(len(cell.outputs))
-            )
+            delay[ci] = max([d for _, d in specs[ci]])
 
         input_set = set(circuit.inputs)
         driver = circuit.net_driver

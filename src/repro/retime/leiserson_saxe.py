@@ -39,23 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.netlist.circuit import Circuit
 from repro.retime.graph import CELL_SLOT, RetimingGraph
-from repro.sim.delays import DelayModel, UnitDelay
-
-
-def combinational_delays(
-    circuit: Circuit, delay_model: DelayModel | None = None
-) -> Dict[int, int]:
-    """Per-combinational-cell delay = max over its outputs' delays."""
-    delay_model = delay_model or UnitDelay()
-    return {
-        c.index: max(
-            delay_model.delay(c, pos) for pos in range(len(c.outputs))
-        )
-        for c in circuit.cells
-        if not c.is_sequential
-    }
 
 
 def _arrival_times(

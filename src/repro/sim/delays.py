@@ -80,6 +80,8 @@ class PerKindDelay(DelayModel):
         for kind, d in table.items():
             if d < 0:
                 raise ValueError(f"negative delay for {kind}")
+        if default < 0:
+            raise ValueError(f"negative default delay {default}")
         self._table = dict(table)
         self._default = default
 

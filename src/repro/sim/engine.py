@@ -213,7 +213,7 @@ class Simulator:
         wheel[0] = at0
         n_slots = 1
         comb_fanout = cc.comb_fanout
-        fused = cc.cell_eval_fused
+        kernels = cc.cell_eval_bits
         out_specs = cc.out_specs
         monitored = self._monitored
         toggles = trace.toggles
@@ -248,7 +248,7 @@ class Simulator:
             if any_change:
                 last_time = t
             for ci in affected:
-                outs = fused[ci](values)
+                outs = kernels[ci](values, 1)
                 for (out_net, d), v in zip(out_specs[ci], outs):
                     widx = (t + d) % size
                     slot = wheel[widx]

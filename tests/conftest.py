@@ -51,6 +51,7 @@ def random_dag_circuit(
     n_gates: int = 12,
     with_ffs: bool = False,
     loops: int = 0,
+    consts: int = 0,
 ) -> Circuit:
     """A random combinational (optionally sequential) DAG circuit.
 
@@ -59,12 +60,22 @@ def random_dag_circuit(
     *loops* > 0 it also closes that many DFF feedback loops: each loop
     net is readable by every gate and is driven, once all gates exist,
     by a DFF on a random gate output, so every cycle holds a register
-    and none is flipflop-only.
+    and none is flipflop-only.  With *consts* > 0 it first adds that
+    many CONST0/CONST1 cells, each followed by an XOR fed only by
+    constant-driven nets; every gate may read those nets too.
     """
     c = Circuit("random_dag")
     nets = [c.add_input(f"i{k}") for k in range(n_inputs)]
     loop_nets = [c.new_net(f"fb{k}") for k in range(loops)]
     nets.extend(loop_nets)
+    const_nets: list = []
+    for k in range(consts):
+        kind = rng.choice([CellKind.CONST0, CellKind.CONST1])
+        const_nets.append(c.add_cell(kind, [], name=f"k{k}").outputs[0])
+        const_nets.append(c.gate(
+            CellKind.XOR, const_nets[-1], rng.choice(const_nets), name=f"kx{k}"
+        ))
+    nets.extend(const_nets)
     gate_outputs = []
     one_out = [
         CellKind.NOT,

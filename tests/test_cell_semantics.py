@@ -7,9 +7,9 @@ The Boolean function of each kind is written once
 against a plain-Python spec, then checks that everything derived from
 it agrees:
 
-* the fused 0/1 evaluator (:func:`repro.netlist.compiled._fuse_cell`);
 * the fused bitmask kernel (:func:`repro.netlist.compiled._fuse_bits`)
-  on one lane and on two lanes at once;
+  on one lane (the event engine's call, mask 1) and on two lanes at
+  once;
 * the vector tier's group op (:func:`repro.sim.vector._apply_group`,
   every non-constant kind) on Python ints at mask 1 and on a two-lane
   ``uint64`` array;
@@ -36,7 +36,7 @@ from repro.estimate.density import transition_densities
 from repro.estimate.probability import signal_probabilities
 from repro.netlist.cells import INPUT_ARITY, OUTPUT_COUNT, CellKind, evaluate_kind
 from repro.netlist.circuit import Circuit
-from repro.netlist.compiled import _fuse_bits, _fuse_cell
+from repro.netlist.compiled import _fuse_bits
 from repro.sim.vector import _apply_group
 
 _SPEC = {
@@ -74,13 +74,11 @@ def test_every_pattern(kind, arity):
     outs = circuit.add_cell(kind, ins, name="g").outputs
     for net in outs:
         circuit.mark_output(net)
-    fused = _fuse_cell(kind, tuple(range(arity)))
     bits = _fuse_bits(kind, tuple(range(arity)))
     for pattern in itertools.product((0, 1), repeat=arity):
         expected = _SPEC[kind](pattern)
         assert len(expected) == OUTPUT_COUNT[kind]
         assert evaluate_kind(kind, pattern) == expected
-        assert fused(pattern) == expected
         assert bits(pattern, 1) == expected
         # Two lanes at once: the pattern in lane 0, its complement in 1.
         complement = _SPEC[kind]([v ^ 1 for v in pattern])

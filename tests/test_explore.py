@@ -649,6 +649,49 @@ ARRAY8_BEAM3_FRONT = [
 ]
 
 
+#: The same kind of pin under the paper's Table 2 delays (dsum = 2,
+#: dcarry = 1): array8, beam width 3, depth 2, 24 vectors.  The split
+#: sum/carry delays move every period and glitch multiplier off the
+#: unit-delay values above.
+ARRAY8_SUMCARRY_BEAM2 = (
+    ("original",
+     (2.36805257039661, 0.3195384615384615, 0, 22),
+     (1.154348958333334, 0.3195384615384615, 0, 22)),
+    ("balance",
+     (1.155314458767025, 0.5478461538461539, 0, 22),
+     (1.1787760416666688, 0.5478461538461539, 0, 22)),
+    ("retime(stages=1)",
+     (2.615277823935685, 0.37538461538461537, 1, 15),
+     (1.5866406250000005, 0.37538461538461537, 1, 15)),
+    ("retime(stages=2)",
+     (2.895228806577547, 0.482, 2, 9),
+     (2.4238020833333334, 0.482, 2, 9)),
+    ("balance+retime(stages=1)",
+     (1.8637575947439347, 0.6113076923076923, 1, 18),
+     None),
+    ("balance+retime(stages=2)",
+     (3.284328919855866, 0.7077692307692308, 2, 12),
+     None),
+    ("retime(stages=1)+balance",
+     (1.6445910476304142, 0.5735384615384616, 1, 15),
+     (1.673125, 0.5735384615384616, 1, 15)),
+    ("retime(stages=1)+retime(stages=2)",
+     (3.5407834792807913, 0.5505384615384615, 3, 8),
+     (3.1122395833333334, 0.5505384615384615, 3, 8)),
+    ("retime(stages=2)+balance",
+     (2.449447326950638, 0.5872307692307693, 2, 9),
+     (2.467526041666667, 0.5872307692307693, 2, 9)),
+    ("retime(stages=2)+retime(stages=2)",
+     (4.339301881791552, 0.6596923076923077, 4, 6),
+     (4.1121875, 0.6596923076923077, 4, 6)),
+)
+
+ARRAY8_SUMCARRY_BEAM2_FRONT = [
+    "original", "retime(stages=1)", "retime(stages=2)",
+    "retime(stages=1)+retime(stages=2)", "retime(stages=2)+retime(stages=2)",
+]
+
+
 def _assert_cost(got, want, what):
     if want is None:
         assert got is None, what
@@ -674,6 +717,23 @@ class TestPinnedFront:
         assert [c.label for c in result.front()] == ARRAY8_BEAM3_FRONT
         for cand, (label, estimate, exact) in zip(
             result.candidates, ARRAY8_BEAM3
+        ):
+            _assert_cost(cand.estimate, estimate, f"{label} estimate")
+            _assert_cost(cand.exact, exact, f"{label} exact")
+
+    def test_array8_beam_depth2_sumcarry_front_pinned(self):
+        circuit, _ = build_named_circuit("array8")
+        result = explore(
+            circuit, default_space(delay="sumcarry", max_depth=2),
+            strategy="beam", beam_width=3, n_vectors=24,
+        )
+        assert [c.label for c in result.candidates] == [
+            row[0] for row in ARRAY8_SUMCARRY_BEAM2
+        ]
+        assert result.n_enumerated == 17
+        assert [c.label for c in result.front()] == ARRAY8_SUMCARRY_BEAM2_FRONT
+        for cand, (label, estimate, exact) in zip(
+            result.candidates, ARRAY8_SUMCARRY_BEAM2
         ):
             _assert_cost(cand.estimate, estimate, f"{label} estimate")
             _assert_cost(cand.exact, exact, f"{label} exact")

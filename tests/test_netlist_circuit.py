@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits.catalog import build_named_circuit
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit, int_to_bits, word_value
+from repro.netlist.compiled import compile_circuit
+from repro.sim.delays import PerKindDelay, UnitDelay
 
 from tests.conftest import random_dag_circuit
 
@@ -144,12 +146,12 @@ class TestStructureQueries:
 
     def test_levelize_unit(self):
         c = self._chain(4)
-        level = c.levelize()
+        level = compile_circuit(c, UnitDelay()).levels
         assert level[c.net("y")] == 4
 
     def test_levelize_custom_delay(self):
         c = self._chain(3)
-        level = c.levelize(lambda cell, pos: 5)
+        level = compile_circuit(c, PerKindDelay({}, default=5)).levels
         assert level[c.net("y")] == 15
 
     def test_critical_path_includes_ff_inputs(self):

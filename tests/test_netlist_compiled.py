@@ -1,11 +1,21 @@
 """Unit tests for the compiled circuit IR and its memoization."""
 
+import random
+
 import pytest
 
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.netlist.compiled import compile_circuit
-from repro.sim.delays import LoadDelay, SumCarryDelay, UnitDelay
+from repro.opt.balance import balancing_report
+from repro.retime.graph import HOST, HOST_OUT, RetimingGraph
+from repro.sim.delays import (
+    HintedDelay,
+    LoadDelay,
+    PerKindDelay,
+    SumCarryDelay,
+    UnitDelay,
+)
 
 from tests.conftest import random_dag_circuit
 
@@ -128,3 +138,112 @@ class TestEvaluateFlat:
         assert nxt == {ff.index: 1}
         values, nxt = compiled.evaluate_flat([], state=nxt)
         assert values[q] == 1 and nxt == {ff.index: 0}
+
+
+# ---------------------------------------------------------------------------
+# One delay-resolved timing pass, checked against the dict walk it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_levels(c: Circuit, model) -> dict:
+    """The retired ``Circuit.levelize``: a dict walk over :class:`Cell`
+    views, one ``model.delay(cell, pos)`` call per output."""
+    level = dict.fromkeys(c.inputs, 0)
+    level.update((ff.outputs[0], 0) for ff in c.flipflops)
+    for cell in c.topological_cells():
+        at = max([level.get(n, 0) for n in cell.inputs], default=0)
+        for pos, out in enumerate(cell.outputs):
+            level[out] = at + model.delay(cell, pos)
+    return level
+
+
+def _with_hints(c: Circuit, rng) -> Circuit:
+    """A copy of *c* whose combinational cells each carry a delay hint
+    on their first output with probability 1/2."""
+    h = Circuit(c.name)
+    inputs = set(c.inputs)
+    for n, name in enumerate(c.net_names):
+        (h.add_input if n in inputs else h.new_net)(name)
+    for cell in c.cells:
+        hint = None
+        if not cell.is_sequential and rng.random() < 0.5:
+            hint = (rng.randint(1, 4),)
+        h.add_cell(cell.kind, cell.inputs, cell.outputs, cell.name, hint)
+    for n in c.outputs:
+        h.mark_output(n)
+    return h
+
+
+class TestTimingMatchesLevelizeOracle:
+    """``levels``, the critical path, the retiming graph's vertex delays
+    and the balancing report all equal the retired dict walk, on random
+    circuits with flipflops, register loops, FA/HA cells and
+    constant-fed logic, under every delay model."""
+
+    @staticmethod
+    def _cases(seed):
+        rng = random.Random(seed)
+        c = random_dag_circuit(
+            rng, n_inputs=4, n_gates=14, with_ffs=True,
+            loops=1 + seed % 2, consts=2,
+        )
+        yield c, UnitDelay()
+        yield c, SumCarryDelay(dsum=3, dcarry=1)
+        yield c, PerKindDelay(
+            {CellKind.XOR: 3, CellKind.FA: 2, CellKind.CONST1: 2}, default=1
+        )
+        yield c, LoadDelay(c, extra_per_load=2, loads_per_unit=1)
+        yield _with_hints(c, rng), HintedDelay(SumCarryDelay())
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_oracle(self, seed):
+        for c, model in self._cases(seed):
+            oracle = _oracle_levels(c, model)
+            what = (seed, model.describe())
+            levels = compile_circuit(c, model).levels
+            assert levels == [oracle.get(n, 0) for n in range(len(c.net_names))], what
+            endpoints = (*c.outputs, *(ff.inputs[0] for ff in c.flipflops))
+            assert c.critical_path_length(model) == max(
+                oracle.get(n, 0) for n in endpoints
+            ), what
+
+            delay = RetimingGraph.from_circuit(c, model).delay
+            assert delay == {
+                HOST: 0, HOST_OUT: 0,
+                **{
+                    cell.index: max(
+                        model.delay(cell, pos) for pos in range(len(cell.outputs))
+                    )
+                    for cell in c.combinational_cells
+                },
+            }, what
+
+            skews = [
+                max(a) - min(a)
+                for a in (
+                    [oracle.get(n, 0) for n in cell.inputs]
+                    for cell in c.combinational_cells
+                    if len(cell.inputs) >= 2
+                )
+            ]
+            assert balancing_report(c, model) == {
+                "cells": len(skews),
+                "mean_skew": sum(skews) / len(skews),
+                "max_skew": max(skews),
+                "skewed_fraction": sum(1 for s in skews if s) / len(skews),
+            }, what
+
+    def test_constant_paths_count(self):
+        """A path from a constant counts toward the critical path,
+        though the arrival windows give constant-fed nets none."""
+        c = Circuit("const_path")
+        a = c.add_input("a")
+        k = c.add_cell(CellKind.CONST1, [], name="k").outputs[0]
+        x = c.gate(CellKind.NOT, k, name="n1")
+        x = c.gate(CellKind.NOT, x, name="n2")
+        y = c.gate(CellKind.AND, a, x, name="g")
+        c.mark_output(y)
+        cc = compile_circuit(c, UnitDelay())
+        assert cc.levels[k] == 1 and cc.levels[y] == 4
+        assert c.critical_path_length() == 4
+        lo, hi = cc.arrival_windows
+        assert (lo[x], hi[x]) == (-1, -1) and hi[y] == 1

@@ -9,7 +9,6 @@ from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.retime.graph import HOST, HOST_OUT, RetimingGraph
 from repro.retime.leiserson_saxe import (
-    combinational_delays,
     feas,
     minimum_period,
     retime_for_period,
@@ -123,20 +122,19 @@ class TestMinimumPeriod:
 
 class TestDelays:
     def test_combinational_delays_max_over_outputs(self):
-        from repro.sim.delays import SumCarryDelay
-
         c = Circuit("t")
         a, b, ci = (c.add_input(x) for x in "abc")
         fa = c.add_cell(CellKind.FA, [a, b, ci], name="fa")
         for out in fa.outputs:
             c.mark_output(out)
-        d = combinational_delays(c, SumCarryDelay(dsum=3, dcarry=1))
+        d = RetimingGraph.from_circuit(c, SumCarryDelay(dsum=3, dcarry=1)).delay
         assert d[fa.index] == 3
 
     def test_dffs_excluded(self):
         c = _chain_circuit(2)
-        d = combinational_delays(c)
-        assert all(not c.cells[i].is_sequential for i in d)
+        d = RetimingGraph.from_circuit(c).delay
+        cells = set(d) - {HOST, HOST_OUT}
+        assert cells and all(not c.cells[i].is_sequential for i in cells)
 
 
 #: The delay regimes the oracle suite crosses with every random graph:

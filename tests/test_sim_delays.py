@@ -46,6 +46,12 @@ class TestPerKind:
         with pytest.raises(ValueError):
             PerKindDelay({CellKind.AND: -1})
 
+    def test_negative_default_rejected(self):
+        with pytest.raises(ValueError, match="negative default delay"):
+            PerKindDelay({}, default=-1)
+        # 0 stays legal: the batch engines reject it themselves.
+        assert PerKindDelay({}, default=0).delay(_xor(), 0) == 0
+
     def test_describe_lists_entries(self):
         text = PerKindDelay({CellKind.XOR: 3}).describe()
         assert "XOR=3" in text
