@@ -216,14 +216,14 @@ def normalize(data: dict) -> dict:
             }
             continue
         elif bench["name"].startswith("test_startup"):
-            from bench_startup import SPAWNS, describe
+            from bench_startup import describe, rounds
 
             key = f"startup/{params['row']}"
             results[key] = {
                 "backend": "startup",
                 "workload": (
                     f"fresh process, {describe(params['row'])} "
-                    f"(median of {SPAWNS} spawns)"
+                    f"(median of {rounds(params['row'])} spawns)"
                 ),
                 "median_s": round(median, 6),
                 "passes_per_s": round(1.0 / median, 1),

@@ -54,6 +54,33 @@ def _lazy_exports(namespace, exports):
     return __getattr__, __dir__, list(origin)
 
 
+def _nogc(func):
+    """*func* with the cyclic garbage collector paused while it runs.
+
+    For the passes that allocate O(cells) objects and build no reference
+    cycle (tile stamping, fingerprinting, the compile, vector grouping,
+    payload decoding): without the pause, each full collection the
+    allocations trigger walks every live object and frees nothing.  The
+    caller's collector state comes back on return, on an exception, and
+    when the paused passes nest.
+    """
+    from functools import wraps
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        import gc
+
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 __getattr__, __dir__, __all__ = _lazy_exports(globals(), {
     ".core": (
         "ActivityResult",

@@ -21,14 +21,23 @@ settled one.
 from __future__ import annotations
 
 from math import ceil
-from typing import List, Tuple
+from operator import itemgetter
+from typing import Callable, List, Tuple
 
+from repro import _nogc
 from repro.circuits.multipliers import array_multiplier
 from repro.netlist.circuit import Circuit
 
 #: Cells in one n=16 array tile (n*n AND matrix plus the carry-save
 #: rows and final ripple adder); used only for the docstring math.
 ARRAY16_TILE_CELLS = 496
+
+
+def _gather(nets: Tuple[int, ...]) -> Callable[[List[int]], Tuple[int, ...]]:
+    """A function mapping a net map *m* to ``tuple(m[n] for n in nets)``."""
+    if len(nets) > 1:
+        return itemgetter(*nets)
+    return lambda m: tuple([m[n] for n in nets])
 
 
 def _rotated(word: List[int], k: int) -> List[int]:
@@ -54,21 +63,51 @@ def build_multiplier_farm(
         raise ValueError("n_bits must be >= 1")
     if min_cells < 1:
         raise ValueError("min_cells must be >= 1")
-    probe = Circuit("farm-probe")
-    px = probe.add_input_word("x", n_bits)
-    py = probe.add_input_word("y", n_bits)
-    array_multiplier(probe, px, py, prefix="t0")
-    tile_cells = len(probe.cells)
-    tiles = max(1, ceil(min_cells / tile_cells))
-
     circuit = Circuit(name or f"farm{n_bits}")
     x = circuit.add_input_word("x", n_bits)
     y = circuit.add_input_word("y", n_bits)
-    products: List[List[int]] = []
-    for t in range(tiles):
-        product = array_multiplier(
-            circuit, _rotated(x, t), _rotated(y, 2 * t), prefix=f"t{t}"
-        )
-        circuit.mark_output_word(product, f"p{t}")
-        products.append(product)
+    product = array_multiplier(circuit, x, y, prefix="t0")
+    circuit.mark_output_word(product, "p0")
+    tiles = max(1, ceil(min_cells / len(circuit.cell_kinds)))
+    products = [product] + _stamp_tiles(circuit, x, y, product, tiles)
+    for t in range(1, tiles):
+        circuit.mark_output_word(products[t], f"p{t}")
     return circuit, {"x": x, "y": y, "products": products}
+
+
+@_nogc
+def _stamp_tiles(
+    circuit: Circuit, x: List[int], y: List[int], product: List[int], tiles: int
+) -> List[List[int]]:
+    """Add tiles 1 .. *tiles* - 1 as copies of tile 0; returns their products.
+
+    Tile 0 (product word *product*) is every cell so far, and every net
+    after the inputs, all of them anonymous; so tile *t* is tile 0 with
+    its input nets rotated, its own nets shifted by *t* tiles and the
+    ``t0`` cell-name prefix read ``t{t}``: the cells and names a
+    per-cell build would make, in its order.  One
+    :meth:`~Circuit.add_nets` and one :meth:`~Circuit.add_cells` call
+    add them all.
+    """
+    first = len(x) + len(y)
+    tile_nets = len(circuit.net_names) - first
+    kinds = circuit.cell_kinds[:]
+    gather_in = [_gather(nets) for nets in circuit.cell_inputs]
+    gather_out = [_gather(nets) for nets in circuit.cell_outputs]
+    suffixes = [name[2:] for name in circuit.cell_names]
+    circuit.add_nets([None] * (tile_nets * (tiles - 1)))
+    pins: List[tuple] = []
+    outs: List[tuple] = []
+    names: List[str] = []
+    products = []
+    for t in range(1, tiles):
+        start = first + t * tile_nets
+        remap = _rotated(x, t) + _rotated(y, 2 * t) + list(
+            range(start, start + tile_nets)
+        )
+        pins += [gather(remap) for gather in gather_in]
+        outs += [gather(remap) for gather in gather_out]
+        names += [f"t{t}{suffix}" for suffix in suffixes]
+        products.append([remap[n] for n in product])
+    circuit.add_cells(kinds * (tiles - 1), pins, outs, names)
+    return products

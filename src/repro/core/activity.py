@@ -30,10 +30,9 @@ backend (:mod:`repro.sim.backends`) and offers:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.core.transitions import NodeActivity
+from repro.core.transitions import CountColumns, NodeActivity, glitch_count
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.obs import trace as obs
@@ -46,6 +45,7 @@ from repro.sim.backends import (
     _resolve_vector,
     backend_unavailable_reason,
     canonical_backend,
+    count_traces,
     fallback_candidates,
     get_backend,
     pins_zero_delay,
@@ -86,7 +86,6 @@ def summarize_counts(
     }
 
 
-@dataclass
 class ActivityResult:
     """Aggregated transition activity for one simulation run.
 
@@ -98,34 +97,96 @@ class ActivityResult:
     * *L/F*                           -> :meth:`useless_useful_ratio`
     * glitch-free reduction bound 1 + L/F (Section 4.2)
                                       -> :meth:`reduction_bound`
+
+    The per-net counts stay in the columns the engines and the store
+    hand over (:attr:`counts`), which the aggregates, :meth:`summary`
+    and the store codec read, until a caller reads :attr:`per_node`
+    (directly or through :meth:`node`, :meth:`restrict` or
+    :meth:`merge`).  That builds the ``{net: NodeActivity}`` dict once;
+    from then on the dict holds the counts, so callers may change it in
+    place.
     """
 
-    circuit_name: str
-    delay_description: str
-    cycles: int = 0
-    per_node: Dict[int, NodeActivity] = field(default_factory=dict)
-    node_names: Dict[int, str] = field(default_factory=dict)
+    def __init__(
+        self,
+        circuit_name: str,
+        delay_description: str,
+        cycles: int = 0,
+        per_node: Dict[int, NodeActivity] | None = None,
+        node_names: Dict[int, str] | None = None,
+        counts: CountColumns | None = None,
+    ) -> None:
+        self.circuit_name = circuit_name
+        self.delay_description = delay_description
+        self.cycles = cycles
+        self.node_names = {} if node_names is None else node_names
+        self._per_node = per_node
+        if per_node is None and counts is None:
+            counts = CountColumns.empty()
+        self._counts = None if per_node is not None else counts
+
+    @property
+    def per_node(self) -> Dict[int, NodeActivity]:
+        """Per-net activity records, built from the columns on first read."""
+        if self._per_node is None:
+            self._per_node = self._counts.records()
+            self._counts = None
+        return self._per_node
+
+    @per_node.setter
+    def per_node(self, value: Dict[int, NodeActivity]) -> None:
+        self._per_node = value
+        self._counts = None
+
+    @property
+    def counts(self) -> CountColumns:
+        """The per-net counts as canonical columns (nets ascending)."""
+        if self._per_node is None:
+            return self._counts
+        return CountColumns.from_records(self._per_node)
+
+    def _column(self, name: str) -> Sequence[int]:
+        if self._per_node is None:
+            return getattr(self._counts, name)
+        return [getattr(act, name) for act in self._per_node.values()]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ActivityResult):
+            return NotImplemented
+        return (
+            self.circuit_name, self.delay_description, self.cycles,
+            self.node_names, self.counts,
+        ) == (
+            other.circuit_name, other.delay_description, other.cycles,
+            other.node_names, other.counts,
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"ActivityResult({self.circuit_name!r}, {self.delay_description!r}, "
+            f"cycles={self.cycles}, nets={len(self._column('toggles'))})"
+        )
 
     # -- aggregates ----------------------------------------------------
     @property
     def total_transitions(self) -> int:
-        return sum(a.toggles for a in self.per_node.values())
+        return sum(self._column("toggles"))
 
     @property
     def useful(self) -> int:
-        return sum(a.useful for a in self.per_node.values())
+        return sum(self._column("useful"))
 
     @property
     def useless(self) -> int:
-        return sum(a.useless for a in self.per_node.values())
+        return sum(self._column("useless"))
 
     @property
     def rises(self) -> int:
-        return sum(a.rises for a in self.per_node.values())
+        return sum(self._column("rises"))
 
     @property
     def glitches(self) -> int:
-        return sum(a.glitches for a in self.per_node.values())
+        return sum([glitch_count(u) for u in self._column("useless")])
 
     def useless_useful_ratio(self) -> float:
         """The paper's L/F metric (``inf`` when no useful transitions)."""
@@ -183,10 +244,11 @@ class ActivityResult:
                 f"{self.delay_description!r} vs {other.delay_description!r}"
             )
         self.cycles += other.cycles
+        per_node = self.per_node
         for n, act in other.per_node.items():
-            mine = self.per_node.get(n)
+            mine = per_node.get(n)
             if mine is None:
-                self.per_node[n] = NodeActivity(
+                per_node[n] = NodeActivity(
                     act.toggles, act.rises, act.useful, act.useless,
                     act.cycles_active,
                 )
@@ -207,55 +269,14 @@ def accumulate_traces(
 ) -> ActivityResult:
     """Fold raw cycle traces into *result* (in place; returned for chaining).
 
-    The hot aggregation path runs on flat per-net arrays (grown on
-    demand) with the parity classification inlined, and folds into
-    :class:`NodeActivity` records once at the end — one dict lookup
-    and method call per *net*, not per (net, cycle).
+    The traces are counted on flat per-net arrays with the parity
+    classification inlined (:func:`~repro.sim.backends.count_traces`),
+    then merged into *result*'s records once per net.
     """
-    size = 0
-    tog: List[int] = []
-    ris: List[int] = []
-    useful: List[int] = []
-    useless: List[int] = []
-    active: List[int] = []
-    n_cycles = 0
-    for trace in traces:
-        n_cycles += 1
-        rises = trace.rises
-        for net, toggles in trace.toggles.items():
-            if net >= size:
-                grow = net + 1 - size
-                tog += [0] * grow
-                ris += [0] * grow
-                useful += [0] * grow
-                useless += [0] * grow
-                active += [0] * grow
-                size = net + 1
-            tog[net] += toggles
-            ris[net] += rises.get(net, 0)
-            if toggles & 1:
-                useful[net] += 1
-                useless[net] += toggles - 1
-            else:
-                useless[net] += toggles
-            active[net] += 1
-    result.cycles += n_cycles
-    per_node = result.per_node
-    for net in range(size):
-        if not tog[net]:
-            continue
-        act = per_node.get(net)
-        if act is None:
-            per_node[net] = NodeActivity(
-                tog[net], ris[net], useful[net], useless[net], active[net]
-            )
-        else:
-            act.merge(
-                NodeActivity(
-                    tog[net], ris[net], useful[net], useless[net],
-                    active[net],
-                )
-            )
+    cycles, counts = count_traces(traces)
+    result.merge(ActivityResult(
+        result.circuit_name, result.delay_description, cycles, counts=counts
+    ))
     return result
 
 
@@ -270,8 +291,8 @@ def _stats_to_result(
         circuit_name=circuit_name,
         delay_description=delay_description,
         cycles=stats.cycles,
-        per_node=stats.per_node,
         node_names=node_names or {},
+        counts=stats.counts,
     )
 
 
@@ -671,10 +692,10 @@ class ActivityRun:
         # A net feeding several D pins counts once per pin, as a
         # per-flipflop mean should.
         multiplicity = Counter(ff_d)
+        counts = stats.counts
         changes = sum(
-            stats.per_node[n].toggles * m
-            for n, m in multiplicity.items()
-            if n in stats.per_node
+            toggles * multiplicity[n]
+            for n, toggles in zip(counts.nets, counts.toggles)
         )
         total = len(ff_d) * stats.cycles
         return {

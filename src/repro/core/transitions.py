@@ -19,7 +19,7 @@ records — so classification is exact, not sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 
 def classify_toggle_count(count: int) -> Tuple[int, int]:
@@ -109,3 +109,42 @@ class NodeActivity:
         )
         out.merge(other)
         return out
+
+
+class CountColumns(NamedTuple):
+    """Per-net activity counts as columns, one entry per net in each.
+
+    ``nets`` ascends, and each count column (the :class:`NodeActivity`
+    fields, in order) holds one count per net as a plain ``int``.
+    Every engine emits its counts in this canonical form, listing
+    exactly the nets that toggled, so two runs' columns are equal
+    exactly when their per-net records are.
+    """
+
+    nets: List[int]
+    toggles: List[int]
+    rises: List[int]
+    useful: List[int]
+    useless: List[int]
+    cycles_active: List[int]
+
+    @classmethod
+    def empty(cls) -> "CountColumns":
+        return cls([], [], [], [], [], [])
+
+    @classmethod
+    def from_arrays(cls, arrays: Sequence[Sequence[int]]) -> "CountColumns":
+        """The toggling nets of five per-net count arrays (indexed by net)."""
+        nets = [net for net, toggles in enumerate(arrays[0]) if toggles]
+        return cls(nets, *([column[n] for n in nets] for column in arrays))
+
+    @classmethod
+    def from_records(cls, per_node: Mapping[int, NodeActivity]) -> "CountColumns":
+        """*per_node*'s records as columns, every record kept."""
+        nets = sorted(per_node)
+        acts = [per_node[n] for n in nets]
+        return cls(nets, *([getattr(a, f) for a in acts] for f in cls._fields[1:]))
+
+    def records(self) -> Dict[int, NodeActivity]:
+        """One fresh :class:`NodeActivity` per net, in ``nets`` order."""
+        return dict(zip(self.nets, map(NodeActivity, *self[1:])))

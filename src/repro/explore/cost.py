@@ -53,7 +53,7 @@ def transition_instants(
     (one instant, t=0).  A combinational output can change at
     ``t + d`` for every distinct instant *t* at which any of its
     inputs can change, so the instant sets propagate through one
-    topological pass over the delay compile's ``out_specs``; their
+    topological pass over the delay compile's ``cell_delays``; their
     sizes bound how many times each net can evaluate per cycle — the
     glitch multiplier :func:`estimated_cost` feeds into the analytic
     power term.  Constant-driven and undriven nets never transition
@@ -65,12 +65,13 @@ def transition_instants(
     edge: FrozenSet[int] = frozenset({0})
     instants: Dict[int, FrozenSet[int]] = {n: edge for n in circuit.inputs}
     instants.update(dict.fromkeys(compiled.ff_q, edge))
-    inputs, specs = compiled.cell_inputs, compiled.out_specs
+    inputs, outputs = compiled.cell_inputs, compiled.cell_outputs
+    delays = compiled.cell_delays
     for ci in compiled.topo:
         arrivals: FrozenSet[int] = empty
         for n in inputs[ci]:
             arrivals |= instants.get(n, empty)
-        for out, d in specs[ci]:
+        for out, d in zip(outputs[ci], delays[ci]):
             instants[out] = frozenset(t + d for t in arrivals)
     return {net: len(times) for net, times in instants.items()}
 

@@ -12,10 +12,12 @@ and ``nets`` are read-only sequences building values on each access.
 from __future__ import annotations
 
 from collections.abc import Sequence as _SequenceABC
+from copy import copy
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, List, Sequence, Tuple
 
+from repro import _nogc
 from repro.netlist.cells import (
     Cell,
     CellKind,
@@ -253,6 +255,10 @@ class Circuit:
         for n in inputs if outputs is None else (*inputs, *outputs):
             if not 0 <= n < n_nets:
                 raise ValueError(f"cell {name!r}: no such net index {n}")
+        if delay_hint is not None:
+            delay_hint = tuple(delay_hint)
+            if min(delay_hint, default=0) < 0:  # 0 stays legal
+                raise ValueError(f"cell {name!r}: negative delay hint {delay_hint}")
         driver = self.net_driver
         if outputs is None:
             new_net = self.new_net
@@ -274,10 +280,127 @@ class Circuit:
         self.cell_inputs.append(inputs)
         self.cell_outputs.append(outputs)
         self.cell_names.append(name)
-        self.cell_hints.append(None if delay_hint is None else tuple(delay_hint))
+        self.cell_hints.append(delay_hint)
         self._cell_by_name[name] = index
         self._version += 1
         return index
+
+    @_nogc
+    def add_nets(self, names: Sequence[str | None]) -> range:
+        """Create one undriven net per entry of *names*; returns their indices.
+
+        The batch form of :meth:`new_net`: ``None`` asks for an
+        anonymous ``n{k}`` name from the circuit's counter, and every
+        name is checked before the circuit changes.
+        """
+        by_name = self._net_by_name
+        names = list(names)
+        count = len(names)
+        start = len(self.net_names)
+        anon = self._anon_net
+        n_anon = names.count(None)
+        if n_anon == count:
+            fresh = [f"n{k}" for k in range(anon, anon + count)]
+            quick = by_name.keys().isdisjoint(fresh)
+            if quick:
+                names, anon = fresh, anon + count
+        else:
+            quick = (
+                not n_anon and len(set(names)) == count
+                and by_name.keys().isdisjoint(names)
+            )
+        if not quick:  # new_net, one name at a time, on a trial copy
+            trial = self._trial_copy()
+            for name in names:
+                trial.new_net(name)
+            names, anon = trial.net_names[start:], trial._anon_net
+        self.net_names.extend(names)
+        self.net_driver.extend([-1] * count)
+        by_name.update(zip(names, range(start, start + count)))
+        self._anon_net = anon
+        self._version += 1
+        return range(start, start + count)
+
+    @_nogc
+    def add_cells(
+        self,
+        kinds: Sequence[CellKind],
+        inputs: Sequence[Sequence[int]],
+        outputs: Sequence[Sequence[int]],
+        names: Sequence[str],
+        hints: Sequence[Sequence[int] | None] | None = None,
+    ) -> range:
+        """Instantiate a batch of named cells on existing nets; returns their indices.
+
+        The column form of :meth:`add_cell`: one entry per cell in each
+        column (*hints* ``None``: no cell has a delay hint).  The whole
+        batch is checked by :meth:`add_cell`'s rules, with its messages,
+        before the circuit changes, so a rejected batch leaves the
+        circuit as it was.
+        """
+        inputs = [tuple(pins) for pins in inputs]
+        outputs = [tuple(outs) for outs in outputs]
+        names = list(names)
+        count = len(names)
+        hints = (
+            [None] * count if hints is None
+            else [None if h is None else tuple(h) for h in hints]
+        )
+        if not len(kinds) == len(inputs) == len(outputs) == len(hints) == count:
+            raise ValueError("add_cells: the columns differ in length")
+        if not self._batch_is_valid(kinds, inputs, outputs, names, hints):
+            self._reject_batch(kinds, inputs, outputs, names, hints)
+        start = len(self.cell_kinds)
+        self.cell_kinds.extend(kinds)
+        self.cell_inputs.extend(inputs)
+        self.cell_outputs.extend(outputs)
+        self.cell_names.extend(names)
+        self.cell_hints.extend(hints)
+        driver = self.net_driver
+        for ci, outs in enumerate(outputs, start):
+            for n in outs:
+                driver[n] = ci
+        self._cell_by_name.update(zip(names, range(start, start + count)))
+        self._version += 1
+        return range(start, start + count)
+
+    def _batch_is_valid(self, kinds, inputs, outputs, names, hints) -> bool:
+        """Whether :meth:`add_cells` may take the batch, checked column-wise."""
+        try:
+            for kind, n_in, n_out in set(zip(kinds, map(len, inputs), map(len, outputs))):
+                check_arity(kind, n_in, n_out)
+        except ValueError:
+            return False
+        if len(set(names)) < len(names) or not self._cell_by_name.keys().isdisjoint(names):
+            return False
+        ins = list(chain.from_iterable(inputs))
+        outs = list(chain.from_iterable(outputs))
+        n_nets = len(self.net_names)
+        for nets in (ins, outs):
+            if nets and not (0 <= min(nets) and max(nets) < n_nets):
+                return False
+        if min(chain.from_iterable(filter(None, hints)), default=0) < 0:
+            return False
+        return len(set(outs)) == len(outs) and (
+            max(map(self.net_driver.__getitem__, outs), default=-1) < 0
+        )
+
+    def _reject_batch(self, kinds, inputs, outputs, names, hints) -> None:
+        """Raise :meth:`add_cell`'s error for the first cell it would reject.
+
+        Replays the batch through :meth:`_add_cell` on a trial copy, so
+        the rules and messages have one home and this circuit stays as it is.
+        """
+        trial = self._trial_copy()
+        for cell in zip(kinds, inputs, outputs, names, hints):
+            trial._add_cell(*cell)
+        raise AssertionError("add_cells: no cell of the rejected batch fails")
+
+    def _trial_copy(self) -> "Circuit":
+        """A copy whose lists and dicts a batch may change in place."""
+        trial = Circuit.__new__(Circuit)
+        trial.__dict__ = {k: copy(v) for k, v in self.__dict__.items()}
+        return trial
 
     # convenience single-output gate constructors -----------------------
     def gate(

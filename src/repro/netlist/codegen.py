@@ -1,14 +1,17 @@
-"""Levelization of the compiled IR: structural levels, vector groups, windows.
+"""Levelization of the compiled IR: vector groups, windows, arrival levels.
 
 The numpy tier (:mod:`repro.sim.vector`) evaluates every cell of one
 structural level and one kind as a single array operation.  This
 module derives those batches from the compiled circuit's cached
-topological order: :func:`levelize_cells` assigns each cell its
-unit-depth level, and :func:`level_groups` buckets the topo order into
-``(level, kind, arity, delays)`` groups whose members can be evaluated
-together.  :func:`arrival_windows` records when each net can change
-within a cycle; the two glitch-exact batch engines (lanes and vector)
-take their per-cycle time axis from it (:func:`static_event_horizon`).
+topological order and the unit-depth levels the same Kahn pass gives
+each cell (:attr:`~repro.netlist.compiled.CompiledCircuit.cell_levels`):
+:func:`level_groups` buckets the topo order into ``(level, kind,
+arity, delays)`` groups whose members can be evaluated together; the
+members of a group share one delay tuple, which the compile resolved
+once per kind.  :func:`arrival_windows` records when each net can
+change within a cycle; the two glitch-exact batch engines (lanes and
+vector) take their per-cycle time axis from it
+(:func:`static_event_horizon`).
 :func:`arrival_levels` gives each net's latest arrival, which the
 critical path and path balancing read.
 
@@ -19,33 +22,15 @@ backend that consumes :func:`level_groups`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro import _nogc
 from repro.netlist.cells import CellKind
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.netlist.compiled import CompiledCircuit
-
-
-def levelize_cells(cc: "CompiledCircuit") -> List[int]:
-    """Unit-depth level per cell (primary inputs and ff outputs at 0).
-
-    Structural depth only — independent of the delay model; used to
-    batch cells whose inputs are all ready into one vectorized op.
-    """
-    net_level = [0] * cc.n_nets
-    cell_level = [0] * len(cc.cell_kinds)
-    for ci in cc.topo:
-        lvl = 0
-        for n in cc.cell_inputs[ci]:
-            if net_level[n] > lvl:
-                lvl = net_level[n]
-        cell_level[ci] = lvl
-        for out in cc.cell_outputs[ci]:
-            if lvl + 1 > net_level[out]:
-                net_level[out] = lvl + 1
-    return cell_level
 
 
 @dataclass(frozen=True)
@@ -71,44 +56,31 @@ def level_groups(cc: "CompiledCircuit") -> Tuple[CellGroup, ...]:
         return _level_groups(cc)
 
 
+@_nogc
 def _level_groups(cc: "CompiledCircuit") -> Tuple[CellGroup, ...]:
-    cell_level = cc.cell_levels
+    levels, kinds = cc.cell_levels, cc.cell_kinds
+    inputs, outputs = cc.cell_inputs, cc.cell_outputs
+    delays = cc.cell_delays or (None,) * len(kinds)
     buckets: Dict[tuple, List[int]] = {}
     for ci in cc.topo:
-        delays = (
-            None
-            if cc.out_specs is None
-            else tuple(dly for _, dly in cc.out_specs[ci])
-        )
-        key = (
-            cell_level[ci],
-            cc.cell_kinds[ci],
-            len(cc.cell_inputs[ci]),
-            delays,
-        )
-        buckets.setdefault(key, []).append(ci)
+        key = (levels[ci], kinds[ci], len(inputs[ci]), delays[ci])
+        members = buckets.get(key)
+        if members is None:
+            buckets[key] = [ci]
+        else:
+            members.append(ci)
     groups = []
     for key in sorted(
         buckets, key=lambda k: (k[0], k[1].value, k[2], k[3] or ())
     ):
-        level, kind, arity, _delays = key
+        level, kind, _arity, dlys = key
         members = buckets[key]
-        pins = tuple(
-            tuple(cc.cell_inputs[ci][pin] for ci in members)
-            for pin in range(arity)
-        )
-        n_out = len(cc.cell_outputs[members[0]])
-        outs = []
-        for pos in range(n_out):
-            dly = (
-                None
-                if cc.out_specs is None
-                else cc.out_specs[members[0]][pos][1]
-            )
-            outs.append(
-                (dly, tuple(cc.cell_outputs[ci][pos] for ci in members))
-            )
-        groups.append(CellGroup(level, kind, pins, tuple(outs)))
+        out_nets = tuple(zip(*map(outputs.__getitem__, members)))
+        groups.append(CellGroup(
+            level, kind,
+            tuple(zip(*map(inputs.__getitem__, members))),
+            tuple(zip(dlys or (None,) * len(out_nets), out_nets)),
+        ))
     return tuple(groups)
 
 
@@ -126,7 +98,7 @@ def arrival_windows(cc: "CompiledCircuit") -> Tuple[List[int], List[int]]:
     hi = [-1] * cc.n_nets
     for net in (*cc.inputs, *cc.ff_q):
         lo[net] = hi[net] = 0
-    cell_inputs, out_specs = cc.cell_inputs, cc.out_specs
+    cell_inputs, cell_outputs, delays = cc.cell_inputs, cc.cell_outputs, cc.cell_delays
     for ci in cc.topo:
         first = last = -1
         for n in cell_inputs[ci]:
@@ -137,7 +109,7 @@ def arrival_windows(cc: "CompiledCircuit") -> Tuple[List[int], List[int]]:
                 if first < 0 or lo[n] < first:
                     first = lo[n]
         if last >= 0:
-            for out_net, dly in out_specs[ci]:
+            for out_net, dly in zip(cell_outputs[ci], delays[ci]):
                 lo[out_net] = first + dly
                 hi[out_net] = last + dly
     return lo, hi
@@ -152,10 +124,10 @@ def arrival_levels(cc: "CompiledCircuit") -> List[int]:
     pads against them, and the critical path includes them.
     """
     level = [0] * cc.n_nets
-    cell_inputs, out_specs = cc.cell_inputs, cc.out_specs
+    cell_inputs, cell_outputs, delays = cc.cell_inputs, cc.cell_outputs, cc.cell_delays
     for ci in cc.topo:
         at = max([level[n] for n in cell_inputs[ci]], default=0)
-        for out_net, dly in out_specs[ci]:
+        for out_net, dly in zip(cell_outputs[ci], delays[ci]):
             level[out_net] = at + dly
     return level
 
@@ -175,16 +147,18 @@ def static_event_horizon(
     cached = cc.__dict__.get("_static_event_horizon")
     if cached is not None:
         return cached
-    for ci in cc.topo:
-        for _, dly in cc.out_specs[ci]:
-            if dly < 1:
-                raise ValueError(
-                    f"the {backend_label} backend requires combinational "
-                    f"delays >= 1, but {delay_model.describe()!r} "
-                    f"gives cell {circuit.cells[ci].name!r} a delay of "
-                    f"{dly}; pass an explicit ZeroDelay model for "
-                    "zero-delay simulation"
-                )
+    delays = cc.cell_delays
+    if min(chain.from_iterable(set(map(delays.__getitem__, cc.topo))), default=1) < 1:
+        ci, dly = next(
+            (ci, d) for ci in cc.topo for d in delays[ci] if d < 1
+        )
+        raise ValueError(
+            f"the {backend_label} backend requires combinational "
+            f"delays >= 1, but {delay_model.describe()!r} "
+            f"gives cell {circuit.cell_names[ci]!r} a delay of "
+            f"{dly}; pass an explicit ZeroDelay model for "
+            "zero-delay simulation"
+        )
     W = max(0, max(cc.arrival_windows[1], default=0)) + 1
     cc.__dict__["_static_event_horizon"] = W
     return W

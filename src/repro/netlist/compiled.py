@@ -9,12 +9,14 @@ instead of O(cells·outputs) with repeated delay-model calls.
 A compile builds only the flat core that every consumer reads:
 
 * per-cell flat tuples — kind, input nets, output nets, sequential flag;
-* ``out_specs`` — per cell, ``((out_net, delay), ...)`` pairs
-  pre-resolved through the delay model (:func:`resolve_delays`;
-  ``None`` when compiled without one, e.g. for purely functional
-  evaluation);
+* ``cell_delays`` — per cell, the delay of each output, parallel to
+  ``cell_outputs`` and resolved through the delay model
+  (:func:`resolve_delays`; ``None`` when compiled without one, e.g.
+  for purely functional evaluation).  The built-in models resolve per
+  kind, so all cells of one kind share one delay tuple;
 * the topological order of the combinational cells (which
-  :meth:`Circuit.topological_cells` reads);
+  :meth:`Circuit.topological_cells` reads) and each cell's unit-depth
+  level, both from one Kahn pass;
 * the flipflop wiring (cell, D net, Q net) as parallel tuples.
 
 Everything else is a lazy view, built on first access for the
@@ -49,9 +51,11 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
+from repro import _nogc
 from repro.netlist.cells import CellKind, _BIT_EVALUATORS
 from repro.obs import trace as obs
 
@@ -191,10 +195,11 @@ class CompiledCircuit:
     cell_outputs: Tuple[Tuple[int, ...], ...]
     cell_is_seq: Tuple[bool, ...]
     topo: Tuple[int, ...]
+    cell_levels: Tuple[int, ...]
     ff_cells: Tuple[int, ...]
     ff_d: Tuple[int, ...]
     ff_q: Tuple[int, ...]
-    out_specs: Tuple[Tuple[Tuple[int, int], ...], ...] | None
+    cell_delays: Tuple[Tuple[int, ...], ...] | None
     max_delay: int
 
     # ------------------------------------------------------------------
@@ -240,13 +245,6 @@ class CompiledCircuit:
         """
         kinds, ins, outs = self.cell_kinds, self.cell_inputs, self.cell_outputs
         return tuple((kinds[ci], *ins[ci], *outs[ci]) for ci in self.topo)
-
-    @cached_property
-    def cell_levels(self):
-        """Per-cell structural levels (:func:`repro.netlist.codegen.levelize_cells`)."""
-        from repro.netlist import codegen
-
-        return codegen.levelize_cells(self)
 
     @cached_property
     def cell_groups(self):
@@ -323,7 +321,7 @@ def compile_circuit(
     """Return the (memoized) compiled form of *circuit*.
 
     With *delay_model* ``None`` the compiled form carries no delay
-    information (``out_specs is None``) — enough for functional
+    information (``cell_delays is None``) — enough for functional
     evaluation and zero-delay simulation.  Each distinct delay
     model (by :meth:`DelayModel.cache_token`) gets its own entry, up
     to :data:`MEMO_DELAY_MODELS` per circuit (least-recently-used
@@ -373,6 +371,7 @@ def content_digest(doc: object) -> str:
 _digest = content_digest
 
 
+@_nogc
 def circuit_fingerprint(circuit: "Circuit") -> str:
     """Stable content hash of a circuit's structure.
 
@@ -436,32 +435,26 @@ def delay_fingerprint(
 
     if delay_model is None or isinstance(delay_model, ZeroDelay):
         return ZERO_DELAY_FINGERPRINT
-    specs = compile_circuit(circuit, delay_model).out_specs
-    delays = tuple([
-        d for ci in circuit.canonical_order() for _, d in specs[ci]
-    ])
-    return _digest(("delay-v2", circuit.fingerprint(), delays))
+    delays = compile_circuit(circuit, delay_model).cell_delays
+    flat = tuple(chain.from_iterable(map(delays.__getitem__, circuit.canonical_order())))
+    return _digest(("delay-v2", circuit.fingerprint(), flat))
 
 
 def resolve_delays(
     circuit: "Circuit", delay_model: "DelayModel"
-) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """Per cell, ``((out_net, delay), ...)`` under *delay_model* (0 for a flipflop).
+) -> Tuple[Tuple[int, ...], ...]:
+    """Per cell, the delay of each output under *delay_model* (0 for a flipflop).
 
-    The one place that asks a delay model about a netlist's cells, one
-    short-lived :class:`~repro.netlist.cells.Cell` view each: the
-    snapshot's ``out_specs`` and the retiming graph's vertex delays
-    read it.  It needs no topological order, so a netlist with a
-    combinational cycle resolves too.
+    The one place that asks a delay model about a netlist's cells
+    (:meth:`~repro.sim.delays.DelayModel.cell_delays`): the snapshot's
+    ``cell_delays`` and the retiming graph's vertex delays read it.  It
+    needs no topological order, so a netlist with a combinational
+    cycle resolves too.
     """
-    DFF, delay = CellKind.DFF, delay_model.delay
-    return tuple([
-        ((cell.outputs[0], 0),) if cell.kind is DFF
-        else tuple([(out, delay(cell, pos)) for pos, out in enumerate(cell.outputs)])
-        for cell in circuit.cells
-    ])
+    return tuple(delay_model.cell_delays(circuit))
 
 
+@_nogc
 def _build(
     circuit: "Circuit", delay_model: "DelayModel | None"
 ) -> CompiledCircuit:
@@ -471,11 +464,14 @@ def _build(
     cell_outputs = tuple(circuit.cell_outputs)
     cell_is_seq = tuple([kind is DFF for kind in cell_kinds])
     ff_cells = tuple([ci for ci, seq in enumerate(cell_is_seq) if seq])
-    out_specs = None
+    cell_delays = None
     max_delay = 0
     if delay_model is not None:
-        out_specs = resolve_delays(circuit, delay_model)
-        max_delay = max(0, max([d for spec in out_specs for _, d in spec], default=0))
+        cell_delays = resolve_delays(circuit, delay_model)
+        max_delay = max(0, max(chain.from_iterable(set(cell_delays)), default=0))
+    topo, cell_levels = _topo_order(
+        circuit.name, cell_inputs, cell_outputs, cell_is_seq, circuit.net_driver,
+    )
     return CompiledCircuit(
         name=circuit.name,
         version=circuit.version,
@@ -488,14 +484,12 @@ def _build(
         cell_inputs=cell_inputs,
         cell_outputs=cell_outputs,
         cell_is_seq=cell_is_seq,
-        topo=_topo_order(
-            circuit.name, cell_inputs, cell_outputs, cell_is_seq,
-            circuit.net_driver,
-        ),
+        topo=topo,
+        cell_levels=cell_levels,
         ff_cells=ff_cells,
         ff_d=tuple([cell_inputs[ci][0] for ci in ff_cells]),
         ff_q=tuple([cell_outputs[ci][0] for ci in ff_cells]),
-        out_specs=out_specs,
+        cell_delays=cell_delays,
         max_delay=max_delay,
     )
 
@@ -504,13 +498,16 @@ def _topo_order(
     name: str, cell_inputs: Sequence[Tuple[int, ...]],
     cell_outputs: Sequence[Tuple[int, ...]], cell_is_seq: Sequence[bool],
     driver: Sequence[int],
-) -> Tuple[int, ...]:
-    """Kahn's order of the combinational cells over the flat arrays.
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Kahn's order of the combinational cells, and every cell's unit-depth level.
 
     *driver* maps each net to its driving cell (-1: none).  Sources
     (cells no combinational cell feeds) are stacked in cell order and
     popped LIFO; successors are released in fanout order (by output,
-    then reader cell, once per pin).  Raises ``ValueError`` on a
+    then reader cell, once per pin).  A cell's level is one more than
+    its deepest combinational driver's, 0 for a source or a flipflop:
+    it is final when the cell is popped, so the pass sets its
+    successors' levels as it releases them.  Raises ``ValueError`` on a
     combinational cycle.
     """
     readers: List[List[int]] = [[] for _ in driver]
@@ -530,12 +527,16 @@ def _topo_order(
             ready.append(ci)
     n_comb = len(cell_is_seq) - cell_is_seq.count(True)
     order: List[int] = []
+    level = [0] * len(cell_is_seq)
     pop, push, emit = ready.pop, ready.append, order.append
     while ready:
         ci = pop()
         emit(ci)
+        below = level[ci] + 1
         for out in cell_outputs[ci]:
             for succ in readers[out]:
+                if level[succ] < below:
+                    level[succ] = below
                 indeg[succ] -= 1
                 if not indeg[succ]:
                     push(succ)
@@ -544,4 +545,4 @@ def _topo_order(
             f"{name}: combinational cycle among "
             f"{n_comb - len(order)} cells"
         )
-    return tuple(order)
+    return tuple(order), tuple(level)

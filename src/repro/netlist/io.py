@@ -92,15 +92,17 @@ def circuit_from_json(text: str) -> Circuit:
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported netlist schema {doc.get('schema')!r}")
     circuit = Circuit(doc["name"])
+    nets = circuit.add_nets(doc["nets"])
     input_set = set(doc["inputs"])
-    for i, name in enumerate(doc["nets"]):
-        if i in input_set:
-            circuit.add_input(name)
-        else:
-            circuit.new_net(name)
-    for cd in doc["cells"]:
-        circuit._add_cell(CellKind(cd["kind"]), cd["inputs"], cd["outputs"],
-                          cd["name"], cd.get("delay_hint"))
+    circuit.inputs.extend([i for i in nets if i in input_set])
+    cells = doc["cells"]
+    circuit.add_cells(
+        [CellKind(cd["kind"]) for cd in cells],
+        [cd["inputs"] for cd in cells],
+        [cd["outputs"] for cd in cells],
+        [cd["name"] for cd in cells],
+        [cd.get("delay_hint") for cd in cells],
+    )
     for out in doc["outputs"]:
         circuit.mark_output(out)
     return circuit

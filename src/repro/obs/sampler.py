@@ -32,7 +32,7 @@ from __future__ import annotations
 import gc
 import threading
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.obs import trace
 
@@ -45,6 +45,8 @@ __all__ = [
 
 #: Live-value callbacks sampled alongside process vitals; name -> fn.
 _PROBES: Dict[str, Callable[[], Optional[float]]] = {}
+#: Samplers between :meth:`ResourceSampler.start` and ``stop``.
+_RUNNING: Set["ResourceSampler"] = set()
 
 
 def register_probe(name: str, fn: Callable[[], Optional[float]]) -> None:
@@ -57,7 +59,18 @@ def register_probe(name: str, fn: Callable[[], Optional[float]]) -> None:
 
 
 def unregister_probe(name: str) -> None:
-    _PROBES.pop(name, None)
+    """Withdraw probe *name*.
+
+    A running sampler whose ticks never saw the probe samples it once
+    now, so a probe registered while a sampler runs is sampled at
+    least once, however soon it goes.
+    """
+    fn = _PROBES.pop(name, None)
+    if fn is None:
+        return
+    for sampler in list(_RUNNING):
+        if name not in sampler._sampled:
+            sampler._sample_probe(name, fn)
 
 
 def rss_bytes() -> Optional[int]:
@@ -102,6 +115,8 @@ class ResourceSampler:
         self._last_cpu = 0.0
         self._last_wall = 0.0
         self.samples_taken = 0
+        #: Probe names this run has sampled (see :func:`unregister_probe`).
+        self._sampled: Set[str] = set()
 
     # -- lifecycle -------------------------------------------------
 
@@ -111,6 +126,8 @@ class ResourceSampler:
         self._last_cpu = time.process_time()
         self._last_wall = time.perf_counter()
         self._stop.clear()
+        self._sampled = set()
+        _RUNNING.add(self)
         self._thread = threading.Thread(
             target=self._loop, name="repro-sampler", daemon=True
         )
@@ -123,6 +140,7 @@ class ResourceSampler:
         self._stop.set()
         self._thread.join()
         self._thread = None
+        _RUNNING.discard(self)
 
     def __enter__(self) -> "ResourceSampler":
         return self.start()
@@ -162,10 +180,20 @@ class ResourceSampler:
             sum(s["collections"] for s in gc.get_stats()),
         )
         for name, fn in list(_PROBES.items()):
-            try:
-                value = fn()
-            except Exception:  # probe owner's bug must not kill sampling
-                continue
-            if value is not None:
-                rec.counter_sample(name, value)
+            self._sample_probe(name, fn, rec)
         self.samples_taken += 1
+
+    def _sample_probe(
+        self, name: str, fn: Callable[[], Optional[float]],
+        rec: Optional["trace.Recorder"] = None,
+    ) -> None:
+        rec = rec or self._recorder or trace.active()
+        if rec is None:
+            return
+        try:
+            value = fn()
+        except Exception:  # probe owner's bug must not kill sampling
+            return
+        if value is not None:
+            rec.counter_sample(name, value)
+        self._sampled.add(name)

@@ -115,10 +115,10 @@ class RetimingGraph:
         kinds, inputs = circuit.cell_kinds, circuit.cell_inputs
         DFF = CellKind.DFF
         vertices = [ci for ci, kind in enumerate(kinds) if kind is not DFF]
-        specs = resolve_delays(circuit, delay_model or UnitDelay())
+        delays = resolve_delays(circuit, delay_model or UnitDelay())
         delay: Dict[int, int] = {HOST: 0}
         for ci in vertices:
-            delay[ci] = max([d for _, d in specs[ci]])
+            delay[ci] = max(delays[ci])
 
         input_set = set(circuit.inputs)
         driver = circuit.net_driver

@@ -58,7 +58,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from operator import attrgetter
+from operator import gt
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
@@ -67,8 +67,9 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+from repro import _nogc
 from repro.core.activity import ActivityResult, summarize_counts
-from repro.core.transitions import NodeActivity
+from repro.core.transitions import CountColumns
 from repro.netlist.circuit import Circuit
 from repro.netlist.compiled import content_digest
 from repro.obs import trace as obs
@@ -119,7 +120,7 @@ class RunKey:
 
 
 #: Per-net count columns of a schema-2 run payload (NodeActivity order).
-COUNT_COLUMNS = ("toggles", "rises", "useful", "useless", "cycles_active")
+COUNT_COLUMNS = CountColumns._fields[1:]
 
 
 def encode_result(result: ActivityResult) -> Dict[str, Any]:
@@ -128,11 +129,12 @@ def encode_result(result: ActivityResult) -> Dict[str, Any]:
     Per-net counts are keyed by net *name* — the stable identity the
     fingerprints use — so a payload can be decoded against any circuit
     with the same fingerprint regardless of net index assignment.
-    They are stored as columns (schema 2): ``nets`` lists the names,
-    and each of :data:`COUNT_COLUMNS` lists one count per name.
+    They are stored as columns (schema 2): ``nets`` lists the names in
+    ascending net order, and each of :data:`COUNT_COLUMNS` lists one
+    count per name.
     """
-    names, acts = result.node_names, result.per_node.values()
-    if missing := result.per_node.keys() - names.keys():
+    names, counts = result.node_names, result.counts
+    if missing := set(counts.nets) - names.keys():
         raise ValueError(
             f"cannot serialize result: net {min(missing)} has no recorded name"
         )
@@ -141,11 +143,12 @@ def encode_result(result: ActivityResult) -> Dict[str, Any]:
         "circuit_name": result.circuit_name,
         "delay_description": result.delay_description,
         "cycles": result.cycles,
-        "nets": [names[net] for net in result.per_node],
-        **{c: list(map(attrgetter(c), acts)) for c in COUNT_COLUMNS},
+        "nets": list(map(names.__getitem__, counts.nets)),
+        **dict(zip(COUNT_COLUMNS, counts[1:])),
     }
 
 
+@_nogc
 def decode_result(
     payload: Dict[str, Any],
     circuit: Circuit,
@@ -153,17 +156,24 @@ def decode_result(
 ) -> ActivityResult:
     """Materialize a payload as an :class:`ActivityResult` for *circuit*.
 
-    Net names are mapped back onto *circuit*'s indices; metadata
-    (circuit name, node names and — when given — the delay
-    description) comes from the requesting context, so the result is
-    exactly what recomputation on *circuit* would have produced.
+    Net names are mapped back onto *circuit*'s indices, and the counts
+    stay columns (ascending nets, as every engine emits them); metadata
+    (circuit name, node names and — when given — the delay description)
+    comes from the requesting context, so the result is exactly what
+    recomputation on *circuit* would have produced.
     """
     if payload.get("schema") == 1:
-        rows = payload["per_node"].items()
+        names = list(payload["per_node"])
+        columns = [list(c) for c in zip(*payload["per_node"].values())]
+        columns = columns or [[] for _ in COUNT_COLUMNS]
     else:
-        rows = zip(payload["nets"], zip(*[payload[c] for c in COUNT_COLUMNS]))
-    net = circuit.net
-    per_node = {net(name): NodeActivity(*counts) for name, counts in rows}
+        names = payload["nets"]
+        columns = [payload[c] for c in COUNT_COLUMNS]
+    nets = list(map(circuit.net, names))
+    if any(map(gt, nets, nets[1:])):
+        order = sorted(range(len(nets)), key=nets.__getitem__)
+        nets = [nets[i] for i in order]
+        columns = [[column[i] for i in order] for column in columns]
     return ActivityResult(
         circuit_name=circuit.name,
         delay_description=(
@@ -171,8 +181,8 @@ def decode_result(
             if delay_description is None else delay_description
         ),
         cycles=payload["cycles"],
-        per_node=per_node,
         node_names=dict(enumerate(circuit.net_names)),
+        counts=CountColumns(nets, *columns),
     )
 
 

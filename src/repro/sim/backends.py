@@ -53,11 +53,11 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.core.transitions import NodeActivity
+from repro.core.transitions import CountColumns, NodeActivity
 from repro.netlist.circuit import Circuit
 from repro.obs import trace as obs
 from repro.sim.delays import DelayModel, UnitDelay, ZeroDelay
-from repro.sim.engine import Simulator
+from repro.sim.engine import CycleTrace, Simulator
 from repro.sim.vectors import WordStream
 
 InputVector = Sequence[int] | Mapping[int, int]
@@ -67,15 +67,56 @@ InputVector = Sequence[int] | Mapping[int, int]
 class RunStats:
     """Aggregated per-net activity of one backend run.
 
-    ``final_values`` / ``final_ff_state`` snapshot the settled state
-    after the last counted cycle, so a subsequent run (on any backend)
-    can continue the stream exactly where this one stopped.
+    ``counts`` holds the per-net counts in the canonical column form
+    every engine emits, so two engines' stats compare equal exactly
+    when their counts agree.  ``final_values`` / ``final_ff_state``
+    snapshot the settled state after the last counted cycle, so a
+    subsequent run (on any backend) can continue the stream exactly
+    where this one stopped.
     """
 
     cycles: int = 0
-    per_node: Dict[int, NodeActivity] = field(default_factory=dict)
+    counts: CountColumns = field(default_factory=CountColumns.empty)
     final_values: List[int] = field(default_factory=list)
     final_ff_state: Dict[int, int] = field(default_factory=dict)
+
+    @property
+    def per_node(self) -> Dict[int, NodeActivity]:
+        """The counts as one :class:`NodeActivity` per net, built on each read."""
+        return self.counts.records()
+
+
+def count_traces(
+    traces: Iterable[CycleTrace], n_nets: int = 0
+) -> Tuple[int, CountColumns]:
+    """``(cycles, counts)`` of per-cycle traces.
+
+    Each cycle's per-net toggle count is classified by parity (an odd
+    count is one useful transition and the rest useless, an even one
+    all useless) into flat per-net arrays, sized for *n_nets* and grown
+    on demand.
+    """
+    arrays = [[0] * n_nets for _ in range(5)]
+    tog, ris, useful, useless, active = arrays
+    size = n_nets
+    cycles = 0
+    for trace in traces:
+        cycles += 1
+        rises = trace.rises
+        for net, toggles in trace.toggles.items():
+            if net >= size:
+                for column in arrays:
+                    column += [0] * (net + 1 - size)
+                size = net + 1
+            tog[net] += toggles
+            ris[net] += rises.get(net, 0)
+            if toggles & 1:
+                useful[net] += 1
+                useless[net] += toggles - 1
+            else:
+                useless[net] += toggles
+            active[net] += 1
+    return cycles, CountColumns.from_arrays(arrays)
 
 
 @runtime_checkable
@@ -236,10 +277,10 @@ def input_lanes(
 class EventDrivenBackend:
     """Exact transport-delay backend (see :mod:`repro.sim.engine`).
 
-    Per-cycle toggle counts are folded into :class:`NodeActivity`
-    records with the paper's parity classification: an odd per-cycle
-    count contributes one useful transition, everything else is
-    useless.
+    Per-cycle toggle counts are folded into count columns with the
+    paper's parity classification (:func:`count_traces`): an odd
+    per-cycle count contributes one useful transition, everything else
+    is useless.
     """
 
     name = "event"
@@ -283,21 +324,12 @@ class EventDrivenBackend:
                         final_ff_state=dict(sim.ff_state),
                     )
             sim.settle(warmup)
-        stats = RunStats()
-        per_node = stats.per_node
         rec = obs.active()
         t0 = rec.now() if rec is not None else 0
-        for vec in it:
-            trace = sim.step(vec)
-            stats.cycles += 1
-            rises = trace.rises
-            for net, count in trace.toggles.items():
-                act = per_node.get(net)
-                if act is None:
-                    act = per_node[net] = NodeActivity()
-                act.add_cycle(count, rises.get(net, 0))
-        stats.final_values = list(sim.values)
-        stats.final_ff_state = dict(sim.ff_state)
+        cycles, counts = count_traces(map(sim.step, it), len(sim.values))
+        stats = RunStats(
+            cycles, counts, list(sim.values), dict(sim.ff_state)
+        )
         if rec is not None:
             dur = rec.complete(
                 "sim.batch", t0, backend="event", cycles=stats.cycles
@@ -337,11 +369,16 @@ def run_batches(
 
     The engine supplies ``name``, ``batch_cycles``, its compiled
     circuit ``_cc`` and ``_open(values, ff_state)``, which returns a
-    ``(step, finish)`` pair for one run: ``step(nb, lanes)`` simulates
-    one *nb*-cycle batch of input lanes (``lanes[pos]`` bit *k* = input
-    *pos* in cycle *k*) from the settled state the previous batch left
-    (advancing *ff_state* in place), and ``finish()`` returns
-    ``(per_node, final_values)``.
+    ``(step, finish)`` pair for one run: ``step(nb, lanes)`` simulates one *nb*-cycle
+    batch of input lanes (``lanes[pos]`` bit *k* = input *pos* in cycle
+    *k*) from the settled state the previous batch left (advancing
+    *ff_state* in place), and ``finish()`` returns ``(counts,
+    final_values)``, the counts as canonical
+    :class:`~repro.core.transitions.CountColumns`.  An engine may also
+    supply ``_settle_vector(bits, ff_state)``, the settled net values
+    for one positional input vector with the flipflop outputs taken
+    from *ff_state*, to settle the warm-up in its own kernels; the
+    default is :meth:`~repro.netlist.compiled.CompiledCircuit.evaluate_flat`.
     """
     cc = engine._cc
     inputs = cc.inputs
@@ -361,7 +398,11 @@ def run_batches(
             return RunStats(final_values=values, final_ff_state=ff_state)
     if warmup is not None:
         full = _resolve_vector(warmup, inputs, input_set, cur_inputs)
-        values, _ = cc.evaluate_flat(full, ff_state)
+        settle = getattr(engine, "_settle_vector", None)
+        if settle is None:
+            values, _ = cc.evaluate_flat(full, ff_state)
+        else:
+            values = settle(full, ff_state)
 
     step, finish = engine._open(values, ff_state)
     n_cells = len(cc.cell_kinds)
@@ -381,10 +422,10 @@ def run_batches(
             rec.metrics.inc("sim.vectors", nb)
             rec.metrics.inc("sim.cell_evals", nb * n_cells)
 
-    per_node, final_values = finish()
+    counts, final_values = finish()
     return RunStats(
         cycles=cycles,
-        per_node=per_node,
+        counts=counts,
         final_values=final_values,
         final_ff_state=ff_state,
     )

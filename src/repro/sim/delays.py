@@ -19,9 +19,12 @@ simulation and is rejected by the activity analyser.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, List, Mapping, Tuple
 
-from repro.netlist.cells import Cell, CellKind
+from repro.netlist.cells import OUTPUT_COUNT, Cell, CellKind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.netlist.circuit import Circuit
 
 
 class DelayModel:
@@ -29,6 +32,21 @@ class DelayModel:
 
     def delay(self, cell: Cell, position: int) -> int:
         raise NotImplementedError
+
+    def cell_delays(self, circuit: "Circuit") -> List[Tuple[int, ...]]:
+        """Per cell of *circuit*, the delay of each output (0 for a flipflop).
+
+        This generic rule asks :meth:`delay` about every cell output,
+        with one :class:`Cell` view per cell.  The built-in models answer
+        from the flat lists instead, and fall back to it when a subclass
+        overrides :meth:`delay`, which may read anything on the cell.
+        """
+        DFF, delay = CellKind.DFF, self.delay
+        return [
+            (0,) if cell.kind is DFF
+            else tuple([delay(cell, pos) for pos in range(len(cell.outputs))])
+            for cell in circuit.cells
+        ]
 
     def describe(self) -> str:
         """Human-readable name used in experiment reports."""
@@ -47,27 +65,52 @@ class DelayModel:
         return (type(self).__qualname__, self.describe())
 
 
-class UnitDelay(DelayModel):
-    """Every combinational cell output has delay 1 (the paper's default)."""
+class KindDelay(DelayModel):
+    """A model whose delay depends only on the cell kind and output position.
+
+    Subclasses define :meth:`kind_delay`; a compile asks it once per
+    kind, and every cell of that kind shares the one delay tuple.
+    """
+
+    def kind_delay(self, kind: CellKind, position: int) -> int:
+        raise NotImplementedError
 
     def delay(self, cell: Cell, position: int) -> int:
+        return self.kind_delay(cell.kind, position)
+
+    def cell_delays(self, circuit: "Circuit") -> List[Tuple[int, ...]]:
+        if type(self).delay is not KindDelay.delay:
+            return super().cell_delays(circuit)
+        table = {
+            kind: (0,) if kind is CellKind.DFF else tuple(
+                self.kind_delay(kind, pos) for pos in range(OUTPUT_COUNT[kind])
+            )
+            for kind in set(circuit.cell_kinds)
+        }
+        return list(map(table.__getitem__, circuit.cell_kinds))
+
+
+class UnitDelay(KindDelay):
+    """Every combinational cell output has delay 1 (the paper's default)."""
+
+    def kind_delay(self, kind: CellKind, position: int) -> int:
         return 1
 
     def describe(self) -> str:
         return "unit delay"
 
 
-class ZeroDelay(DelayModel):
+class ZeroDelay(KindDelay):
     """All outputs switch in the same delta (functional simulation only)."""
 
-    def delay(self, cell: Cell, position: int) -> int:
+    def kind_delay(self, kind: CellKind, position: int) -> int:
         return 0
 
     def describe(self) -> str:
         return "zero delay"
 
 
-class PerKindDelay(DelayModel):
+class PerKindDelay(KindDelay):
     """Delays looked up per cell kind, with a default.
 
     ``PerKindDelay({CellKind.XOR: 2}, default=1)`` models XOR gates
@@ -85,8 +128,8 @@ class PerKindDelay(DelayModel):
         self._table = dict(table)
         self._default = default
 
-    def delay(self, cell: Cell, position: int) -> int:
-        return self._table.get(cell.kind, self._default)
+    def kind_delay(self, kind: CellKind, position: int) -> int:
+        return self._table.get(kind, self._default)
 
     def describe(self) -> str:
         parts = ", ".join(
@@ -95,7 +138,7 @@ class PerKindDelay(DelayModel):
         return f"per-kind delay ({parts}; default {self._default})"
 
 
-class SumCarryDelay(DelayModel):
+class SumCarryDelay(KindDelay):
     """FA/HA cells with distinct sum and carry delays; others fixed.
 
     ``SumCarryDelay(dsum=2, dcarry=1)`` reproduces the paper's Table 2
@@ -110,8 +153,8 @@ class SumCarryDelay(DelayModel):
         self.dcarry = dcarry
         self.other = other
 
-    def delay(self, cell: Cell, position: int) -> int:
-        if cell.kind in (CellKind.FA, CellKind.HA):
+    def kind_delay(self, kind: CellKind, position: int) -> int:
+        if kind in (CellKind.FA, CellKind.HA):
             return self.dsum if position == 0 else self.dcarry
         return self.other
 
@@ -144,10 +187,21 @@ class LoadDelay(DelayModel):
         self._circuit_name = circuit.name
 
     def delay(self, cell: Cell, position: int) -> int:
-        net = cell.outputs[position]
+        return self._net_delay(cell.outputs[position])
+
+    def _net_delay(self, net: int) -> int:
         fanout = self._fanout[net] if net < len(self._fanout) else 1
         extra = self._extra * (max(fanout, 1) - 1) // self._per
         return max(1, self._base + extra)
+
+    def cell_delays(self, circuit: "Circuit") -> List[Tuple[int, ...]]:
+        if type(self).delay is not LoadDelay.delay:
+            return super().cell_delays(circuit)
+        net_delay = self._net_delay
+        return [
+            (0,) if kind is CellKind.DFF else tuple([net_delay(n) for n in outs])
+            for kind, outs in zip(circuit.cell_kinds, circuit.cell_outputs)
+        ]
 
     def describe(self) -> str:
         return (
@@ -175,6 +229,19 @@ class HintedDelay(DelayModel):
         if cell.delay_hint is not None and position < len(cell.delay_hint):
             return cell.delay_hint[position]
         return self._fallback.delay(cell, position)
+
+    def cell_delays(self, circuit: "Circuit") -> List[Tuple[int, ...]]:
+        if type(self).delay is not HintedDelay.delay:
+            return super().cell_delays(circuit)
+        delays = self._fallback.cell_delays(circuit)
+        hints = circuit.cell_hints
+        if hints.count(None) == len(hints):
+            return delays
+        for ci, (kind, hint) in enumerate(zip(circuit.cell_kinds, hints)):
+            if hint is not None and kind is not CellKind.DFF:
+                own = delays[ci]
+                delays[ci] = hint[:len(own)] + own[len(hint):]
+        return delays
 
     def describe(self) -> str:
         return f"instance hints over {self._fallback.describe()}"

@@ -214,7 +214,7 @@ class Simulator:
         n_slots = 1
         comb_fanout = cc.comb_fanout
         kernels = cc.cell_eval_bits
-        out_specs = cc.out_specs
+        cell_outputs, cell_delays = cc.cell_outputs, cc.cell_delays
         monitored = self._monitored
         toggles = trace.toggles
         rises = trace.rises
@@ -249,7 +249,7 @@ class Simulator:
                 last_time = t
             for ci in affected:
                 outs = kernels[ci](values, 1)
-                for (out_net, d), v in zip(out_specs[ci], outs):
+                for out_net, d, v in zip(cell_outputs[ci], cell_delays[ci], outs):
                     widx = (t + d) % size
                     slot = wheel[widx]
                     if slot is None:

@@ -80,7 +80,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.core.transitions import NodeActivity
+from repro.core.transitions import CountColumns
 from repro.netlist.circuit import Circuit
 from repro.netlist.codegen import static_event_horizon
 from repro.netlist.compiled import CompiledCircuit, compile_circuit
@@ -252,7 +252,9 @@ class LanesBackend:
         ff_cells = cc.ff_cells
         monitored = self._monitored
         monitor = [n for n in range(n_nets) if monitored[n]]
-        per_node: Dict[int, NodeActivity] = {}
+        # Settled mode: every change is one useful, active-cycle rise or fall.
+        acc_tog = [0] * n_nets
+        acc_rise = [0] * n_nets
 
         def step(nb, lanes):
             mask = (1 << nb) - 1
@@ -267,19 +269,15 @@ class LanesBackend:
                 prev = ((s << 1) | (values[net] & 1)) & mask
                 diff = s ^ prev
                 if diff:
-                    act = per_node.get(net)
-                    if act is None:
-                        act = per_node[net] = NodeActivity()
-                    tog = diff.bit_count()
-                    act.toggles += tog
-                    act.rises += (s & diff).bit_count()
-                    act.useful += tog
-                    act.cycles_active += tog
+                    acc_tog[net] += diff.bit_count()
+                    acc_rise[net] += (s & diff).bit_count()
             for net in range(n_nets):
                 values[net] = (net_bits[net] >> top) & 1
 
         def finish():
-            return per_node, values
+            return CountColumns.from_arrays(
+                (acc_tog, acc_rise, acc_tog, [0] * n_nets, acc_tog)
+            ), values
 
         return step, finish
 
@@ -292,15 +290,14 @@ class LanesBackend:
         inputs = cc.inputs
         comb_fanout = cc.comb_fanout
         cell_inputs = cc.cell_inputs
-        out_specs = cc.out_specs
+        cell_outputs, cell_delays = cc.cell_outputs, cc.cell_delays
         kernels = cc.cell_eval_bits
         topo = cc.topo
         ff_cells, ff_q = cc.ff_cells, cc.ff_q
         monitored = self._monitored
         W = self._W
 
-        # Flat per-net accumulators — folded into NodeActivity records
-        # once at the end, instead of per-cycle dict+object churn.
+        # Flat per-net accumulators, handed over as count columns.
         acc_tog = [0] * n_nets
         acc_rise = [0] * n_nets
         acc_useful = [0] * n_nets
@@ -369,10 +366,7 @@ class LanesBackend:
                         wbits[n] = full if values[n] else 0
                         touched[n] = 1
                 outs = kernels[ci](wbits, full)
-                pos = 0
-                for out_net, d in out_specs[ci]:
-                    raw = outs[pos]
-                    pos += 1
+                for out_net, d, raw in zip(cell_outputs[ci], cell_delays[ci], outs):
                     v0 = values[out_net]
                     if v0:
                         om = ((raw << d) | ((1 << d) - 1)) & full
@@ -407,14 +401,8 @@ class LanesBackend:
                 ff_state[ci] = (q_lanes[i] >> top) & 1
 
         def finish():
-            per_node = {
-                net: NodeActivity(
-                    tog, acc_rise[net], acc_useful[net], acc_useless[net],
-                    acc_active[net],
-                )
-                for net, tog in enumerate(acc_tog)
-                if tog
-            }
-            return per_node, values
+            return CountColumns.from_arrays(
+                (acc_tog, acc_rise, acc_useful, acc_useless, acc_active)
+            ), values
 
         return step, finish

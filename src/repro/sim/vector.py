@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Sequence
 
-from repro.core.transitions import NodeActivity
+from repro.core.transitions import CountColumns
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.netlist.codegen import static_event_horizon
@@ -155,13 +155,13 @@ class _VecPlan:
         #: pay a fresh multi-MB allocation each time.  Safe because
         #: runs are synchronous and never nested.
         self.buffers: Dict[tuple, object] = {}
-        if cc.out_specs is not None:
+        if cc.cell_delays is not None:
             lo, hi = (np.asarray(w, dtype=np.int64) for w in cc.arrival_windows)
         self.groups = []
         for g in cc.cell_groups:
             outs = [np.asarray(nets, dtype=np.intp) for _, nets in g.outs]
             rows = None
-            if cc.out_specs is not None and hi[outs[0]].max() >= 0:
+            if cc.cell_delays is not None and hi[outs[0]].max() >= 0:
                 # The union of the members' windows.  The members share
                 # their delays, so every output position reads the same
                 # input rows, each at its own offset.
@@ -341,9 +341,23 @@ class VectorBackend:
             self, vectors, warmup, initial_values, initial_ff_state
         )
 
-    def _open(self, values: List[int], ff_state: Dict[int, int]):
+    def _settle_vector(self, bits: List[int], ff_state: Dict[int, int]):
+        """Settled net values for one input vector (the batch driver's warm-up).
+
+        One one-lane :meth:`_zero_pass`, flipflop outputs from
+        *ff_state*: the values :meth:`CompiledCircuit.evaluate_flat`
+        gives, as a ``uint64`` array.
+        """
+        plan, cc = self._plan, self._cc
+        lane = np.zeros((cc.n_nets, 1), np.uint64)
+        lane[plan.input_idx, 0] = bits
+        lane[plan.ff_q_idx, 0] = [ff_state.get(ci, 0) for ci in cc.ff_cells]
+        self._zero_pass(lane, np.ones(1, np.uint64))
+        return lane[:, 0]
+
+    def _open(self, values, ff_state: Dict[int, int]):
         """Per-run ``(step, finish)`` pair for the batch driver."""
-        v0bits = np.asarray([v & 1 for v in values], dtype=np.uint64)
+        v0bits = np.asarray(values, dtype=np.uint64) & _U1
         if self.exact_glitches:
             return self._open_glitch(v0bits, ff_state)
         return self._open_zero(v0bits, ff_state)
@@ -368,9 +382,8 @@ class VectorBackend:
 
     def _finish(self, acc, v0bits):
         nz = np.nonzero((acc[0] != 0) & self._monitored)[0]
-        cols = [a[nz].tolist() for a in acc]
-        per_node = dict(zip(nz.tolist(), map(NodeActivity, *cols)))
-        return per_node, v0bits.astype(np.int64).tolist()
+        counts = CountColumns(nz.tolist(), *[a[nz].tolist() for a in acc])
+        return counts, v0bits.astype(np.int64).tolist()
 
     # ------------------------------------------------------------------
     def _open_zero(self, v0bits, ff_state):

@@ -123,3 +123,48 @@ def test_glitchiness_ordering(rng):
         result = analyze(c, stim.random(rng, 151))
         ratios[arch] = result.useless_useful_ratio()
     assert ratios["array"] > 2 * ratios["wallace"]
+
+
+class TestFarmStamping:
+    """The farm's stamped tiles equal a per-cell build of the same farm."""
+
+    @staticmethod
+    def _per_cell_farm(n_bits, min_cells):
+        """The farm built one cell at a time, every tile through
+        ``array_multiplier``, as the farm was built before tile stamping)."""
+        from math import ceil
+
+        def rotated(word, k):
+            k %= len(word)
+            return word[k:] + word[:k]
+
+        probe = Circuit("probe")
+        array_multiplier(
+            probe, probe.add_input_word("x", n_bits),
+            probe.add_input_word("y", n_bits), prefix="t0",
+        )
+        tiles = max(1, ceil(min_cells / len(probe.cell_kinds)))
+        c = Circuit(f"farm{n_bits}")
+        x = c.add_input_word("x", n_bits)
+        y = c.add_input_word("y", n_bits)
+        products = []
+        for t in range(tiles):
+            p = array_multiplier(c, rotated(x, t), rotated(y, 2 * t), prefix=f"t{t}")
+            c.mark_output_word(p, f"p{t}")
+            products.append(p)
+        return c, products
+
+    @pytest.mark.parametrize("n_bits, min_cells", [(4, 100), (4, 1), (8, 2000)])
+    def test_stamped_equals_per_cell(self, n_bits, min_cells):
+        from repro.circuits.farm import build_multiplier_farm
+
+        farm, ports = build_multiplier_farm(n_bits, min_cells)
+        oracle, products = self._per_cell_farm(n_bits, min_cells)
+        for column in (
+            "cell_kinds", "cell_inputs", "cell_outputs", "cell_names",
+            "cell_hints", "net_names", "net_driver", "inputs", "outputs",
+            "_net_by_name", "_cell_by_name", "_anon_net", "_anon_cell",
+        ):
+            assert getattr(farm, column) == getattr(oracle, column), column
+        assert ports["products"] == products
+        assert farm.fingerprint() == oracle.fingerprint()

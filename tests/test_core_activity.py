@@ -1,5 +1,7 @@
 """Unit tests for circuit-level activity accounting."""
 
+import random
+
 import pytest
 
 from repro.core.activity import ActivityResult, accumulate_traces, analyze
@@ -8,6 +10,8 @@ from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.sim.delays import ZeroDelay
 from repro.sim.engine import CycleTrace, Simulator
+
+from tests.conftest import random_dag_circuit
 
 
 @pytest.fixture
@@ -145,3 +149,122 @@ class TestAccumulateTraces:
                     "odd parity must coincide with settled-value change"
                 )
             prev = list(sim.values)
+
+
+class TestColumnarResult:
+    """A result holding engine count columns answers like one holding
+    the per-node dict the columns stand for."""
+
+    @staticmethod
+    def _pair(seed, backend="event"):
+        from repro.core.activity import ActivityRun
+        from repro.sim.vectors import WordStimulus
+
+        rng = random.Random(seed)
+        c = random_dag_circuit(rng, n_gates=14, with_ffs=True, loops=1, consts=1)
+        stim = WordStimulus({"i": list(c.inputs)})
+        columnar = ActivityRun(c, backend=backend).run(stim.random(rng, 30))
+        records = columnar.counts.records()
+        per_node = ActivityResult(
+            columnar.circuit_name, columnar.delay_description,
+            columnar.cycles, per_node=records,
+            node_names=dict(columnar.node_names),
+        )
+        assert columnar._per_node is None and per_node._counts is None
+        return c, columnar, per_node
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_views_equal_per_node_path(self, seed):
+        from repro.service.store import decode_result, encode_result
+
+        c, col, rec = self._pair(seed)
+        assert col == rec
+        assert col.summary() == rec.summary()
+        assert col.glitches == rec.glitches
+        assert encode_result(col) == encode_result(rec)
+        assert decode_result(encode_result(rec), c) == rec
+        assert col._per_node is None  # nothing above built records
+        for net in range(len(c.net_names) + 1):
+            assert vars(col.node(net)) == vars(rec.node(net))
+        keep = list(range(0, len(c.net_names), 2))
+        assert col.restrict(keep) == rec.restrict(keep)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_merge_equals_per_node_merge(self, seed):
+        _, col_a, rec_a = self._pair(seed)
+        _, col_b, rec_b = self._pair(seed + 100)
+        col_b.circuit_name = rec_b.circuit_name = col_a.circuit_name
+        col_a.merge(col_b)
+        rec_a.merge(rec_b)
+        assert col_a == rec_a
+        assert col_a.per_node == rec_a.per_node
+
+    def test_per_node_is_built_on_first_read(self):
+        _, col, _ = self._pair(1)
+        before = col.summary()
+        per_node = col.per_node
+        assert col.per_node is per_node  # one dict from then on
+        net = next(iter(per_node))
+        per_node[net] = NodeActivity(toggles=per_node[net].toggles + 1000)
+        assert col.total_transitions == before["total"] + 1000
+
+    #: ``encode_result`` of an event-engine run of rca4 (12 cycles,
+    #: ``UniformStimulus(seed=7)``), written by the code before the
+    #: engines emitted count columns: the nets in first-toggle order.
+    PARENT_PAYLOAD = {
+        "schema": 2, "circuit_name": "rca4", "delay_description": "unit delay",
+        "cycles": 12,
+        "nets": ["n2", "n0", "n3", "n4", "n6", "n1", "n5", "n7"],
+        "toggles": [11, 7, 10, 12, 17, 6, 8, 4],
+        "rises": [5, 4, 5, 6, 8, 3, 4, 2],
+        "useful": [5, 7, 8, 6, 5, 6, 6, 0],
+        "useless": [6, 0, 2, 6, 12, 0, 2, 4],
+        "cycles_active": [8, 7, 9, 9, 10, 6, 7, 2],
+    }
+
+    def test_older_payloads_decode_to_the_same_result(self):
+        """A schema-2 payload written before the count columns, and its
+        schema-1 form, decode to what recomputation gives."""
+        from repro.circuits.catalog import build_named_circuit
+        from repro.core.activity import ActivityRun
+        from repro.service.store import (
+            COUNT_COLUMNS, decode_result, encode_result, payload_summary,
+        )
+        from repro.sim.vectors import UniformStimulus
+
+        circuit, stim = build_named_circuit("rca4")
+        fresh = ActivityRun(circuit, backend="event").run(
+            UniformStimulus(seed=7).vectors(stim, 13)
+        )
+        old = self.PARENT_PAYLOAD
+        legacy = {
+            **{k: old[k] for k in ("circuit_name", "delay_description", "cycles")},
+            "schema": 1,
+            "per_node": {
+                name: list(counts) for name, counts in zip(
+                    old["nets"], zip(*(old[c] for c in COUNT_COLUMNS))
+                )
+            },
+        }
+        for payload in (old, legacy):
+            back = decode_result(payload, circuit)
+            assert back == fresh
+            assert back.counts == fresh.counts  # nets ascending
+            assert back.per_node == fresh.per_node
+            assert payload_summary(payload) == fresh.summary()
+        # Rewritten, the nets ascend; every count is kept.
+        again = encode_result(fresh)
+        assert again["nets"] == [f"n{k}" for k in range(8)]
+        assert decode_result(again, circuit) == fresh
+
+    def test_accumulate_traces_into_columns(self):
+        columnar = ActivityResult("c", "unit")
+        records = ActivityResult("c", "unit", per_node={})
+        traces = [
+            CycleTrace(cycle=0, toggles={7: 3, 2: 1}, rises={7: 2, 2: 1}),
+            CycleTrace(cycle=1, toggles={2: 2}, rises={2: 1}),
+        ]
+        accumulate_traces(columnar, traces)
+        accumulate_traces(records, traces)
+        assert columnar == records
+        assert columnar.counts.nets == [2, 7]

@@ -288,3 +288,124 @@ class TestFlatNetlist:
         gc.collect()
         assert len(gc.get_objects()) - before < 100
         assert len(circuit.cells) == 496
+
+
+# ---------------------------------------------------------------------------
+# Bulk construction: add_nets / add_cells check a batch by add_cell's rules
+# ---------------------------------------------------------------------------
+
+def _base() -> Circuit:
+    c = Circuit("bulk")
+    c.add_input_word("a", 3)
+    c.new_net("free")
+    c.new_net("free2")
+    c.gate(CellKind.NOT, 0, name="inv")  # drives net 5
+    return c
+
+
+def _state(c: Circuit) -> tuple:
+    return (
+        c.version, c.cell_kinds[:], c.cell_inputs[:], c.cell_outputs[:],
+        c.cell_names[:], c.cell_hints[:], c.net_names[:], c.net_driver[:],
+        dict(c._net_by_name), dict(c._cell_by_name), c._anon_net,
+    )
+
+
+#: (kinds, inputs, outputs, names, hints) batches whose second or only
+#: cell add_cell rejects; nets 3 and 4 are free, net 5 is driven.
+_BAD_BATCHES = {
+    "arity": ([CellKind.NOT], [(0, 1)], [(3,)], ["g"], None),
+    "duplicate name": (
+        [CellKind.AND, CellKind.OR], [(0, 1), (1, 2)], [(3,), (4,)],
+        ["g", "g"], None,
+    ),
+    "existing name": ([CellKind.AND], [(0, 1)], [(3,)], ["inv"], None),
+    "net out of range": ([CellKind.AND], [(0, 9)], [(3,)], ["g"], None),
+    "output out of range": ([CellKind.AND], [(0, 1)], [(-1,)], ["g"], None),
+    "already driven": ([CellKind.AND], [(0, 1)], [(5,)], ["g"], None),
+    "driven in batch": (
+        [CellKind.AND, CellKind.OR], [(0, 1), (1, 2)], [(3,), (3,)],
+        ["g", "h"], None,
+    ),
+    "drives one net twice": ([CellKind.HA], [(0, 1)], [(3, 3)], ["h"], None),
+    "negative hint": ([CellKind.XOR], [(0, 1)], [(3,)], ["x"], [(-2,)]),
+}
+
+
+class TestBulkConstruction:
+    @pytest.mark.parametrize("case", sorted(_BAD_BATCHES))
+    def test_add_cells_rejects_like_add_cell(self, case):
+        kinds, inputs, outputs, names, hints = _BAD_BATCHES[case]
+        single = _base()
+        with pytest.raises(ValueError) as one:
+            for k, cell in enumerate(zip(kinds, inputs, outputs, names)):
+                single.add_cell(*cell, delay_hint=None if hints is None else hints[k])
+        batch = _base()
+        before = _state(batch)
+        with pytest.raises(ValueError) as bulk:
+            batch.add_cells(kinds, inputs, outputs, names, hints)
+        assert str(bulk.value) == str(one.value)
+        assert _state(batch) == before  # a rejected batch changes nothing
+
+    def test_add_cells_equals_add_cell(self):
+        kinds = [CellKind.AND, CellKind.FA, CellKind.XOR]
+        inputs = [(0, 1), (0, 1, 2), (3, 4)]
+        outputs = [(3,), (4, 6), (7,)]
+        names = ["g", "f", "x"]
+        hints = [None, (2, 1), (0,)]
+        single, batch = _base(), _base()
+        for n in (single, batch):
+            n.new_net("o1")
+            n.new_net("o2")
+        for cell in zip(kinds, inputs, outputs, names, hints):
+            single.add_cell(*cell)
+        assert batch.add_cells(kinds, inputs, outputs, names, hints) == range(1, 4)
+        assert _state(batch)[1:] == _state(single)[1:]
+        assert batch.version > _state(_base())[0]
+
+    def test_add_nets_names_like_new_net(self):
+        single, batch = Circuit("n"), Circuit("n")
+        for c in (single, batch):
+            c.new_net("n1")  # the anonymous counter skips taken names
+        names = [None, "w", None, None]
+        for name in names:
+            single.new_net(name)
+        assert batch.add_nets(names) == range(1, 5)
+        assert batch.net_names == single.net_names == ["n1", "n0", "w", "n2", "n3"]
+        assert batch._anon_net == single._anon_net
+        assert batch.add_nets([None] * 3) == range(5, 8)
+        assert batch.net_names[5:] == ["n4", "n5", "n6"]
+
+    @pytest.mark.parametrize("names", [["x", "y", "x"], ["y", "taken"]])
+    def test_add_nets_rejects_duplicates_unchanged(self, names):
+        c = Circuit("n")
+        c.new_net("taken")
+        before = _state(c)
+        with pytest.raises(ValueError, match="duplicate net name 'x'|'taken'"):
+            c.add_nets(names)
+        assert _state(c) == before
+
+
+class TestNegativeHints:
+    def test_add_cell_rejects_negative_hint(self):
+        c = Circuit("t")
+        a, b = c.add_input("a"), c.add_input("b")
+        with pytest.raises(ValueError, match="negative delay hint"):
+            c.add_cell(CellKind.XOR, [a, b], name="x", delay_hint=(-2,))
+        assert c.cell_kinds == [] and len(c.net_names) == 2
+
+    def test_zero_hint_stays_legal(self):
+        c = Circuit("t")
+        a = c.add_input("a")
+        cell = c.add_cell(CellKind.BUF, [a], name="b", delay_hint=(0,))
+        assert cell.delay_hint == (0,)
+
+    def test_import_rejects_negative_hint(self):
+        from repro.netlist.io import circuit_from_json, circuit_to_json
+
+        c = Circuit("t")
+        a, b = c.add_input("a"), c.add_input("b")
+        c.add_cell(CellKind.XOR, [a, b], name="x", delay_hint=(7,))
+        text = circuit_to_json(c).replace("[7]", "[-7]")
+        with pytest.raises(ValueError, match="negative delay hint"):
+            circuit_from_json(text)

@@ -37,7 +37,7 @@ class TestCompileMemoization:
 
     def test_structure_only_compile_cached(self, xor_chain):
         assert compile_circuit(xor_chain) is compile_circuit(xor_chain)
-        assert compile_circuit(xor_chain).out_specs is None
+        assert compile_circuit(xor_chain).cell_delays is None
 
     def test_different_models_get_different_entries(self, xor_chain):
         a = compile_circuit(xor_chain, UnitDelay())
@@ -85,7 +85,7 @@ class TestCompiledStructure:
         a, b, cin = (c.add_input(n) for n in "abc")
         cell = c.add_cell(CellKind.FA, [a, b, cin])
         compiled = compile_circuit(c, SumCarryDelay(dsum=3, dcarry=1))
-        spec = compiled.out_specs[cell.index]
+        spec = tuple(zip(cell.outputs, compiled.cell_delays[cell.index]))
         assert spec == ((cell.outputs[0], 3), (cell.outputs[1], 1))
         assert compiled.max_delay == 3
 
@@ -231,6 +231,21 @@ class TestTimingMatchesLevelizeOracle:
                 "max_skew": max(skews),
                 "skewed_fraction": sum(1 for s in skews if s) / len(skews),
             }, what
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_kahn_levels_match_levelize_oracle(self, seed):
+        """The unit-depth levels the Kahn pass gives each cell equal the
+        retired ``levelize_cells`` loop over the topological order."""
+        c, _ = next(self._cases(seed))
+        cc = compile_circuit(c)
+        net_level = [0] * cc.n_nets
+        cell_level = [0] * len(cc.cell_kinds)
+        for ci in cc.topo:
+            lvl = max([net_level[n] for n in cc.cell_inputs[ci]], default=0)
+            cell_level[ci] = lvl
+            for out in cc.cell_outputs[ci]:
+                net_level[out] = max(net_level[out], lvl + 1)
+        assert list(cc.cell_levels) == cell_level
 
     def test_constant_paths_count(self):
         """A path from a constant counts toward the critical path,

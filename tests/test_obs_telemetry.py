@@ -204,6 +204,24 @@ class TestResourceSampler:
         # Probe unregistered once the pool wound down.
         assert "pool.queue_depth" not in obs_sampler._PROBES
 
+    def test_probe_withdrawn_between_ticks_is_sampled_once(self):
+        """A probe registered and withdrawn while a sampler waits for
+        its next tick still gets one sample, taken as it goes."""
+        with trace.capture() as rec:
+            s = obs_sampler.ResourceSampler(interval_s=60, recorder=rec)
+            with s:
+                while not s.samples_taken:  # the immediate first tick
+                    time.sleep(0.001)
+                obs_sampler.register_probe("test.brief", lambda: 7)
+                obs_sampler.unregister_probe("test.brief")
+        samples = [
+            e for e in rec.events
+            if e["ph"] == "C" and e["name"] == "test.brief"
+        ]
+        assert len(samples) == 1
+        assert s.samples_taken == 1
+        assert "test.brief" not in obs_sampler._PROBES
+
     def test_probe_exceptions_do_not_kill_sampling(self):
         def _bad():
             raise RuntimeError("broken probe")

@@ -5,6 +5,7 @@ import pytest
 from repro.netlist.cells import Cell, CellKind
 from repro.sim.delays import (
     HintedDelay,
+    LoadDelay,
     PerKindDelay,
     SumCarryDelay,
     UnitDelay,
@@ -112,5 +113,79 @@ def test_compile_asks_every_cell():
     x = c.add_cell(CellKind.XOR, [a, b], name="x", delay_hint=(4,)).outputs[0]
     y = c.gate(CellKind.AND, a, b, name="y")
     compiled = compile_circuit(c, HintOrUnit())
-    assert compiled.out_specs == (((x, 4),), ((y, 1),))
+    assert compiled.cell_delays == ((4,), (1,))
     assert compiled.max_delay == 4
+
+
+class _HintOrUnitOverride(UnitDelay):
+    """A kind-only model's subclass that reads the instance."""
+
+    def delay(self, cell, position):
+        hint = cell.delay_hint or ()
+        return hint[position] + 1 if position < len(hint) else 1
+
+
+def _models(c):
+    return [
+        UnitDelay(), SumCarryDelay(dsum=3, dcarry=1, other=2),
+        PerKindDelay({CellKind.XOR: 3, CellKind.FA: 2}, default=1),
+        HintedDelay(), HintedDelay(SumCarryDelay()),
+        LoadDelay(c, extra_per_load=2, loads_per_unit=1),
+        _HintOrUnitOverride(),
+    ]
+
+
+def _hinted_circuit(seed):
+    """A random circuit with flipflops, constants and delay hints."""
+    import random
+
+    from repro.netlist.circuit import Circuit
+    from tests.conftest import random_dag_circuit
+
+    rng = random.Random(seed)
+    base = random_dag_circuit(rng, n_gates=20, with_ffs=True, loops=1, consts=1)
+    c = Circuit("hinted")
+    inputs = set(base.inputs)
+    for n, name in enumerate(base.net_names):
+        (c.add_input if n in inputs else c.new_net)(name)
+    for cell in base.cells:
+        hint = None
+        if rng.random() < 0.5:
+            hint = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3)))
+        c.add_cell(cell.kind, cell.inputs, cell.outputs, cell.name, hint)
+    return c
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_per_kind_resolution_equals_per_cell_delay(seed):
+    """``resolve_delays`` gives what ``delay(cell, pos)`` gives per cell,
+    0 for a flipflop, under every model, subclasses included."""
+    from repro.netlist.compiled import resolve_delays
+
+    c = _hinted_circuit(seed)
+    for model in _models(c):
+        want = tuple(
+            (0,) if cell.is_sequential
+            else tuple(model.delay(cell, pos) for pos in range(len(cell.outputs)))
+            for cell in c.cells
+        )
+        assert resolve_delays(c, model) == want, model.describe()
+
+
+def test_built_in_models_resolve_without_cell_views(monkeypatch):
+    """The five built-in models read the flat lists; only a subclass
+    that overrides ``delay`` is handed :class:`Cell` views."""
+    from repro.netlist.circuit import Circuit
+    from repro.netlist.compiled import resolve_delays
+
+    c = _hinted_circuit(3)
+
+    def no_views(self, ci):
+        raise AssertionError("a Cell view was built")
+
+    monkeypatch.setattr(Circuit, "_cell_row", no_views)
+    *built_in, override = _models(c)
+    for model in built_in:
+        resolve_delays(c, model)
+    with pytest.raises(AssertionError, match="Cell view"):
+        resolve_delays(c, override)

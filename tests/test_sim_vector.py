@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.activity import ActivityRun
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
+from repro.netlist.compiled import compile_circuit
 from repro.sim.backends import (
     BackendUnavailableError,
     EventDrivenBackend,
@@ -250,6 +251,28 @@ class TestWarmupAndResume:
             initial_ff_state=ff.final_ff_state,
         )
         _assert_stats_equal(ev, vc)
+
+
+@needs_numpy
+class TestWarmupSettle:
+    """The vector engine settles the warm-up vector in its own one-lane
+    zero pass; the values equal ``evaluate_flat``'s."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_settle_equals_evaluate_flat(self, seed):
+        rng = random.Random(seed)
+        c = random_dag_circuit(
+            rng, n_inputs=5, n_gates=25, with_ffs=True, loops=seed % 3,
+            consts=seed % 2 + 1,
+        )
+        cc = compile_circuit(c)
+        state = {ci: rng.randint(0, 1) for ci in cc.ff_cells}
+        for delay in (UnitDelay(), ZeroDelay()):
+            engine = VectorBackend(c, delay)
+            for _ in range(4):
+                bits = [rng.randint(0, 1) for _ in c.inputs]
+                got = engine._settle_vector(bits, state).tolist()
+                assert got == cc.evaluate_flat(bits, state)[0]
 
 
 @needs_numpy
