@@ -133,14 +133,12 @@ def _require_backend(name: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.core.activity import ActivityRun
     from repro.core.report import format_table
     from repro.sim.backends import ZERO_DELAY_ALIASES, select_backend
 
     circuit, stim = build_named_circuit(args.circuit)
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    rng = random.Random(args.seed)
     backend = args.backend
     _require_backend(backend)
     if args.vcd is not None:
@@ -172,43 +170,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     else:
         delay = None
-    store = None
-    if args.cache is not None:
-        # Route through the service layer: exact content-addressed
-        # reuse, bit-identical to the direct run below.
-        from repro.service.runner import cached_run
-        from repro.sim.vectors import UniformStimulus
+    store = _open_store(args.cache)
+    if args.vcd is not None:
+        from repro.core.activity import ActivityRun, accumulate_traces
+        from repro.sim.vcd import dump_vcd
 
-        store = _open_store(args.cache)
-        result = cached_run(
-            circuit, stim, UniformStimulus(seed=args.seed), args.vectors,
-            delay_model=delay, backend=backend, store=store,
+        run = ActivityRun(circuit, delay_model=delay, backend=backend)
+        traces = run.step_traces(
+            stim.random(random.Random(args.seed), args.vectors + 1),
+            record_events=True,
+        )
+        result = accumulate_traces(run._result_shell(), traces)
+        cycle_length = max((t.settle_time for t in traces), default=0) + 1
+        with open(args.vcd, "w") as fh:
+            fh.write(dump_vcd(circuit, traces, cycle_length=cycle_length))
+        print(f"wrote {len(traces)} cycles to {args.vcd}")
+    else:
+        result = _run_once(
+            circuit, stim, args, delay, store, backend=backend,
             shards=args.shards, processes=args.jobs,
         )
-        source = "cache" if store.hits else "simulated"
-        store.flush()  # persist hit recency even in read-only runs
-        print(f"[cache] {source}: {store.root}")
-    else:
-        run = ActivityRun(circuit, delay_model=delay, backend=backend)
-        vectors = stim.random(rng, args.vectors + 1)
-        if args.vcd is not None:
-            from repro.core.activity import accumulate_traces
-            from repro.sim.vcd import dump_vcd
-
-            traces = run.step_traces(vectors, record_events=True)
-            result = accumulate_traces(run._result_shell(), traces)
-            cycle_length = max(
-                (t.settle_time for t in traces), default=0
-            ) + 1
-            with open(args.vcd, "w") as fh:
-                fh.write(dump_vcd(circuit, traces, cycle_length=cycle_length))
-            print(f"wrote {len(traces)} cycles to {args.vcd}")
-        elif args.shards > 1:
-            result = run.run_sharded(
-                vectors, shards=args.shards, processes=args.jobs
-            )
-        else:
-            result = run.run(vectors)
     summary = result.summary()
     print(
         format_table(
@@ -260,20 +241,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_once(
+    circuit: Circuit, stim, args: argparse.Namespace, delay, store,
+    backend: str = "auto", shards: int = 1, processes: int | None = None,
+):
+    """One ``--vectors``/``--seed`` run, cached only in *store*
+    (``--cache``): without it ``REPRO_CACHE_DIR`` is not read."""
+    from repro.service.runner import run_once
+    from repro.sim.vectors import UniformStimulus
+
+    outcome, result = run_once(
+        circuit, stim, UniformStimulus(seed=args.seed), args.vectors,
+        delay_model=delay, backend=backend, store=store, shards=shards,
+        processes=processes,
+    )
+    _report_cache(store, outcome=outcome)
+    return result
+
+
 def _estimate_for(circuit: Circuit, stimulus, store):
-    """One workload estimate, through the service layer when *store* is set."""
-    if store is not None:
-        from repro.service.runner import cached_estimate
+    """One workload estimate, cached only in *store*."""
+    from repro.service.runner import estimate_once
 
-        hits_before = store.hits
-        estimate = cached_estimate(circuit, stimulus, store=store)
-        source = "cache" if store.hits > hits_before else "estimated"
-        store.flush()  # persist hit recency even in read-only runs
-        print(f"[estimate cache] {source}: {store.root}")
-        return estimate
-    from repro.estimate.workload import estimate_workload
-
-    return estimate_workload(circuit, stimulus)
+    outcome, estimate = estimate_once(circuit, stimulus, store)
+    _report_cache(store, "estimate cache", outcome, miss="estimated")
+    return estimate
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -318,13 +310,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     store = _open_store(args.cache)
     with obs.span(f"experiment.{name}", vectors=args.vectors):
         _dispatch_experiment(name, args, store)
-    if store is not None:
-        store.flush()  # persist hit recency even in read-only runs
-        print(
-            f"[cache] {store.hits} hit(s), {store.misses} miss(es) "
-            f"at {store.root}"
-        )
+    _report_cache(store)
     return 0
+
+
+def _report_cache(store, tag="cache", outcome=None, miss="simulated"):
+    """Persist *store*'s hit recency and print its ``[tag]`` line: the
+    one item's *outcome*, else the session's hit and miss counts."""
+    if store is None:
+        return
+    store.flush()  # persist hit recency even in read-only runs
+    if outcome is not None:
+        print(f"[{tag}] {'cache' if outcome == 'hit' else miss}: {store.root}")
+    else:
+        print(f"[{tag}] {store.hits} hit(s), {store.misses} miss(es) at {store.root}")
 
 
 def _dispatch_experiment(name: str, args: argparse.Namespace, store) -> None:
@@ -673,12 +672,7 @@ def _run_explore(circuit: Circuit, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     print(format_explore(result))
-    if store is not None:
-        store.flush()  # persist hit recency even in warm runs
-        print(
-            f"[cache] {store.hits} hit(s), {store.misses} miss(es) "
-            f"at {store.root}"
-        )
+    _report_cache(store)
     if not any(c.on_front for c in result.candidates):
         raise SystemExit(
             "exploration produced an empty front; relax --max-area / "
@@ -738,32 +732,16 @@ def cmd_import(args: argparse.Namespace) -> int:
         ))
         return 0
     # analyze: only this path needs the name-derived word stimulus.
-    from repro.sim.vectors import UniformStimulus, WordStimulus
+    from repro.sim.vectors import WordStimulus
 
     try:
         words = words_from_inputs(circuit)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    stim = WordStimulus(words)
-    delay = _delay_model(args.delay or "unit")
-    store = _open_store(args.cache)
-    if store is not None:
-        from repro.service.runner import cached_run
-
-        result = cached_run(
-            circuit, stim, UniformStimulus(seed=args.seed), args.vectors,
-            delay_model=delay, backend="auto", store=store,
-        )
-        source = "cache" if store.hits else "simulated"
-        store.flush()
-        print(f"[cache] {source}: {store.root}")
-    else:
-        from repro.core.activity import ActivityRun
-
-        run = ActivityRun(circuit, delay_model=delay, backend="auto")
-        result = run.run(
-            UniformStimulus(seed=args.seed).vectors(stim, args.vectors + 1)
-        )
+    result = _run_once(
+        circuit, WordStimulus(words), args, _delay_model(args.delay or "unit"),
+        _open_store(args.cache),
+    )
     word_desc = ", ".join(
         f"{name}[{len(nets)}]" for name, nets in words.items()
     )

@@ -99,12 +99,12 @@ class ActivityResult:
                                       -> :meth:`reduction_bound`
 
     The per-net counts stay in the columns the engines and the store
-    hand over (:attr:`counts`), which the aggregates, :meth:`summary`
-    and the store codec read, until a caller reads :attr:`per_node`
-    (directly or through :meth:`node`, :meth:`restrict` or
-    :meth:`merge`).  That builds the ``{net: NodeActivity}`` dict once;
-    from then on the dict holds the counts, so callers may change it in
-    place.
+    hand over (:attr:`counts`), which the aggregates, :meth:`summary`,
+    the store codec and :meth:`merge` read, until a caller reads
+    :attr:`per_node` (directly or through :meth:`node` or
+    :meth:`restrict`).  That builds the ``{net: NodeActivity}`` dict
+    once; from then on the dict holds the counts, so callers may change
+    it in place, up to the next :meth:`merge`.
     """
 
     def __init__(
@@ -228,33 +228,30 @@ class ActivityResult:
         """Per-bit activity along a word, LSB first (paper Figure 5)."""
         return [self.node(n) for n in word]
 
-    def merge(self, other: "ActivityResult") -> None:
-        """Accumulate a second (sharded) run into this result.
+    def merge(self, *others: "ActivityResult") -> None:
+        """Accumulate further (sharded) runs into this result.
 
-        Both results must come from the same circuit *and* the same
+        Every result must come from the same circuit *and* the same
         delay regime — merging, say, unit-delay counts into
         ``dsum=2*dcarry`` counts would silently mix incomparable
-        classifications.
+        classifications.  The counts are summed column-wise, all in one
+        :meth:`~repro.core.transitions.CountColumns.plus` pass: a merge
+        builds no :attr:`per_node`, and a result that had built it goes
+        back to columns (its records are rebuilt on the next read).
         """
-        if other.circuit_name != self.circuit_name:
-            raise ValueError("cannot merge results from different circuits")
-        if other.delay_description != self.delay_description:
-            raise ValueError(
-                "cannot merge results from different delay models: "
-                f"{self.delay_description!r} vs {other.delay_description!r}"
-            )
-        self.cycles += other.cycles
-        per_node = self.per_node
-        for n, act in other.per_node.items():
-            mine = per_node.get(n)
-            if mine is None:
-                per_node[n] = NodeActivity(
-                    act.toggles, act.rises, act.useful, act.useless,
-                    act.cycles_active,
+        for other in others:
+            if other.circuit_name != self.circuit_name:
+                raise ValueError("cannot merge results from different circuits")
+            if other.delay_description != self.delay_description:
+                raise ValueError(
+                    "cannot merge results from different delay models: "
+                    f"{self.delay_description!r} vs {other.delay_description!r}"
                 )
-            else:
-                mine.merge(act)
-        self.node_names.update(other.node_names)
+        for other in others:
+            self.cycles += other.cycles
+            self.node_names.update(other.node_names)
+        self._counts = self.counts.plus(*(other.counts for other in others))
+        self._per_node = None
 
     def summary(self) -> Dict[str, float]:
         """Headline numbers in one dict (used by reports and benches)."""
@@ -271,7 +268,7 @@ def accumulate_traces(
 
     The traces are counted on flat per-net arrays with the parity
     classification inlined (:func:`~repro.sim.backends.count_traces`),
-    then merged into *result*'s records once per net.
+    then merged into *result* (:meth:`ActivityResult.merge`).
     """
     cycles, counts = count_traces(traces)
     result.merge(ActivityResult(
@@ -486,14 +483,6 @@ class ActivityRun:
             self.delay_model if self.delay_model is not None else ZeroDelay()
         )
 
-    def _make_backend(self, monitor: Iterable[int] | None = None):
-        return get_backend(
-            self.backend_name,
-            self.circuit,
-            self._effective_delay_model(),
-            self.monitor if monitor is None else monitor,
-        )
-
     def _result_shell(self) -> ActivityResult:
         return ActivityResult(
             circuit_name=self.circuit.name,
@@ -633,8 +622,7 @@ class ActivityRun:
             shard_results = [_run_shard(job) for job in jobs]
 
         result = self._result_shell()
-        for sub in shard_results:
-            result.merge(sub)
+        result.merge(*shard_results)
         return result
 
     # ------------------------------------------------------------------

@@ -96,10 +96,11 @@ def estimate_power(
         if kind is CellKind.DFF
     }
     logic = 0.0
-    for net, node_activity in activity.per_node.items():
-        if net in ff_outputs or node_activity.rises == 0:
+    counts = activity.counts  # the columns: no per-net record is built
+    for net, rises in zip(counts.nets, counts.rises):
+        if net in ff_outputs or rises == 0:
             continue
-        p_rise = node_activity.rises / activity.cycles
+        p_rise = rises / activity.cycles
         logic += dynamic_power(
             p_rise,
             tech.net_load_capacitance(circuit, net),

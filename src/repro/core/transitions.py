@@ -148,3 +148,17 @@ class CountColumns(NamedTuple):
     def records(self) -> Dict[int, NodeActivity]:
         """One fresh :class:`NodeActivity` per net, in ``nets`` order."""
         return dict(zip(self.nets, map(NodeActivity, *self[1:])))
+
+    def plus(self, *others: "CountColumns") -> "CountColumns":
+        """The per-net sums of these counts and *others*', over the
+        union of their nets, in one pass (none of them is changed)."""
+        parts = (self, *others)
+        nets = sorted(set().union(*(counts.nets for counts in parts)))
+        row_of = {net: row for row, net in enumerate(nets)}
+        columns = [[0] * len(nets) for _ in self[1:]]
+        for counts in parts:
+            rows = [row_of[net] for net in counts.nets]
+            for column, values in zip(columns, counts[1:]):
+                for row, value in zip(rows, values):
+                    column[row] += value
+        return CountColumns(nets, *columns)

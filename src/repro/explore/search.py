@@ -56,7 +56,7 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.compiled import content_digest, delay_fingerprint
 from repro.obs import trace as obs
 from repro.service.jobs import CircuitTask, resolve_delay, run_circuit_tasks
-from repro.service.store import EXPLORE, ResultStore, RunKey, decode_result
+from repro.service.store import EXPLORE, ResultStore, RunKey
 from repro.sim.delays import DelayModel
 from repro.sim.vectors import StimulusSpec, UniformStimulus
 
@@ -453,9 +453,10 @@ def explore(
     with obs.span(
         "explore.simulate", circuit=circuit.name, points=len(tasks)
     ):
-        payloads = run_circuit_tasks(tasks, store=store, processes=processes)
-        for cand, payload in zip(to_simulate, payloads):
-            activity = decode_result(payload, cand.circuit)
+        activities = run_circuit_tasks(
+            tasks, store=store, processes=processes
+        )
+        for cand, activity in zip(to_simulate, activities):
             cand.exact = simulated_cost(
                 cand.circuit, activity, delay_model, context, cand.latency
             )

@@ -1,42 +1,39 @@
 """Analysis service: exact result reuse and batch scheduling.
 
 The sixth architecture layer, on top of the session API
-(:mod:`repro.core.activity`).  Identical analysis requests — the
-common case when many users sweep the same paper artefacts — are
-served from a persistent, content-addressed cache instead of
-recomputing, and large parameter sweeps become declarative batch jobs
-with partial-hit resume:
+(:mod:`repro.core.activity`).  Identical analysis requests are served
+from a persistent, content-addressed cache instead of recomputing, and
+large parameter sweeps become declarative batch jobs with partial-hit
+resume:
 
+* :mod:`repro.service.runner` — :func:`~repro.service.runner.execute`,
+  the one cached-work executor: one store lookup per item, key-identical
+  misses computed once (in process or supervised), every finished
+  payload stored by the parent before anything is reported, and a
+  ``hit`` / ``computed`` / ``failed`` outcome per item.  Its one-item
+  callers :func:`cached_run` and :func:`cached_estimate` (the front
+  doors of the CLI and the experiment drivers; default store from
+  ``REPRO_CACHE_DIR``) serialize nothing without a store.
 * :mod:`repro.service.store` — :class:`ResultStore`: on-disk,
-  LRU-bounded, atomic-write cache of serialized activity results,
-  keyed by canonical fingerprints of (circuit, delay model, stimulus,
-  vector count, result class).  Hits are bit-identical to
-  recomputation by construction.
-* :mod:`repro.service.runner` — :func:`cached_run`, the front door
-  every cached consumer routes through, plus the process-default
-  store (``REPRO_CACHE_DIR``) and :func:`cached_estimate`, the same
-  front door for the analytic estimation backend
-  (:mod:`repro.estimate`; entries keyed by derived input statistics,
-  shared across stimulus seeds).
+  LRU-bounded, atomic-write cache of serialized results, keyed by
+  canonical fingerprints of (circuit, delay model, stimulus, vector
+  count, result class); hits are bit-identical to recomputation.
 * :mod:`repro.service.jobs` — :class:`JobSpec` sweeps expanded into
-  :class:`JobPoint`\\ s and executed by the :class:`BatchScheduler`
-  over the supervised worker pool; only cache-missing points
-  simulate.
-* :mod:`repro.service.pool` — :func:`run_supervised`: the fan-out
-  primitive all batch paths use.  Worker death and hangs are detected
-  and the task retried with deterministic backoff
-  (:class:`RetryPolicy`); tasks that exhaust the budget become
-  structured :class:`TaskFailure` quarantine records; an interrupt
+  :class:`JobPoint`\\ s for the :class:`BatchScheduler`, and explore's
+  candidate circuits: both thin callers of the executor.
+* :mod:`repro.service.pool` — :func:`run_supervised`, the supervised
+  fan-out: dead or hung workers are detected and the task retried with
+  deterministic backoff (:class:`RetryPolicy`); tasks that exhaust the
+  budget become :class:`TaskFailure` quarantine records; an interrupt
   salvages every completed payload.
 * :mod:`repro.service.faults` — the deterministic fault-injection
   harness behind the chaos suite: a seeded :class:`FaultPlan` arms
-  named injection points (worker crash/hang, torn or failing store
-  writes, backend ``MemoryError``) whose firing is a pure function of
-  (seed, site identity), so any chaos run replays exactly.
+  named injection points whose firing is a pure function of (seed,
+  site identity), so any chaos run replays exactly.
 
 The CLI exposes the service as ``repro.cli submit / status / cache``
 (including ``cache verify|repair``) and via ``--cache DIR`` on
-``analyze`` and ``experiment``.
+``analyze``, ``estimate``, ``import``, ``explore`` and ``experiment``.
 """
 
 from repro import _lazy_exports

@@ -265,10 +265,6 @@ def enter_worker(reset_counters: bool = True) -> None:
         _FIRES.clear()
 
 
-def in_worker() -> bool:
-    return _IN_WORKER
-
-
 # ---------------------------------------------------------------------------
 # Decision + effect helpers (the layers call these)
 # ---------------------------------------------------------------------------

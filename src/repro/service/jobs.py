@@ -7,27 +7,24 @@ count — plus *sweep axes* (lists of values for any of those fields),
 which expand via Cartesian product into independent
 :class:`JobPoint`\\ s.
 
-The :class:`BatchScheduler` resolves each point against the result
-store first (**partial-hit resume**: re-submitting an overlapping
-sweep simulates only the cache-missing points), fans the misses out
-over the supervised worker pool
-(:func:`repro.service.pool.run_supervised` — crashed or hung workers
-are respawned and their tasks retried with deterministic backoff),
-and writes every computed result back.  Workers never touch the
-store — they return serialized payloads and the parent performs all
-index mutations — so there is a single writer per store by
-construction.
+The :class:`BatchScheduler` (catalog points) and
+:func:`run_circuit_tasks` (the explorer's explicit circuits,
+:class:`CircuitTask`) are thin callers of the service's one
+cached-work executor, :func:`repro.service.runner.execute`: hits are
+served from the store (**partial-hit resume**), key-identical misses
+are computed once, in process or over the supervised worker pool
+(:func:`repro.service.pool.run_supervised`), and the parent — the
+store's single writer — persists every finished result before
+reporting.  In process, explore's circuits and results stay live
+objects.
 
 Failure semantics: a point that keeps failing past the retry budget
-is **quarantined** — recorded as a ``"failed"``
-:class:`PointOutcome` with its :class:`~repro.service.pool.TaskFailure`
-persisted on the job record — while every other point's result is
-kept.  A ``KeyboardInterrupt`` mid-batch persists all
-already-completed points (and the partial job record) before
-re-raising, so an interrupted sweep resumes from where it stopped.
-
-Job records are persisted under ``<store>/jobs/<job_id>.json`` so
-``repro.cli status`` can report past batches.
+is **quarantined** — a ``"failed"`` :class:`PointOutcome` with its
+:class:`~repro.service.pool.TaskFailure` on the job record — while
+every other point's result is kept; a ``KeyboardInterrupt`` persists
+the completed points and a partial job record before re-raising.
+Job records live under ``<store>/jobs/<job_id>.json`` for
+``repro.cli status``.
 """
 
 from __future__ import annotations
@@ -37,24 +34,33 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.circuits.catalog import build_named_circuit, validate_name
+from repro.core.activity import ActivityResult, ActivityRun
+from repro.netlist.circuit import Circuit
 from repro.obs import trace as obs
 from repro.obs.hist import Histogram
-from repro.service.pool import RetryPolicy, TaskFailure, run_supervised
-from repro.service.runner import estimate_key, run_key
+from repro.service.pool import RetryPolicy, TaskFailure
+from repro.service.runner import estimate_key, execute, run_key
 from repro.service.store import (
     ResultStore,
+    RunKey,
     _atomic_write,
+    decode_result,
     encode_estimate,
     encode_result,
     payload_summary,
 )
-from repro.sim.backends import preload_backends
 from repro.sim.delays import DelayModel, SumCarryDelay, UnitDelay
-from repro.sim.vectors import StimulusSpec, UniformStimulus, stimulus_from_dict
+from repro.sim.vectors import (
+    StimulusSpec,
+    UniformStimulus,
+    WordStimulus,
+    stimulus_from_dict,
+)
 
 #: Delay regimes a declarative job may name.
 DELAY_MODELS = {
@@ -116,6 +122,11 @@ class JobPoint:
             f"{self.circuit} Δ{self.delay} "
             f"{self.stimulus.describe()} x{self.n_vectors}"
         )
+
+    @property
+    def engine(self) -> str | None:
+        """The backend this point runs (``None``: an estimate runs none)."""
+        return None if self.estimate else self.backend
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -206,15 +217,10 @@ class JobSpec:
         }
 
 
-def _zero_summary() -> Dict[str, float]:
-    """The headline summary shape with every aggregate zeroed.
-
-    Quarantined points report this so every surface that tabulates
-    summaries (CLI tables read ``total``/``useful``/``useless``/
-    ``L/F`` unconditionally) renders failed rows without special
-    cases.
-    """
-    return {"total": 0, "useful": 0, "useless": 0, "L/F": 0.0}
+#: What a quarantined point reports: the headline keys every summary
+#: table reads (``total``/``useful``/``useless``/``L/F``), zeroed, so
+#: failed rows render without special cases.
+_ZERO_SUMMARY = {"total": 0, "useful": 0, "useless": 0, "L/F": 0.0}
 
 
 @dataclass
@@ -274,29 +280,33 @@ class BatchReport:
         }
 
 
+def _run_key(circuit: Circuit, stim: WordStimulus, spec) -> RunKey:
+    """The run key of a :class:`JobPoint` or :class:`CircuitTask`."""
+    return run_key(
+        circuit, stim, spec.stimulus, spec.n_vectors,
+        delay_model=resolve_delay(spec.delay), backend=spec.backend,
+    )
+
+
+def _simulate(circuit: Circuit, stim: WordStimulus, spec) -> ActivityResult:
+    """Simulate a :class:`JobPoint` or :class:`CircuitTask` — never
+    through a store: the parent is the store's single writer."""
+    run = ActivityRun(
+        circuit, delay_model=resolve_delay(spec.delay), backend=spec.backend,
+    )
+    return run.run(spec.stimulus.vectors(stim, spec.n_vectors + 1))
+
+
 def _compute_point(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Simulate one point (module-level so worker pools can pickle it).
-
-    Builds the circuit from the catalog, runs the session API directly
-    — never through a store, not even a ``REPRO_CACHE_DIR`` default:
-    the parent is the store's single writer by construction — and
-    returns the serialized payload.
-    """
-    from repro.core.activity import ActivityRun
-
+    """One point's payload, built from the catalog (module-level so
+    worker pools can pickle it)."""
     point = JobPoint.from_dict(doc)
     circuit, stim = build_named_circuit(point.circuit)
     if point.estimate:
         from repro.estimate.workload import estimate_workload
 
         return encode_estimate(estimate_workload(circuit, point.stimulus))
-    run = ActivityRun(
-        circuit,
-        delay_model=resolve_delay(point.delay),
-        backend=point.backend,
-    )
-    result = run.run(point.stimulus.vectors(stim, point.n_vectors + 1))
-    return encode_result(result)
+    return encode_result(_simulate(circuit, stim, point))
 
 
 @dataclass
@@ -304,68 +314,53 @@ class CircuitTask:
     """One explicit-circuit unit of work for :func:`run_circuit_tasks`.
 
     Unlike a :class:`JobPoint`, which names a *catalog* circuit, a
-    task ships the netlist itself as schema-v1 JSON
-    (:func:`repro.netlist.io.circuit_to_json`) so worker processes can
-    rebuild arbitrary circuits — the design-space explorer's transform
-    candidates are not catalog entries.  The word stimulus is derived
-    from the primary-input names
+    task holds the live netlist — the design-space explorer's
+    transform candidates are not catalog entries — and serializes it
+    only at the pool boundary: :meth:`to_dict` ships it as schema-v1
+    JSON (:func:`repro.netlist.io.circuit_to_json`).  The word stimulus
+    is derived from the primary-input names
     (:func:`repro.netlist.io.words_from_inputs`), which every library
     circuit and transform pass preserves.
     """
 
     label: str
-    circuit_json: str
+    circuit: Circuit
     delay: str
     stimulus: StimulusSpec
     n_vectors: int
     backend: str = "auto"
-    #: Transient parent-side cache of ``(circuit, word_stimulus)``;
-    #: never serialized (workers always rebuild from the JSON).
-    _materialized: Any = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_circuit(
-        circuit,
+        circuit: Circuit,
         delay: str,
         stimulus: StimulusSpec,
         n_vectors: int,
         backend: str = "auto",
         label: str | None = None,
     ) -> "CircuitTask":
-        from repro.netlist.io import circuit_to_json, words_from_inputs
-        from repro.sim.vectors import WordStimulus
-
-        task = CircuitTask(
-            label=label or circuit.name,
-            circuit_json=circuit_to_json(circuit),
-            delay=delay,
-            stimulus=stimulus,
-            n_vectors=n_vectors,
-            backend=backend,
+        return CircuitTask(
+            label or circuit.name, circuit, delay, stimulus, n_vectors,
+            backend,
         )
-        # The caller already holds the live circuit: keep it so the
-        # parent-side key computation does not re-parse the JSON.
-        task._materialized = (
-            circuit, WordStimulus(words_from_inputs(circuit))
-        )
-        return task
 
-    def materialize(self):
-        """``(circuit, word_stimulus)``, rebuilt from the payload once."""
-        if self._materialized is None:
-            from repro.netlist.io import circuit_from_json, words_from_inputs
-            from repro.sim.vectors import WordStimulus
+    @property
+    def engine(self) -> str:
+        """The backend this task runs."""
+        return self.backend
 
-            circuit = circuit_from_json(self.circuit_json)
-            self._materialized = (
-                circuit, WordStimulus(words_from_inputs(circuit))
-            )
-        return self._materialized
+    @cached_property
+    def words(self) -> WordStimulus:
+        from repro.netlist.io import words_from_inputs
+
+        return WordStimulus(words_from_inputs(self.circuit))
 
     def to_dict(self) -> Dict[str, Any]:
+        from repro.netlist.io import circuit_to_json
+
         return {
             "label": self.label,
-            "circuit_json": self.circuit_json,
+            "circuit_json": circuit_to_json(self.circuit),
             "delay": self.delay,
             "stimulus": self.stimulus.to_dict(),
             "n_vectors": self.n_vectors,
@@ -374,9 +369,11 @@ class CircuitTask:
 
     @staticmethod
     def from_dict(doc: Mapping[str, Any]) -> "CircuitTask":
+        from repro.netlist.io import circuit_from_json
+
         return CircuitTask(
             label=doc["label"],
-            circuit_json=doc["circuit_json"],
+            circuit=circuit_from_json(doc["circuit_json"]),
             delay=doc["delay"],
             stimulus=stimulus_from_dict(doc["stimulus"]),
             n_vectors=int(doc["n_vectors"]),
@@ -384,28 +381,15 @@ class CircuitTask:
         )
 
 
-def _simulate_circuit_task(task: "CircuitTask") -> Dict[str, Any]:
-    """Simulate one task against its (possibly cached) live circuit."""
-    from repro.core.activity import ActivityRun
-
-    circuit, stim = task.materialize()
-    run = ActivityRun(
-        circuit,
-        delay_model=resolve_delay(task.delay),
-        backend=task.backend,
-    )
-    result = run.run(task.stimulus.vectors(stim, task.n_vectors + 1))
-    return encode_result(result)
+def _simulate_circuit_task(task: CircuitTask) -> ActivityResult:
+    """Simulate one task against its live circuit."""
+    return _simulate(task.circuit, task.words, task)
 
 
 def _compute_circuit_task(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Simulate one serialized :class:`CircuitTask` (worker entry point;
-    module-level for pickling).
-
-    Like :func:`_compute_point`, workers never touch a store — the
-    parent is the single writer.
-    """
-    return _simulate_circuit_task(CircuitTask.from_dict(doc))
+    """Simulate one serialized :class:`CircuitTask` into its payload
+    (the worker entry point; module-level for pickling)."""
+    return encode_result(_simulate_circuit_task(CircuitTask.from_dict(doc)))
 
 
 def run_circuit_tasks(
@@ -413,100 +397,33 @@ def run_circuit_tasks(
     store: ResultStore | None = None,
     processes: int | None = None,
     policy: RetryPolicy | None = None,
-) -> List[Dict[str, Any]]:
-    """Execute explicit-circuit tasks with cache resume and fan-out.
-
-    Returns one serialized activity payload per task, in order.  Tasks
-    already in *store* are served without simulating (warm-cache
-    resume — re-running an exploration whose candidates were simulated
-    before does zero simulation work); key-identical misses (distinct
-    labels, fingerprint-identical circuits) are computed once; the
-    rest fan out over the supervised pool
-    (:func:`repro.service.pool.run_supervised`, governed by *policy*)
-    when *processes* > 1.  All computed results are written back
-    through the parent.
-
-    Every completed payload is persisted **before** error reporting:
-    a ``KeyboardInterrupt`` re-raises after the write-back, and tasks
-    quarantined past the retry budget raise ``RuntimeError`` after it
-    — either way a re-run resumes from the cache instead of redoing
-    finished work.
+) -> List[ActivityResult]:
+    """One live :class:`~repro.core.activity.ActivityResult` per task,
+    in order, through :func:`repro.service.runner.execute`: in process
+    on the live circuits or, with *processes* > 1, in the supervised
+    pool under *policy*.  After every completed result is stored, a
+    ``KeyboardInterrupt`` re-raises and quarantined tasks raise
+    ``RuntimeError``.
     """
-    payloads: List[Any] = [None] * len(tasks)
-    misses: List[Tuple[int, Any]] = []
-    for i, task in enumerate(tasks):
-        key = None
-        if store is not None:
-            circuit, stim = task.materialize()
-            key = run_key(
-                circuit, stim, task.stimulus, task.n_vectors,
-                delay_model=resolve_delay(task.delay),
-                backend=task.backend,
-            )
-            payload = store.get(key)
-            if payload is not None:
-                payloads[i] = payload
-                obs.instant(
-                    "jobs.task", label=task.label, outcome="hit"
-                )
-                continue
-        misses.append((i, key))
-
-    # Collapse key-identical misses to one computation each.
-    unique: List[Tuple[int, Any]] = []
-    slot_of: List[int] = []
-    slot_by_digest: Dict[str, int] = {}
-    for i, key in misses:
-        digest = None if key is None else key.digest()
-        if digest is not None and digest in slot_by_digest:
-            slot_of.append(slot_by_digest[digest])
-            continue
-        if digest is not None:
-            slot_by_digest[digest] = len(unique)
-        slot_of.append(len(unique))
-        unique.append((i, key))
-
-    # Site keys identify a task by content (its run-key digest) where
-    # possible: retry jitter and fault-injection decisions then follow
-    # the task across workers, attempts, and re-runs.
-    site_keys = [
-        key.digest() if key is not None else f"task-{i}:{tasks[i].label}"
-        for i, key in unique
+    items = [
+        (None if store is None else _run_key(t.circuit, t.words, t), t.label, t)
+        for t in tasks
     ]
-    labels = [tasks[i].label for i, _ in unique]
-    if processes and processes > 1 and len(unique) > 1:
-        preload_backends(tasks[i].backend for i, _ in unique)
-        docs = [tasks[i].to_dict() for i, _ in unique]
-        pool_result = run_supervised(
-            _compute_circuit_task, docs,
-            processes=min(processes, len(docs)),
-            policy=policy, keys=site_keys, labels=labels,
-        )
-    else:
-        # In-process: simulate against the parent's live circuits —
-        # no JSON round-trip, and the compile memo stays warm.
-        pool_result = run_supervised(
-            _simulate_circuit_task, [tasks[i] for i, _ in unique],
-            processes=None, policy=policy, keys=site_keys, labels=labels,
-        )
-    computed = pool_result.payloads
-    # Salvage first: persist whatever finished, *then* report trouble.
-    if store is not None and unique:
-        with store.deferred():  # one index write for the batch
-            for (_, key), payload in zip(unique, computed):
-                if payload is not None:
-                    store.put(key, payload)
-    if pool_result.interrupted:
+    done = execute(
+        items, _simulate_circuit_task, store, encode=encode_result,
+        decode=lambda payload, task: decode_result(payload, task.circuit),
+        worker=_compute_circuit_task, processes=processes, policy=policy,
+        kind="task",
+    )
+    if done.interrupted:
         raise KeyboardInterrupt
-    if pool_result.failures:
-        first = pool_result.failures[0]
+    if done.failures:
+        first = done.failures[0]
         raise RuntimeError(
-            f"{len(pool_result.failures)} circuit task(s) quarantined "
+            f"{len(done.failures)} circuit task(s) quarantined "
             f"after retries; first: {first.label}: {first.error}"
         )
-    for (i, _), slot in zip(misses, slot_of):
-        payloads[i] = computed[slot]
-    return payloads
+    return done.values
 
 
 class Heartbeat:
@@ -514,9 +431,9 @@ class Heartbeat:
 
     Owns its own :class:`~repro.obs.hist.Histogram` of per-task
     latencies, so it works (and prints meaningful p50/p99) whether or
-    not tracing is armed.  Wire :meth:`record` in as the pool's
-    ``on_progress`` callback; cache hits are credited with
-    :meth:`record_hit` at plan time.  Emission is interval-gated
+    not tracing is armed.  Wire :meth:`record` in as the executor's
+    ``on_progress`` callback; it credits cache hits (:meth:`record_hit`)
+    at lookup time.  Emission is interval-gated
     (``interval_s=0`` prints on every resolution) and goes to *out*
     (default ``sys.stderr``) so it never corrupts piped stdout.
 
@@ -545,18 +462,19 @@ class Heartbeat:
 
     def record_hit(self) -> None:
         """Credit one cache hit (resolved with zero compute)."""
-        self.hits += 1
-        self.done += 1
-        self._maybe_emit()
+        self.record("hit")
 
     def record(self, status: str, latency_s: float | None = None) -> None:
-        """Pool ``on_progress`` hook: one task resolved.
+        """Executor ``on_progress`` hook: one point resolved.
 
-        *status* is ``"done"`` or ``"failed"``; *latency_s*, when
-        known, feeds the latency histogram behind p50/p99 and the ETA.
+        *status* is ``"hit"``, ``"done"`` or ``"failed"``; *latency_s*,
+        when known, feeds the latency histogram behind p50/p99 and the
+        ETA.
         """
         self.done += 1
-        if status == "failed":
+        if status == "hit":
+            self.hits += 1
+        elif status == "failed":
             self.failed += 1
         if latency_s is not None and latency_s >= 0.0:
             self.latency.observe(latency_s)
@@ -631,49 +549,39 @@ class BatchScheduler:
         self.policy = policy
 
     # ------------------------------------------------------------------
-    def plan(
-        self, spec: JobSpec
-    ) -> Tuple[List[Tuple[JobPoint, Dict]], List[Tuple[JobPoint, Any]]]:
-        """Split *spec*'s points into hits and misses.
-
-        Hits carry their stored payloads; misses carry their
-        precomputed :class:`~repro.service.store.RunKey` (``None``
-        when no store is configured), so :meth:`run` never rebuilds or
-        re-fingerprints a circuit the plan already resolved.
-        """
-        return self._plan(spec.points())
-
-    def _plan(self, points: List[JobPoint]):
-        hits: List[Tuple[JobPoint, Dict]] = []
-        misses: List[Tuple[JobPoint, Any]] = []
+    def _items(self, points: List[JobPoint]) -> List[Tuple]:
+        """The executor items ``(key, label, point)``; without a store
+        every key is ``None``."""
+        items = []
         # One netlist build per distinct circuit name: reusing the
         # object lets the fingerprint and compile memos hit across the
         # (typically many) points sharing a circuit axis value.
         builds: Dict[str, Tuple] = {}
         for point in points:
             key = None
-            payload = None
             if self.store is not None:
-                built = builds.get(point.circuit)
-                if built is None:
-                    built = builds[point.circuit] = build_named_circuit(
-                        point.circuit
-                    )
-                circuit, stim = built
-                if point.estimate:
-                    key = estimate_key(circuit, point.stimulus)
-                else:
-                    key = run_key(
-                        circuit, stim, point.stimulus, point.n_vectors,
-                        delay_model=resolve_delay(point.delay),
-                        backend=point.backend,
-                    )
-                payload = self.store.get(key)
-            if payload is None:
-                misses.append((point, key))
-            else:
-                hits.append((point, payload))
-        return hits, misses
+                if point.circuit not in builds:
+                    builds[point.circuit] = build_named_circuit(point.circuit)
+                circuit, stim = builds[point.circuit]
+                key = (
+                    estimate_key(circuit, point.stimulus) if point.estimate
+                    else _run_key(circuit, stim, point)
+                )
+            items.append((key, point.label(), point))
+        return items
+
+    def plan(
+        self, spec: JobSpec
+    ) -> Tuple[List[Tuple[JobPoint, Dict]], List[Tuple[JobPoint, Any]]]:
+        """Split *spec*'s points into hits, with their stored payloads,
+        and misses, with their run keys (the dry run)."""
+        items = self._items(spec.points())
+        done = execute(items, None, self.store, kind="point")
+        pairs = list(zip(items, done.values))
+        return (
+            [(p, v) for (_, _, p), v in pairs if v is not None],
+            [(p, k) for (k, _, p), v in pairs if v is None],
+        )
 
     def run(
         self,
@@ -682,139 +590,64 @@ class BatchScheduler:
         heartbeat_s: float | None = None,
         heartbeat_out=None,
     ) -> BatchReport:
-        """Execute *spec*: serve hits, simulate misses, persist results.
+        """Execute *spec* through the executor: serve hits, compute
+        misses (points sharing a run key, like estimate points across
+        seeds, once), persist results.
 
         *heartbeat_s* (when not ``None``) prints an interval-gated
         :class:`Heartbeat` progress line — done/total, warm-hit ratio,
         p50/p99 task latency, ETA — to *heartbeat_out* (default
-        ``sys.stderr``); ``0`` prints on every resolved point.
-
-        Partial-hit resume falls out of the plan: only points missing
-        from the store reach the worker pool.  Misses that share one
-        run key — estimate points, whose key ignores the seed / delay /
-        vector-count axes — are computed once and fanned back out to
-        every point, so a sweep cannot redo identical work within a
-        batch either.  The job record (spec, per-point status,
-        aggregates) is written under the store's ``jobs/`` directory
-        when a store is configured.
-
-        Fault tolerance: points that exhaust the retry budget come
-        back as ``"failed"`` outcomes with zeroed summaries and their
-        quarantine records on the report — the batch itself succeeds.
-        ``KeyboardInterrupt`` persists every completed point and a
-        partial job record (``interrupted: true``) before re-raising.
+        ``sys.stderr``); ``0`` prints on every resolved point.  Points
+        past the retry budget come back ``"failed"`` with zeroed
+        summaries and their quarantine records on the report; the batch
+        itself succeeds.  With a store, the job record (spec, per-point
+        status, aggregates) is written under its ``jobs/`` directory,
+        partial (``interrupted: true``) before a ``KeyboardInterrupt``
+        re-raises.
         """
         start = time.monotonic()
         points = spec.points()
+        heartbeat = None if heartbeat_s is None else Heartbeat(
+            total=len(points), interval_s=heartbeat_s, out=heartbeat_out,
+            workers=self.processes,
+        )
         with obs.span(
-            "jobs.batch",
-            circuit=getattr(spec, "circuit", "?"),
+            "jobs.batch", circuit=getattr(spec, "circuit", "?"),
             points=len(points),
         ):
-            return self._run_planned(
-                spec, job_id, start, points,
-                heartbeat_s=heartbeat_s, heartbeat_out=heartbeat_out,
+            with obs.span("jobs.plan", points=len(points)):
+                items = self._items(points)
+            done = execute(
+                items, lambda point: _compute_point(point.to_dict()),
+                self.store, worker=_compute_point, processes=self.processes,
+                policy=self.policy, kind="point",
+                on_progress=None if heartbeat is None else heartbeat.record,
             )
-
-    def _run_planned(
-        self,
-        spec: JobSpec,
-        job_id: str | None,
-        start: float,
-        points: List[JobPoint],
-        heartbeat_s: float | None = None,
-        heartbeat_out=None,
-    ) -> BatchReport:
-        with obs.span("jobs.plan", points=len(points)):
-            hits, misses = self._plan(points)
-        heartbeat = None
-        if heartbeat_s is not None:
-            heartbeat = Heartbeat(
-                total=len(points), interval_s=heartbeat_s,
-                out=heartbeat_out, workers=self.processes,
+            # A point unresolved at an interrupt is not in the report.
+            outcomes = [
+                PointOutcome(
+                    point, status,
+                    dict(_ZERO_SUMMARY) if status == "failed"
+                    else payload_summary(payload),
+                )
+                for point, status, payload in zip(
+                    points, done.outcomes, done.values
+                )
+                if status is not None
+            ]
+            if heartbeat is not None:
+                heartbeat.finish(done=len(outcomes))
+            report = BatchReport(
+                job_id=job_id or _new_job_id(spec, self.store),
+                outcomes=outcomes,
+                elapsed_s=time.monotonic() - start,
+                failures=list(done.failures),
+                interrupted=done.interrupted,
             )
-        outcomes: Dict[JobPoint, PointOutcome] = {}
-        for point, payload in hits:
-            outcomes[point] = PointOutcome(
-                point, "hit", payload_summary(payload)
-            )
-            obs.instant("jobs.point", label=point.label(), outcome="hit")
-        if heartbeat is not None:
-            for _ in hits:
-                heartbeat.record_hit()
-
-        # Collapse key-identical misses to one computation each (keys
-        # exist only when a store is configured; without one every
-        # point is its own unit of work).
-        unique: List[Tuple[JobPoint, Any]] = []
-        slot_of: List[int] = []
-        slot_by_digest: Dict[str, int] = {}
-        for point, key in misses:
-            digest = None if key is None else key.digest()
-            if digest is not None and digest in slot_by_digest:
-                slot_of.append(slot_by_digest[digest])
-                continue
-            if digest is not None:
-                slot_by_digest[digest] = len(unique)
-            slot_of.append(len(unique))
-            unique.append((point, key))
-
-        docs = [p.to_dict() for p, _ in unique]
-        site_keys = [
-            key.digest() if key is not None else f"point-{j}"
-            for j, (_, key) in enumerate(unique)
-        ]
-        labels = [p.label() for p, _ in unique]
-        processes = None
-        if self.processes and self.processes > 1 and len(docs) > 1:
-            processes = min(self.processes, len(docs))
-            preload_backends(p.backend for p, _ in unique if not p.estimate)
-        pool_result = run_supervised(
-            _compute_point, docs,
-            processes=processes, policy=self.policy,
-            keys=site_keys, labels=labels,
-            on_progress=heartbeat.record if heartbeat is not None else None,
-        )
-        computed = pool_result.payloads
-        # Salvage first: persist everything that finished before any
-        # outcome accounting or interrupt re-raise.
-        if self.store is not None and unique:
-            with self.store.deferred():  # one index write for the batch
-                for (_, key), payload in zip(unique, computed):
-                    if payload is not None:
-                        self.store.put(key, payload)
-        failed_slots = {f.index for f in pool_result.failures}
-        for (point, _), slot in zip(misses, slot_of):
-            if computed[slot] is not None:
-                outcomes[point] = PointOutcome(
-                    point, "computed", payload_summary(computed[slot])
-                )
-                obs.instant(
-                    "jobs.point", label=point.label(), outcome="computed"
-                )
-            elif slot in failed_slots:
-                outcomes[point] = PointOutcome(
-                    point, "failed", _zero_summary()
-                )
-                obs.instant(
-                    "jobs.point", label=point.label(), outcome="failed"
-                )
-            # else: unresolved at interrupt time — not part of the
-            # (partial) report at all.
-
-        if heartbeat is not None:
-            heartbeat.finish(done=len(outcomes))
-        report = BatchReport(
-            job_id=job_id or _new_job_id(spec, self.store),
-            outcomes=[outcomes[p] for p in points if p in outcomes],
-            elapsed_s=time.monotonic() - start,
-            failures=list(pool_result.failures),
-            interrupted=pool_result.interrupted,
-        )
-        if self.store is not None:
-            _write_job_record(self.store, spec, report)
-            self.store.flush()  # persist hit recency for LRU fairness
-        if pool_result.interrupted:
+            if self.store is not None:
+                _write_job_record(self.store, spec, report)
+                self.store.flush()  # persist hit recency for LRU fairness
+        if done.interrupted:
             raise KeyboardInterrupt
         return report
 

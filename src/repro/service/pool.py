@@ -43,10 +43,7 @@ the worker loop, not in task functions.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import multiprocessing.connection
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -65,26 +62,16 @@ HIST_QUEUE_WAIT = "pool.queue_wait_s"
 HIST_RETRY_BACKOFF = "pool.retry_backoff_s"
 
 
-@contextmanager
-def observe_task(key: str, **attrs: Any):
-    """Charge one in-process unit of work with pool task telemetry.
-
-    Single-run paths that never reach the pool (``cached_run`` misses,
-    direct experiment drivers) wrap their compute step with this so a
-    run's manifest carries the same ``pool.task`` span and task-latency
-    histogram a sweep would — one taxonomy for "how long did a unit of
-    work take", whether it fanned out or ran inline.
-    """
-    rec = obs.active()
-    if rec is None:
-        yield
-        return
+def timed_call(func: Callable, item: Any, key: str, attempt: int = 0):
+    """``func(item)`` and its wall time, charged like a worker's task:
+    one ``pool.task`` span plus task-latency and exec samples."""
     t0 = time.perf_counter()
-    with rec.span("pool.task", key=key, attempt=0, **attrs):
-        yield
+    with obs.span("pool.task", key=key, attempt=attempt):
+        value = func(item)
     wall = time.perf_counter() - t0
-    rec.metrics.hist(HIST_TASK_LATENCY, wall)
-    rec.metrics.hist(HIST_EXEC, wall)
+    obs.hist(HIST_TASK_LATENCY, wall)
+    obs.hist(HIST_EXEC, wall)
+    return value, wall
 
 
 def _jitter_fraction(seed: int, key: str, attempt: int) -> float:
@@ -200,6 +187,40 @@ class _TaskState:
         )
 
 
+def _failed_attempt(
+    state: _TaskState, kind: str, error: str, policy: RetryPolicy,
+    result: "PoolResult", on_progress=None,
+) -> Optional[float]:
+    """Charge a failed attempt: the backoff before the task's retry, or
+    ``None`` once it is quarantined (its :class:`TaskFailure` added to
+    *result*)."""
+    state.record(kind, error)
+    state.attempt += 1
+    obs.inc(f"pool.{kind}")
+    if state.attempt >= policy.max_attempts:
+        result.failures.append(TaskFailure(
+            index=state.index, key=state.key, label=state.label,
+            attempts=state.attempt, kind=kind, error=error,
+            history=state.history,
+        ))
+        obs.inc("pool.quarantine")
+        obs.instant(
+            "pool.quarantine", key=state.key, kind=kind,
+            attempts=state.attempt,
+        )
+        if on_progress is not None:
+            on_progress("failed", None)
+        return None
+    result.n_retries += 1
+    obs.inc("pool.retry")
+    obs.instant(
+        "pool.retry", key=state.key, kind=kind, attempt=state.attempt,
+    )
+    backoff = policy.backoff_s(state.key, state.attempt - 1)
+    obs.hist(HIST_RETRY_BACKOFF, backoff)
+    return backoff
+
+
 def _worker_main(worker_id: int, func: Callable, conn) -> None:
     """Dispatch loop for one supervised worker process.
 
@@ -226,44 +247,35 @@ def _worker_main(worker_id: int, func: Callable, conn) -> None:
         if msg is None:
             break
         index, attempt, key, item = msg
-        rec = obs.active()
+        ok = True
         try:
             faults.worker_faults(key, attempt)
-            if rec is not None:
-                t0 = time.perf_counter()
-                with rec.span(
-                    "pool.task", key=key, attempt=attempt,
-                    worker=worker_id,
-                ):
-                    payload = func(item)
-                rec.metrics.hist(HIST_EXEC, time.perf_counter() - t0)
-            else:
+            t0 = time.perf_counter()
+            with obs.span(
+                "pool.task", key=key, attempt=attempt, worker=worker_id,
+            ):
                 payload = func(item)
+            obs.hist(HIST_EXEC, time.perf_counter() - t0)
         except KeyboardInterrupt:
             break
         except BaseException as exc:  # noqa: BLE001 - reported, not hidden
-            try:
-                conn.send((
-                    worker_id, index, attempt, False,
-                    f"{type(exc).__name__}: {exc}",
-                    rec.drain_blob() if rec is not None else None,
-                ))
-            except (OSError, ValueError):
-                break
-        else:
-            try:
-                conn.send((
-                    worker_id, index, attempt, True, payload,
-                    rec.drain_blob() if rec is not None else None,
-                ))
-            except (OSError, ValueError):
-                break
+            ok, payload = False, f"{type(exc).__name__}: {exc}"
+        rec = obs.active()
+        try:
+            conn.send((
+                worker_id, index, attempt, ok, payload,
+                rec.drain_blob() if rec is not None else None,
+            ))
+        except (OSError, ValueError):
+            break
 
 
 class _Worker:
     """Supervisor-side handle: process + duplex pipe + current task."""
 
     def __init__(self, worker_id: int, func: Callable) -> None:
+        import multiprocessing  # only a pool pays for it, not inline work
+
         self.id = worker_id
         child_end, self.conn = multiprocessing.Pipe()
         self.proc = multiprocessing.Process(
@@ -389,14 +401,9 @@ def _run_sequential(
         state = _TaskState(index=i, key=keys[i], label=labels[i])
         while True:
             try:
-                t0 = time.perf_counter()
-                with obs.span(
-                    "pool.task", key=state.key, attempt=state.attempt
-                ):
-                    result.payloads[i] = func(item)
-                wall = time.perf_counter() - t0
-                obs.hist(HIST_TASK_LATENCY, wall)
-                obs.hist(HIST_EXEC, wall)
+                result.payloads[i], wall = timed_call(
+                    func, item, state.key, state.attempt
+                )
                 if on_progress is not None:
                     on_progress("done", wall)
                 break
@@ -404,32 +411,12 @@ def _run_sequential(
                 result.interrupted = True
                 return result
             except Exception as exc:
-                state.record("error", f"{type(exc).__name__}: {exc}")
-                state.attempt += 1
-                obs.inc("pool.error")
-                if state.attempt >= policy.max_attempts:
-                    result.failures.append(TaskFailure(
-                        index=i, key=state.key, label=state.label,
-                        attempts=state.attempt, kind="error",
-                        error=state.history[-1]["error"],
-                        history=state.history,
-                    ))
-                    obs.inc("pool.quarantine")
-                    obs.instant(
-                        "pool.quarantine", key=state.key, kind="error",
-                        attempts=state.attempt,
-                    )
-                    if on_progress is not None:
-                        on_progress("failed", None)
-                    break
-                result.n_retries += 1
-                obs.inc("pool.retry")
-                obs.instant(
-                    "pool.retry", key=state.key, kind="error",
-                    attempt=state.attempt,
+                delay = _failed_attempt(
+                    state, "error", f"{type(exc).__name__}: {exc}", policy,
+                    result, on_progress,
                 )
-                delay = policy.backoff_s(state.key, state.attempt - 1)
-                obs.hist(HIST_RETRY_BACKOFF, delay)
+                if delay is None:
+                    break
                 if delay > 0:
                     try:
                         time.sleep(delay)
@@ -440,19 +427,23 @@ def _run_sequential(
 
 
 def _receive(workers: List[_Worker], timeout: float) -> List[tuple]:
-    """The reports waiting on the workers' pipes, within *timeout* s.
+    """The reports waiting on the workers' pipes, within *timeout* s,
+    each one's trace blob absorbed into this process's recorder.
 
     A dead worker's pipe reads as end-of-file and yields nothing; the
     caller reaps the worker.
     """
+    from multiprocessing.connection import wait
+
     reports = []
-    for conn in multiprocessing.connection.wait(
-        [w.conn for w in workers], timeout
-    ):
+    rec = obs.active()
+    for conn in wait([w.conn for w in workers], timeout):
         try:
             reports.append(conn.recv())
         except (EOFError, OSError):
-            pass
+            continue
+        if rec is not None:
+            rec.absorb(reports[-1][5])
     return reports
 
 
@@ -490,32 +481,13 @@ def _run_pool(
 
     def fail_or_retry(state: _TaskState, kind: str, error: str) -> None:
         nonlocal unresolved
-        state.record(kind, error)
-        state.attempt += 1
-        obs.inc(f"pool.{kind}")
-        if state.attempt >= policy.max_attempts:
-            result.failures.append(TaskFailure(
-                index=state.index, key=state.key, label=state.label,
-                attempts=state.attempt, kind=kind, error=error,
-                history=state.history,
-            ))
-            obs.inc("pool.quarantine")
-            obs.instant(
-                "pool.quarantine", key=state.key, kind=kind,
-                attempts=state.attempt,
-            )
-            unresolved -= 1
-            if on_progress is not None:
-                on_progress("failed", None)
-            return
-        result.n_retries += 1
-        obs.inc("pool.retry")
-        obs.instant(
-            "pool.retry", key=state.key, kind=kind, attempt=state.attempt,
+        backoff = _failed_attempt(
+            state, kind, error, policy, result, on_progress
         )
-        backoff = policy.backoff_s(state.key, state.attempt - 1)
-        obs.hist(HIST_RETRY_BACKOFF, backoff)
-        pending.append((time.monotonic() + backoff, state))
+        if backoff is None:
+            unresolved -= 1
+        else:
+            pending.append((time.monotonic() + backoff, state))
 
     try:
         for _ in range(n_workers):
@@ -555,10 +527,7 @@ def _run_pool(
             if pending:
                 wait = min(wait, max(0.0, pending[0][0] - now))
             for msg in _receive(workers, max(wait, 0.005)):
-                worker_id, index, attempt, ok, payload, blob = msg
-                rec = obs.active()
-                if rec is not None:
-                    rec.absorb(blob)
+                worker_id, index, attempt, ok, payload, _ = msg
                 w = next(
                     (x for x in workers if x.id == worker_id), None
                 )
@@ -597,51 +566,37 @@ def _run_pool(
             # Reap dead workers and time out hung ones.
             now = time.monotonic()
             for w in list(workers):
-                if not w.alive():
-                    exitcode = w.proc.exitcode
-                    state = w.busy
-                    workers.remove(w)
-                    w.conn.close()
-                    w.proc.join(timeout=1.0)
-                    if state is not None \
-                            and outstanding.get(state.index) \
-                            == state.attempt:
-                        del outstanding[state.index]
-                        fail_or_retry(
-                            state, "crash",
-                            f"worker died (exitcode {exitcode})",
-                        )
-                    if unresolved > 0:
-                        spawn()
-                elif w.deadline is not None and now > w.deadline:
-                    state = w.busy
-                    workers.remove(w)
+                alive = w.alive()
+                if alive and (w.deadline is None or now <= w.deadline):
+                    continue
+                state = w.busy
+                workers.remove(w)
+                if alive:
                     obs.instant(
                         "pool.kill", worker=w.id, reason="hang",
                         key=None if state is None else state.key,
                     )
                     w.kill()
-                    w.conn.close()
-                    if state is not None \
-                            and outstanding.get(state.index) \
-                            == state.attempt:
-                        del outstanding[state.index]
-                        fail_or_retry(
-                            state, "hang",
-                            f"task exceeded {policy.timeout_s}s "
-                            "wall-clock timeout",
-                        )
-                    if unresolved > 0:
-                        spawn()
+                    kind, error = "hang", (
+                        f"task exceeded {policy.timeout_s}s wall-clock timeout"
+                    )
+                else:
+                    w.proc.join(timeout=1.0)
+                    kind = "crash"
+                    error = f"worker died (exitcode {w.proc.exitcode})"
+                w.conn.close()
+                if state is not None \
+                        and outstanding.get(state.index) == state.attempt:
+                    del outstanding[state.index]
+                    fail_or_retry(state, kind, error)
+                if unresolved > 0:
+                    spawn()
     except KeyboardInterrupt:
         result.interrupted = True
         # Drain any results that arrived before the interrupt so the
         # caller can persist every finished point.
         for msg in _receive(workers, 0.05):
-            worker_id, index, attempt, ok, payload, blob = msg
-            rec = obs.active()
-            if rec is not None:
-                rec.absorb(blob)
+            worker_id, index, attempt, ok, payload, _ = msg
             if ok and result.payloads[index] is None \
                     and outstanding.get(index) == attempt:
                 result.payloads[index] = payload

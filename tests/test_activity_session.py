@@ -160,6 +160,29 @@ class TestShardedEqualsSingle:
         sharded = ActivityRun(circuit).run_sharded(iter(vectors), shards=16)
         assert sharded.per_node == single.per_node
 
+    @pytest.mark.parametrize("shards, processes", [(4, None), (3, 2)])
+    def test_shards_merge_on_count_columns(
+        self, monkeypatch, shards, processes
+    ):
+        """Shard results are summed as columns: no per-net records."""
+        from repro.core.transitions import CountColumns
+        from repro.sim.vectors import UniformStimulus
+
+        circuit, stim = _rca(8)
+        stream = UniformStimulus(seed=3).vectors(stim, 121)
+        single = ActivityRun(circuit).run(stream)
+
+        def no_records(self):
+            raise AssertionError("a shard merge built per-net records")
+
+        monkeypatch.setattr(CountColumns, "records", no_records)
+        sharded = ActivityRun(circuit).run_sharded(
+            stream, shards=shards, processes=processes
+        )
+        assert sharded._per_node is None
+        assert sharded.counts == single.counts
+        assert sharded.summary() == single.summary()
+
     def test_bad_shard_count(self):
         circuit, stim = _rca(4)
         with pytest.raises(ValueError, match="shards"):

@@ -88,6 +88,29 @@ class TestEstimatePower:
             results.append(estimate_power(c, activity, 1e6, tech).flipflop)
         assert results[1] == pytest.approx(4 * results[0])
 
+    def test_reads_the_count_columns(self, monkeypatch):
+        """A column result is priced without building per-net records,
+        and prices as its record form does."""
+        from repro.circuits.catalog import build_named_circuit
+        from repro.core.activity import ActivityResult, ActivityRun
+        from repro.core.transitions import CountColumns
+        from repro.sim.vectors import UniformStimulus
+
+        c, stim = build_named_circuit("rca8")
+        columns = ActivityRun(c).run(UniformStimulus(seed=2).vectors(stim, 41))
+        records = ActivityResult(
+            columns.circuit_name, columns.delay_description, columns.cycles,
+            per_node=columns.counts.records(),
+        )
+        expected = estimate_power(c, records, 5e6)
+
+        def no_records(self):
+            raise AssertionError("estimate_power built per-net records")
+
+        monkeypatch.setattr(CountColumns, "records", no_records)
+        assert estimate_power(c, columns, 5e6) == expected
+        assert columns._per_node is None
+
     def test_requires_cycles(self):
         c = self._buffer_circuit()
         from repro.core.activity import ActivityResult

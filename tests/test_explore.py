@@ -249,13 +249,13 @@ class TestRunCircuitTasks:
         circuit, _ = build_named_circuit("rca6")
         spec = UniformStimulus()
         task = CircuitTask.from_circuit(circuit, "unit", spec, 50)
-        (payload,) = run_circuit_tasks([task])
+        (result,) = run_circuit_tasks([task])
         stim = WordStimulus(words_from_inputs(circuit))
         direct = ActivityRun(circuit, delay_model=UnitDelay()).run(
             spec.vectors(stim, 51)
         )
-        assert payload["cycles"] == direct.cycles
-        assert payload_summary(payload)["total"] == direct.total_transitions
+        assert result.cycles == direct.cycles
+        assert result.summary()["total"] == direct.total_transitions
 
     def test_fingerprint_identical_tasks_computed_once(self, tmp_path):
         circuit, _ = build_named_circuit("rca4")
@@ -265,8 +265,8 @@ class TestRunCircuitTasks:
             CircuitTask.from_circuit(circuit, "unit", spec, 30, label="one"),
             CircuitTask.from_circuit(circuit, "unit", spec, 30, label="two"),
         ]
-        payloads = run_circuit_tasks(tasks, store=store)
-        assert payloads[0] == payloads[1]
+        results = run_circuit_tasks(tasks, store=store)
+        assert results[0] == results[1]
         assert len(store) == 1  # one digest for both labels
 
     def test_warm_resume_serves_from_store(self, tmp_path, monkeypatch):
@@ -277,10 +277,11 @@ class TestRunCircuitTasks:
         (cold,) = run_circuit_tasks([task], store=store)
         import repro.service.jobs as jobs
 
-        def _boom(doc):
+        def _boom(task):
             raise AssertionError("warm resume must not simulate")
 
-        monkeypatch.setattr(jobs, "_compute_circuit_task", _boom)
+        # In process, a miss is computed by _simulate_circuit_task.
+        monkeypatch.setattr(jobs, "_simulate_circuit_task", _boom)
         (warm,) = run_circuit_tasks([task], store=ResultStore(tmp_path))
         assert warm == cold
 

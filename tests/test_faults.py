@@ -302,6 +302,34 @@ class TestFigure5UnderInjection:
         assert len(report["problems"]) == len(store)
 
 
+class TestChaosExplore:
+    def test_pooled_explore_equals_fault_free_in_process(self, tmp_path):
+        """Explore's pool path — candidates shipped to two workers as
+        circuit JSON — under worker crashes and torn store writes
+        scores every candidate exactly as a fault-free in-process run."""
+        from repro.circuits.catalog import build_named_circuit
+        from repro.explore.search import explore
+        from repro.obs import trace
+
+        circuit, _ = build_named_circuit("rca8")
+        clean = explore(circuit, strategy="beam", n_vectors=60)
+        plan = FaultPlan(seed=CHAOS_SEED, faults={
+            "worker.crash": FaultSpec(rate=0.5),
+            "store.torn_write": FaultSpec(rate=0.4),
+        })
+        with faults.armed(plan), trace.capture() as rec:
+            chaotic = explore(
+                circuit, strategy="beam", n_vectors=60, processes=2,
+                store=ResultStore(tmp_path),
+            )
+        assert rec.metrics.get("pool.dispatch") >= chaotic.n_simulated > 1
+
+        def scores(result):
+            return [(c.label, c.exact, c.on_front) for c in result.candidates]
+
+        assert scores(chaotic) == scores(clean)
+
+
 class TestBackendDegradation:
     def test_degradation_emits_warning_and_matches_event(self, xor_chain):
         from repro.core.activity import ActivityRun

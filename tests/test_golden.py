@@ -78,6 +78,33 @@ CASES: Dict[str, List[List[str]]] = {
         ["submit", "--cache", "{tmp}/store",
          "--sweep", "circuit=rca4,rca8,rca12", "--vectors", "100"],
     ],
+    # Candidate simulations into a fresh store, then the whole-result hit.
+    "explore-rca8-cache": [
+        ["explore", "--circuit", "rca8", "--vectors", "60",
+         "--cache", "{tmp}/store"],
+    ] * 2,
+    # Candidates shipped to two pool workers as circuit JSON.
+    "explore-rca8-jobs2": [
+        ["explore", "--circuit", "rca8", "--vectors", "60", "--jobs", "2"]
+    ],
+    "estimate-array8-cache": [
+        ["estimate", "--circuit", "array8", "--cache", "{tmp}/store"]
+    ] * 2,
+    # Pooled points with estimate rows; an estimate key is shared by seeds.
+    "submit-estimate-jobs2": [[
+        "submit", "--jobs", "2", "--cache", "{tmp}/store",
+        "--sweep", "circuit=rca4,rca8", "--sweep", "seed=1,2",
+        "--sweep", "estimate=0,1", "--vectors", "100",
+    ]],
+    "analyze-array8-shards": [_ARRAY8 + ["--shards", "3", "--jobs", "2"]],
+    "import-rca4-cache": [
+        ["export", "--circuit", "rca4", "--format", "json",
+         ">", "{tmp}/rca4.json"],
+        ["import", "{tmp}/rca4.json", "--vectors", "200",
+         "--cache", "{tmp}/store"],
+        ["import", "{tmp}/rca4.json", "--vectors", "200",
+         "--cache", "{tmp}/store"],
+    ],
 }
 
 #: Cases that name the numpy engine explicitly.
