@@ -203,6 +203,20 @@ def normalize(data: dict) -> dict:
                 "passes_per_s": round(1.0 / median, 1),
             }
             continue
+        elif bench["name"].startswith("test_retime_pipeline_array16"):
+            from bench_retime import PIPELINE_STAGES
+
+            key = "retime-pipeline/array16"
+            results[key] = {
+                "backend": "retime-pipeline",
+                "workload": (
+                    f"array16, cold pipeline_circuit with {PIPELINE_STAGES} "
+                    "output stages: extraction, minimum period, rebuild"
+                ),
+                "median_s": round(median, 6),
+                "passes_per_s": round(1.0 / median, 1),
+            }
+            continue
         elif bench["name"] in NETLIST_ROWS:
             from bench_netlist import N_CELLS
 

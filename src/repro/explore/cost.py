@@ -29,7 +29,7 @@ differs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.activity import ActivityResult
 from repro.core.power import dynamic_power, estimate_power
@@ -57,23 +57,22 @@ def transition_instants(
     sizes bound how many times each net can evaluate per cycle — the
     glitch multiplier :func:`estimated_cost` feeds into the analytic
     power term.  Constant-driven and undriven nets never transition
-    (zero instants — no entry here).  Sets are bounded by the critical
-    path length, so the pass is cheap even on deep circuits.
+    (zero instants — no entry here).  A set is an int with bit *t*
+    set for instant *t* (delays are non-negative ints), so a cell
+    ORs its inputs' sets and shifts them by each output's delay.
     """
     compiled = compile_circuit(circuit, delay_model)
-    empty: FrozenSet[int] = frozenset()
-    edge: FrozenSet[int] = frozenset({0})
-    instants: Dict[int, FrozenSet[int]] = {n: edge for n in circuit.inputs}
-    instants.update(dict.fromkeys(compiled.ff_q, edge))
+    instants: Dict[int, int] = dict.fromkeys(circuit.inputs, 1)
+    instants.update(dict.fromkeys(compiled.ff_q, 1))
     inputs, outputs = compiled.cell_inputs, compiled.cell_outputs
     delays = compiled.cell_delays
     for ci in compiled.topo:
-        arrivals: FrozenSet[int] = empty
+        arrivals = 0
         for n in inputs[ci]:
-            arrivals |= instants.get(n, empty)
+            arrivals |= instants.get(n, 0)
         for out, d in zip(outputs[ci], delays[ci]):
-            instants[out] = frozenset(t + d for t in arrivals)
-    return {net: len(times) for net, times in instants.items()}
+            instants[out] = arrivals << d
+    return {net: times.bit_count() for net, times in instants.items()}
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,8 @@ class CostVector:
 
     def to_dict(self) -> Dict[str, float]:
         return {
-            "power_mW": round(self.power_mw, 6),
-            "area_mm2": round(self.area_mm2, 6),
+            "power_mW": self.power_mw,
+            "area_mm2": self.area_mm2,
             "latency": self.latency,
             "period": self.period,
         }

@@ -49,10 +49,6 @@ class Net:
     driver: Tuple[int, int] | None = None
     fanout: List[int] = field(default_factory=list)
 
-    @property
-    def is_driven(self) -> bool:
-        return self.driver is not None
-
 
 class _Rows(_SequenceABC):
     """A read-only sequence whose item *i* is ``row(i)``, built on access."""
@@ -299,21 +295,32 @@ class Circuit:
         start = len(self.net_names)
         anon = self._anon_net
         n_anon = names.count(None)
-        if n_anon == count:
-            fresh = [f"n{k}" for k in range(anon, anon + count)]
-            quick = by_name.keys().isdisjoint(fresh)
-            if quick:
-                names, anon = fresh, anon + count
-        else:
-            quick = (
-                not n_anon and len(set(names)) == count
-                and by_name.keys().isdisjoint(names)
-            )
-        if not quick:  # new_net, one name at a time, on a trial copy
-            trial = self._trial_copy()
-            for name in names:
-                trial.new_net(name)
-            names, anon = trial.net_names[start:], trial._anon_net
+        named = names[:count - n_anon] if n_anon else names
+        taken = set(named)
+        if (  # the named nets first, every name new, then the anonymous ones
+            len(taken) == len(named) and None not in taken
+            and by_name.keys().isdisjoint(taken)
+        ):
+            fresh: List[str] = []
+            while len(fresh) < n_anon:  # new_net's rule: skip names in use
+                batch = [f"n{k}" for k in range(anon, anon + n_anon - len(fresh))]
+                anon += len(batch)
+                if (not taken or taken.isdisjoint(batch)) and by_name.keys().isdisjoint(batch):
+                    fresh += batch
+                else:
+                    fresh += [n for n in batch if n not in taken and n not in by_name]
+            names[count - n_anon:] = fresh
+        else:  # new_net's rule, one name at a time
+            taken = set(by_name)
+            for i, name in enumerate(names):
+                if name is None:
+                    while f"n{anon}" in taken:
+                        anon += 1
+                    name = names[i] = f"n{anon}"
+                    anon += 1
+                elif name in taken:
+                    raise ValueError(f"duplicate net name {name!r}")
+                taken.add(name)
         self.net_names.extend(names)
         self.net_driver.extend([-1] * count)
         by_name.update(zip(names, range(start, start + count)))
@@ -356,11 +363,12 @@ class Circuit:
         self.cell_outputs.extend(outputs)
         self.cell_names.extend(names)
         self.cell_hints.extend(hints)
+        indices = list(range(start, start + count))  # one int object per cell
         driver = self.net_driver
-        for ci, outs in enumerate(outputs, start):
+        for ci, outs in zip(indices, outputs):
             for n in outs:
                 driver[n] = ci
-        self._cell_by_name.update(zip(names, range(start, start + count)))
+        self._cell_by_name.update(zip(names, indices))
         self._version += 1
         return range(start, start + count)
 
@@ -391,16 +399,11 @@ class Circuit:
         Replays the batch through :meth:`_add_cell` on a trial copy, so
         the rules and messages have one home and this circuit stays as it is.
         """
-        trial = self._trial_copy()
+        trial = Circuit.__new__(Circuit)  # its lists and dicts are copies
+        trial.__dict__ = {k: copy(v) for k, v in self.__dict__.items()}
         for cell in zip(kinds, inputs, outputs, names, hints):
             trial._add_cell(*cell)
         raise AssertionError("add_cells: no cell of the rejected batch fails")
-
-    def _trial_copy(self) -> "Circuit":
-        """A copy whose lists and dicts a batch may change in place."""
-        trial = Circuit.__new__(Circuit)
-        trial.__dict__ = {k: copy(v) for k, v in self.__dict__.items()}
-        return trial
 
     # convenience single-output gate constructors -----------------------
     def gate(
@@ -566,6 +569,62 @@ class Circuit:
             f"{len(self.net_names)} nets, {len(self.inputs)} in, "
             f"{len(self.outputs)} out, {self.num_flipflops} FFs)"
         )
+
+
+class CircuitColumns:
+    """A rebuild of *source* written row by row, then built by :meth:`emit`
+    with one :meth:`Circuit.add_nets` and one :meth:`Circuit.add_cells`
+    call.  A net's index is its position in ``net_names`` (``None``: an
+    anonymous ``n{k}``), ``net_map`` maps copied source nets to theirs,
+    and ``cells`` holds ``kind, inputs, outputs, name, delay_hint`` flat,
+    five entries per cell, so no object per row outlives its ``extend``.
+    """
+
+    def __init__(self, name: str, source: Circuit) -> None:
+        self.name = name
+        self.source = source
+        self.net_map: dict[int, int] = {}
+        self.net_names: List[str | None] = []
+        self.net_indices: List[int] = []  # the index handed out per net
+        self.inputs: List[int] = []
+        self.outputs: List[int] = []
+        self.cells: list = []
+        #: Source net -> the nets of its shared chain (see :meth:`delayed`).
+        self.chains: dict[int, List[int]] = {}
+
+    def copy_nets(self, nets: Iterable[int]) -> List[int]:
+        """Append a net named like each source net of *nets*, in order."""
+        nets = list(nets)
+        start = len(self.net_names)
+        self.net_names.extend(map(self.source.net_names.__getitem__, nets))
+        indices = list(range(start, len(self.net_names)))
+        self.net_indices += indices
+        self.net_map.update(zip(nets, indices))
+        return indices
+
+    def delayed(self, net: int, depth: int, kind: CellKind, prefix: str, step: int = 1) -> int:
+        """Copied source *net* behind *depth* one-input *kind* cells: one
+        chain per net, shared by every reader and grown on first use, its
+        cell *k* named ``{prefix}_{net name}_{k * step}``."""
+        chain = self.chains.setdefault(net, [self.net_map[net]])
+        while len(chain) <= depth:
+            src_name = self.source.net_names[net].replace("[", "_").replace("]", "")
+            name, q = f"{prefix}_{src_name}_{len(chain) * step}", len(self.net_names)
+            self.net_names.append(None)  # an anonymous net
+            self.net_indices.append(q)
+            self.cells.extend((kind, (chain[-1],), (q,), name, None))
+            chain.append(q)
+        return chain[depth]
+
+    def emit(self) -> Circuit:
+        """The circuit, checked by :meth:`Circuit.add_cells`' rules."""
+        circuit = Circuit(self.name)
+        circuit.add_nets(self.net_names)
+        # The name table keeps the index objects the rows hold: one per net.
+        circuit._net_by_name.update(zip(circuit.net_names, self.net_indices))
+        circuit.inputs, circuit.outputs = self.inputs, self.outputs
+        circuit.add_cells(*(self.cells[k::5] for k in range(5)))
+        return circuit
 
 
 def word_value(values: dict[int, int], word: Iterable[int]) -> int:

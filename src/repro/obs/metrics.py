@@ -91,10 +91,6 @@ class MetricsRegistry:
         """Current value of a counter (0 if never bumped)."""
         return self.counters.get(name, 0)
 
-    def get_hist(self, name: str) -> Optional[Histogram]:
-        """The named histogram, or ``None`` if nothing was recorded."""
-        return self.hists.get(name)
-
     def merge(
         self,
         counters: Optional[Dict[str, int]] = None,

@@ -21,10 +21,11 @@ model for the buffer delay and raises if it cannot pad exact skews.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Tuple
 
 from repro.netlist.cells import Cell, CellKind
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, CircuitColumns
 from repro.netlist.compiled import compile_circuit
 from repro.sim.delays import DelayModel, UnitDelay
 
@@ -74,42 +75,15 @@ def balance_paths(
 
     level = compile_circuit(circuit, delay_model).levels
 
-    new = Circuit(name or f"{circuit.name}_balanced")
-    names = circuit.net_names
+    new = CircuitColumns(name or f"{circuit.name}_balanced", circuit)
+    net_map = new.net_map
     kinds, inputs, outputs = (
         circuit.cell_kinds, circuit.cell_inputs, circuit.cell_outputs
     )
-    net_map: Dict[int, int] = {}
-    for pi in circuit.inputs:
-        net_map[pi] = new.add_input(names[pi])
-    for outs in outputs:
-        for out in outs:
-            net_map[out] = new.new_net(names[out])
-
-    chains: Dict[Tuple[int, int], int] = {}
-    buffers = 0
+    new.inputs = new.copy_nets(circuit.inputs)
+    new.copy_nets(chain.from_iterable(outputs))
     max_skew = 0
-
-    def delayed(old_net: int, skew: int) -> int:
-        """New net carrying *old_net* delayed by *skew* time units."""
-        nonlocal buffers
-        if skew == 0:
-            return net_map[old_net]
-        if skew % d_buf:
-            raise ValueError(
-                f"skew {skew} not a multiple of the buffer delay {d_buf}"
-            )
-        key = (old_net, skew)
-        if key not in chains:
-            prev = delayed(old_net, skew - d_buf)
-            src_name = names[old_net].replace("[", "_").replace("]", "")
-            chains[key] = new.gate(
-                CellKind.BUF, prev, name=f"bal_{src_name}_{skew}"
-            )
-            buffers += 1
-        return chains[key]
-
-    cell_names, hints = circuit.cell_names, circuit.cell_hints
+    cell_names, hints, cells = circuit.cell_names, circuit.cell_hints, new.cells
     for ci, kind in enumerate(kinds):
         ins = inputs[ci]
         if kind is CellKind.DFF:
@@ -121,19 +95,24 @@ def balance_paths(
             for n, at in zip(ins, arrivals):
                 skew = latest - at
                 max_skew = max(max_skew, skew)
-                new_inputs.append(delayed(n, skew))
-        new._add_cell(kind, new_inputs, [net_map[out] for out in outputs[ci]],
-                      cell_names[ci], hints[ci])
-
-    for out in circuit.outputs:
-        new.mark_output(net_map[out])
+                if skew % d_buf:
+                    raise ValueError(
+                        f"skew {skew} not a multiple of the buffer delay {d_buf}"
+                    )
+                new_inputs.append(
+                    new.delayed(n, skew // d_buf, CellKind.BUF, "bal", d_buf)
+                    if skew else net_map[n]
+                )
+        cells.extend((kind, new_inputs, [net_map[out] for out in outputs[ci]],
+                      cell_names[ci], hints[ci]))
+    new.outputs = [net_map[out] for out in circuit.outputs]
 
     stats = BalanceStats(
-        buffers_inserted=buffers,
+        buffers_inserted=sum(len(c) - 1 for c in new.chains.values()),
         max_skew_padded=max_skew,
         original_cells=len(kinds),
     )
-    return new, stats
+    return new.emit(), stats
 
 
 def balancing_report(

@@ -16,10 +16,11 @@ All passes return a fresh circuit; the input is never mutated.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Optional
 
 from repro.netlist.cells import CellKind, evaluate_kind
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, CircuitColumns
 from repro.netlist.compiled import compile_circuit
 
 
@@ -35,16 +36,11 @@ def _rebuild(
     ``replace_input(net) -> net`` redirects any consumer pin (applied
     transitively before the copy).
     """
-    new = Circuit(f"{circuit.name}{name_suffix}")
-    names = circuit.net_names
+    new = CircuitColumns(f"{circuit.name}{name_suffix}", circuit)
     kept = [ci for ci in range(len(circuit.cell_kinds)) if keep_cell(ci)]
-    net_map: Dict[int, int] = {}
-    for pi in circuit.inputs:
-        net_map[pi] = new.add_input(names[pi])
-    outputs = circuit.cell_outputs
-    for ci in kept:
-        for out in outputs[ci]:
-            net_map[out] = new.new_net(names[out])
+    outputs, net_map = circuit.cell_outputs, new.net_map
+    new.inputs = new.copy_nets(circuit.inputs)
+    new.copy_nets(out for ci in kept for out in outputs[ci])
 
     def resolve(old_net: int) -> int:
         seen = set()
@@ -59,17 +55,16 @@ def _rebuild(
             # Undriven internal nets (legal: they read as constant 0)
             # are materialized on demand so consumers and outputs can
             # still reference them instead of crashing the rebuild.
-            mapped = net_map[old_net] = new.new_net(names[old_net])
+            mapped = new.copy_nets((old_net,))[0]
         return mapped
 
     kinds, inputs = circuit.cell_kinds, circuit.cell_inputs
     cell_names, hints = circuit.cell_names, circuit.cell_hints
     for ci in kept:
-        new._add_cell(kinds[ci], [resolve(n) for n in inputs[ci]],
-                      [net_map[out] for out in outputs[ci]], cell_names[ci], hints[ci])
-    for out in circuit.outputs:
-        new.mark_output(resolve(out))
-    return new
+        new.cells.extend((kinds[ci], [resolve(n) for n in inputs[ci]],
+                          [net_map[out] for out in outputs[ci]], cell_names[ci], hints[ci]))
+    new.outputs = [resolve(out) for out in circuit.outputs]
+    return new.emit()
 
 
 def dead_cell_elimination(circuit: Circuit) -> Circuit:
@@ -184,32 +179,25 @@ def propagate_constants(circuit: Circuit) -> Circuit:
             ]
 
     # Pass 2: rebuild.
-    new = Circuit(f"{circuit.name}_cp")
-    names = circuit.net_names
-    net_map: Dict[int, int] = {}
-    for pi in circuit.inputs:
-        net_map[pi] = new.add_input(names[pi])
-    for outs in outputs:
-        for out in outs:
-            net_map[out] = new.new_net(names[out])
-    for net, name in enumerate(names):
-        # Undriven internal nets (constant-0 reads) survive the copy.
-        if net not in net_map:
-            net_map[net] = new.new_net(name)
-    cell_names, hints = circuit.cell_names, circuit.cell_hints
+    new = CircuitColumns(f"{circuit.name}_cp", circuit)
+    net_map = new.net_map
+    new.inputs = new.copy_nets(circuit.inputs)
+    new.copy_nets(chain.from_iterable(outputs))
+    # Undriven internal nets (constant-0 reads) survive the copy.
+    new.copy_nets(n for n in range(len(circuit.net_names)) if n not in net_map)
+    cell_names, hints, cells = circuit.cell_names, circuit.cell_hints, new.cells
     for ci, kind in enumerate(kinds):
         pieces = replacement.get(ci)
         if pieces is None:
-            new._add_cell(kind, [net_map[n] for n in inputs[ci]],
-                          [net_map[out] for out in outputs[ci]], cell_names[ci], hints[ci])
+            cells.extend((kind, [net_map[n] for n in inputs[ci]],
+                          [net_map[out] for out in outputs[ci]], cell_names[ci], hints[ci]))
             continue
         name = cell_names[ci]
         for k, (piece_kind, ins, outs) in enumerate(pieces):
-            new._add_cell(piece_kind, [net_map[n] for n in ins], [net_map[out] for out in outs],
-                          name if len(pieces) == 1 else f"{name}__{k}")
-    for out in circuit.outputs:
-        new.mark_output(net_map[out])
-    return dead_cell_elimination(new)
+            cells.extend((piece_kind, [net_map[n] for n in ins], [net_map[out] for out in outs],
+                          name if len(pieces) == 1 else f"{name}__{k}", None))
+    new.outputs = [net_map[out] for out in circuit.outputs]
+    return dead_cell_elimination(new.emit())
 
 
 def strip_buffers(circuit: Circuit) -> Circuit:

@@ -9,7 +9,8 @@ Leiserson–Saxe framework the cited tools derive from:
   flipflop counts as edge weights, a host vertex for I/O), lowered
   onto flat int arrays;
 * :mod:`repro.retime.leiserson_saxe` — the FEAS feasibility algorithm
-  and binary-search minimum-period retiming over those arrays;
+  and minimum-period retiming over those arrays, probing the path bound
+  ``max ceil(d(P) / (w(P) + 1))`` first;
 * :mod:`repro.retime.pipeline` — pipelining: seed extra register
   stages on the output edges, then retime them into the fabric;
 * :mod:`repro.retime.apply` — rebuild a netlist from a retiming

@@ -17,10 +17,12 @@ the added stages).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from itertools import islice
+from typing import Mapping
 
-from repro.netlist.circuit import Circuit
-from repro.retime.graph import HOST_OUT_SLOT, RetimingGraph
+from repro.netlist.cells import CellKind
+from repro.netlist.circuit import Circuit, CircuitColumns
+from repro.retime.graph import RetimingGraph
 
 
 def apply_retiming(
@@ -36,58 +38,26 @@ def apply_retiming(
     ``rt_<source-net>_<depth>``.
     """
     old = graph.circuit
-    if not graph.is_legal(r):
+    weights = graph.legal_weights(r)
+    if weights is None:
         raise ValueError("illegal retiming (negative edge weight or host lag)")
-    new = Circuit(name or f"{old.name}_retimed")
+    new = CircuitColumns(name or f"{old.name}_retimed", old)
+    outputs, net_map, DFF = old.cell_outputs, new.net_map, CellKind.DFF
+    # Primary inputs, then every combinational cell's outputs, by name.
+    new.inputs = new.copy_nets(old.inputs)
+    new.copy_nets(out for ci in graph.vertices for out in outputs[ci])
 
-    # Primary inputs, preserving names and order.
-    names = old.net_names
-    net_map: Dict[int, int] = {}
-    for pi in old.inputs:
-        net_map[pi] = new.add_input(names[pi])
-
-    # Fresh output nets for every combinational cell, preserving names.
-    outputs = old.cell_outputs
-    for ci in graph.vertices:
-        for out in outputs[ci]:
-            net_map[out] = new.new_net(names[out])
-
-    # Shared DFF chains per source net.
-    chains: Dict[Tuple[int, int], int] = {}
-
-    def registered(src_net: int, depth: int) -> int:
-        """New net carrying *src_net* delayed by *depth* flipflops."""
-        if depth == 0:
-            return net_map[src_net]
-        key = (src_net, depth)
-        if key not in chains:
-            prev = registered(src_net, depth - 1)
-            src_name = names[src_net].replace("[", "_").replace("]", "")
-            chains[key] = new.add_dff(prev, name=f"rt_{src_name}_{depth}")
-        return chains[key]
-
-    # (destination slot, pin) -> (source net, retimed weight).
-    taps = {
-        (d, pin): (net, w)
-        for d, pin, net, w in zip(
-            graph.dst, graph.dst_pin, graph.src_net,
-            graph.retimed_weights(graph.lags(r)),
-        )
-    }
-
-    # Combinational cells in a dependency-safe order is not required
-    # (nets pre-exist), so original order keeps names stable.
+    # The edges run in (vertex, pin) order, then the primary outputs':
+    # each cell, in original order, takes the next one per input pin.
+    taps = zip(graph.src_net, weights)
     kinds, inputs = old.cell_kinds, old.cell_inputs
     cell_names, hints = old.cell_names, old.cell_hints
     for ci in graph.vertices:
-        s = graph.slot[ci]
         new_inputs = [
-            registered(*taps[(s, pin)]) for pin in range(len(inputs[ci]))
+            new.delayed(net, w, DFF, "rt") if w else net_map[net]
+            for net, w in islice(taps, len(inputs[ci]))
         ]
-        new._add_cell(kinds[ci], new_inputs, [net_map[out] for out in outputs[ci]],
-                      cell_names[ci], hints[ci])
-
-    # Primary outputs, preserving order.
-    for slot in range(len(old.outputs)):
-        new.mark_output(registered(*taps[(HOST_OUT_SLOT, slot)]))
-    return new
+        new.cells.extend((kinds[ci], new_inputs, [net_map[out] for out in outputs[ci]],
+                          cell_names[ci], hints[ci]))
+    new.outputs = [new.delayed(net, w, DFF, "rt") if w else net_map[net] for net, w in taps]
+    return new.emit()

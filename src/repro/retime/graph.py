@@ -20,9 +20,10 @@ The graph is lowered once onto flat int arrays over dense vertex
 :data:`HOST_OUT_SLOT`, :data:`CELL_SLOT`).  Edge ``e`` runs from slot
 ``src[e]`` to slot ``dst[e]`` with ``weight[e]`` registers, and the
 out-edges of slot ``v`` are ``out_edge[out_start[v]:out_start[v + 1]]``
-(CSR).  Lags travel as per-slot lists inside the package; the public
-API keeps lag dicts keyed by cell index plus :data:`HOST` /
-:data:`HOST_OUT`.
+(CSR).  Edges run in (vertex, pin) order, then one per primary output
+in port order, which :func:`~repro.retime.apply.apply_retiming` walks.
+Lags travel as per-slot lists inside the package; the public API keeps
+lag dicts keyed by cell index plus :data:`HOST` / :data:`HOST_OUT`.
 """
 
 from __future__ import annotations
@@ -186,13 +187,8 @@ class RetimingGraph:
     # ------------------------------------------------------------------
     def lags(self, r: Mapping[int, int]) -> List[int]:
         """Per-slot lag list of the lag dict *r* (absent vertices lag 0)."""
-        lags = [0] * len(self.slot_delay)
-        slot = self.slot
-        for v, lag in r.items():
-            s = slot.get(v)
-            if s is not None:
-                lags[s] = lag
-        return lags
+        get = r.get
+        return [get(HOST, 0), get(HOST_OUT, 0), *[get(v, 0) for v in self.vertices]]
 
     def lag_dict(self, lags: List[int]) -> Dict[int, int]:
         """The public lag dict of a per-slot lag list."""
@@ -210,9 +206,14 @@ class RetimingGraph:
 
     def is_legal(self, r: Mapping[int, int]) -> bool:
         """True iff host lags are 0 and every retimed weight is non-negative."""
+        return self.legal_weights(r) is not None
+
+    def legal_weights(self, r: Mapping[int, int]) -> List[int] | None:
+        """The retimed weights of *r*, or ``None`` if *r* is illegal."""
         if r.get(HOST, 0) != 0 or r.get(HOST_OUT, 0) != 0:
-            return False
-        return min(self.retimed_weights(self.lags(r)), default=0) >= 0
+            return None
+        weights = self.retimed_weights(self.lags(r))
+        return weights if min(weights, default=0) >= 0 else None
 
     def count_flipflops(self, r: Mapping[int, int] | None = None) -> int:
         """Flipflop count after retiming *r*, with chain sharing.

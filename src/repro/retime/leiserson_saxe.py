@@ -10,9 +10,13 @@ retiming and produces a legal retiming when it is:
    with ``Delta(v) > c``;
 3. feasible iff afterwards ``max Delta <= c``.
 
-The minimum period is found by binary search between the largest
-single-vertex delay and the unretimed critical path, one cold FEAS per
-probe.  Exact for the integer delays used throughout this library.
+Retiming keeps the register count ``w(P)`` of every host-to-host path
+*P*, which cuts *P* into ``w(P) + 1`` register-free pieces, so no period
+is below ``max_P ceil(d(P) / (w(P) + 1))``.  On a graph without
+feedback one topological pass computes that bound and FEAS probes it
+first; a failed probe, or feedback, falls back to binary search up to
+the unretimed critical path, one cold FEAS per probe.  Exact for the
+integer delays used throughout this library.
 
 Everything runs on the flat arrays of
 :class:`~repro.retime.graph.RetimingGraph` with lags as a per-slot
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.retime.graph import CELL_SLOT, RetimingGraph
+from repro.retime.graph import CELL_SLOT, HOST_OUT_SLOT, HOST_SLOT, RetimingGraph
 
 
 def _arrival_times(
@@ -122,15 +126,55 @@ def retime_for_period(
     return r
 
 
+def _path_bound(graph: RetimingGraph) -> Optional[int]:
+    """``max_P ceil(d(P) / (w(P) + 1))`` over host-to-host paths *P*, or
+    ``None`` on a cycle: a Kahn pass over every edge carries, per slot,
+    the longest host path into it for each register count so far."""
+    dst, weight, delay = graph.dst, graph.weight, graph.slot_delay
+    out_start, out_edge = graph.out_start, graph.out_edge
+    n = len(delay)
+    indeg = [0] * n
+    for d in dst:
+        indeg[d] += 1
+    longest: List[Dict[int, int]] = [{} for _ in range(n)]
+    longest[HOST_SLOT][0] = 0
+    ready = [v for v in range(n) if not indeg[v]]
+    reached = 0
+    while ready:
+        v = ready.pop()
+        reached += 1
+        dv, paths = delay[v], longest[v].items()
+        for e in out_edge[out_start[v]:out_start[v + 1]]:
+            t, w = dst[e], weight[e]
+            into = longest[t]
+            for k, a in paths:
+                if a + dv > into.get(k + w, -1):
+                    into[k + w] = a + dv
+            indeg[t] -= 1
+            if not indeg[t]:
+                ready.append(t)
+    ends = longest[HOST_OUT_SLOT].items()  # (registers, delay) per path class
+    return None if reached < n else max((-(-a // (k + 1)) for k, a in ends), default=0)
+
+
 def minimum_period(
     graph: RetimingGraph,
 ) -> Tuple[int, Dict[int, int]]:
-    """Binary-search the smallest achievable period; returns ``(c, r)``."""
+    """The smallest achievable period and ``feas(graph, c)``: ``(c, r)``.
+
+    The path bound is probed first; see the module docstring."""
+    lo = max(graph.slot_delay)
+    bound = _path_bound(graph)
+    if bound is not None:
+        lo = max(lo, bound)
+        r = feas(graph, lo)
+        if r is not None:
+            return lo, r
+        lo += 1
     arrival0 = _arrival_times(graph, [0] * len(graph.slot_delay))
     if arrival0 is None:
         raise ValueError("circuit has a register-free cycle; no legal period")
     hi = max(arrival0)
-    lo = max(graph.slot_delay)
     best_r = feas(graph, hi)
     assert best_r is not None, "unretimed period must be feasible"
     best_c = hi

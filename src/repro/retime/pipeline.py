@@ -59,8 +59,9 @@ def pipeline_circuit(
     With ``stages=0`` and ``period=None`` this degenerates to plain
     minimum-period retiming of the existing registers.  When *period*
     is given, FEAS must achieve it with the seeded registers or a
-    ``ValueError`` is raised; otherwise the minimum feasible period is
-    found by binary search.
+    ``ValueError`` is raised; otherwise
+    :func:`~repro.retime.leiserson_saxe.minimum_period` finds the
+    minimum, one FEAS probe at its path bound on a feed-forward graph.
 
     *graph* lets callers that pipeline the same circuit at several
     depths (the design-space explorer expands ``retime(stages=k)`` for

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
-from repro.netlist.cells import Cell, CellKind
+from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 
 
@@ -128,6 +128,3 @@ class TechnologyLibrary:
     def ff_average_power(self, frequency: float) -> float:
         """Average power of one flipflop at 50% input activity [W]."""
         return self.ff_energy_per_cycle * frequency
-
-    def cell_area_um2(self, cell: Cell) -> float:
-        return self.electrical(cell.kind).area_um2

@@ -154,3 +154,14 @@ def test_golden_output(case: str, tmp_path: Path) -> None:
             f"golden/{case}.txt", "output",
         ))
         pytest.fail(f"{case} printed different bytes:\n{diff}", pytrace=False)
+
+
+def test_warm_explore_prints_the_cold_tables(tmp_path: Path) -> None:
+    """A whole-result cache hit prints the cold run's tables byte for
+    byte; only the ``[cache]`` line differs."""
+    step = CASES["explore-rca8-cache"][0]
+    cold = run_case([step], str(tmp_path)).splitlines()
+    warm = run_case([step], str(tmp_path)).splitlines()
+    assert cold[-1].startswith("[cache] 0 hit(s)")
+    assert warm[-1].startswith("[cache] 1 hit(s), 0 miss(es)")
+    assert warm[:-1] == cold[:-1]

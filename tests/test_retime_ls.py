@@ -5,10 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.circuits.multipliers import build_multiplier_circuit
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
+from repro.retime import leiserson_saxe
 from repro.retime.graph import HOST, HOST_OUT, RetimingGraph
 from repro.retime.leiserson_saxe import (
+    _path_bound,
     feas,
     minimum_period,
     retime_for_period,
@@ -235,3 +238,99 @@ class TestMatchesDictOracle:
                         ready.append(c.dst)
         assert any(indeg.values()), "no feedback loop was built"
         assert _assert_matches_oracle(g, 1, rng) >= 1
+
+
+def _has_cycle(g: RetimingGraph) -> bool:
+    """Whether *g* has a cycle, by peeling off vertices without in-edges."""
+    indeg = {v: 0 for v in [HOST, HOST_OUT] + g.vertices}
+    for c in g.connections:
+        indeg[c.dst] += 1
+    ready = [v for v, k in indeg.items() if not k]
+    while ready:
+        v = ready.pop()
+        for c in g.connections:
+            if c.src == v:
+                indeg[c.dst] -= 1
+                if not indeg[c.dst]:
+                    ready.append(c.dst)
+    return any(indeg.values())
+
+
+def _recording_feas(monkeypatch) -> list:
+    """Record the period of every FEAS probe ``minimum_period`` makes."""
+    periods: list = []
+
+    def recording(graph, period):
+        periods.append(period)
+        return feas(graph, period)
+
+    monkeypatch.setattr(leiserson_saxe, "feas", recording)
+    return periods
+
+
+class TestPathBound:
+    """``minimum_period`` probes ``max ceil(d(P) / (w(P) + 1))`` first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), with_ffs=st.booleans())
+    def test_never_exceeds_the_oracle_minimum(self, seed, with_ffs):
+        rng = random.Random(seed)
+        circuit = random_dag_circuit(
+            rng,
+            n_inputs=rng.randint(2, 5),
+            n_gates=rng.randint(2, 14),
+            with_ffs=with_ffs,
+        )
+        for delay_model in ORACLE_DELAYS:
+            base = RetimingGraph.from_circuit(circuit, delay_model)
+            for stages in range(4):
+                bound = _path_bound(base.with_output_stages(stages))
+                ref = oracle.with_output_stages(base, stages)
+                assert bound is not None
+                assert bound <= oracle.minimum_period(ref)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        loops=st.integers(1, 2),
+        with_ffs=st.booleans(),
+    )
+    def test_feedback_keeps_the_binary_search(self, seed, loops, with_ffs):
+        """A graph with a cycle gets no bound: the first probe is the
+        unretimed period, as in the search without one."""
+        rng = random.Random(seed)
+        circuit = random_dag_circuit(
+            rng, n_inputs=3, n_gates=rng.randint(2, 12),
+            with_ffs=with_ffs, loops=loops,
+        )
+        g = RetimingGraph.from_circuit(circuit).with_output_stages(1)
+        cyclic = _has_cycle(g)
+        assert (_path_bound(g) is None) == cyclic
+        if cyclic:
+            with pytest.MonkeyPatch.context() as mp:
+                periods = _recording_feas(mp)
+                assert minimum_period(g) == oracle.minimum_period(g)
+            assert periods[0] == oracle.unretimed_period(g)
+
+    def test_bound_is_the_minimum_on_a_pipelined_chain(self):
+        c = _chain_circuit(8, registered_output=False)
+        g = RetimingGraph.from_circuit(c).with_output_stages(3)
+        assert _path_bound(g) == 2  # ceil(8 / 4)
+
+    def test_a_failed_probe_falls_back_to_the_search(self, monkeypatch):
+        """A bound below the minimum costs one probe, then the search
+        runs above it and finds the oracle's answer."""
+        g = RetimingGraph.from_circuit(_chain_circuit(6))
+        monkeypatch.setattr(leiserson_saxe, "_path_bound", lambda graph: 1)
+        periods = _recording_feas(monkeypatch)
+        assert minimum_period(g) == oracle.minimum_period(g)
+        assert periods[:2] == [1, 6]  # the bound, then the unretimed period
+
+    def test_array8_two_stages_probes_feas_once(self, monkeypatch):
+        circuit, _ = build_multiplier_circuit(8, "array")
+        base = RetimingGraph.from_circuit(circuit)
+        periods = _recording_feas(monkeypatch)
+        period, r = minimum_period(base.with_output_stages(2))
+        assert periods == [period]
+        ref = oracle.with_output_stages(base, 2)
+        assert (period, r) == oracle.minimum_period(ref)
