@@ -11,7 +11,10 @@ differ only in strategy:
 
 Both run on a circuit object explored once beforehand, so transform
 results come from the per-parent memo and the timed region measures
-estimation, pruning and simulation.  The per-candidate speedup of the
+estimation, pruning and simulation.  The ``explore-cold`` row explores
+a fresh array8 each round (beam, depth 3, 40 vectors), so it also pays
+every transform application, fingerprint and compile: the layer the
+memoized rows cannot see.  The per-candidate speedup of the
 estimate-pruned regime is the whole point of the subsystem, so it is
 part of the committed perf trajectory: ``benchmarks/run_benchmarks.py``
 folds both medians into ``BENCH_sim.json`` and the ``repro bench
@@ -22,7 +25,9 @@ estimator workload.
 import pytest
 
 from repro.circuits.adders import build_rca_circuit
+from repro.circuits.catalog import build_named_circuit
 from repro.explore.search import explore
+from repro.explore.specs import default_space
 
 _N_VECTORS = 60
 _STRATEGY = {
@@ -56,3 +61,18 @@ def test_explore_throughput_rca8(benchmark, rca8, mode):
         assert result.n_simulated < len(
             [c for c in result.candidates if c.feasible]
         )
+
+
+#: Unique candidates of the cold array8 exploration (beam, depth 3).
+N_COLD_CANDIDATES = 16
+
+
+def _fresh_array8():
+    circuit, _ = build_named_circuit("array8")
+    return (circuit, default_space(max_depth=3)), {"n_vectors": 40}
+
+
+def test_explore_cold_array8(benchmark):
+    result = benchmark.pedantic(explore, setup=_fresh_array8, rounds=7)
+    assert len(result.candidates) == N_COLD_CANDIDATES
+    assert result.strategy == "beam"

@@ -256,6 +256,20 @@ def normalize(data: dict) -> dict:
                 "candidates_per_s": round(N_CANDIDATES / median, 1),
             }
             continue
+        elif bench["name"] == "test_explore_cold_array8":
+            from bench_explore import N_COLD_CANDIDATES
+
+            key = "explore-cold/array8"
+            results[key] = {
+                "backend": "explore-cold",
+                "workload": (
+                    "fresh array8 each round, beam, depth 3, 40 vectors: "
+                    "every transform applied"
+                ),
+                "median_s": round(median, 6),
+                "candidates_per_s": round(N_COLD_CANDIDATES / median, 1),
+            }
+            continue
         else:
             continue
         results[key] = {
@@ -277,7 +291,7 @@ def normalize(data: dict) -> dict:
                     )
             continue
         if backend.startswith("explore-"):
-            if backend != "explore-sim-everything":
+            if backend == "explore-estimate-pruned":
                 ref = results.get("explore-sim-everything/rca8")
                 if ref is not None:
                     entry["speedup_vs_sim_everything"] = round(

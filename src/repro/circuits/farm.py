@@ -87,7 +87,8 @@ def _stamp_tiles(
     ``t0`` cell-name prefix read ``t{t}``: the cells and names a
     per-cell build would make, in its order.  One
     :meth:`~Circuit.add_nets` and one :meth:`~Circuit.add_cells` call
-    add them all.
+    add them all; the name table files each net under the int object
+    its pins hold.
     """
     first = len(x) + len(y)
     tile_nets = len(circuit.net_names) - first
@@ -95,16 +96,15 @@ def _stamp_tiles(
     gather_in = [_gather(nets) for nets in circuit.cell_inputs]
     gather_out = [_gather(nets) for nets in circuit.cell_outputs]
     suffixes = [name[2:] for name in circuit.cell_names]
-    circuit.add_nets([None] * (tile_nets * (tiles - 1)))
+    stamped = list(range(first + tile_nets, first + tiles * tile_nets))
+    circuit.add_nets([None] * len(stamped), stamped)
     pins: List[tuple] = []
     outs: List[tuple] = []
     names: List[str] = []
     products = []
     for t in range(1, tiles):
-        start = first + t * tile_nets
-        remap = _rotated(x, t) + _rotated(y, 2 * t) + list(
-            range(start, start + tile_nets)
-        )
+        own = (t - 1) * tile_nets
+        remap = _rotated(x, t) + _rotated(y, 2 * t) + stamped[own:own + tile_nets]
         pins += [gather(remap) for gather in gather_in]
         outs += [gather(remap) for gather in gather_out]
         names += [f"t{t}{suffix}" for suffix in suffixes]

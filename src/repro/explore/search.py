@@ -4,8 +4,9 @@ Every driver works on the same candidate representation — a chain of
 :class:`~repro.explore.specs.TransformSpec`\\ s applied to the base
 circuit, deduplicated by circuit fingerprint (``balance+balance`` and
 ``balance`` collapse to one candidate; the merged labels are kept for
-reporting).  The difference is *which candidates pay for glitch-exact
-simulation*:
+reporting; a transform that returns its parent's circuit merges with
+no fingerprint).  The difference is *which candidates pay for
+glitch-exact simulation*:
 
 * :func:`explore` with ``strategy="exhaustive"`` simulates every
   unique feasible candidate — the oracle, affordable for small spaces;
@@ -21,11 +22,13 @@ simulation*:
 Every unique candidate is built once, from scratch: its transform
 output is estimated by :func:`~repro.explore.cost.estimated_cost`.
 Transform applications are memoized per parent circuit object
-(:data:`_TRANSFORM_MEMO`).  Candidate simulations fan out through the
-batch machinery (:func:`repro.service.jobs.run_circuit_tasks`): with a
-result store they resume warm — re-running an exploration, or running
-a larger one that shares candidates with a previous run, does zero
-duplicate simulation work.  The estimate-vs-sim power rank agreement
+(:data:`_TRANSFORM_MEMO`; a traced application is an
+``explore.transform`` span, ``outcome`` ``noop`` or ``rebuilt``).
+Candidate simulations fan out through the batch machinery
+(:func:`repro.service.jobs.run_circuit_tasks`): with a result store
+they resume warm — re-running an exploration, or running a larger one
+that shares candidates with a previous run, does zero duplicate
+simulation work.  The estimate-vs-sim power rank agreement
 of every run is recorded so users can audit when estimate pruning is
 trustworthy (see the README's estimation-gap guidance).
 """
@@ -72,7 +75,8 @@ STRATEGIES = ("exhaustive", "beam", "greedy")
 #: is itself the parent object of the next depth, the whole chain tree
 #: becomes memo-stable after one pass.  Entries die with the parent
 #: circuit; the per-circuit slot is keyed by ``Circuit.version`` so a
-#: mutated netlist can never reuse stale results.
+#: mutated netlist can never reuse stale results.  A no-op entry holds
+#: ``None``: naming its own key, it would keep the parent alive.
 _TRANSFORM_MEMO: "weakref.WeakKeyDictionary[Circuit, Dict[tuple, tuple]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -88,8 +92,13 @@ def _applied(
     if hit is None:
         for stale in [k for k in per if k[0] != parent.version]:
             del per[stale]
-        hit = per[key] = spec.apply(parent, delay_model)
-    return hit
+        with obs.span("explore.transform", kind=spec.kind) as span:
+            child, info = spec.apply(parent, delay_model)
+            span.set(outcome="noop" if child is parent else "rebuilt")
+        per[key] = (None if child is parent else child, info)
+        return child, info
+    child, info = hit
+    return (parent if child is None else child), info
 
 
 @dataclass
@@ -250,7 +259,7 @@ def explore_key(
         circuit_fp=circuit.fingerprint(),
         delay_fp=delay_fingerprint(circuit, delay_model),
         stimulus_fp=content_digest((
-            "explore-v1",
+            "explore-v2",
             space.fingerprint(),
             stimulus.fingerprint(),
             strategy,
@@ -313,6 +322,7 @@ def _expand_candidates(
     whose circuit fingerprints to a known candidate is merged into it
     (charged to ``explore.pruned``) and costs no estimator work; every
     new candidate is built once, from scratch, by :func:`_make_candidate`.
+    A result that is its parent's circuit merges into the parent unfingerprinted.
     Returns ``(candidates, n_enumerated)`` where *n_enumerated* counts
     chain applications before deduplication.
     """
@@ -333,8 +343,8 @@ def _expand_candidates(
                 )
                 latency = parent.latency + info.get("latency", 0)
                 label = describe_chain(parent.chain + (spec,))
-                fp = new_circuit.fingerprint()
-                known = by_fp.get(fp)
+                known = parent if new_circuit is parent.circuit else by_fp.get(
+                    new_circuit.fingerprint())
                 if known is not None:
                     if label != known.label and label not in known.merged:
                         known.merged.append(label)
@@ -348,7 +358,7 @@ def _expand_candidates(
                     parent.chain + (spec,), new_circuit, latency,
                     space, delay_model, stimulus, context,
                 )
-                by_fp[fp] = cand
+                by_fp[cand.fingerprint] = cand
                 candidates.append(cand)
                 fresh.append(cand)
         if beam_width is not None:

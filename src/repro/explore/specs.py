@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.compiled import content_digest
-from repro.opt.balance import balance_paths
-from repro.opt.transform import propagate_constants, strip_buffers
+from repro.netlist.compiled import compile_circuit, content_digest
+from repro.opt.balance import balance_is_noop, balance_paths
+from repro.opt.transform import cleanup_is_noop, propagate_constants, strip_buffers
 from repro.retime.graph import RetimingGraph
 from repro.retime.pipeline import pipeline_circuit
 from repro.sim.delays import DelayModel
@@ -77,7 +77,10 @@ def _shared_graph(circuit: Circuit, delay_model: DelayModel) -> RetimingGraph:
 def _apply_balance(
     circuit: Circuit, delay_model: DelayModel
 ) -> Tuple[Circuit, Dict[str, Any]]:
-    balanced, stats = balance_paths(circuit, delay_model)
+    levels = compile_circuit(circuit, delay_model).levels  # one lookup for both
+    if balance_is_noop(circuit, delay_model, levels):
+        return circuit, {"buffers_inserted": 0}
+    balanced, stats = balance_paths(circuit, delay_model, levels=levels)
     return balanced, {"buffers_inserted": stats.buffers_inserted}
 
 
@@ -100,7 +103,7 @@ def _apply_retime(
 def _apply_cleanup(
     circuit: Circuit, delay_model: DelayModel
 ) -> Tuple[Circuit, Dict[str, Any]]:
-    cleaned = propagate_constants(circuit)
+    cleaned = circuit if cleanup_is_noop(circuit) else propagate_constants(circuit)
     return cleaned, {"cells_removed": len(circuit.cells) - len(cleaned.cells)}
 
 
@@ -148,9 +151,11 @@ class TransformSpec:
     ) -> Tuple[Circuit, Dict[str, Any]]:
         """Apply this transform, returning ``(new_circuit, info)``.
 
-        The input circuit is never mutated (all wrapped passes rebuild).
-        *info* carries transform-specific metadata — notably
-        ``latency`` for transforms that add pipeline stages.
+        The input circuit is never mutated; ``balance`` and ``cleanup``
+        return it where their rebuild would keep its fingerprint (the
+        ``*_is_noop`` checks in :mod:`repro.opt`).  *info* carries
+        transform-specific metadata — notably ``latency`` for
+        transforms that add pipeline stages.
         """
         return TRANSFORMS[self.kind](circuit, delay_model, **dict(self.params))
 

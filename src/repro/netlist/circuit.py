@@ -282,17 +282,21 @@ class Circuit:
         return index
 
     @_nogc
-    def add_nets(self, names: Sequence[str | None]) -> range:
+    def add_nets(self, names: Sequence[str | None], indices: Sequence[int] | None = None) -> range:
         """Create one undriven net per entry of *names*; returns their indices.
 
         The batch form of :meth:`new_net`: ``None`` asks for an
         anonymous ``n{k}`` name from the circuit's counter, and every
-        name is checked before the circuit changes.
+        name is checked before the circuit changes.  *indices* (equal to
+        the returned range) are the int objects to file the names under,
+        so a builder whose rows hold them keeps one int per net.
         """
         by_name = self._net_by_name
         names = list(names)
         count = len(names)
         start = len(self.net_names)
+        if indices is not None and len(indices) != count:
+            raise ValueError("add_nets: names and indices differ in length")
         anon = self._anon_net
         n_anon = names.count(None)
         named = names[:count - n_anon] if n_anon else names
@@ -323,7 +327,7 @@ class Circuit:
                 taken.add(name)
         self.net_names.extend(names)
         self.net_driver.extend([-1] * count)
-        by_name.update(zip(names, range(start, start + count)))
+        by_name.update(zip(names, range(start, start + count) if indices is None else indices))
         self._anon_net = anon
         self._version += 1
         return range(start, start + count)
@@ -619,9 +623,7 @@ class CircuitColumns:
     def emit(self) -> Circuit:
         """The circuit, checked by :meth:`Circuit.add_cells`' rules."""
         circuit = Circuit(self.name)
-        circuit.add_nets(self.net_names)
-        # The name table keeps the index objects the rows hold: one per net.
-        circuit._net_by_name.update(zip(circuit.net_names, self.net_indices))
+        circuit.add_nets(self.net_names, self.net_indices)
         circuit.inputs, circuit.outputs = self.inputs, self.outputs
         circuit.add_cells(*(self.cells[k::5] for k in range(5)))
         return circuit

@@ -388,25 +388,26 @@ def circuit_fingerprint(circuit: "Circuit") -> str:
     Prefer :meth:`Circuit.fingerprint`, which reads that memo.
     """
     names = circuit.net_names
-    records = [
-        (
-            kind.value,
-            tuple([names[n] for n in ins]),
-            tuple([names[n] for n in outs]),
+    with obs.span("netlist.fingerprint", circuit=circuit.name, cells=len(circuit.cell_kinds)):
+        records = [
+            (
+                kind.value,
+                tuple([names[n] for n in ins]),
+                tuple([names[n] for n in outs]),
+            )
+            for kind, ins, outs in zip(
+                circuit.cell_kinds, circuit.cell_inputs, circuit.cell_outputs
+            )
+        ]
+        order = sorted(range(len(records)), key=records.__getitem__)
+        doc = (
+            "circuit-v1",
+            tuple([names[n] for n in circuit.inputs]),
+            tuple([names[n] for n in circuit.outputs]),
+            tuple(sorted(names)),
+            tuple([records[ci] for ci in order]),
         )
-        for kind, ins, outs in zip(
-            circuit.cell_kinds, circuit.cell_inputs, circuit.cell_outputs
-        )
-    ]
-    order = sorted(range(len(records)), key=records.__getitem__)
-    doc = (
-        "circuit-v1",
-        tuple([names[n] for n in circuit.inputs]),
-        tuple([names[n] for n in circuit.outputs]),
-        tuple(sorted(names)),
-        tuple([records[ci] for ci in order]),
-    )
-    digest = _digest(doc)
+        digest = _digest(doc)
     circuit._fingerprint = (circuit.version, digest, tuple(order))
     return digest
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.netlist.cells import Cell, CellKind
 from repro.netlist.circuit import Circuit, CircuitColumns
 from repro.netlist.compiled import compile_circuit
+from repro.opt.transform import every_net_is_port_or_driven
 from repro.sim.delays import DelayModel, UnitDelay
 
 
@@ -61,19 +62,22 @@ def balance_paths(
     circuit: Circuit,
     delay_model: DelayModel | None = None,
     name: str | None = None,
+    levels: Sequence[int] | None = None,
 ) -> Tuple[Circuit, BalanceStats]:
     """Return a functionally identical circuit with balanced arrivals.
 
     Flipflops are preserved; their outputs count as time-zero sources
     (they switch at the clock edge like primary inputs) and their D
     inputs are not padded (a registered node ignores pre-edge skew).
+    *levels*, where the caller has them, are
+    ``compile_circuit(circuit, delay_model).levels``.
 
     Returns ``(balanced_circuit, stats)``.
     """
     delay_model = delay_model or UnitDelay()
     d_buf = _buffer_delay(delay_model)
 
-    level = compile_circuit(circuit, delay_model).levels
+    level = compile_circuit(circuit, delay_model).levels if levels is None else levels
 
     new = CircuitColumns(name or f"{circuit.name}_balanced", circuit)
     net_map = new.net_map
@@ -115,6 +119,29 @@ def balance_paths(
     return new.emit(), stats
 
 
+def _input_skews(circuit: Circuit, level: Sequence[int]) -> Iterator[int]:
+    """Each combinational multi-input cell's input-arrival skew, in order."""
+    for kind, ins in zip(circuit.cell_kinds, circuit.cell_inputs):
+        if kind is CellKind.DFF or len(ins) < 2:
+            continue
+        arrivals = [level[n] for n in ins]
+        yield max(arrivals) - min(arrivals)
+
+
+def balance_is_noop(
+    circuit: Circuit,
+    delay_model: DelayModel | None = None,
+    levels: Sequence[int] | None = None,
+) -> bool:
+    """Whether :func:`balance_paths` would keep *circuit*'s fingerprint: no
+    input skew and no dropped net.  Raises, as the pass does, on a buffer
+    delay below 1 or a combinational cycle; *levels* as for the pass."""
+    delay_model = delay_model or UnitDelay()
+    _buffer_delay(delay_model)
+    level = compile_circuit(circuit, delay_model).levels if levels is None else levels
+    return every_net_is_port_or_driven(circuit) and not any(_input_skews(circuit, level))
+
+
 def balancing_report(
     circuit: Circuit, delay_model: DelayModel | None = None
 ) -> Dict[str, float]:
@@ -126,14 +153,8 @@ def balancing_report(
     delay paths ... significantly reduces the number of useless
     transitions").
     """
-    delay_model = delay_model or UnitDelay()
-    level = compile_circuit(circuit, delay_model).levels
-    skews = []
-    for kind, ins in zip(circuit.cell_kinds, circuit.cell_inputs):
-        if kind is CellKind.DFF or len(ins) < 2:
-            continue
-        arrivals = [level[n] for n in ins]
-        skews.append(max(arrivals) - min(arrivals))
+    level = compile_circuit(circuit, delay_model or UnitDelay()).levels
+    skews = list(_input_skews(circuit, level))
     if not skews:
         return {"cells": 0, "mean_skew": 0.0, "max_skew": 0, "skewed_fraction": 0.0}
     return {

@@ -67,8 +67,8 @@ def _rebuild(
     return new.emit()
 
 
-def dead_cell_elimination(circuit: Circuit) -> Circuit:
-    """Remove cells that cannot influence any output or flipflop."""
+def _live_cells(circuit: Circuit) -> set[int]:
+    """The cells whose outputs reach a primary output or a flipflop."""
     live_nets = set(circuit.outputs)
     for kind, ins in zip(circuit.cell_kinds, circuit.cell_inputs):
         if kind is CellKind.DFF:
@@ -83,12 +83,36 @@ def dead_cell_elimination(circuit: Circuit) -> Circuit:
             continue
         live_cells.add(ci)
         frontier.extend(inputs[ci])
+    return live_cells
 
+
+def every_net_is_port_or_driven(circuit: Circuit) -> bool:
+    """Whether each net is a primary input or a cell output, once: then a
+    rebuild copying those drops no net and names none twice."""
+    undriven = [n for n, ci in enumerate(circuit.net_driver) if ci < 0]
+    return sorted(circuit.inputs) == undriven
+
+
+def dead_cell_elimination(circuit: Circuit) -> Circuit:
+    """Remove cells that cannot influence any output or flipflop."""
     return _rebuild(
         circuit,
-        keep_cell=live_cells.__contains__,
+        keep_cell=_live_cells(circuit).__contains__,
         replace_input=lambda net: net,
         name_suffix="_dce",
+    )
+
+
+def cleanup_is_noop(circuit: Circuit) -> bool:
+    """Whether :func:`propagate_constants` would keep *circuit*'s fingerprint:
+    no CONST cell, dead cell or dropped net.  Raises, as the pass does,
+    on a combinational cycle."""
+    compile_circuit(circuit)
+    kinds = circuit.cell_kinds
+    return (
+        CellKind.CONST0 not in kinds and CellKind.CONST1 not in kinds
+        and every_net_is_port_or_driven(circuit)
+        and len(_live_cells(circuit)) == len(kinds)
     )
 
 

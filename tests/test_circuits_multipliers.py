@@ -168,3 +168,14 @@ class TestFarmStamping:
             assert getattr(farm, column) == getattr(oracle, column), column
         assert ports["products"] == products
         assert farm.fingerprint() == oracle.fingerprint()
+
+    def test_name_table_holds_the_pins_ints(self):
+        """One int object per net: the name table files every stamped net
+        under the object its pins hold."""
+        from repro.circuits.farm import build_multiplier_farm
+
+        farm, _ = build_multiplier_farm(8, 2000)
+        by_name, names = farm._net_by_name, farm.net_names
+        assert len(names) > 1000  # past the interpreter's small-int cache
+        for pins in (*farm.cell_inputs, *farm.cell_outputs):
+            assert all(by_name[names[n]] is n for n in pins)

@@ -1,5 +1,7 @@
 """Tests for the design-space exploration subsystem (:mod:`repro.explore`)."""
 
+import collections
+import dataclasses
 import gc
 import random
 import weakref
@@ -495,6 +497,80 @@ class TestExplore:
         del circuit
         gc.collect()
         assert root() is None
+
+    def test_explore_pays_once_per_distinct_candidate(self, monkeypatch):
+        """No transform rebuilds a circuit only for it to merge into its
+        parent, and such a result is merged without a fingerprint."""
+        import repro.explore.specs as specs
+        import repro.netlist.compiled as compiled
+        import repro.opt.balance as balance_module
+
+        fingerprinted, balanced = [], []
+        real_fp, real_balance = compiled.circuit_fingerprint, specs.balance_paths
+
+        def fingerprint(circuit):
+            fingerprinted.append(circuit.name)
+            return real_fp(circuit)
+
+        def balance(circuit, *args, **kwargs):
+            out = real_balance(circuit, *args, **kwargs)
+            balanced.append(out[1].buffers_inserted)
+            return out
+
+        monkeypatch.setattr(compiled, "circuit_fingerprint", fingerprint)
+        monkeypatch.setattr(specs, "balance_paths", balance)
+        monkeypatch.setattr(
+            specs, "propagate_constants",
+            lambda *a: pytest.fail("cleanup rebuilt a circuit it reproduces"),
+        )
+        monkeypatch.setattr(  # the check and the pass share one lookup
+            balance_module, "compile_circuit",
+            lambda *a: pytest.fail("balance looked its levels up again"),
+        )
+        circuit, _ = build_named_circuit("array8")
+        with obs.capture() as rec:
+            result = explore(circuit, default_space(max_depth=3), n_vectors=8)
+        assert (len(result.candidates), result.n_enumerated) == (16, 33)
+        # balance ran on the three unbalanced parents it was applied to,
+        # and no-op'd on the balanced ones.
+        assert len(balanced) == 3 and min(balanced) > 0
+        outcomes = collections.Counter(
+            (e["args"]["kind"], e["args"]["outcome"])
+            for e in rec.find("explore.transform")
+        )
+        assert outcomes == {
+            ("cleanup", "noop"): 8, ("balance", "noop"): 5,
+            ("balance", "rebuilt"): 3, ("retime", "rebuilt"): 16,
+        }
+        # The root and the 19 rebuilt results, each fingerprinted once.
+        assert len(fingerprinted) == 20
+
+    def test_v1_explore_entries_are_not_served(self, tmp_path):
+        """An explore entry stored before costs were stored unrounded sits
+        under the ``explore-v1`` key, which this build no longer reads."""
+        from repro.netlist.compiled import content_digest
+
+        circuit, _ = build_named_circuit("rca4")
+        args = (default_space(), UniformStimulus(), 30, "beam", 4, CostContext(), 0.05)
+        key = explore_key(circuit, *args)
+        space, stimulus, _, strategy, width, context, margin = args
+        v1 = dataclasses.replace(key, stimulus_fp=content_digest((
+            "explore-v1", space.fingerprint(), stimulus.fingerprint(),
+            strategy, width, margin, context.fingerprint_fields(),
+        )))
+        # The digest the previous build filed this request under.
+        assert v1.digest() == (
+            "f053c78db07e47bfa067de1d766fa8ca1e4928af3801a17682720bf0e5c17dfd"
+        )
+        assert key.digest() != v1.digest()
+        cold = explore(circuit, strategy="beam", n_vectors=30)
+        stale = cold.to_payload()
+        stale["n_simulated"] = 999
+        store = ResultStore(tmp_path)
+        store.put(v1, stale)
+        warm = explore(circuit, strategy="beam", n_vectors=30, store=store)
+        assert warm.n_simulated == cold.n_simulated
+        assert key in store
 
     def test_candidate_sims_shared_between_strategies(self, tmp_path):
         circuit, _ = build_named_circuit("rca4")

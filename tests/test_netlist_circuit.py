@@ -376,6 +376,17 @@ class TestBulkConstruction:
         assert batch.add_nets([None] * 3) == range(5, 8)
         assert batch.net_names[5:] == ["n4", "n5", "n6"]
 
+    def test_add_nets_files_names_under_given_indices(self):
+        c = Circuit("n")
+        c.new_net("taken")
+        indices = list(range(1, 401))
+        before = _state(c)
+        with pytest.raises(ValueError, match="differ in length"):
+            c.add_nets([None] * 399, indices)
+        assert _state(c) == before
+        assert c.add_nets([None] * 400, indices) == range(1, 401)
+        assert all(c._net_by_name[c.net_names[n]] is n for n in indices)
+
     @pytest.mark.parametrize("names", [["x", "y", "x"], ["y", "taken"]])
     def test_add_nets_rejects_duplicates_unchanged(self, names):
         c = Circuit("n")

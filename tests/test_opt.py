@@ -11,8 +11,9 @@ from repro.core.activity import analyze
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.netlist.validate import validate
-from repro.opt.balance import balance_paths, balancing_report
+from repro.opt.balance import balance_is_noop, balance_paths, balancing_report
 from repro.opt.transform import (
+    cleanup_is_noop,
     dead_cell_elimination,
     propagate_constants,
     strip_buffers,
@@ -20,7 +21,9 @@ from repro.opt.transform import (
 from repro.sim.delays import SumCarryDelay, ZeroDelay
 from repro.sim.vectors import WordStimulus
 
+from tests import rebuild_oracle as oracle
 from tests.conftest import random_dag_circuit
+from tests.test_rebuild_oracle import BALANCE_DELAYS, _circuit
 
 
 def _equivalent(c1: Circuit, c2: Circuit, rng, trials=60) -> bool:
@@ -357,3 +360,113 @@ class TestConstantPropagation:
         assert out.kind_histogram().get("FA", 0) < c.kind_histogram()["FA"]
         assert out.kind_histogram().get("CONST0", 0) == 0
         assert out.kind_histogram().get("CONST1", 0) == 0
+
+
+def _noop_is_sound(check, oracle_pass, circuit, *args):
+    """*check* answers yes only where *oracle_pass* returns a circuit with
+    *circuit*'s fingerprint, and raises only the error the pass raises."""
+    try:
+        noop = check(circuit, *args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            oracle_pass(circuit, *args)
+        assert str(raised.value) == str(exc)
+        return
+    if noop:
+        out = oracle_pass(circuit, *args)
+        out = out[0] if isinstance(out, tuple) else out
+        assert out.fingerprint() == circuit.fingerprint()
+
+
+class TestNoopChecks:
+    """``cleanup_is_noop`` / ``balance_is_noop`` answer, without the
+    rebuild, whether the pass would reproduce its input's fingerprint."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        with_ffs=st.booleans(),
+        loops=st.integers(0, 2),
+        consts=st.integers(0, 2),
+        undriven=st.integers(0, 2),
+        balanced=st.booleans(),
+    )
+    def test_yes_only_where_the_oracle_pass_keeps_the_fingerprint(
+        self, seed, with_ffs, loops, consts, undriven, balanced
+    ):
+        c, _ = _circuit(seed, with_ffs, loops, consts, undriven)
+        _noop_is_sound(cleanup_is_noop, oracle.propagate_constants, c)
+        for delay_model in BALANCE_DELAYS:
+            circuit = c
+            if balanced:  # a balanced circuit is where balance says yes
+                try:
+                    circuit, _ = oracle.balance_paths(c, delay_model)
+                except (KeyError, ValueError):
+                    pass
+            _noop_is_sound(balance_is_noop, oracle.balance_paths, circuit, delay_model)
+            _noop_is_sound(cleanup_is_noop, oracle.propagate_constants, circuit)
+
+    def test_catalog_answers(self):
+        rca, _ = build_rca_circuit(8, with_cin=False)
+        balanced, _ = balance_paths(rca)
+        assert cleanup_is_noop(rca) and cleanup_is_noop(balanced)
+        assert not balance_is_noop(rca) and balance_is_noop(balanced)
+        # A slower carry skews the unit-balanced adder again.
+        slow_carry = SumCarryDelay(dsum=1, dcarry=2)
+        assert not balance_is_noop(balanced, slow_carry)
+        assert balance_paths(balanced, slow_carry)[1].buffers_inserted > 0
+
+    def test_no_where_the_pass_drops_a_net_or_raises(self):
+        glitchy = Circuit("t")  # one two-input cell, skewed by the NOT
+        a = glitchy.add_input("a")
+        glitchy.mark_output(glitchy.gate(CellKind.AND, a, glitchy.gate(CellKind.NOT, a)))
+        assert cleanup_is_noop(glitchy) and not balance_is_noop(glitchy)
+        c = Circuit("t")
+        a, b = c.add_input("a"), c.add_input("b")
+        c.mark_output(c.gate(CellKind.AND, a, b, name="g"))
+        assert cleanup_is_noop(c) and balance_is_noop(c)
+        c.new_net("floating")  # read by nothing: both rebuilds drop it
+        assert not cleanup_is_noop(c) and not balance_is_noop(c)
+        c.mark_output(c.gate(CellKind.OR, a, c.net("floating"), name="h"))
+        assert not balance_is_noop(c)
+        with pytest.raises(KeyError):  # balance cannot copy an undriven read
+            balance_paths(c)
+        with pytest.raises(ValueError, match="delay >= 1"):
+            balance_is_noop(c, ZeroDelay())
+
+    def test_a_combinational_cycle_raises_as_the_passes_do(self):
+        c = Circuit("loop")
+        x, fed_back = c.add_input("x"), c.new_net("fb")
+        y = c.gate(CellKind.AND, x, fed_back, name="g")
+        c.add_cell(CellKind.NOT, [y], [fed_back], name="inv")
+        c.mark_output(y)
+        for check, pass_ in ((cleanup_is_noop, propagate_constants),
+                             (balance_is_noop, balance_paths)):
+            for fn in (check, pass_):
+                with pytest.raises(ValueError, match="combinational cycle"):
+                    fn(c)
+
+    def test_dead_cell_or_constant_means_no(self):
+        c = Circuit("t")
+        a, b = c.add_input("a"), c.add_input("b")
+        c.mark_output(c.gate(CellKind.AND, a, b, name="g"))
+        c.gate(CellKind.XOR, a, b, name="dead")
+        assert not cleanup_is_noop(c)
+        assert len(dead_cell_elimination(c).cells) == 1
+
+    def test_constant_cells_still_rebuild_through_cleanup(self, rng):
+        from repro.explore.specs import TransformSpec
+        from repro.sim.delays import UnitDelay
+
+        c = Circuit("t")
+        a = c.add_input("a")
+        zero = c.add_cell(CellKind.CONST0, [], name="c0").outputs[0]
+        c.mark_output(c.gate(CellKind.OR, c.gate(CellKind.AND, a, zero, name="g"), a, name="h"))
+        assert not cleanup_is_noop(c)
+        out, info = TransformSpec.make("cleanup").apply(c, UnitDelay())
+        assert out is not c and out.name == "t_cp_dce"
+        # The AND folds into a constant; the CONST0 that forced it dies.
+        assert info == {"cells_removed": 1}
+        assert "AND" not in out.kind_histogram()
+        assert out.fingerprint() != c.fingerprint()
+        assert _equivalent(c, out, rng)
