@@ -10,7 +10,7 @@ Exposes the library's analyses without writing Python::
     python -m repro.cli analyze --circuit array32 --backend vector \
         --vectors 5000               # numpy tier ([perf] extra)
     python -m repro.cli analyze --circuit rca16 \
-        --backend bitparallel        # zero-delay, useful-only counts
+        --delay zero                 # settled, useful-only counts
     python -m repro.cli analyze --circuit rca8 --vectors 50 \
         --backend auto --vcd rca8.vcd   # falls back to event-driven
     python -m repro.cli analyze --circuit array8 --cache .repro-cache
@@ -52,16 +52,15 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.netlist.circuit import Circuit
-    from repro.sim.delays import DelayModel
     from repro.sim.vectors import WordStimulus
 
-#: ``--backend`` values: the ``auto`` policy, the three engines, and
-#: the retired engine names that still resolve to ``lanes`` (the
-#: bit-parallel ones to its zero-delay mode).
-BACKEND_CHOICES = [
-    "auto", "event", "lanes", "vector",
-    "waveform", "wave", "codegen", "bitparallel", "bit-parallel", "batch",
-]
+#: ``--backend`` values: the ``auto`` policy and the three engines
+#: (``repro.sim.backends.BACKENDS``, spelled out so that ``--help``
+#: imports nothing).
+BACKEND_CHOICES = ["auto", "event", "lanes", "vector"]
+#: ``--delay`` values (``repro.sim.delays.DELAY_MODELS``); ``zero`` is
+#: the settled mode, which ``explore`` has no use for.
+DELAY_CHOICES = ["unit", "sumcarry", "zero"]
 
 
 def build_named_circuit(name: str) -> Tuple[Circuit, WordStimulus]:
@@ -85,16 +84,6 @@ def _parse_size(name: str, prefix: str) -> int:
         return parse(name, prefix)
     except ValueError as exc:
         raise SystemExit(str(exc))
-
-
-def _delay_model(spec: str) -> DelayModel:
-    from repro.sim.delays import SumCarryDelay, UnitDelay
-
-    if spec == "unit":
-        return UnitDelay()
-    if spec == "sumcarry":
-        return SumCarryDelay(dsum=2, dcarry=1)
-    raise SystemExit(f"unknown delay model {spec!r}; use unit or sumcarry")
 
 
 def _open_store(path: str | None, max_bytes: int | None = None):
@@ -134,14 +123,27 @@ def _require_backend(name: str) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.report import format_table
-    from repro.sim.backends import ZERO_DELAY_ALIASES, select_backend
+    from repro.sim.backends import select_backend
+    from repro.sim.delays import resolve_delay
 
     circuit, stim = build_named_circuit(args.circuit)
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     backend = args.backend
     _require_backend(backend)
+    settled = args.delay == "zero"
+    if settled and backend == "event":
+        raise SystemExit(
+            "--delay zero is the settled mode of the lanes and vector "
+            "engines; the event-driven engine has none (use --backend "
+            "auto, lanes or vector)"
+        )
     if args.vcd is not None:
+        if settled:
+            raise SystemExit(
+                "--vcd records per-cycle events, which --delay zero does "
+                "not simulate; drop one of them"
+            )
         # Recorded events exist only on the event-driven engine; auto
         # falls back to it, anything else is a contradiction.
         if backend not in ("auto", "event"):
@@ -158,18 +160,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "store does not hold; drop --cache for VCD dumps"
             )
         backend = select_backend(record_events=True)
-    if backend not in ZERO_DELAY_ALIASES:
-        # "auto" is passed through unresolved: ActivityRun/cached_run
-        # resolve it themselves, which arms runtime failover down the
-        # backend chain (an explicitly named backend never falls back).
-        delay = _delay_model(args.delay or "unit")
-    elif args.delay is not None:
-        raise SystemExit(
-            f"--delay {args.delay} has no effect on the zero-delay "
-            f"{args.backend!r} backend; drop it or use --backend event"
-        )
-    else:
-        delay = None
+    delay = resolve_delay(args.delay)
     store = _open_store(args.cache)
     if args.vcd is not None:
         from repro.core.activity import ActivityRun, accumulate_traces
@@ -186,6 +177,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             fh.write(dump_vcd(circuit, traces, cycle_length=cycle_length))
         print(f"wrote {len(traces)} cycles to {args.vcd}")
     else:
+        # "auto" is passed through unresolved: ActivityRun/cached_run
+        # resolve it themselves, which arms runtime failover down the
+        # backend chain (an explicitly named backend never falls back).
         result = _run_once(
             circuit, stim, args, delay, store, backend=backend,
             shards=args.shards, processes=args.jobs,
@@ -227,7 +221,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # comparison accordingly rather than overclaim exactness.
         sim_label = (
             "zero-delay simulation (useful-only totals)"
-            if backend in ZERO_DELAY_ALIASES else "glitch-exact simulation"
+            if settled else "glitch-exact simulation"
         )
         print()
         print(format_table(
@@ -653,7 +647,7 @@ def _run_explore(circuit: Circuit, args: argparse.Namespace) -> int:
     store = _open_store(args.cache)
     try:
         space = default_space(
-            delay=args.delay or "unit",
+            delay=args.delay,
             max_stages=args.max_stages,
             max_depth=args.max_depth,
             max_area_mm2=args.max_area,
@@ -732,6 +726,7 @@ def cmd_import(args: argparse.Namespace) -> int:
         ))
         return 0
     # analyze: only this path needs the name-derived word stimulus.
+    from repro.sim.delays import resolve_delay
     from repro.sim.vectors import WordStimulus
 
     try:
@@ -739,7 +734,7 @@ def cmd_import(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     result = _run_once(
-        circuit, WordStimulus(words), args, _delay_model(args.delay or "unit"),
+        circuit, WordStimulus(words), args, resolve_delay(args.delay),
         _open_store(args.cache),
     )
     word_desc = ", ".join(
@@ -898,19 +893,21 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", type=_vector_count, default=500)
     p.add_argument("--seed", type=int, default=1995)
     p.add_argument(
-        "--delay", default=None, choices=["unit", "sumcarry"],
-        help="intra-cycle delay model (default: unit)",
+        "--delay", default="unit", choices=DELAY_CHOICES,
+        help=(
+            "intra-cycle delay model (default: unit); zero counts "
+            "settled (useful) transitions only, on the lanes or vector "
+            "engine"
+        ),
     )
     p.add_argument(
         "--backend", default="auto", choices=BACKEND_CHOICES,
         help=(
-            "simulation backend (default auto: the fastest glitch-exact "
-            "engine — vector with the [perf] extra, lanes without, "
-            "event-driven when --vcd is given; numpy is imported only "
-            "when a run picks vector); event is the reference "
-            "engine; waveform, wave and codegen are aliases of lanes; "
-            "bitparallel, bit-parallel and batch run lanes in zero-delay "
-            "mode, counting useful activity only"
+            "simulation backend (default auto: the fastest engine — "
+            "vector with the [perf] extra, lanes without, event-driven "
+            "when --vcd is given; numpy is imported only when a run "
+            "picks vector); event is the reference engine, and --delay "
+            "alone selects the mode of lanes and vector"
         ),
     )
     p.add_argument(
@@ -987,7 +984,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", type=_vector_count, default=500)
     p.add_argument("--seed", type=int, default=1995)
     p.add_argument(
-        "--delay", default="unit", choices=["unit", "sumcarry", "zero"],
+        "--delay", default="unit", choices=DELAY_CHOICES,
+        help="delay regime (zero: settled, useful-only counts)",
     )
     p.add_argument(
         "--stimulus", default="uniform",

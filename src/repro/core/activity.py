@@ -13,7 +13,7 @@ backend (:mod:`repro.sim.backends`) and offers:
 * :meth:`ActivityRun.run_sharded` — the same result, computed by
   splitting the vector stream into contiguous shards (optionally
   across ``multiprocessing`` workers).  Shard boundary states are
-  fast-forwarded with the fastest available zero-delay engine — exact,
+  fast-forwarded by the ``auto`` engine under ``ZeroDelay`` — exact,
   because settled event-driven values provably equal zero-delay
   evaluation — and shard results are combined with
   :meth:`ActivityResult.merge`, so the merged result is bit-identical
@@ -21,8 +21,8 @@ backend (:mod:`repro.sim.backends`) and offers:
 * :meth:`ActivityRun.step_traces` — raw per-cycle traces for callers
   that need single-cycle detail (worst-case stimuli, VCD dumps);
 * :meth:`ActivityRun.ff_activity` — mean flipflop D-input toggle
-  probability, measured with the zero-delay engine (settled values
-  only, which is exactly what D pins sample).
+  probability, measured under ``ZeroDelay`` (settled values only,
+  which is exactly what D pins sample).
 
 :func:`analyze` remains as the one-call convenience wrapper.
 """
@@ -38,20 +38,17 @@ from repro.netlist.circuit import Circuit
 from repro.obs import trace as obs
 from repro.sim.backends import (
     AUTO_BACKEND,
-    BACKENDS,
     BackendDegradedWarning,
     BackendUnavailableError,
+    EventDrivenBackend,
     RunStats,
     _resolve_vector,
     backend_unavailable_reason,
-    canonical_backend,
     count_traces,
     fallback_candidates,
     get_backend,
-    pins_zero_delay,
     select_backend,
     split_first,
-    zero_delay_backend,
 )
 from repro.sim.delays import DelayModel, UnitDelay, ZeroDelay
 from repro.sim.engine import CycleTrace, Simulator
@@ -385,25 +382,20 @@ class ActivityRun:
         The netlist to analyse.
     delay_model:
         Intra-cycle delay regime (default
-        :class:`~repro.sim.delays.UnitDelay`).  An explicit
-        :class:`~repro.sim.delays.ZeroDelay` runs a settled zero-delay
-        session (useful activity only) on the batch engines, and is
-        rejected on the event-driven backend: there no glitch could be
-        observed, so the classification would be vacuously "all
-        useful" and silently wrong.
+        :class:`~repro.sim.delays.UnitDelay`), and the one thing that
+        selects the session's mode.  :class:`~repro.sim.delays.ZeroDelay`
+        runs a settled session (useful activity only) on the batch
+        engines, and is rejected on the event-driven backend: there no
+        glitch could be observed, so the classification would be
+        vacuously "all useful" and silently wrong.
     backend:
         ``"auto"`` (the default) — resolve per
         :func:`repro.sim.backends.select_backend`: the numpy
         ``"vector"`` engine when the ``[perf]`` extra is installed,
         the pure-Python ``"lanes"`` engine otherwise; ``"event"``
         (the exact event-driven reference); ``"lanes"`` or
-        ``"vector"`` explicitly.  Both batch engines are dual-mode: a
-        timed delay model selects glitch-exact analysis, bit-identical
-        to the event-driven engine, an explicit ZeroDelay selects
-        settled accounting.  The retired names ``"waveform"``,
-        ``"wave"`` and ``"codegen"`` alias ``"lanes"``;
-        ``"bitparallel"``, ``"bit-parallel"`` and ``"batch"`` alias
-        its zero-delay mode and reject a timed delay model.
+        ``"vector"`` explicitly.  Under a timed delay model both batch
+        engines are bit-identical to the event-driven engine.
         Per-cycle traces (:meth:`step_traces`) always use the
         event-driven engine — the only one that produces them.
     monitor:
@@ -437,51 +429,32 @@ class ActivityRun:
         self.failover = bool(failover)
         #: Degradations this session performed (mirrors the warnings).
         self.degraded: List[str] = []
-        self.backend_name = canonical_backend(backend)
-        reason = backend_unavailable_reason(self.backend_name)
+        # Raises ValueError for an unknown name.
+        reason = backend_unavailable_reason(backend)
         if reason is not None:
             raise BackendUnavailableError(reason)
+        self.backend_name = backend
         self.monitor = None if monitor is None else list(monitor)
-        dual = getattr(BACKENDS[self.backend_name], "dual_mode", False)
-        if pins_zero_delay(backend, delay_model) or (
-            dual and isinstance(delay_model, ZeroDelay)
-        ):
-            # Zero-delay session: a name that pins the settled mode, or
-            # a dual-mode backend explicitly asked for it.
-            self.delay_model = None
-            self.delay_description = f"zero delay ({self.backend_name})"
+        self.delay_model = delay_model or UnitDelay()
+        if self.exact_glitches:
+            self.delay_description = self.delay_model.describe()
+        elif self.backend_name == EventDrivenBackend.name:
+            raise ValueError(
+                "activity analysis requires a delay model with >= 1 "
+                "delta per cell; ZeroDelay hides all glitches"
+            )
         else:
-            delay_model = delay_model or UnitDelay()
-            if isinstance(delay_model, ZeroDelay):
-                raise ValueError(
-                    "activity analysis requires a delay model with >= 1 "
-                    "delta per cell; ZeroDelay hides all glitches"
-                )
-            self.delay_model = delay_model
-            self.delay_description = delay_model.describe()
+            self.delay_description = f"zero delay ({self.backend_name})"
 
     @property
     def exact_glitches(self) -> bool:
         """Whether this session classifies glitches (timed delay model).
 
-        Per-*session*, not per-backend-class: a dual-mode backend
-        constructed with an explicit ZeroDelay runs a settled
-        zero-delay session even though its class can observe glitches.
+        Per-*session*, not per-backend-class: a batch engine given
+        :class:`~repro.sim.delays.ZeroDelay` runs a settled session even
+        though its class can observe glitches.
         """
-        return self.delay_model is not None
-
-    # ------------------------------------------------------------------
-    def _effective_delay_model(self) -> DelayModel:
-        """The delay model to hand the backend constructor.
-
-        Zero-delay sessions store ``delay_model=None``, but dual-mode
-        backends interpret a ``None`` constructor argument as "default
-        timed model" — so the settled mode must be requested with an
-        explicit ZeroDelay instance.
-        """
-        return (
-            self.delay_model if self.delay_model is not None else ZeroDelay()
-        )
+        return not isinstance(self.delay_model, ZeroDelay)
 
     def _result_shell(self) -> ActivityResult:
         return ActivityResult(
@@ -509,9 +482,8 @@ class ActivityRun:
         don't re-trip the same failure.
         """
         ran_on, stats = _stats_with_failover(
-            self.circuit, self._effective_delay_model(),
-            self.backend_name, self.monitor, vectors, warmup,
-            None, None, self.failover,
+            self.circuit, self.delay_model, self.backend_name,
+            self.monitor, vectors, warmup, None, None, self.failover,
         )
         if ran_on != self.backend_name:
             self.degraded.append(f"{self.backend_name}->{ran_on}")
@@ -534,8 +506,8 @@ class ActivityRun:
 
         The stream is split into *shards* contiguous slices, and each
         slice is simulated independently from its exact boundary state
-        (settled net values + flipflop state, fast-forwarded with the
-        fastest zero-delay engine).  A
+        (settled net values + flipflop state, fast-forwarded by the
+        ``auto`` engine under ``ZeroDelay``).  A
         :class:`~repro.sim.vectors.WordStream` is sliced as it is, and
         each shard's engine resolves its slice a batch at a time; any
         other stream is first resolved into positional input vectors.
@@ -572,16 +544,15 @@ class ActivityRun:
             slices.append(vectors[start:start + size])
             start += size
 
-        # Fast-forward exact boundary states with the zero-delay engine
+        # Fast-forward exact boundary states in the settled mode
         # (settled event-driven values equal zero-delay evaluation).
-        ff = zero_delay_backend(self.circuit, monitor=())
-        effective_delay = self._effective_delay_model()
+        ff = get_backend(select_backend(), self.circuit, ZeroDelay(), ())
         jobs = []
         values: List[int] | None = None
         state: Dict[int, int] | None = None
         for s, seg in enumerate(slices):
             jobs.append((
-                self.circuit, effective_delay, self.backend_name,
+                self.circuit, self.delay_model, self.backend_name,
                 self.monitor, seg,
                 warmup if s == 0 else None,
                 values, dict(state) if state is not None else None,
@@ -642,7 +613,7 @@ class ActivityRun:
         ``record_events=True`` when the traces are destined for a VCD
         dump (:func:`repro.sim.vcd.dump_vcd` requires it).
         """
-        if self.delay_model is None:
+        if not self.exact_glitches:
             raise ValueError(
                 "per-cycle traces require an intra-cycle delay model; "
                 "a zero-delay session cannot produce them — construct "
@@ -662,9 +633,9 @@ class ActivityRun:
     ) -> Dict[str, float]:
         """Mean flipflop D-input toggle probability per cycle.
 
-        Measured with the zero-delay engine regardless of the
-        session backend: D pins sample *settled* values, which
-        zero-delay evaluation reproduces exactly.  Validates the paper's
+        Measured under ``ZeroDelay`` on the ``auto`` engine, whatever
+        the session's: D pins sample *settled* values, which zero-delay
+        evaluation reproduces exactly.  Validates the paper's
         footnote-1 assumption that flipflop inputs change ~50% of the
         time.
         """
@@ -675,8 +646,10 @@ class ActivityRun:
         ]
         if not ff_d:
             return {"flipflops": 0, "cycles": 0, "mean_d_activity": 0.0}
-        bp = zero_delay_backend(self.circuit, monitor=set(ff_d))
-        stats = bp.run(vectors, warmup=warmup)
+        settled = get_backend(
+            select_backend(), self.circuit, ZeroDelay(), set(ff_d)
+        )
+        stats = settled.run(vectors, warmup=warmup)
         # A net feeding several D pins counts once per pin, as a
         # per-flipflop mean should.
         multiplicity = Counter(ff_d)

@@ -58,9 +58,9 @@ from repro.explore.specs import (
 from repro.netlist.circuit import Circuit
 from repro.netlist.compiled import content_digest, delay_fingerprint
 from repro.obs import trace as obs
-from repro.service.jobs import CircuitTask, resolve_delay, run_circuit_tasks
+from repro.service.jobs import CircuitTask, run_circuit_tasks
 from repro.service.store import EXPLORE, ResultStore, RunKey
-from repro.sim.delays import DelayModel
+from repro.sim.delays import DelayModel, ZeroDelay, resolve_delay
 from repro.sim.vectors import StimulusSpec, UniformStimulus
 
 STRATEGIES = ("exhaustive", "beam", "greedy")
@@ -406,7 +406,7 @@ def explore(
     stimulus = stimulus or UniformStimulus()
     context = context or CostContext()
     delay_model = resolve_delay(space.delay)
-    if delay_model is None:
+    if isinstance(delay_model, ZeroDelay):
         raise ValueError(
             "explore needs a glitch-capable delay regime; "
             "'zero' has no useless transitions to reduce"

@@ -201,7 +201,7 @@ class ExploreSpace:
     *transforms* are the atomic moves; candidates are all chains up to
     *max_depth* (the empty chain — the original circuit — is always a
     candidate).  *delay* names the delay regime
-    (:data:`repro.service.jobs.DELAY_MODELS`) every candidate is
+    (:data:`repro.sim.delays.DELAY_MODELS`) every candidate is
     padded for and evaluated under.  *max_area_mm2* / *max_latency*
     are hard constraints: violating candidates are still recorded but
     excluded from the Pareto front.

@@ -2,10 +2,10 @@
 
 A :class:`JobSpec` names everything a run needs declaratively — a
 catalog circuit (:func:`repro.circuits.catalog.build_named_circuit`),
-a delay regime, a :class:`~repro.sim.vectors.StimulusSpec`, a vector
-count — plus *sweep axes* (lists of values for any of those fields),
-which expand via Cartesian product into independent
-:class:`JobPoint`\\ s.
+a delay regime (:data:`~repro.sim.delays.DELAY_MODELS`), a
+:class:`~repro.sim.vectors.StimulusSpec`, a vector count — plus *sweep
+axes* (lists of values for any of those fields), which expand via
+Cartesian product into independent :class:`JobPoint`\\ s.
 
 The :class:`BatchScheduler` (catalog points) and
 :func:`run_circuit_tasks` (the explorer's explicit circuits,
@@ -54,20 +54,13 @@ from repro.service.store import (
     encode_result,
     payload_summary,
 )
-from repro.sim.delays import DelayModel, SumCarryDelay, UnitDelay
+from repro.sim.delays import resolve_delay
 from repro.sim.vectors import (
     StimulusSpec,
     UniformStimulus,
     WordStimulus,
     stimulus_from_dict,
 )
-
-#: Delay regimes a declarative job may name.
-DELAY_MODELS = {
-    "unit": lambda: UnitDelay(),
-    "sumcarry": lambda: SumCarryDelay(dsum=2, dcarry=1),
-    "zero": lambda: None,
-}
 
 #: Sweep axes :meth:`JobSpec.points` understands.  The ``estimate``
 #: axis toggles between simulated activity (False) and the analytic
@@ -92,16 +85,6 @@ def _as_estimate_flag(value) -> bool:
         f"bad estimate axis value {value!r}; use 0/1, sim/est or "
         "true/false"
     )
-
-
-def resolve_delay(name: str) -> DelayModel | None:
-    """Build the delay model a job names (``None`` for zero delay)."""
-    factory = DELAY_MODELS.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown delay model {name!r}; choose from {sorted(DELAY_MODELS)}"
-        )
-    return factory()
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,16 @@ shared compiled IR (:mod:`repro.netlist.compiled`), behind the common
   into per-net Python-int bitmasks and evaluates each cell once per
   batch — one lane per cycle × delta time for glitch-exact activity
   bit-identical to the event-driven engine, or one lane per cycle for
-  zero-delay settled simulation under an explicit ``ZeroDelay``;
+  settled simulation under ``ZeroDelay``;
 * the **vector** engine (:mod:`repro.sim.vector`, optional numpy) runs
   the same two modes as levelized ndarray operations, by far the
   fastest.
 
-:func:`~repro.sim.backends.select_backend` maps the ``"auto"`` policy
-onto this menu.  Delay models are pluggable (:mod:`repro.sim.delays`),
+Each engine has one name, and the delay model alone selects the mode:
+``ZeroDelay`` (``--delay zero``) is the one spelling of the settled
+mode.  :func:`~repro.sim.backends.select_backend` maps the ``"auto"``
+policy onto this menu.  Delay models are pluggable
+(:mod:`repro.sim.delays`, named in :data:`~repro.sim.delays.DELAY_MODELS`),
 enabling the paper's unit-delay experiments (Table 1) and the
 ``dsum = 2*dcarry`` refinement (Table 2) without touching the netlist.
 """
@@ -35,6 +38,8 @@ __getattr__, __dir__, __all__ = _lazy_exports(globals(), {
         "SumCarryDelay",
         "HintedDelay",
         "LoadDelay",
+        "DELAY_MODELS",
+        "resolve_delay",
     ),
     ".engine": ("Simulator", "CycleTrace"),
     ".backends": (

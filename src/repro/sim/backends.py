@@ -20,29 +20,26 @@ touching consumers.  Three engines are registered (:data:`BACKENDS`):
   ``uint64`` ndarrays, evaluated level-by-level with per-kind
   vectorized ops, and the fastest engine by a wide margin.
 
-The two batch engines are **dual-mode**: a timed delay model selects
-glitch-exact analysis whose aggregated :class:`RunStats` are
-bit-identical to the event-driven engine's; an explicit
-:class:`~repro.sim.delays.ZeroDelay` selects settled zero-delay
-evaluation, whose per-net toggle counts equal the event-driven
-engine's *useful* counts.  Both run through one batch driver,
-:func:`run_batches`, and differ only in their per-batch kernel.  The
-retired engine names survive as aliases: ``waveform``, ``wave`` and
-``codegen`` name ``lanes``; ``bitparallel``, ``bit-parallel`` and
-``batch`` name its zero-delay mode (:data:`ZERO_DELAY_ALIASES`).
+The delay model alone selects the mode of the two batch engines: a
+timed model selects glitch-exact analysis whose aggregated
+:class:`RunStats` are bit-identical to the event-driven engine's;
+:class:`~repro.sim.delays.ZeroDelay` selects settled evaluation, whose
+per-net toggle counts equal the event-driven engine's *useful* counts.
+Both run through one batch driver, :func:`run_batches`, and differ
+only in their per-batch kernel.  Each engine has exactly one name.
 
 All backends accept an explicit starting point (``initial_values`` +
 ``initial_ff_state``), which is what makes exact vector-stream sharding
-possible: a shard's boundary state is computed cheaply with the
-zero-delay engine (:func:`zero_delay_backend`) and handed to a
-glitch-exact shard worker, whose stats are then bit-identical to an
-unsharded run (settled values provably equal zero-delay evaluation).
+possible: a shard's boundary state is computed cheaply by a batch
+engine under ``ZeroDelay`` and handed to a glitch-exact shard worker,
+whose stats are then bit-identical to an unsharded run (settled values
+provably equal zero-delay evaluation).
 
 :func:`select_backend` implements the ``"auto"`` policy used by the
 session API and the CLI: event-driven whenever traces/VCD recording
 are requested; otherwise the vector backend when numpy is available,
-the lanes backend without it.  Asking that question is what imports
-numpy: importing this module does not.
+the lanes backend without it, in either mode.  Asking that question is
+what imports numpy: importing this module does not.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from typing import (
 from repro.core.transitions import CountColumns, NodeActivity
 from repro.netlist.circuit import Circuit
 from repro.obs import trace as obs
-from repro.sim.delays import DelayModel, UnitDelay, ZeroDelay
+from repro.sim.delays import DelayModel, UnitDelay
 from repro.sim.engine import CycleTrace, Simulator
 from repro.sim.vectors import WordStream
 
@@ -471,8 +468,7 @@ from repro.sim.vector import (  # noqa: E402
     numpy_unavailable_reason,
 )
 
-#: Registered backends, by canonical name (aliases resolved in
-#: :func:`get_backend`).  Registration is unconditional — use
+#: Registered backends, by name.  Registration is unconditional — use
 #: :func:`backend_unavailable_reason` / :func:`available_backends` to
 #: learn whether one can actually run here.
 BACKENDS = {
@@ -480,26 +476,6 @@ BACKENDS = {
     LanesBackend.name: LanesBackend,
     VectorBackend.name: VectorBackend,
 }
-
-_ALIASES = {
-    "event": "event",
-    "event-driven": "event",
-    "lanes": "lanes",
-    "waveform": "lanes",
-    "wave": "lanes",
-    "codegen": "lanes",
-    "bitparallel": "lanes",
-    "bit-parallel": "lanes",
-    "batch": "lanes",
-    "vector": "vector",
-    "numpy": "vector",
-    "np": "vector",
-}
-
-#: Names that pin the lanes engine to its zero-delay mode (the retired
-#: bit-parallel engine's names): a timed delay model is rejected
-#: instead of silently selecting glitch mode.
-ZERO_DELAY_ALIASES = frozenset({"bitparallel", "bit-parallel", "batch"})
 
 #: Pseudo-backend name resolved per run by :func:`select_backend`.
 AUTO_BACKEND = "auto"
@@ -537,11 +513,10 @@ def fallback_candidates(
 def backend_unavailable_reason(name: str) -> str | None:
     """Why backend *name* can't run here, or ``None`` when it can.
 
-    Resolves aliases; raises :class:`ValueError` for unknown names
-    (like :func:`canonical_backend`).
+    Raises :class:`ValueError` for unknown names (like
+    :func:`canonical_backend`).
     """
-    canonical = canonical_backend(name)
-    if canonical == VectorBackend.name:
+    if canonical_backend(name) == VectorBackend.name:
         reason = numpy_unavailable_reason()
         if reason is not None:
             return f"the 'vector' backend is unavailable: {reason}"
@@ -549,7 +524,7 @@ def backend_unavailable_reason(name: str) -> str | None:
 
 
 def available_backends() -> List[str]:
-    """Canonical names of the backends that can run here, sorted."""
+    """Names of the backends that can run here, sorted."""
     return sorted(
         name
         for name in BACKENDS
@@ -581,33 +556,13 @@ def select_backend(
 
 
 def canonical_backend(name: str) -> str:
-    """Resolve a backend name/alias to its canonical registry key."""
-    canonical = _ALIASES.get(name)
-    if canonical is None:
+    """*name*, checked to be a registered engine (:data:`BACKENDS`)."""
+    if name not in BACKENDS:
         raise ValueError(
             f"unknown simulation backend {name!r}; "
-            f"choose from {sorted(set(_ALIASES))}"
+            f"choose from {sorted(BACKENDS)}"
         )
-    return canonical
-
-
-def pins_zero_delay(name: str, delay_model: DelayModel | None) -> bool:
-    """Whether backend *name* pins the zero-delay mode.
-
-    True for the :data:`ZERO_DELAY_ALIASES`; raises :class:`ValueError`
-    when such a name is paired with a timed *delay_model*, which the
-    settled mode would silently ignore.
-    """
-    if name not in ZERO_DELAY_ALIASES:
-        return False
-    if delay_model is not None and not isinstance(delay_model, ZeroDelay):
-        raise ValueError(
-            f"the {name!r} backend is inherently zero-delay and would "
-            f"silently ignore {delay_model.describe()!r}; pass "
-            "delay_model=None (or ZeroDelay) or use a glitch-exact "
-            "backend"
-        )
-    return True
+    return name
 
 
 def get_backend(
@@ -621,40 +576,19 @@ def get_backend(
     Raises :class:`BackendUnavailableError` when the backend exists
     but can't run in this environment (missing optional dependency).
     """
-    canonical = canonical_backend(name)
-    reason = backend_unavailable_reason(canonical)
+    reason = backend_unavailable_reason(name)
     if reason is not None:
         raise BackendUnavailableError(reason)
-    if pins_zero_delay(name, delay_model):
-        delay_model = ZeroDelay()
-    return BACKENDS[canonical](circuit, delay_model, monitor)
+    return BACKENDS[name](circuit, delay_model, monitor)
 
 
 def preload_backends(names: Iterable[str]) -> None:
     """Import, in this process, what the engines behind *names* import.
 
     A supervisor calls this before its pool forks: resolving ``auto``
-    or a vector name here imports numpy once, and every forked worker
+    or ``vector`` here imports numpy once, and every forked worker
     inherits it instead of importing it again.  Other names, unknown
     ones included, are left to the workers.
     """
-    if any(
-        name == AUTO_BACKEND or _ALIASES.get(name) == VectorBackend.name
-        for name in names
-    ):
+    if any(name in (AUTO_BACKEND, VectorBackend.name) for name in names):
         numpy_available()
-
-
-def zero_delay_backend(
-    circuit: Circuit, monitor: Iterable[int] | None = None
-) -> SimBackend:
-    """The fastest available settled-value engine for *circuit*.
-
-    The zero-delay mode of the vector backend when numpy is present,
-    else of the lanes backend — both produce identical results (the
-    settled-equivalence invariant), so callers that only fast-forward
-    state or need useful-only counts can take whichever is faster.
-    """
-    if numpy_available():
-        return VectorBackend(circuit, ZeroDelay(), monitor)
-    return LanesBackend(circuit, ZeroDelay(), monitor)

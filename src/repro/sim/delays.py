@@ -13,8 +13,11 @@ The paper's experiments use three delay regimes, all expressible here:
 
 Delays must be >= 1 for combinational cells: a zero intra-cycle delay
 would merge cause and effect into one delta slot and hide glitches.
-:class:`ZeroDelay` is provided only for functional (non-activity)
-simulation and is rejected by the activity analyser.
+:class:`ZeroDelay` is the one exception, and the one spelling of the
+settled mode: the lanes and vector engines then count settled-value
+changes, which are the useful transitions alone, and the event-driven
+engine rejects it.  :data:`DELAY_MODELS` names the regimes the CLI and
+declarative jobs may ask for.
 """
 
 from __future__ import annotations
@@ -101,7 +104,11 @@ class UnitDelay(KindDelay):
 
 
 class ZeroDelay(KindDelay):
-    """All outputs switch in the same delta (functional simulation only)."""
+    """All outputs switch in the same delta: the settled mode.
+
+    The batch engines run it as settled evaluation, counting useful
+    transitions only; the event-driven engine has no such mode.
+    """
 
     def kind_delay(self, kind: CellKind, position: int) -> int:
         return 0
@@ -245,3 +252,21 @@ class HintedDelay(DelayModel):
 
     def describe(self) -> str:
         return f"instance hints over {self._fallback.describe()}"
+
+
+#: Delay regimes by name, for ``--delay`` and declarative jobs.
+DELAY_MODELS = {
+    "unit": UnitDelay,
+    "sumcarry": lambda: SumCarryDelay(dsum=2, dcarry=1),
+    "zero": ZeroDelay,
+}
+
+
+def resolve_delay(name: str) -> DelayModel:
+    """The delay model :data:`DELAY_MODELS` files under *name*."""
+    factory = DELAY_MODELS.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown delay model {name!r}; choose from {sorted(DELAY_MODELS)}"
+        )
+    return factory()

@@ -188,9 +188,6 @@ class LanesBackend:
 
     name = "lanes"
     exact_glitches = True
-    #: Dual-mode marker: an explicit ZeroDelay model selects settled
-    #: batch evaluation instead of being rejected.
-    dual_mode = True
 
     def __init__(
         self,

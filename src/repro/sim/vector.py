@@ -241,7 +241,6 @@ class VectorBackend:
 
     name = "vector"
     exact_glitches = True
-    dual_mode = True
 
     def __init__(
         self,

@@ -1,7 +1,7 @@
 """Tests for the ActivityRun session API: sharding, merging, regression.
 
 The sharding tests assert *exact* equality with the unsharded run —
-shard boundaries are fast-forwarded with the zero-delay engine, which
+shard boundaries are fast-forwarded under ``ZeroDelay``, which
 provably reproduces the event-driven settled state, so merged results
 must be bit-identical, not merely statistically close.
 """
@@ -52,16 +52,12 @@ class TestRunBasics:
         circuit, stim = _rca()
         vectors = [dict(v) for v in stim.random(random.Random(2), 81)]
         ev = ActivityRun(circuit).run(iter(vectors))
-        bp = ActivityRun(circuit, backend="bitparallel").run(iter(vectors))
+        bp = ActivityRun(
+            circuit, delay_model=ZeroDelay(), backend="lanes"
+        ).run(iter(vectors))
         assert bp.useless == 0
         assert bp.total_transitions == ev.useful
         assert bp.delay_description == "zero delay (lanes)"
-
-    def test_bitparallel_rejects_timed_delay_model(self):
-        circuit, _ = _rca(4)
-        for name in ("bitparallel", "bit-parallel", "batch"):
-            with pytest.raises(ValueError, match="zero-delay"):
-                ActivityRun(circuit, delay_model=SumCarryDelay(), backend=name)
 
     def test_step_exception_leaves_no_stale_events(self):
         """A failed step must not corrupt subsequent cycles."""
@@ -80,7 +76,7 @@ class TestRunBasics:
 
     def test_step_traces_requires_event_backend(self):
         circuit, stim = _rca(4)
-        run = ActivityRun(circuit, backend="bitparallel")
+        run = ActivityRun(circuit, delay_model=ZeroDelay(), backend="lanes")
         with pytest.raises(ValueError, match="event-driven"):
             run.step_traces([stim.vector(a=1, b=2)])
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -107,14 +108,18 @@ class TestCommands:
         assert vcd.read_text().startswith("$date")
 
     def test_analyze_vcd_rejects_batch_backends(self):
-        for backend in ("lanes", "bitparallel"):
-            with pytest.raises(SystemExit, match="event-driven"):
-                main(
-                    [
-                        "analyze", "--circuit", "rca4", "--vectors", "5",
-                        "--backend", backend, "--vcd", "/tmp/never.vcd",
-                    ]
-                )
+        base = ["analyze", "--circuit", "rca4", "--vectors", "5"]
+        with pytest.raises(SystemExit, match="event-driven"):
+            main(base + ["--backend", "lanes", "--vcd", "/tmp/never.vcd"])
+        # No settled mode where events are recorded: one line, no
+        # traceback.
+        for extra, match in (
+            (["--backend", "event"], "event-driven engine has none"),
+            (["--vcd", "/tmp/never.vcd"], "--delay zero does not simulate"),
+        ):
+            with pytest.raises(SystemExit, match=match) as exc:
+                main(base + ["--delay", "zero"] + extra)
+            assert "\n" not in str(exc.value)
 
     def test_analyze_vcd_rejects_shards(self):
         with pytest.raises(SystemExit, match="shards"):
@@ -408,7 +413,7 @@ class TestEstimateCommands:
         comparison table must not call that 'glitch-exact'."""
         assert main([
             "analyze", "--circuit", "rca8", "--vectors", "50",
-            "--backend", "bitparallel", "--estimate",
+            "--backend", "lanes", "--delay", "zero", "--estimate",
         ]) == 0
         out = capsys.readouterr().out
         assert "useful-only totals" in out
@@ -667,6 +672,24 @@ class TestBackendSelection:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", [
+        "waveform", "wave", "codegen", "bitparallel", "bit-parallel", "batch",
+    ])
+    def test_retired_names_rejected_by_argparse(self, name, capsys):
+        """A former engine alias is a usage error on both commands that
+        take ``--backend``: one name per engine, and ``--delay zero``
+        is the one spelling of the settled mode."""
+        for command in ("analyze", "submit"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--circuit", "rca4", "--backend", name])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice" in err
+            offered = re.search(r"choose from (.*)\)", err).group(1)
+            assert offered.replace("'", "").split(", ") == [
+                "auto", "event", "lanes", "vector",
+            ]
+
     def test_unavailable_backend_one_line_error(self, monkeypatch):
         """A known-but-unavailable engine exits with a clear one-liner
         naming the engines that *can* run."""
@@ -707,21 +730,25 @@ class TestBackendSelection:
         for other in outputs[1:]:
             assert other == outputs[0]
 
-    @pytest.mark.parametrize("name", [
-        "waveform", "wave", "codegen", "bitparallel", "bit-parallel", "batch",
-    ])
-    def test_retired_names_resolve_to_lanes(self, name, capsys):
-        """A retired engine name prints exactly what lanes prints in
-        its documented mode (the bit-parallel names: zero delay)."""
+    def test_delay_zero_is_the_settled_mode(self, capsys):
+        """``--delay zero`` on each batch engine counts the unit run's
+        useful transitions."""
+        from repro.sim.vector import numpy_available
+
         args = ["analyze", "--circuit", "rca6", "--vectors", "40"]
-        assert main(args + ["--backend", name]) == 0
-        out = capsys.readouterr().out
-        if name in ("bitparallel", "bit-parallel", "batch"):
-            assert "zero delay (lanes)" in out
-            assert main(args + ["--backend", "bitparallel"]) == 0
-        else:
-            assert main(args + ["--backend", "lanes"]) == 0
-        assert out == capsys.readouterr().out
+
+        def count(out, metric):
+            value = re.search(rf"{metric} \| +([\d,]+)", out).group(1)
+            return int(value.replace(",", ""))
+
+        assert main(args) == 0
+        useful = count(capsys.readouterr().out, "useful")
+        for backend in ["lanes"] + (["vector"] if numpy_available() else []):
+            assert main(args + ["--delay", "zero", "--backend", backend]) == 0
+            out = capsys.readouterr().out
+            assert f"zero delay ({backend})" in out
+            assert count(out, "total") == useful
+            assert count(out, "useless") == 0
 
 
 class TestDocumentedDefaults:
@@ -761,11 +788,29 @@ class TestDocumentedDefaults:
             if flag in a.option_strings
         )
 
+    def test_choice_lists_match_the_registries(self):
+        """The literal ``--backend`` and ``--delay`` lists name what the
+        engine and delay registries hold."""
+        from repro.cli import BACKEND_CHOICES
+        from repro.sim.backends import BACKENDS
+        from repro.sim.delays import DELAY_MODELS
+
+        assert BACKEND_CHOICES == ["auto", *BACKENDS]
+        for command in ("analyze", "submit"):
+            assert self._option(command, "--backend").choices == (
+                BACKEND_CHOICES
+            )
+            delay = self._option(command, "--delay")
+            assert delay.choices == list(DELAY_MODELS)
+            assert delay.default == "unit"
+        for command in ("explore", "import"):
+            assert self._option(command, "--delay").choices == [
+                name for name in DELAY_MODELS if name != "zero"
+            ]
+
     def test_retry_policy_matches_submit_help(self):
         """``submit --retries`` says "default 2" (three attempts in
         all) and ``--task-timeout`` says "default 300"."""
-        import re
-
         from repro.service.pool import RetryPolicy
 
         policy = RetryPolicy()

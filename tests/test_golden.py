@@ -97,6 +97,12 @@ CASES: Dict[str, List[List[str]]] = {
         "--sweep", "estimate=0,1", "--vectors", "100",
     ]],
     "analyze-array8-shards": [_ARRAY8 + ["--shards", "3", "--jobs", "2"]],
+    # The settled mode by delay name: the zero row counts the unit
+    # row's useful transitions and nothing useless.
+    "submit-rca8-delay-zero": [[
+        "submit", "--circuit", "rca8", "--vectors", "200",
+        "--sweep", "delay=unit,zero", "--backend", "lanes",
+    ]],
     "import-rca4-cache": [
         ["export", "--circuit", "rca4", "--format", "json",
          ">", "{tmp}/rca4.json"],

@@ -2,7 +2,7 @@
 
 * the pinned fig5 run's manifest accounts >=95% of wall time in spans;
 * ``sim.cell_evals`` / ``sim.vectors`` equal cells x vectors exactly,
-  on every available backend and through each retired engine name;
+  on every available backend, and on the batch engines' settled mode;
 * a chaos-seeded run emits exactly the injected-fault events;
 * pool retry and store hit/miss counters match injected scenarios;
 * worker trace blobs merge into the parent timeline (processes=2);
@@ -22,6 +22,7 @@ from repro.service import faults
 from repro.service.pool import RetryPolicy, run_supervised
 from repro.service.store import ResultStore, RunKey, GLITCH_EXACT
 from repro.sim.backends import available_backends
+from repro.sim.delays import ZeroDelay
 from repro.sim.vectors import UniformStimulus
 
 
@@ -44,25 +45,28 @@ def _payload(n: int = 0, pad: int = 0) -> dict:
     }
 
 
-def _run_events(circuit, stim, backend, n_vectors=60, seed=3):
+def _run_events(circuit, stim, backend, n_vectors=60, seed=3, delay=None):
     with trace.capture() as rec:
-        run = ActivityRun(circuit, backend=backend)
+        run = ActivityRun(circuit, delay_model=delay, backend=backend)
         result = run.run(UniformStimulus(seed=seed).vectors(stim, n_vectors + 1))
     return rec, result
 
 
-#: Retired engine names that still resolve to the lanes engine; the
-#: counters must hold through every name a caller can pass.
-_RETIRED_NAMES = ["bitparallel", "codegen", "waveform"]
+#: Every available engine in glitch mode, and the batch engines in
+#: their settled mode.
+_ENGINE_MODES = [
+    pytest.param(name, None, id=name) for name in available_backends()
+] + [
+    pytest.param(name, ZeroDelay(), id=f"{name}-zero")
+    for name in available_backends() if name != "event"
+]
 
 
 class TestCountersMatchRunStats:
-    @pytest.mark.parametrize(
-        "backend", sorted(available_backends() + _RETIRED_NAMES)
-    )
-    def test_cell_evals_equal_cells_times_vectors(self, backend):
+    @pytest.mark.parametrize("backend, delay", _ENGINE_MODES)
+    def test_cell_evals_equal_cells_times_vectors(self, backend, delay):
         circuit, stim = build_named_circuit("rca8")
-        rec, result = _run_events(circuit, stim, backend)
+        rec, result = _run_events(circuit, stim, backend, delay=delay)
         assert rec.metrics.get("sim.vectors") == result.cycles
         assert rec.metrics.get("sim.cell_evals") == (
             len(circuit.cells) * result.cycles
@@ -74,7 +78,7 @@ class TestCountersMatchRunStats:
         # exactly.
         circuit, stim = build_named_circuit("rca8")
         rec, result = _run_events(
-            circuit, stim, "bitparallel", n_vectors=300
+            circuit, stim, "lanes", n_vectors=300, delay=ZeroDelay()
         )
         batches = rec.find("sim.batch")
         assert len(batches) >= 2

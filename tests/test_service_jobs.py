@@ -15,7 +15,7 @@ from repro.service.jobs import (
     resolve_delay,
 )
 from repro.service.store import ResultStore
-from repro.sim.delays import SumCarryDelay, UnitDelay
+from repro.sim.delays import DELAY_MODELS, SumCarryDelay, UnitDelay, ZeroDelay
 from repro.sim.vectors import CorrelatedStimulus, UniformStimulus
 
 
@@ -70,7 +70,7 @@ class TestJobSpec:
     def test_resolve_delay(self):
         assert isinstance(resolve_delay("unit"), UnitDelay)
         assert isinstance(resolve_delay("sumcarry"), SumCarryDelay)
-        assert resolve_delay("zero") is None
+        assert isinstance(resolve_delay("zero"), ZeroDelay)
 
 
 class TestBatchScheduler:
@@ -118,6 +118,24 @@ class TestBatchScheduler:
         assert [o.summary for o in seq.outcomes] == [
             o.summary for o in par.outcomes
         ]
+
+    @pytest.mark.parametrize("delay", list(DELAY_MODELS))
+    def test_point_counts_equal_a_direct_run(self, delay, tmp_path):
+        """A point runs the model its delay name names: ``zero`` points
+        count settled transitions, as ``ActivityRun`` does directly."""
+        from repro.circuits.catalog import build_named_circuit
+        from repro.core.activity import ActivityRun
+
+        spec = JobSpec(
+            circuit="rca8", delay=delay, n_vectors=60, backend="lanes"
+        )
+        [outcome] = BatchScheduler(ResultStore(tmp_path)).run(spec).outcomes
+        circuit, stim = build_named_circuit("rca8")
+        direct = ActivityRun(
+            circuit, resolve_delay(delay), backend="lanes"
+        ).run(spec.stimulus.vectors(stim, 61))
+        assert outcome.status == "computed"
+        assert outcome.summary == direct.summary()
 
     def test_no_store_still_runs(self):
         report = BatchScheduler(store=None).run(

@@ -18,13 +18,14 @@ from repro.core.activity import ActivityRun
 from repro.service.runner import cached_run, run_key, word_layout
 from repro.service.store import (
     GLITCH_EXACT,
+    SETTLED,
     ResultStore,
     RunKey,
     decode_result,
     encode_result,
     payload_summary,
 )
-from repro.sim.delays import SumCarryDelay, UnitDelay
+from repro.sim.delays import SumCarryDelay, UnitDelay, ZeroDelay, resolve_delay
 from repro.sim.vectors import UniformStimulus, WordStimulus
 
 
@@ -304,7 +305,7 @@ class TestCachedRunExactness:
 
     def test_event_and_waveform_share_entries(self, tmp_path):
         """Glitch-exact engines (here event and lanes, the engine
-        behind the retired "waveform" name) address the same slot."""
+        that replaced "waveform") address the same slot."""
         circuit = random_dag_circuit(random.Random(3), n_gates=12)
         words = WordStimulus({"i": list(circuit.inputs)})
         spec = UniformStimulus(seed=9)
@@ -328,10 +329,40 @@ class TestCachedRunExactness:
         cached_run(
             circuit, words, spec, 30, delay_model=UnitDelay(), store=store
         )
-        cached_run(circuit, words, spec, 30, backend="bitparallel",
-                   store=store)
+        cached_run(circuit, words, spec, 30, backend="lanes",
+                   delay_model=ZeroDelay(), store=store)
         assert len(store) == 2
         assert store.hits == 0
+
+    #: ``run_key(rca4, 30 vectors, UniformStimulus(seed=1))`` of a lanes
+    #: session in zero-delay mode, as stores filled by earlier builds
+    #: (which spelled it ``backend="bitparallel"``) hold it.
+    SETTLED_RCA4_DIGEST = (
+        "f4956eadaa8da4b86d8395e503c7dfc368091a016caaa026454a9bf5c7dcf997"
+    )
+
+    def test_settled_key_unchanged(self, tmp_path):
+        """``ZeroDelay()``, ``resolve_delay("zero")`` and ``analyze
+        --delay zero`` all address the slot earlier builds filled."""
+        from repro.circuits.catalog import build_named_circuit
+        from repro.cli import main
+
+        circuit, stim = build_named_circuit("rca4")
+        for delay in (ZeroDelay(), resolve_delay("zero")):
+            for backend in ("lanes", "auto"):
+                key = run_key(
+                    circuit, stim, UniformStimulus(seed=1), 30,
+                    delay_model=delay, backend=backend,
+                )
+                assert key.result_class == SETTLED
+                assert key.digest() == self.SETTLED_RCA4_DIGEST
+        assert main([
+            "analyze", "--circuit", "rca4", "--vectors", "30", "--seed", "1",
+            "--backend", "lanes", "--delay", "zero", "--cache", str(tmp_path),
+        ]) == 0
+        assert [e["digest"] for e in ResultStore(tmp_path).entries()] == [
+            self.SETTLED_RCA4_DIGEST
+        ]
 
     def test_monitor_restricts_view_only(self, tmp_path):
         from repro.circuits.adders import build_rca_circuit

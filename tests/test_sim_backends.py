@@ -11,9 +11,10 @@ from repro.sim.backends import (
     EventDrivenBackend,
     LanesBackend,
     SimBackend,
+    canonical_backend,
     get_backend,
 )
-from repro.sim.delays import SumCarryDelay, UnitDelay, ZeroDelay
+from repro.sim.delays import SumCarryDelay, ZeroDelay
 from repro.sim.engine import Simulator
 
 from tests.conftest import random_dag_circuit
@@ -26,8 +27,16 @@ def _random_vectors(rng, circuit, count):
 
 
 def _zero_delay(circuit, **kwargs):
-    """The lanes engine in zero-delay mode (the retired bit-parallel)."""
+    """The lanes engine in zero-delay mode (the former bit-parallel)."""
     return LanesBackend(circuit, ZeroDelay(), **kwargs)
+
+
+#: The engine aliases that no longer resolve: each engine has one name.
+RETIRED_NAMES = (
+    "event-driven", "waveform", "wave", "codegen",
+    "bitparallel", "bit-parallel", "batch", "numpy", "np",
+)
+UNKNOWN = r"unknown simulation backend .*\['event', 'lanes', 'vector'\]"
 
 
 class TestProtocol:
@@ -36,25 +45,27 @@ class TestProtocol:
             assert isinstance(cls(xor_chain), SimBackend)
         assert isinstance(_zero_delay(xor_chain), SimBackend)
 
-    def test_get_backend_aliases(self, xor_chain):
+    def test_get_backend_names(self, xor_chain):
         assert isinstance(get_backend("event", xor_chain), EventDrivenBackend)
-        assert isinstance(
-            get_backend("event-driven", xor_chain), EventDrivenBackend
-        )
-        for alias in ("bitparallel", "bit-parallel", "batch"):
-            backend = get_backend(alias, xor_chain)
-            assert isinstance(backend, LanesBackend)
-            assert backend.exact_glitches is False
+        backend = get_backend("lanes", xor_chain, ZeroDelay())
+        assert isinstance(backend, LanesBackend)
+        assert backend.exact_glitches is False
 
     def test_get_backend_unknown(self, xor_chain):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
+        with pytest.raises(ValueError, match=UNKNOWN):
+            canonical_backend("verilator")
+        with pytest.raises(ValueError, match=UNKNOWN):
             get_backend("verilator", xor_chain)
 
-    def test_bitparallel_rejects_timed_model(self, xor_chain):
-        for alias in ("bitparallel", "bit-parallel", "batch"):
-            with pytest.raises(ValueError, match="zero-delay"):
-                get_backend(alias, xor_chain, delay_model=UnitDelay())
-            get_backend(alias, xor_chain, delay_model=ZeroDelay())
+    @pytest.mark.parametrize("name", RETIRED_NAMES)
+    def test_retired_name_is_unknown(self, xor_chain, name):
+        """One name per engine: a former alias resolves to nothing, in
+        either mode, and the error lists the three engines."""
+        with pytest.raises(ValueError, match=UNKNOWN):
+            canonical_backend(name)
+        for model in (SumCarryDelay(), ZeroDelay()):
+            with pytest.raises(ValueError, match=UNKNOWN):
+                get_backend(name, xor_chain, model)
 
 
 class TestEventDrivenBackend:
@@ -81,7 +92,7 @@ class TestEventDrivenBackend:
 
 
 class TestBitParallelBackend:
-    """The lanes engine's zero-delay mode (the retired bit-parallel)."""
+    """The lanes engine's zero-delay mode (the former bit-parallel)."""
 
     def test_final_values_match_event_driven(self, rng):
         """Settled values after any stream equal the exact engine's."""

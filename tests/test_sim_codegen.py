@@ -1,15 +1,14 @@
 """Equivalence suite for the lanes engine's zero-delay mode.
 
-An explicit ``ZeroDelay`` model switches the lanes backend
-(``repro.sim.lanes``) to settled batch evaluation, one lane per clock
-cycle.  Its contract: settled values and flipflop state equal the
-event-driven engine's, and every counted transition is a settled-value
-change, so per-net toggle counts equal the event engine's *useful*
-counts under any timed delay model — across circuits, batch sizes,
-monitors, resume and sharded runs.  The glitch mode has its own suite,
-``tests/test_sim_waveform.py``.  ``codegen``, the retired
-generated-kernel engine this file is named after, is an alias of
-``lanes`` and is exercised here too.
+A ``ZeroDelay`` model switches the lanes backend (``repro.sim.lanes``)
+to settled batch evaluation, one lane per clock cycle.  Its contract:
+settled values and flipflop state equal the event-driven engine's, and
+every counted transition is a settled-value change, so per-net toggle
+counts equal the event engine's *useful* counts under any timed delay
+model — across circuits, batch sizes, monitors, resume and sharded
+runs.  The glitch mode has its own suite,
+``tests/test_sim_waveform.py``.  This file keeps the name of the
+generated-kernel engine that the lanes engine replaced.
 """
 
 import random
@@ -102,20 +101,15 @@ class TestProtocolAndRegistry:
         assert isinstance(_zero_delay(xor_chain), SimBackend)
 
     def test_registered(self, xor_chain):
-        glitch = get_backend("codegen", xor_chain)
-        settled = get_backend("codegen", xor_chain, ZeroDelay())
+        glitch = get_backend("lanes", xor_chain)
+        settled = get_backend("lanes", xor_chain, ZeroDelay())
         assert type(glitch) is type(settled) is LanesBackend
-        assert glitch.exact_glitches and not settled.exact_glitches
-
-    def test_dual_mode_flags(self, xor_chain):
         assert LanesBackend.exact_glitches is True
-        assert LanesBackend.dual_mode is True
-        assert LanesBackend(xor_chain).exact_glitches is True
-        assert _zero_delay(xor_chain).exact_glitches is False
+        assert glitch.exact_glitches and not settled.exact_glitches
         # One batch_cycles default per mode: glitch-mode masks are W
         # times wider than zero-delay ones.
-        assert LanesBackend(xor_chain).batch_cycles == 32
-        assert _zero_delay(xor_chain).batch_cycles == 256
+        assert glitch.batch_cycles == 32
+        assert settled.batch_cycles == 256
 
     def test_rejects_bad_batch_size(self, xor_chain):
         with pytest.raises(ValueError, match="batch_cycles"):
@@ -124,7 +118,7 @@ class TestProtocolAndRegistry:
     def test_rejects_sub_unit_delay(self, xor_chain):
         sneaky = PerKindDelay({CellKind.XOR: 0}, default=1)
         with pytest.raises(ValueError, match="delays >= 1"):
-            get_backend("codegen", xor_chain, delay_model=sneaky)
+            get_backend("lanes", xor_chain, delay_model=sneaky)
 
     def test_empty_stream(self, xor_chain):
         stats = _zero_delay(xor_chain).run(iter([]))
@@ -236,7 +230,7 @@ class TestActivitySession:
         vectors = _random_vectors(rng, c, 41)
         reference = ActivityRun(c, backend="event").run(iter(vectors))
         sharded = ActivityRun(
-            c, delay_model=ZeroDelay(), backend="codegen"
+            c, delay_model=ZeroDelay(), backend="lanes"
         ).run_sharded(iter(vectors), shards=3)
         assert sharded.cycles == reference.cycles
         assert sharded.useless == 0
@@ -247,11 +241,13 @@ class TestActivitySession:
     def test_zero_delay_session_uses_settled_mode(self, rng):
         c = random_dag_circuit(rng, n_inputs=4, n_gates=18, with_ffs=True)
         vectors = _random_vectors(rng, c, 25)
-        run = ActivityRun(c, delay_model=ZeroDelay(), backend="codegen")
+        run = ActivityRun(c, delay_model=ZeroDelay(), backend="lanes")
         assert run.backend_name == "lanes"
         assert run.exact_glitches is False
-        reference = ActivityRun(c, backend="bitparallel").run(iter(vectors))
+        assert isinstance(run.delay_model, ZeroDelay)
         result = run.run(iter(vectors))
+        assert result.delay_description == "zero delay (lanes)"
+        reference = _zero_delay(c).run(iter(vectors))
         assert result.per_node == reference.per_node
 
     def test_figure5_pinned_with_codegen_backend(self):
@@ -262,7 +258,7 @@ class TestActivitySession:
         circuit, ports = build_rca_circuit(16, with_cin=False)
         stim = WordStimulus({"a": ports["a"], "b": ports["b"]})
         result = ActivityRun(
-            circuit, delay_model=ZeroDelay(), backend="codegen"
+            circuit, delay_model=ZeroDelay(), backend="lanes"
         ).run(stim.random(random.Random(1995), 4001))
         summary = result.summary()
         assert summary["cycles"] == 4000

@@ -34,7 +34,6 @@ from repro.sim.backends import (
     backend_unavailable_reason,
     get_backend,
     select_backend,
-    zero_delay_backend,
 )
 from repro.sim.delays import (
     HintedDelay,
@@ -83,19 +82,12 @@ class TestProtocolAndRegistry:
     def test_satisfies_protocol(self, xor_chain):
         assert isinstance(VectorBackend(xor_chain), SimBackend)
 
-    def test_registered_with_aliases(self, xor_chain):
-        for alias in ("vector", "numpy", "np"):
-            assert isinstance(
-                get_backend(alias, xor_chain), VectorBackend
-            )
-
-    def test_dual_mode_flags(self, xor_chain):
+    def test_registered(self, xor_chain):
+        glitch = get_backend("vector", xor_chain)
+        settled = get_backend("vector", xor_chain, ZeroDelay())
+        assert type(glitch) is type(settled) is VectorBackend
         assert VectorBackend.exact_glitches is True
-        assert VectorBackend.dual_mode is True
-        assert VectorBackend(xor_chain).exact_glitches is True
-        assert (
-            VectorBackend(xor_chain, ZeroDelay()).exact_glitches is False
-        )
+        assert glitch.exact_glitches and not settled.exact_glitches
 
     def test_listed_available(self):
         assert available_backends() == ["event", "lanes", "vector"]
@@ -365,7 +357,7 @@ class TestWithoutNumpy:
         assert not numpy_available()
         assert "vector" not in available_backends()
         assert available_backends() == ["event", "lanes"]
-        reason = backend_unavailable_reason("np")
+        reason = backend_unavailable_reason("vector")
         assert "'vector' backend is unavailable" in reason
         assert "numpy" in reason
 
@@ -390,10 +382,17 @@ class TestWithoutNumpy:
         stats = run.run(iter([[0, 0, 0], [1, 0, 1], [0, 1, 1]]))
         assert stats.cycles == 2
 
-    def test_zero_delay_helper_falls_back(self, xor_chain):
-        backend = zero_delay_backend(xor_chain)
+    def test_settled_engine_falls_back(self, xor_chain):
+        """Shard fast-forwards and ``ff_activity`` take ``auto``'s
+        engine under ZeroDelay: lanes without numpy."""
+        backend = get_backend(select_backend(), xor_chain, ZeroDelay())
         assert isinstance(backend, LanesBackend)
         assert backend.exact_glitches is False
+        vectors = [[0, 0, 0], [1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]]
+        run = ActivityRun(xor_chain, backend="lanes")
+        assert run.run_sharded(iter(vectors), shards=2) == run.run(
+            iter(vectors)
+        )
 
 
 @needs_numpy

@@ -7,8 +7,8 @@ rise, useful, useless and active-cycle counts, settled values and
 flipflop state — across circuits, delay models, batch sizes, warm-up
 and mid-stream resume semantics, and sharded runs.  The zero-delay
 mode has its own suite, ``tests/test_sim_codegen.py``; the two files
-keep the names of the retired ``waveform`` and ``codegen`` engines,
-which are now aliases of ``lanes``.
+keep the names of the ``waveform`` and ``codegen`` engines that the
+lanes engine replaced.
 """
 
 import random
@@ -66,11 +66,10 @@ class TestProtocolAndRegistry:
     def test_satisfies_protocol(self, xor_chain):
         assert isinstance(LanesBackend(xor_chain), SimBackend)
 
-    def test_registered_with_aliases(self, xor_chain):
-        for alias in ("lanes", "waveform", "wave", "codegen"):
-            backend = get_backend(alias, xor_chain)
-            assert isinstance(backend, LanesBackend)
-            assert backend.exact_glitches is True
+    def test_registered(self, xor_chain):
+        backend = get_backend("lanes", xor_chain)
+        assert isinstance(backend, LanesBackend)
+        assert backend.exact_glitches is True
 
     def test_exactness_flag(self, xor_chain):
         assert LanesBackend.exact_glitches is True
@@ -124,7 +123,7 @@ class TestSelectBackendPolicy:
         )
         assert run.backend_name == settled
         assert run.exact_glitches is False
-        assert run.delay_model is None
+        assert isinstance(run.delay_model, ZeroDelay)
 
     def test_auto_session_still_produces_event_traces(self, glitchy_and):
         run = ActivityRun(glitchy_and, backend="auto")
@@ -133,19 +132,19 @@ class TestSelectBackendPolicy:
         assert len(traces) == 3  # first vector consumed as warm-up
 
 
-#: Retired engine names: the glitch-capable ones alias ``lanes``, the
-#: bit-parallel ones alias its zero-delay mode.
-GLITCH_NAMES = ("waveform", "wave", "codegen")
-SETTLED_NAMES = ("bitparallel", "bit-parallel", "batch")
-
-
 class TestRetiredNames:
-    @pytest.mark.parametrize("name", GLITCH_NAMES + SETTLED_NAMES)
-    def test_activity_run_resolves_to_lanes(self, xor_chain, name):
-        run = ActivityRun(xor_chain, backend=name)
-        assert run.backend_name == "lanes"
-        assert run.exact_glitches is (name in GLITCH_NAMES)
-        assert not run.failover  # a named backend, not the auto policy
+    """The former engine aliases: the glitch-capable ones named
+    ``lanes``, the bit-parallel ones its zero-delay mode.  Only the
+    delay model selects a mode now, so a session takes neither kind."""
+
+    @pytest.mark.parametrize("name", [
+        "waveform", "wave", "codegen", "bitparallel", "bit-parallel", "batch",
+    ])
+    def test_activity_run_rejects(self, xor_chain, name):
+        unknown = r"unknown simulation backend .*\['event', 'lanes', 'vector'\]"
+        for model in (UnitDelay(), ZeroDelay()):
+            with pytest.raises(ValueError, match=unknown):
+                ActivityRun(xor_chain, delay_model=model, backend=name)
 
 
 class TestEquivalenceWithEventDriven:
@@ -293,7 +292,7 @@ class TestActivitySession:
         # error; only the event engine, which has no such mode,
         # rejects a zero-delay session.
         run = ActivityRun(
-            xor_chain, delay_model=ZeroDelay(), backend="waveform"
+            xor_chain, delay_model=ZeroDelay(), backend="lanes"
         )
         assert run.backend_name == "lanes" and not run.exact_glitches
         with pytest.raises(ValueError, match="ZeroDelay hides"):
