@@ -123,7 +123,6 @@ def _require_backend(name: str) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.report import format_table
-    from repro.sim.backends import select_backend
     from repro.sim.delays import resolve_delay
 
     circuit, stim = build_named_circuit(args.circuit)
@@ -159,7 +158,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "--vcd needs recorded per-cycle events, which the result "
                 "store does not hold; drop --cache for VCD dumps"
             )
-        backend = select_backend(record_events=True)
+        backend = "event"
     delay = resolve_delay(args.delay)
     store = _open_store(args.cache)
     if args.vcd is not None:

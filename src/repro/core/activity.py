@@ -401,16 +401,17 @@ class ActivityRun:
     monitor:
         Optional net indices to restrict accounting to; defaults to all
         cell-driven nets.
-    failover:
-        Whether a backend that dies *mid-run* with ``MemoryError`` /
-        an import failure re-dispatches on the next tier of the
-        fallback chain (``vector → lanes → event``; settled
-        sessions ``vector → lanes``) instead
-        of aborting.  Results stay bit-identical — tiers in one chain
-        share a result class — and each degradation emits a
-        :class:`~repro.sim.backends.BackendDegradedWarning`.  Defaults
-        to ``True`` for ``backend="auto"`` (auto is a *policy*, not a
-        static pick) and ``False`` for an explicitly named backend.
+
+    An ``auto`` session fails over (:attr:`failover`): a backend that
+    dies *mid-run* with ``MemoryError`` / an import failure
+    re-dispatches on the next tier of the fallback chain (``vector →
+    lanes → event``; settled sessions ``vector → lanes``) instead of
+    aborting.  Results stay bit-identical — tiers in one chain share a
+    result class — and each degradation emits a
+    :class:`~repro.sim.backends.BackendDegradedWarning`.  An explicitly
+    named backend never falls back.  The printed title
+    (:attr:`delay_description`) is the delay model's description on
+    every engine.
     """
 
     def __init__(
@@ -419,14 +420,12 @@ class ActivityRun:
         delay_model: DelayModel | None = None,
         backend: str = AUTO_BACKEND,
         monitor: Iterable[int] | None = None,
-        failover: bool | None = None,
     ) -> None:
         self.circuit = circuit
-        if backend == AUTO_BACKEND:
-            backend = select_backend(delay_model)
-            if failover is None:
-                failover = True
-        self.failover = bool(failover)
+        #: Whether a mid-run failure re-dispatches down the chain (``auto``).
+        self.failover = backend == AUTO_BACKEND
+        if self.failover:
+            backend = select_backend()
         #: Degradations this session performed (mirrors the warnings).
         self.degraded: List[str] = []
         # Raises ValueError for an unknown name.
@@ -436,15 +435,12 @@ class ActivityRun:
         self.backend_name = backend
         self.monitor = None if monitor is None else list(monitor)
         self.delay_model = delay_model or UnitDelay()
-        if self.exact_glitches:
-            self.delay_description = self.delay_model.describe()
-        elif self.backend_name == EventDrivenBackend.name:
+        if not self.exact_glitches and self.backend_name == EventDrivenBackend.name:
             raise ValueError(
                 "activity analysis requires a delay model with >= 1 "
                 "delta per cell; ZeroDelay hides all glitches"
             )
-        else:
-            self.delay_description = f"zero delay ({self.backend_name})"
+        self.delay_description = self.delay_model.describe()
 
     @property
     def exact_glitches(self) -> bool:

@@ -202,16 +202,15 @@ class Cell:
     outputs:
         Net indices driven by the cell, in kind-defined order
         (e.g. ``(sum, carry)`` for ``FA``).
-    delay_hint:
-        Optional per-output delay override, honoured by delay models
-        that opt in (e.g. :class:`repro.sim.delays.HintedDelay`).
+
+    A cell carries no delay: the delay model times it
+    (:mod:`repro.sim.delays`).
     """
 
     name: str
     kind: CellKind
     inputs: Tuple[int, ...]
     outputs: Tuple[int, ...]
-    delay_hint: Tuple[int, ...] | None = None
     index: int = field(default=-1)
 
     @property

@@ -89,12 +89,11 @@ class Circuit:
 
     def __init__(self, name: str = "circuit") -> None:
         self.name = name
-        #: Per cell: kind, input nets, output nets, name, delay hint.
+        #: Per cell: kind, input nets, output nets, name.
         self.cell_kinds: List[CellKind] = []
         self.cell_inputs: List[Tuple[int, ...]] = []
         self.cell_outputs: List[Tuple[int, ...]] = []
         self.cell_names: List[str] = []
-        self.cell_hints: List[Tuple[int, ...] | None] = []
         #: Per net: name, and driving cell index (-1: undriven or input).
         self.net_names: List[str] = []
         self.net_driver: List[int] = []
@@ -133,7 +132,7 @@ class Circuit:
 
     def _cell_row(self, ci: int) -> Cell:
         return Cell(self.cell_names[ci], self.cell_kinds[ci], self.cell_inputs[ci],
-                    self.cell_outputs[ci], self.cell_hints[ci], ci)
+                    self.cell_outputs[ci], ci)
 
     def _net_row(self, n: int) -> Net:
         ci = self.net_driver[n]
@@ -221,7 +220,6 @@ class Circuit:
         inputs: Sequence[int],
         outputs: Sequence[int] | None = None,
         name: str | None = None,
-        delay_hint: Sequence[int] | None = None,
     ) -> Cell:
         """Instantiate a cell.
 
@@ -230,11 +228,9 @@ class Circuit:
         the driven net indices).  Every check runs before the circuit
         changes, so a rejected cell leaves no net behind.
         """
-        return self._cell_row(
-            self._add_cell(kind, inputs, outputs, name, delay_hint)
-        )
+        return self._cell_row(self._add_cell(kind, inputs, outputs, name))
 
-    def _add_cell(self, kind, inputs, outputs=None, name=None, delay_hint=None) -> int:
+    def _add_cell(self, kind, inputs, outputs=None, name=None) -> int:
         """:meth:`add_cell` without building the returned value: the new index."""
         inputs = tuple(inputs)
         n_out = OUTPUT_COUNT[kind] if outputs is None else len(outputs)
@@ -251,10 +247,6 @@ class Circuit:
         for n in inputs if outputs is None else (*inputs, *outputs):
             if not 0 <= n < n_nets:
                 raise ValueError(f"cell {name!r}: no such net index {n}")
-        if delay_hint is not None:
-            delay_hint = tuple(delay_hint)
-            if min(delay_hint, default=0) < 0:  # 0 stays legal
-                raise ValueError(f"cell {name!r}: negative delay hint {delay_hint}")
         driver = self.net_driver
         if outputs is None:
             new_net = self.new_net
@@ -276,7 +268,6 @@ class Circuit:
         self.cell_inputs.append(inputs)
         self.cell_outputs.append(outputs)
         self.cell_names.append(name)
-        self.cell_hints.append(delay_hint)
         self._cell_by_name[name] = index
         self._version += 1
         return index
@@ -339,34 +330,27 @@ class Circuit:
         inputs: Sequence[Sequence[int]],
         outputs: Sequence[Sequence[int]],
         names: Sequence[str],
-        hints: Sequence[Sequence[int] | None] | None = None,
     ) -> range:
         """Instantiate a batch of named cells on existing nets; returns their indices.
 
         The column form of :meth:`add_cell`: one entry per cell in each
-        column (*hints* ``None``: no cell has a delay hint).  The whole
-        batch is checked by :meth:`add_cell`'s rules, with its messages,
-        before the circuit changes, so a rejected batch leaves the
-        circuit as it was.
+        column.  The whole batch is checked by :meth:`add_cell`'s rules,
+        with its messages, before the circuit changes, so a rejected
+        batch leaves the circuit as it was.
         """
         inputs = [tuple(pins) for pins in inputs]
         outputs = [tuple(outs) for outs in outputs]
         names = list(names)
         count = len(names)
-        hints = (
-            [None] * count if hints is None
-            else [None if h is None else tuple(h) for h in hints]
-        )
-        if not len(kinds) == len(inputs) == len(outputs) == len(hints) == count:
+        if not len(kinds) == len(inputs) == len(outputs) == count:
             raise ValueError("add_cells: the columns differ in length")
-        if not self._batch_is_valid(kinds, inputs, outputs, names, hints):
-            self._reject_batch(kinds, inputs, outputs, names, hints)
+        if not self._batch_is_valid(kinds, inputs, outputs, names):
+            self._reject_batch(kinds, inputs, outputs, names)
         start = len(self.cell_kinds)
         self.cell_kinds.extend(kinds)
         self.cell_inputs.extend(inputs)
         self.cell_outputs.extend(outputs)
         self.cell_names.extend(names)
-        self.cell_hints.extend(hints)
         indices = list(range(start, start + count))  # one int object per cell
         driver = self.net_driver
         for ci, outs in zip(indices, outputs):
@@ -376,7 +360,7 @@ class Circuit:
         self._version += 1
         return range(start, start + count)
 
-    def _batch_is_valid(self, kinds, inputs, outputs, names, hints) -> bool:
+    def _batch_is_valid(self, kinds, inputs, outputs, names) -> bool:
         """Whether :meth:`add_cells` may take the batch, checked column-wise."""
         try:
             for kind, n_in, n_out in set(zip(kinds, map(len, inputs), map(len, outputs))):
@@ -391,13 +375,11 @@ class Circuit:
         for nets in (ins, outs):
             if nets and not (0 <= min(nets) and max(nets) < n_nets):
                 return False
-        if min(chain.from_iterable(filter(None, hints)), default=0) < 0:
-            return False
         return len(set(outs)) == len(outs) and (
             max(map(self.net_driver.__getitem__, outs), default=-1) < 0
         )
 
-    def _reject_batch(self, kinds, inputs, outputs, names, hints) -> None:
+    def _reject_batch(self, kinds, inputs, outputs, names) -> None:
         """Raise :meth:`add_cell`'s error for the first cell it would reject.
 
         Replays the batch through :meth:`_add_cell` on a trial copy, so
@@ -405,7 +387,7 @@ class Circuit:
         """
         trial = Circuit.__new__(Circuit)  # its lists and dicts are copies
         trial.__dict__ = {k: copy(v) for k, v in self.__dict__.items()}
-        for cell in zip(kinds, inputs, outputs, names, hints):
+        for cell in zip(kinds, inputs, outputs, names):
             trial._add_cell(*cell)
         raise AssertionError("add_cells: no cell of the rejected batch fails")
 
@@ -526,9 +508,8 @@ class Circuit:
         outputs and flipflop D pins under *delay_model* (default unit).
         """
         from repro.netlist.compiled import compile_circuit
-        from repro.sim.delays import UnitDelay
 
-        compiled = compile_circuit(self, delay_model or UnitDelay())
+        compiled = compile_circuit(self, delay_model)
         level = compiled.levels
         return max([level[n] for n in (*self.outputs, *compiled.ff_d)], default=0)
 
@@ -580,8 +561,8 @@ class CircuitColumns:
     with one :meth:`Circuit.add_nets` and one :meth:`Circuit.add_cells`
     call.  A net's index is its position in ``net_names`` (``None``: an
     anonymous ``n{k}``), ``net_map`` maps copied source nets to theirs,
-    and ``cells`` holds ``kind, inputs, outputs, name, delay_hint`` flat,
-    five entries per cell, so no object per row outlives its ``extend``.
+    and ``cells`` holds ``kind, inputs, outputs, name`` flat, four
+    entries per cell, so no object per row outlives its ``extend``.
     """
 
     def __init__(self, name: str, source: Circuit) -> None:
@@ -616,7 +597,7 @@ class CircuitColumns:
             name, q = f"{prefix}_{src_name}_{len(chain) * step}", len(self.net_names)
             self.net_names.append(None)  # an anonymous net
             self.net_indices.append(q)
-            self.cells.extend((kind, (chain[-1],), (q,), name, None))
+            self.cells.extend((kind, (chain[-1],), (q,), name))
             chain.append(q)
         return chain[depth]
 
@@ -625,7 +606,7 @@ class CircuitColumns:
         circuit = Circuit(self.name)
         circuit.add_nets(self.net_names, self.net_indices)
         circuit.inputs, circuit.outputs = self.inputs, self.outputs
-        circuit.add_cells(*(self.cells[k::5] for k in range(5)))
+        circuit.add_cells(*(self.cells[k::4] for k in range(4)))
         return circuit
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro import _nogc
 from repro.netlist.cells import CellKind
@@ -39,15 +39,14 @@ class CellGroup:
 
     ``pins[i]`` is the tuple of input nets on pin *i*, one entry per
     member cell; ``outs[k]`` is ``(delay, out_nets)`` for output
-    position *k* (*delay* is ``None`` when compiled without a delay
-    model).  All members are evaluable as one array operation once
-    every earlier level has been applied.
+    position *k*.  All members are evaluable as one array operation
+    once every earlier level has been applied.
     """
 
     level: int
     kind: CellKind
     pins: Tuple[Tuple[int, ...], ...]
-    outs: Tuple[Tuple[Optional[int], Tuple[int, ...]], ...]
+    outs: Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
 def level_groups(cc: "CompiledCircuit") -> Tuple[CellGroup, ...]:
@@ -59,8 +58,7 @@ def level_groups(cc: "CompiledCircuit") -> Tuple[CellGroup, ...]:
 @_nogc
 def _level_groups(cc: "CompiledCircuit") -> Tuple[CellGroup, ...]:
     levels, kinds = cc.cell_levels, cc.cell_kinds
-    inputs, outputs = cc.cell_inputs, cc.cell_outputs
-    delays = cc.cell_delays or (None,) * len(kinds)
+    inputs, outputs, delays = cc.cell_inputs, cc.cell_outputs, cc.cell_delays
     buckets: Dict[tuple, List[int]] = {}
     for ci in cc.topo:
         key = (levels[ci], kinds[ci], len(inputs[ci]), delays[ci])
@@ -70,16 +68,13 @@ def _level_groups(cc: "CompiledCircuit") -> Tuple[CellGroup, ...]:
         else:
             members.append(ci)
     groups = []
-    for key in sorted(
-        buckets, key=lambda k: (k[0], k[1].value, k[2], k[3] or ())
-    ):
+    for key in sorted(buckets, key=lambda k: (k[0], k[1].value, k[2], k[3])):
         level, kind, _arity, dlys = key
         members = buckets[key]
-        out_nets = tuple(zip(*map(outputs.__getitem__, members)))
         groups.append(CellGroup(
             level, kind,
             tuple(zip(*map(inputs.__getitem__, members))),
-            tuple(zip(dlys or (None,) * len(out_nets), out_nets)),
+            tuple(zip(dlys, zip(*map(outputs.__getitem__, members)))),
         ))
     return tuple(groups)
 

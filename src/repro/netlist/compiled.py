@@ -4,16 +4,19 @@ A :class:`Circuit` is convenient to build and query but expensive to
 simulate directly.  :func:`compile_circuit` flattens it exactly once
 per ``(Circuit version, DelayModel)`` pair and memoizes the result, so
 constructing simulators and evaluating circuits becomes O(nets)
-instead of O(cells·outputs) with repeated delay-model calls.
+instead of O(cells·outputs) with repeated delay-model calls.  A
+compile without a delay model is the unit-delay one (``None`` means
+:class:`~repro.sim.delays.UnitDelay` here as everywhere), so code that
+reads only structure shares the unit-delay snapshot.
 
 A compile builds only the flat core that every consumer reads:
 
 * per-cell flat tuples — kind, input nets, output nets, sequential flag;
 * ``cell_delays`` — per cell, the delay of each output, parallel to
   ``cell_outputs`` and resolved through the delay model
-  (:func:`resolve_delays`; ``None`` when compiled without one, e.g.
-  for purely functional evaluation).  The built-in models resolve per
-  kind, so all cells of one kind share one delay tuple;
+  (:func:`resolve_delays`), the only source of delays.  The built-in
+  models resolve per kind, so all cells of one kind share one delay
+  tuple;
 * the topological order of the combinational cells (which
   :meth:`Circuit.topological_cells` reads) and each cell's unit-depth
   level, both from one Kahn pass;
@@ -199,7 +202,7 @@ class CompiledCircuit:
     ff_cells: Tuple[int, ...]
     ff_d: Tuple[int, ...]
     ff_q: Tuple[int, ...]
-    cell_delays: Tuple[Tuple[int, ...], ...] | None
+    cell_delays: Tuple[Tuple[int, ...], ...]
     max_delay: int
 
     # ------------------------------------------------------------------
@@ -318,17 +321,21 @@ MEMO_DELAY_MODELS = 8
 def compile_circuit(
     circuit: "Circuit", delay_model: "DelayModel | None" = None
 ) -> CompiledCircuit:
-    """Return the (memoized) compiled form of *circuit*.
+    """Return the (memoized) compiled form of *circuit* under *delay_model*.
 
-    With *delay_model* ``None`` the compiled form carries no delay
-    information (``cell_delays is None``) — enough for functional
-    evaluation and zero-delay simulation.  Each distinct delay
-    model (by :meth:`DelayModel.cache_token`) gets its own entry, up
-    to :data:`MEMO_DELAY_MODELS` per circuit (least-recently-used
-    eviction beyond that); mutating the circuit invalidates all of
-    them.
+    *delay_model* ``None`` is :class:`~repro.sim.delays.UnitDelay` and
+    shares its entry, so structure-only readers (the topological order,
+    functional evaluation, the estimators) and unit-delay timing compile
+    a circuit once.  Each distinct delay model (by
+    :meth:`DelayModel.cache_token`) gets its own entry, up to
+    :data:`MEMO_DELAY_MODELS` per circuit (least-recently-used eviction
+    beyond that); mutating the circuit invalidates all of them.
     """
-    key: Hashable = None if delay_model is None else delay_model.cache_token()
+    if delay_model is None:
+        from repro.sim.delays import UnitDelay
+
+        delay_model = UnitDelay()
+    key: Hashable = delay_model.cache_token()
     per_circuit = _CACHE.get(circuit)
     if per_circuit is None:
         per_circuit = _CACHE[circuit] = OrderedDict()
@@ -338,11 +345,7 @@ def compile_circuit(
         return cached
     if per_circuit and next(iter(per_circuit.values())).version != circuit.version:
         per_circuit.clear()  # the whole snapshot generation is stale
-    with obs.span(
-        "compile",
-        circuit=getattr(circuit, "name", "?"),
-        delay=key is not None,
-    ):
+    with obs.span("compile", circuit=getattr(circuit, "name", "?")):
         obs.inc("compile.full")
         compiled = _build(circuit, delay_model)
     per_circuit[key] = compiled
@@ -412,9 +415,9 @@ def circuit_fingerprint(circuit: "Circuit") -> str:
     return digest
 
 
-#: Fingerprint shared by every zero-delay regime (``delay_model is
-#: None``, :class:`~repro.sim.delays.ZeroDelay`): no intra-cycle time
-#: resolution exists, so all of them produce identical results.
+#: Fingerprint of the settled mode (:class:`~repro.sim.delays.ZeroDelay`):
+#: no intra-cycle time resolution exists, so the per-cell delays do not
+#: enter it.
 ZERO_DELAY_FINGERPRINT = _digest(("delay-v1", "zero"))
 
 
@@ -431,10 +434,11 @@ def delay_fingerprint(
     per-output delays listed in the canonical cell order
     (:meth:`Circuit.canonical_order`), so it is insertion-order
     independent like :func:`circuit_fingerprint` (``delay-v2``).
+    *delay_model* ``None`` is unit delay, as for :func:`compile_circuit`.
     """
     from repro.sim.delays import ZeroDelay
 
-    if delay_model is None or isinstance(delay_model, ZeroDelay):
+    if isinstance(delay_model, ZeroDelay):
         return ZERO_DELAY_FINGERPRINT
     delays = compile_circuit(circuit, delay_model).cell_delays
     flat = tuple(chain.from_iterable(map(delays.__getitem__, circuit.canonical_order())))
@@ -456,20 +460,15 @@ def resolve_delays(
 
 
 @_nogc
-def _build(
-    circuit: "Circuit", delay_model: "DelayModel | None"
-) -> CompiledCircuit:
+def _build(circuit: "Circuit", delay_model: "DelayModel") -> CompiledCircuit:
     DFF = CellKind.DFF
     cell_kinds = tuple(circuit.cell_kinds)
     cell_inputs = tuple(circuit.cell_inputs)
     cell_outputs = tuple(circuit.cell_outputs)
     cell_is_seq = tuple([kind is DFF for kind in cell_kinds])
     ff_cells = tuple([ci for ci, seq in enumerate(cell_is_seq) if seq])
-    cell_delays = None
-    max_delay = 0
-    if delay_model is not None:
-        cell_delays = resolve_delays(circuit, delay_model)
-        max_delay = max(0, max(chain.from_iterable(set(cell_delays)), default=0))
+    cell_delays = resolve_delays(circuit, delay_model)
+    max_delay = max(0, max(chain.from_iterable(set(cell_delays)), default=0))
     topo, cell_levels = _topo_order(
         circuit.name, cell_inputs, cell_outputs, cell_is_seq, circuit.net_driver,
     )

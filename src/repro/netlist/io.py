@@ -75,11 +75,10 @@ def circuit_to_json(circuit: Circuit, indent: int | None = None) -> str:
                 "kind": kind.value,
                 "inputs": list(ins),
                 "outputs": list(outs),
-                **({"delay_hint": list(hint)} if hint is not None else {}),
             }
-            for name, kind, ins, outs, hint in zip(
+            for name, kind, ins, outs in zip(
                 circuit.cell_names, circuit.cell_kinds, circuit.cell_inputs,
-                circuit.cell_outputs, circuit.cell_hints,
+                circuit.cell_outputs,
             )
         ],
     }
@@ -87,21 +86,30 @@ def circuit_to_json(circuit: Circuit, indent: int | None = None) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    """Rebuild a :class:`Circuit` from :func:`circuit_to_json` output."""
+    """Rebuild a :class:`Circuit` from :func:`circuit_to_json` output.
+
+    A cell carrying a ``delay_hint`` is rejected: delays come from the
+    delay model (:mod:`repro.sim.delays`), never from the netlist.
+    """
     doc = json.loads(text)
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported netlist schema {doc.get('schema')!r}")
+    cells = doc["cells"]
+    for cd in cells:
+        if "delay_hint" in cd:
+            raise ValueError(
+                f"cell {cd.get('name')!r} carries a delay_hint; a netlist holds "
+                "no delays, the delay model times every cell (--delay)"
+            )
     circuit = Circuit(doc["name"])
     nets = circuit.add_nets(doc["nets"])
     input_set = set(doc["inputs"])
     circuit.inputs.extend([i for i in nets if i in input_set])
-    cells = doc["cells"]
     circuit.add_cells(
         [CellKind(cd["kind"]) for cd in cells],
         [cd["inputs"] for cd in cells],
         [cd["outputs"] for cd in cells],
         [cd["name"] for cd in cells],
-        [cd.get("delay_hint") for cd in cells],
     )
     for out in doc["outputs"]:
         circuit.mark_output(out)

@@ -87,7 +87,7 @@ def balance_paths(
     new.inputs = new.copy_nets(circuit.inputs)
     new.copy_nets(chain.from_iterable(outputs))
     max_skew = 0
-    cell_names, hints, cells = circuit.cell_names, circuit.cell_hints, new.cells
+    cell_names, cells = circuit.cell_names, new.cells
     for ci, kind in enumerate(kinds):
         ins = inputs[ci]
         if kind is CellKind.DFF:
@@ -107,8 +107,7 @@ def balance_paths(
                     new.delayed(n, skew // d_buf, CellKind.BUF, "bal", d_buf)
                     if skew else net_map[n]
                 )
-        cells.extend((kind, new_inputs, [net_map[out] for out in outputs[ci]],
-                      cell_names[ci], hints[ci]))
+        cells.extend((kind, new_inputs, [net_map[out] for out in outputs[ci]], cell_names[ci]))
     new.outputs = [net_map[out] for out in circuit.outputs]
 
     stats = BalanceStats(
@@ -153,7 +152,7 @@ def balancing_report(
     delay paths ... significantly reduces the number of useless
     transitions").
     """
-    level = compile_circuit(circuit, delay_model or UnitDelay()).levels
+    level = compile_circuit(circuit, delay_model).levels
     skews = list(_input_skews(circuit, level))
     if not skews:
         return {"cells": 0, "mean_skew": 0.0, "max_skew": 0, "skewed_fraction": 0.0}

@@ -58,11 +58,10 @@ def _rebuild(
             mapped = new.copy_nets((old_net,))[0]
         return mapped
 
-    kinds, inputs = circuit.cell_kinds, circuit.cell_inputs
-    cell_names, hints = circuit.cell_names, circuit.cell_hints
+    kinds, inputs, cell_names = circuit.cell_kinds, circuit.cell_inputs, circuit.cell_names
     for ci in kept:
         new.cells.extend((kinds[ci], [resolve(n) for n in inputs[ci]],
-                          [net_map[out] for out in outputs[ci]], cell_names[ci], hints[ci]))
+                          [net_map[out] for out in outputs[ci]], cell_names[ci]))
     new.outputs = [resolve(out) for out in circuit.outputs]
     return new.emit()
 
@@ -209,17 +208,17 @@ def propagate_constants(circuit: Circuit) -> Circuit:
     new.copy_nets(chain.from_iterable(outputs))
     # Undriven internal nets (constant-0 reads) survive the copy.
     new.copy_nets(n for n in range(len(circuit.net_names)) if n not in net_map)
-    cell_names, hints, cells = circuit.cell_names, circuit.cell_hints, new.cells
+    cell_names, cells = circuit.cell_names, new.cells
     for ci, kind in enumerate(kinds):
         pieces = replacement.get(ci)
         if pieces is None:
             cells.extend((kind, [net_map[n] for n in inputs[ci]],
-                          [net_map[out] for out in outputs[ci]], cell_names[ci], hints[ci]))
+                          [net_map[out] for out in outputs[ci]], cell_names[ci]))
             continue
         name = cell_names[ci]
         for k, (piece_kind, ins, outs) in enumerate(pieces):
             cells.extend((piece_kind, [net_map[n] for n in ins], [net_map[out] for out in outs],
-                          name if len(pieces) == 1 else f"{name}__{k}", None))
+                          name if len(pieces) == 1 else f"{name}__{k}"))
     new.outputs = [net_map[out] for out in circuit.outputs]
     return dead_cell_elimination(new.emit())
 

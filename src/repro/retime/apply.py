@@ -50,14 +50,13 @@ def apply_retiming(
     # The edges run in (vertex, pin) order, then the primary outputs':
     # each cell, in original order, takes the next one per input pin.
     taps = zip(graph.src_net, weights)
-    kinds, inputs = old.cell_kinds, old.cell_inputs
-    cell_names, hints = old.cell_names, old.cell_hints
+    kinds, inputs, cell_names = old.cell_kinds, old.cell_inputs, old.cell_names
     for ci in graph.vertices:
         new_inputs = [
             new.delayed(net, w, DFF, "rt") if w else net_map[net]
             for net, w in islice(taps, len(inputs[ci]))
         ]
         new.cells.extend((kinds[ci], new_inputs, [net_map[out] for out in outputs[ci]],
-                          cell_names[ci], hints[ci]))
+                          cell_names[ci]))
     new.outputs = [new.delayed(net, w, DFF, "rt") if w else net_map[net] for net, w in taps]
     return new.emit()

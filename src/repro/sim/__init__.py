@@ -36,7 +36,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(globals(), {
         "ZeroDelay",
         "PerKindDelay",
         "SumCarryDelay",
-        "HintedDelay",
         "LoadDelay",
         "DELAY_MODELS",
         "resolve_delay",

@@ -36,9 +36,9 @@ whose stats are then bit-identical to an unsharded run (settled values
 provably equal zero-delay evaluation).
 
 :func:`select_backend` implements the ``"auto"`` policy used by the
-session API and the CLI: event-driven whenever traces/VCD recording
-are requested; otherwise the vector backend when numpy is available,
-the lanes backend without it, in either mode.  Asking that question is
+session API and the CLI: the vector backend when numpy is available,
+the lanes backend without it, in either mode (traces and VCD recording
+name the event-driven engine themselves).  Asking that question is
 what imports numpy: importing this module does not.
 """
 
@@ -532,24 +532,17 @@ def available_backends() -> List[str]:
     )
 
 
-def select_backend(
-    delay_model: DelayModel | None = None,
-    record_events: bool = False,
-    want_traces: bool = False,
-) -> str:
+def select_backend() -> str:
     """Resolve the ``"auto"`` backend policy to a concrete engine.
 
-    * per-cycle traces or recorded events (VCD dumps) need the
-      event-driven engine — nothing else produces them;
-    * everything else goes to the vectorized numpy backend when the
-      ``[perf]`` extra is installed — it is bit-identical to the
-      event-driven engine in both its glitch-exact and zero-delay
-      modes and by far the fastest;
-    * without numpy it goes to the pure-Python lanes backend, whose
-      mode the delay model selects just the same.
+    The vectorized numpy backend when the ``[perf]`` extra is
+    installed — it is bit-identical to the event-driven engine in both
+    its glitch-exact and zero-delay modes and by far the fastest —
+    else the pure-Python lanes backend, whose mode the delay model
+    selects just the same.  Per-cycle traces and recorded events (VCD
+    dumps) name the event-driven engine themselves, the only one that
+    produces them.
     """
-    if record_events or want_traces:
-        return EventDrivenBackend.name
     if numpy_available():
         return VectorBackend.name
     return LanesBackend.name

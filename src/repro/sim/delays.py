@@ -8,8 +8,13 @@ The paper's experiments use three delay regimes, all expressible here:
 * **dsum = 2·dcarry** (Table 2): :class:`SumCarryDelay` — the sum
   output of FA/HA cells is slower than the carry output, reflecting the
   real two-XOR sum path vs. the AND-OR carry path;
-* arbitrary per-kind or per-instance delays (:class:`PerKindDelay`,
-  :class:`HintedDelay`) for ablations.
+* per-kind or fanout-dependent delays (:class:`PerKindDelay`,
+  :class:`LoadDelay`) for ablations.
+
+The delay model is the only source of delays: a netlist holds none.
+A per-instance delay is a model too: subclass one and override
+:meth:`DelayModel.delay`, which is then asked about every cell, and
+:meth:`DelayModel.cache_token`, which keys the compiled snapshot.
 
 Delays must be >= 1 for combinational cells: a zero intra-cycle delay
 would merge cause and effect into one delta slot and hide glitches.
@@ -220,38 +225,6 @@ class LoadDelay(DelayModel):
         # Delays depend on the bound circuit's fanout map, which the
         # description does not fully capture — key on instance identity.
         return (type(self).__qualname__, self.describe(), id(self))
-
-
-class HintedDelay(DelayModel):
-    """Honour per-instance ``delay_hint`` tuples, falling back to *fallback*.
-
-    Used by the path-balancing pass, which re-times individual buffer
-    cells by giving them explicit delays.
-    """
-
-    def __init__(self, fallback: DelayModel | None = None):
-        self._fallback = fallback or UnitDelay()
-
-    def delay(self, cell: Cell, position: int) -> int:
-        if cell.delay_hint is not None and position < len(cell.delay_hint):
-            return cell.delay_hint[position]
-        return self._fallback.delay(cell, position)
-
-    def cell_delays(self, circuit: "Circuit") -> List[Tuple[int, ...]]:
-        if type(self).delay is not HintedDelay.delay:
-            return super().cell_delays(circuit)
-        delays = self._fallback.cell_delays(circuit)
-        hints = circuit.cell_hints
-        if hints.count(None) == len(hints):
-            return delays
-        for ci, (kind, hint) in enumerate(zip(circuit.cell_kinds, hints)):
-            if hint is not None and kind is not CellKind.DFF:
-                own = delays[ci]
-                delays[ci] = hint[:len(own)] + own[len(hint):]
-        return delays
-
-    def describe(self) -> str:
-        return f"instance hints over {self._fallback.describe()}"
 
 
 #: Delay regimes by name, for ``--delay`` and declarative jobs.

@@ -199,19 +199,12 @@ class LanesBackend:
         if batch_cycles is not None and batch_cycles < 1:
             raise ValueError("batch_cycles must be >= 1")
         self.circuit = circuit
-        if isinstance(delay_model, ZeroDelay):
-            self.delay_model = delay_model
-            self.exact_glitches = False
-            self.batch_cycles = batch_cycles or 256
-            cc: CompiledCircuit = compile_circuit(circuit)
-        else:
-            self.delay_model = delay_model or UnitDelay()
-            self.batch_cycles = batch_cycles or 32
-            cc = compile_circuit(circuit, self.delay_model)
-            self._W = static_event_horizon(
-                cc, circuit, self.delay_model, self.name
-            )
-        self._cc = cc
+        self.delay_model = delay_model or UnitDelay()
+        self.exact_glitches = not isinstance(self.delay_model, ZeroDelay)
+        self.batch_cycles = batch_cycles or (32 if self.exact_glitches else 256)
+        cc = self._cc = compile_circuit(circuit, self.delay_model)
+        if self.exact_glitches:
+            self._W = static_event_horizon(cc, circuit, self.delay_model, self.name)
         if monitor is None:
             monitored = list(cc.driven)
         else:

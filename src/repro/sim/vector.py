@@ -155,13 +155,13 @@ class _VecPlan:
         #: pay a fresh multi-MB allocation each time.  Safe because
         #: runs are synchronous and never nested.
         self.buffers: Dict[tuple, object] = {}
-        if cc.cell_delays is not None:
+        if cc.max_delay:  # a settled snapshot needs no windows
             lo, hi = (np.asarray(w, dtype=np.int64) for w in cc.arrival_windows)
         self.groups = []
         for g in cc.cell_groups:
             outs = [np.asarray(nets, dtype=np.intp) for _, nets in g.outs]
             rows = None
-            if cc.cell_delays is not None and hi[outs[0]].max() >= 0:
+            if cc.max_delay and hi[outs[0]].max() >= 0:
                 # The union of the members' windows.  The members share
                 # their delays, so every output position reads the same
                 # input rows, each at its own offset.
@@ -259,18 +259,13 @@ class VectorBackend:
         if batch_cycles is not None and batch_cycles < 1:
             raise ValueError("batch_cycles must be >= 1")
         self.circuit = circuit
-        if isinstance(delay_model, ZeroDelay):
-            self.delay_model = delay_model
-            self.exact_glitches = False
-            cc: CompiledCircuit = compile_circuit(circuit)
-            self._W = 0
-        else:
-            self.delay_model = delay_model or UnitDelay()
-            cc = compile_circuit(circuit, self.delay_model)
-            self._W = static_event_horizon(
-                cc, circuit, self.delay_model, "vector"
-            )
-        self._cc = cc
+        self.delay_model = delay_model or UnitDelay()
+        self.exact_glitches = not isinstance(self.delay_model, ZeroDelay)
+        cc = self._cc = compile_circuit(circuit, self.delay_model)
+        self._W = (
+            static_event_horizon(cc, circuit, self.delay_model, self.name)
+            if self.exact_glitches else 0
+        )
         self.batch_cycles = batch_cycles or batch_cycles_for(cc.n_nets, self._W)
         self._plan = _plan_for(cc)
         if monitor is None:

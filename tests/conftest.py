@@ -8,6 +8,7 @@ import pytest
 
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
+from repro.sim.delays import UnitDelay
 
 
 @pytest.fixture
@@ -114,3 +115,34 @@ def random_dag_circuit(
     for k, n in enumerate(nets[-4:]):
         c.mark_output(n, f"o{k}")
     return c
+
+
+class TableDelay(UnitDelay):
+    """Per-instance delays as a delay model: *table* maps a cell name to
+    its output delays (unit delay past the end, and for a cell it does
+    not list).  It overrides ``delay``, so a compile asks it per cell."""
+
+    def __init__(self, table):
+        self.table = dict(table)
+
+    def delay(self, cell, position):
+        own = self.table.get(cell.name, ())
+        return own[position] if position < len(own) else 1
+
+    def describe(self) -> str:
+        return f"table delay over {len(self.table)} cells"
+
+    def cache_token(self) -> tuple:
+        return (type(self).__qualname__, tuple(sorted(self.table.items())))
+
+
+def random_table_delay(
+    rng: random.Random, circuit: Circuit, lo: int = 1, hi: int = 4, max_len: int = 1,
+) -> TableDelay:
+    """A :class:`TableDelay` listing about half of *circuit*'s cells, each
+    with 1..*max_len* delays drawn from ``lo..hi``."""
+    return TableDelay({
+        name: tuple(rng.randint(lo, hi) for _ in range(rng.randint(1, max_len)))
+        for name in circuit.cell_names
+        if rng.random() < 0.5
+    })

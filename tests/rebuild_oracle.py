@@ -78,14 +78,14 @@ def apply_retiming(
     # Combinational cells in a dependency-safe order is not required
     # (nets pre-exist), so original order keeps names stable.
     kinds, inputs = old.cell_kinds, old.cell_inputs
-    cell_names, hints = old.cell_names, old.cell_hints
+    cell_names = old.cell_names
     for ci in graph.vertices:
         s = graph.slot[ci]
         new_inputs = [
             registered(*taps[(s, pin)]) for pin in range(len(inputs[ci]))
         ]
         new._add_cell(kinds[ci], new_inputs, [net_map[out] for out in outputs[ci]],
-                      cell_names[ci], hints[ci])
+                      cell_names[ci])
 
     # Primary outputs, preserving order.
     for slot in range(len(old.outputs)):
@@ -133,10 +133,10 @@ def _rebuild(
         return mapped
 
     kinds, inputs = circuit.cell_kinds, circuit.cell_inputs
-    cell_names, hints = circuit.cell_names, circuit.cell_hints
+    cell_names = circuit.cell_names
     for ci in kept:
         new._add_cell(kinds[ci], [resolve(n) for n in inputs[ci]],
-                      [net_map[out] for out in outputs[ci]], cell_names[ci], hints[ci])
+                      [net_map[out] for out in outputs[ci]], cell_names[ci])
     for out in circuit.outputs:
         new.mark_output(resolve(out))
     return new
@@ -266,12 +266,12 @@ def propagate_constants(circuit: Circuit) -> Circuit:
         # Undriven internal nets (constant-0 reads) survive the copy.
         if net not in net_map:
             net_map[net] = new.new_net(name)
-    cell_names, hints = circuit.cell_names, circuit.cell_hints
+    cell_names = circuit.cell_names
     for ci, kind in enumerate(kinds):
         pieces = replacement.get(ci)
         if pieces is None:
             new._add_cell(kind, [net_map[n] for n in inputs[ci]],
-                          [net_map[out] for out in outputs[ci]], cell_names[ci], hints[ci])
+                          [net_map[out] for out in outputs[ci]], cell_names[ci])
             continue
         name = cell_names[ci]
         for k, (piece_kind, ins, outs) in enumerate(pieces):
@@ -351,7 +351,7 @@ def balance_paths(
             buffers += 1
         return chains[key]
 
-    cell_names, hints = circuit.cell_names, circuit.cell_hints
+    cell_names = circuit.cell_names
     for ci, kind in enumerate(kinds):
         ins = inputs[ci]
         if kind is CellKind.DFF:
@@ -365,7 +365,7 @@ def balance_paths(
                 max_skew = max(max_skew, skew)
                 new_inputs.append(delayed(n, skew))
         new._add_cell(kind, new_inputs, [net_map[out] for out in outputs[ci]],
-                      cell_names[ci], hints[ci])
+                      cell_names[ci])
 
     for out in circuit.outputs:
         new.mark_output(net_map[out])

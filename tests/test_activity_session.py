@@ -57,7 +57,7 @@ class TestRunBasics:
         ).run(iter(vectors))
         assert bp.useless == 0
         assert bp.total_transitions == ev.useful
-        assert bp.delay_description == "zero delay (lanes)"
+        assert bp.delay_description == "zero delay"
 
     def test_step_exception_leaves_no_stale_events(self):
         """A failed step must not corrupt subsequent cycles."""

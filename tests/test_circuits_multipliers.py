@@ -162,7 +162,7 @@ class TestFarmStamping:
         oracle, products = self._per_cell_farm(n_bits, min_cells)
         for column in (
             "cell_kinds", "cell_inputs", "cell_outputs", "cell_names",
-            "cell_hints", "net_names", "net_driver", "inputs", "outputs",
+            "net_names", "net_driver", "inputs", "outputs",
             "_net_by_name", "_cell_by_name", "_anon_net", "_anon_cell",
         ):
             assert getattr(farm, column) == getattr(oracle, column), column

@@ -565,6 +565,18 @@ class TestImportCommand:
         with pytest.raises(SystemExit, match="not a schema-v1"):
             main(["import", str(path)])
 
+    def test_import_rejects_a_delay_hint_in_one_line(self, tmp_path):
+        path = self._export(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["cells"][2]["delay_hint"] = [3]
+        path.write_text(json.dumps(doc))
+        _assert_one_line_error(
+            _run_cli(["import", str(path), "--vectors", "10"]),
+            f"{path} is not a schema-v1 netlist: cell "
+            f"{doc['cells'][2]['name']!r} carries a delay_hint; a netlist "
+            "holds no delays, the delay model times every cell (--delay)",
+        )
+
     def test_import_rejects_inputless_netlist(self, tmp_path):
         import json as _json
 
@@ -746,9 +758,28 @@ class TestBackendSelection:
         for backend in ["lanes"] + (["vector"] if numpy_available() else []):
             assert main(args + ["--delay", "zero", "--backend", backend]) == 0
             out = capsys.readouterr().out
-            assert f"zero delay ({backend})" in out
+            assert "zero delay" in out and f"({backend})" not in out
             assert count(out, "total") == useful
             assert count(out, "useless") == 0
+
+    def test_settled_output_is_the_same_on_every_engine(self, capsys, tmp_path):
+        """The settled title is the delay model's: ``--delay zero``
+        prints the same bytes on ``auto`` as on ``lanes``, and a result
+        that ``lanes`` stored reads the same when ``auto`` is served it."""
+        args = ["analyze", "--circuit", "rca6", "--vectors", "40", "--delay", "zero"]
+        assert main(args + ["--backend", "lanes"]) == 0
+        lanes = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == lanes
+        cache = ["--cache", str(tmp_path)]
+        outs = []
+        for backend in (["--backend", "lanes"], []):
+            assert main(args + backend + cache) == 0
+            outs.append(capsys.readouterr().out.split("\n", 1))
+        assert [status for status, _ in outs] == [
+            f"[cache] simulated: {tmp_path}", f"[cache] cache: {tmp_path}",
+        ]
+        assert [rest for _, rest in outs] == [lanes, lanes]
 
 
 class TestDocumentedDefaults:
@@ -760,7 +791,6 @@ class TestDocumentedDefaults:
         from repro.cli import make_parser
         from repro.core.activity import ActivityRun
         from repro.sim.backends import select_backend
-        from repro.sim.delays import ZeroDelay
 
         signature = inspect.signature(ActivityRun)
         assert signature.parameters["backend"].default == "auto"
@@ -771,7 +801,6 @@ class TestDocumentedDefaults:
             "numpy is not installed (simulated by test)",
         )
         assert select_backend() == "lanes"
-        assert select_backend(ZeroDelay()) == "lanes"
 
     @staticmethod
     def _option(command, flag):

@@ -545,6 +545,16 @@ class TestExplore:
         # The root and the 19 rebuilt results, each fingerprinted once.
         assert len(fingerprinted) == 20
 
+    def test_unit_delay_explore_compiles_each_circuit_once(self):
+        """The estimator reads structure and the timing reads unit
+        delays, both from one unit-delay snapshot per circuit."""
+        circuit, _ = build_named_circuit("array8")
+        with obs.capture() as rec:
+            result = explore(circuit, default_space(max_depth=3), n_vectors=8)
+        compiles = collections.Counter(e["args"]["circuit"] for e in rec.find("compile"))
+        assert len(compiles) == len(result.candidates)  # the root included
+        assert set(compiles.values()) == {1}
+
     def test_v1_explore_entries_are_not_served(self, tmp_path):
         """An explore entry stored before costs were stored unrounded sits
         under the ``explore-v1`` key, which this build no longer reads."""

@@ -186,9 +186,8 @@ class TestChaosSweep:
         assert baseline.n_failed == 0
 
         from repro.sim.backends import select_backend
-        from repro.sim.delays import UnitDelay
 
-        first_tier = select_backend(UnitDelay())
+        first_tier = select_backend()
         plan = FaultPlan(seed=CHAOS_SEED, faults={
             "worker.crash": FaultSpec(rate=0.5),
             "store.torn_write": FaultSpec(rate=0.4),
@@ -277,11 +276,10 @@ class TestFigure5UnderInjection:
         store write is torn."""
         from repro.experiments.rca import figure5_experiment
         from repro.sim.backends import select_backend
-        from repro.sim.delays import UnitDelay
 
         plan = FaultPlan(seed=1995, faults={
             "backend.memoryerror": FaultSpec(
-                rate=1.0, keys=(select_backend(UnitDelay()),), max_fires=1
+                rate=1.0, keys=(select_backend(),), max_fires=1
             ),
             "store.torn_write": FaultSpec(rate=1.0),
         })
@@ -334,12 +332,11 @@ class TestBackendDegradation:
     def test_degradation_emits_warning_and_matches_event(self, xor_chain):
         from repro.core.activity import ActivityRun
         from repro.sim.backends import select_backend
-        from repro.sim.delays import UnitDelay
 
         vecs = [[(i >> b) & 1 for b in range(3)] for i in range(32)]
         reference = ActivityRun(xor_chain, backend="event").run(vecs)
 
-        first_tier = select_backend(UnitDelay())
+        first_tier = select_backend()
         plan = FaultPlan(seed=4, faults={
             "backend.memoryerror": FaultSpec(
                 rate=1.0, keys=(first_tier,), max_attempt=99
@@ -393,7 +390,7 @@ class TestBackendDegradation:
         assert run.degraded == ["vector->lanes"]
         assert degraded.cycles == reference.cycles
         assert degraded.per_node == reference.per_node
-        assert degraded.delay_description == "zero delay (vector)"
+        assert degraded.delay_description == "zero delay"
 
         # The same fallback, one level down: whole RunStats.
         from repro.core.activity import _stats_with_failover
@@ -413,9 +410,8 @@ class TestBackendDegradation:
     def test_explicit_backend_does_not_degrade(self, xor_chain):
         from repro.core.activity import ActivityRun
         from repro.sim.backends import select_backend
-        from repro.sim.delays import UnitDelay
 
-        first_tier = select_backend(UnitDelay())
+        first_tier = select_backend()
         plan = FaultPlan(seed=4, faults={
             "backend.memoryerror": FaultSpec(
                 rate=1.0, keys=(first_tier,), max_attempt=99

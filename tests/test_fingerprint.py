@@ -11,6 +11,7 @@ from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.netlist.compiled import (
     MEMO_DELAY_MODELS,
+    ZERO_DELAY_FINGERPRINT,
     _CACHE,
     compile_circuit,
 )
@@ -155,8 +156,12 @@ class TestDelayFingerprint:
         )
 
     def test_zero_delay_regimes_share_one_hash(self):
+        """``ZeroDelay`` is the one settled regime; ``None`` is unit
+        delay here, as for ``compile_circuit``."""
         c = _two_gate()
-        assert delay_fingerprint(c, None) == delay_fingerprint(c, ZeroDelay())
+        assert delay_fingerprint(c, ZeroDelay()) == ZERO_DELAY_FINGERPRINT
+        assert delay_fingerprint(c, None) == delay_fingerprint(c, UnitDelay())
+        assert delay_fingerprint(c, None) != ZERO_DELAY_FINGERPRINT
 
     def test_load_delay_is_content_exact(self):
         """Stateful models hash by resolved delays, not identity."""

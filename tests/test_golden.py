@@ -50,6 +50,12 @@ CASES: Dict[str, List[List[str]]] = {
         "analyze", "--circuit", "rca16", "--backend", "event",
         "--delay", "sumcarry", "--vectors", "300",
     ]],
+    # The settled mode on ``auto``: its title is the delay model's on
+    # every engine, so the numpy and the numpy-free runs print one file.
+    "analyze-rca16-delay-zero": [[
+        "analyze", "--circuit", "rca16", "--vectors", "300",
+        "--delay", "zero", "--estimate",
+    ]],
     # Cold into a fresh store, then served from it (columnar decode).
     "analyze-array8-cache": [_ARRAY8 + ["--cache", "{tmp}/store"]] * 2,
     "balance-rca8": [["balance", "--circuit", "rca8", "--vectors", "60"]],

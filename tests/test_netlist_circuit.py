@@ -306,44 +306,41 @@ def _base() -> Circuit:
 def _state(c: Circuit) -> tuple:
     return (
         c.version, c.cell_kinds[:], c.cell_inputs[:], c.cell_outputs[:],
-        c.cell_names[:], c.cell_hints[:], c.net_names[:], c.net_driver[:],
+        c.cell_names[:], c.net_names[:], c.net_driver[:],
         dict(c._net_by_name), dict(c._cell_by_name), c._anon_net,
     )
 
 
-#: (kinds, inputs, outputs, names, hints) batches whose second or only
-#: cell add_cell rejects; nets 3 and 4 are free, net 5 is driven.
+#: (kinds, inputs, outputs, names) batches whose second or only cell
+#: add_cell rejects; nets 3 and 4 are free, net 5 is driven.
 _BAD_BATCHES = {
-    "arity": ([CellKind.NOT], [(0, 1)], [(3,)], ["g"], None),
+    "arity": ([CellKind.NOT], [(0, 1)], [(3,)], ["g"]),
     "duplicate name": (
-        [CellKind.AND, CellKind.OR], [(0, 1), (1, 2)], [(3,), (4,)],
-        ["g", "g"], None,
+        [CellKind.AND, CellKind.OR], [(0, 1), (1, 2)], [(3,), (4,)], ["g", "g"],
     ),
-    "existing name": ([CellKind.AND], [(0, 1)], [(3,)], ["inv"], None),
-    "net out of range": ([CellKind.AND], [(0, 9)], [(3,)], ["g"], None),
-    "output out of range": ([CellKind.AND], [(0, 1)], [(-1,)], ["g"], None),
-    "already driven": ([CellKind.AND], [(0, 1)], [(5,)], ["g"], None),
+    "existing name": ([CellKind.AND], [(0, 1)], [(3,)], ["inv"]),
+    "net out of range": ([CellKind.AND], [(0, 9)], [(3,)], ["g"]),
+    "output out of range": ([CellKind.AND], [(0, 1)], [(-1,)], ["g"]),
+    "already driven": ([CellKind.AND], [(0, 1)], [(5,)], ["g"]),
     "driven in batch": (
-        [CellKind.AND, CellKind.OR], [(0, 1), (1, 2)], [(3,), (3,)],
-        ["g", "h"], None,
+        [CellKind.AND, CellKind.OR], [(0, 1), (1, 2)], [(3,), (3,)], ["g", "h"],
     ),
-    "drives one net twice": ([CellKind.HA], [(0, 1)], [(3, 3)], ["h"], None),
-    "negative hint": ([CellKind.XOR], [(0, 1)], [(3,)], ["x"], [(-2,)]),
+    "drives one net twice": ([CellKind.HA], [(0, 1)], [(3, 3)], ["h"]),
 }
 
 
 class TestBulkConstruction:
     @pytest.mark.parametrize("case", sorted(_BAD_BATCHES))
     def test_add_cells_rejects_like_add_cell(self, case):
-        kinds, inputs, outputs, names, hints = _BAD_BATCHES[case]
+        columns = _BAD_BATCHES[case]
         single = _base()
         with pytest.raises(ValueError) as one:
-            for k, cell in enumerate(zip(kinds, inputs, outputs, names)):
-                single.add_cell(*cell, delay_hint=None if hints is None else hints[k])
+            for cell in zip(*columns):
+                single.add_cell(*cell)
         batch = _base()
         before = _state(batch)
         with pytest.raises(ValueError) as bulk:
-            batch.add_cells(kinds, inputs, outputs, names, hints)
+            batch.add_cells(*columns)
         assert str(bulk.value) == str(one.value)
         assert _state(batch) == before  # a rejected batch changes nothing
 
@@ -352,14 +349,13 @@ class TestBulkConstruction:
         inputs = [(0, 1), (0, 1, 2), (3, 4)]
         outputs = [(3,), (4, 6), (7,)]
         names = ["g", "f", "x"]
-        hints = [None, (2, 1), (0,)]
         single, batch = _base(), _base()
         for n in (single, batch):
             n.new_net("o1")
             n.new_net("o2")
-        for cell in zip(kinds, inputs, outputs, names, hints):
+        for cell in zip(kinds, inputs, outputs, names):
             single.add_cell(*cell)
-        assert batch.add_cells(kinds, inputs, outputs, names, hints) == range(1, 4)
+        assert batch.add_cells(kinds, inputs, outputs, names) == range(1, 4)
         assert _state(batch)[1:] == _state(single)[1:]
         assert batch.version > _state(_base())[0]
 
@@ -395,28 +391,3 @@ class TestBulkConstruction:
         with pytest.raises(ValueError, match="duplicate net name 'x'|'taken'"):
             c.add_nets(names)
         assert _state(c) == before
-
-
-class TestNegativeHints:
-    def test_add_cell_rejects_negative_hint(self):
-        c = Circuit("t")
-        a, b = c.add_input("a"), c.add_input("b")
-        with pytest.raises(ValueError, match="negative delay hint"):
-            c.add_cell(CellKind.XOR, [a, b], name="x", delay_hint=(-2,))
-        assert c.cell_kinds == [] and len(c.net_names) == 2
-
-    def test_zero_hint_stays_legal(self):
-        c = Circuit("t")
-        a = c.add_input("a")
-        cell = c.add_cell(CellKind.BUF, [a], name="b", delay_hint=(0,))
-        assert cell.delay_hint == (0,)
-
-    def test_import_rejects_negative_hint(self):
-        from repro.netlist.io import circuit_from_json, circuit_to_json
-
-        c = Circuit("t")
-        a, b = c.add_input("a"), c.add_input("b")
-        c.add_cell(CellKind.XOR, [a, b], name="x", delay_hint=(7,))
-        text = circuit_to_json(c).replace("[7]", "[-7]")
-        with pytest.raises(ValueError, match="negative delay hint"):
-            circuit_from_json(text)

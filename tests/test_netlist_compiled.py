@@ -10,14 +10,14 @@ from repro.netlist.compiled import compile_circuit
 from repro.opt.balance import balancing_report
 from repro.retime.graph import HOST, HOST_OUT, RetimingGraph
 from repro.sim.delays import (
-    HintedDelay,
     LoadDelay,
     PerKindDelay,
     SumCarryDelay,
     UnitDelay,
+    ZeroDelay,
 )
 
-from tests.conftest import random_dag_circuit
+from tests.conftest import random_dag_circuit, random_table_delay
 
 
 class TestCompileMemoization:
@@ -36,8 +36,27 @@ class TestCompileMemoization:
         )
 
     def test_structure_only_compile_cached(self, xor_chain):
-        assert compile_circuit(xor_chain) is compile_circuit(xor_chain)
-        assert compile_circuit(xor_chain).cell_delays is None
+        compiled = compile_circuit(xor_chain)
+        assert compiled is compile_circuit(xor_chain)
+        assert compiled is compile_circuit(xor_chain, UnitDelay())
+        assert compiled.cell_delays == ((1,), (1,))
+
+    def test_engines_compile_under_the_model_they_hold(self, xor_chain):
+        """One kind of snapshot: each engine holds the compile of its
+        own delay model, the settled mode's ``ZeroDelay`` included, and
+        no model is unit delay."""
+        from repro.sim.backends import LanesBackend
+        from repro.sim.engine import Simulator
+        from repro.sim.vector import VectorBackend, numpy_available
+
+        settled = compile_circuit(xor_chain, ZeroDelay())
+        assert settled.cell_delays == ((0,), (0,)) and settled.max_delay == 0
+        unit = compile_circuit(xor_chain)
+        assert settled is not unit and unit.max_delay == 1
+        assert Simulator(xor_chain)._cc is unit
+        for engine in [LanesBackend] + ([VectorBackend] if numpy_available() else []):
+            assert engine(xor_chain, ZeroDelay())._cc is settled
+            assert engine(xor_chain)._cc is unit
 
     def test_different_models_get_different_entries(self, xor_chain):
         a = compile_circuit(xor_chain, UnitDelay())
@@ -156,23 +175,6 @@ def _oracle_levels(c: Circuit, model) -> dict:
     return level
 
 
-def _with_hints(c: Circuit, rng) -> Circuit:
-    """A copy of *c* whose combinational cells each carry a delay hint
-    on their first output with probability 1/2."""
-    h = Circuit(c.name)
-    inputs = set(c.inputs)
-    for n, name in enumerate(c.net_names):
-        (h.add_input if n in inputs else h.new_net)(name)
-    for cell in c.cells:
-        hint = None
-        if not cell.is_sequential and rng.random() < 0.5:
-            hint = (rng.randint(1, 4),)
-        h.add_cell(cell.kind, cell.inputs, cell.outputs, cell.name, hint)
-    for n in c.outputs:
-        h.mark_output(n)
-    return h
-
-
 class TestTimingMatchesLevelizeOracle:
     """``levels``, the critical path, the retiming graph's vertex delays
     and the balancing report all equal the retired dict walk, on random
@@ -192,7 +194,7 @@ class TestTimingMatchesLevelizeOracle:
             {CellKind.XOR: 3, CellKind.FA: 2, CellKind.CONST1: 2}, default=1
         )
         yield c, LoadDelay(c, extra_per_load=2, loads_per_unit=1)
-        yield _with_hints(c, rng), HintedDelay(SumCarryDelay())
+        yield c, random_table_delay(rng, c)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_oracle(self, seed):

@@ -37,12 +37,17 @@ class TestJsonRoundTrip:
                 v2, _ = back.evaluate(bits)
                 assert all(v1[n] == v2[n] for n in c.outputs)
 
-    def test_delay_hint_round_trip(self):
+    def test_delay_hint_is_rejected(self):
+        """A netlist holds no delays: export writes none, and import
+        rejects a cell that carries one, naming it."""
         c = Circuit("t")
         a = c.add_input("a")
-        c.add_cell(CellKind.NOT, [a], name="g", delay_hint=[3])
-        back = circuit_from_json(circuit_to_json(c))
-        assert back.cell("g").delay_hint == (3,)
+        c.add_cell(CellKind.NOT, [a], name="g")
+        doc = json.loads(circuit_to_json(c))
+        assert "delay_hint" not in doc["cells"][0]
+        doc["cells"][0]["delay_hint"] = [3]
+        with pytest.raises(ValueError, match="cell 'g' carries a delay_hint"):
+            circuit_from_json(json.dumps(doc))
 
     def test_flipflops_round_trip(self):
         c = Circuit("t")

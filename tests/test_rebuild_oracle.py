@@ -26,7 +26,7 @@ def _snapshot(circuit):
     c = circuit[0] if isinstance(circuit, tuple) else circuit
     return (
         c.name, c.net_names, c.net_driver, c.cell_kinds, c.cell_inputs,
-        c.cell_outputs, c.cell_names, c.cell_hints, c.inputs, c.outputs,
+        c.cell_outputs, c.cell_names, c.inputs, c.outputs,
         c._anon_net, c.fingerprint(),
         circuit[1] if isinstance(circuit, tuple) else None,
     )
@@ -41,9 +41,9 @@ def _outcome(fn, *args):
 
 
 def _circuit(seed, with_ffs, loops, consts, undriven):
-    """A random circuit with one delay-hinted output gate, plus
-    *undriven* internal nets read by new gates; every other one is an
-    output, the rest feed one."""
+    """A random circuit with one more output gate, plus *undriven*
+    internal nets read by new gates; every other one is an output, the
+    rest feed one."""
     rng = random.Random(seed)
     c = random_dag_circuit(
         rng,
@@ -55,8 +55,7 @@ def _circuit(seed, with_ffs, loops, consts, undriven):
     )
     nets = list(range(len(c.net_names)))
     pins = [rng.choice(nets), rng.choice(nets)]
-    hinted = c.add_cell(CellKind.XOR, pins, name="hx", delay_hint=(rng.randint(0, 3),))
-    c.mark_output(hinted.outputs[0])
+    c.mark_output(c.gate(CellKind.XOR, *pins, name="hx"))
     for k in range(undriven):
         u = c.new_net(f"u{k}")
         kind = rng.choice([CellKind.AND, CellKind.XOR, CellKind.OR])

@@ -26,7 +26,6 @@ from repro.sim.backends import (
     get_backend,
 )
 from repro.sim.delays import (
-    HintedDelay,
     LoadDelay,
     PerKindDelay,
     SumCarryDelay,
@@ -50,7 +49,6 @@ def _delay_models(rng, circuit):
         SumCarryDelay(dsum=3, dcarry=1, other=2),
         PerKindDelay({CellKind.XOR: 3, CellKind.FA: 2}, default=1),
         LoadDelay(circuit, base=1, extra_per_load=rng.randint(1, 2)),
-        HintedDelay(),
     ]
 
 
@@ -246,7 +244,7 @@ class TestActivitySession:
         assert run.exact_glitches is False
         assert isinstance(run.delay_model, ZeroDelay)
         result = run.run(iter(vectors))
-        assert result.delay_description == "zero delay (lanes)"
+        assert result.delay_description == "zero delay"
         reference = _zero_delay(c).run(iter(vectors))
         assert result.per_node == reference.per_node
 

@@ -36,7 +36,6 @@ from repro.sim.backends import (
     select_backend,
 )
 from repro.sim.delays import (
-    HintedDelay,
     LoadDelay,
     PerKindDelay,
     SumCarryDelay,
@@ -45,7 +44,7 @@ from repro.sim.delays import (
 )
 from repro.sim.vector import VectorBackend, numpy_available
 
-from tests.conftest import random_dag_circuit
+from tests.conftest import random_dag_circuit, random_table_delay
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(),
@@ -66,7 +65,6 @@ def _delay_models(rng, circuit):
         SumCarryDelay(dsum=3, dcarry=1, other=2),
         PerKindDelay({CellKind.XOR: 3, CellKind.FA: 2}, default=1),
         LoadDelay(circuit, base=1, extra_per_load=rng.randint(1, 2)),
-        HintedDelay(),
     ]
 
 
@@ -173,6 +171,40 @@ class TestEquivalenceWithEventDriven:
             zl = LanesBackend(c, ZeroDelay()).run(iter(vectors))
             vc = VectorBackend(c, ZeroDelay()).run(iter(vectors))
             _assert_stats_equal(zl, vc)
+
+    def test_per_instance_delays_match_event(self, rng):
+        """A model that overrides ``delay`` per cell splits one level's
+        cells of a kind into groups by delay, each with its own rows."""
+        split = False
+        for trial in range(8):
+            c = random_dag_circuit(
+                rng, n_inputs=rng.randint(2, 6), n_gates=rng.randint(10, 40),
+                with_ffs=trial % 2 == 1,
+            )
+            vectors = _random_vectors(rng, c, rng.randint(2, 40))
+            dm = random_table_delay(rng, c, max_len=2)
+            split |= len(compile_circuit(c, dm).cell_groups) > len(
+                compile_circuit(c).cell_groups
+            )
+            ev = EventDrivenBackend(c, dm).run(iter(vectors))
+            vc = VectorBackend(c, dm).run(iter(vectors))
+            _assert_stats_equal(ev, vc)
+        assert split
+
+    def test_settled_plan_reads_no_windows(self, rng):
+        """A settled snapshot (``max_delay`` 0) plans without an
+        arrival-window pass; a timed one reads the windows."""
+        from repro.sim.vector import _plan_for
+
+        c = random_dag_circuit(rng, n_inputs=4, n_gates=20, with_ffs=True)
+        vectors = _random_vectors(rng, c, 10)
+        for model, timed in ((ZeroDelay(), False), (UnitDelay(), True)):
+            VectorBackend(c, model).run(iter(vectors))
+            cc = compile_circuit(c, model)
+            assert bool(cc.max_delay) is timed
+            assert ("arrival_windows" in cc.__dict__) is timed
+            rows = [g.rows is not None for g in _plan_for(cc).groups]
+            assert any(rows) is timed
 
     def test_monitor_restriction(self, rng):
         c = random_dag_circuit(rng, n_inputs=4, n_gates=15)
@@ -363,8 +395,6 @@ class TestWithoutNumpy:
 
     def test_auto_policy_falls_back_to_pure_python(self):
         assert select_backend() == "lanes"
-        assert select_backend(UnitDelay()) == "lanes"
-        assert select_backend(ZeroDelay()) == "lanes"
 
     def test_constructor_raises(self, xor_chain):
         with pytest.raises(BackendUnavailableError, match="numpy"):

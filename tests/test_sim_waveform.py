@@ -26,7 +26,6 @@ from repro.sim.backends import (
 )
 from repro.sim.vector import numpy_available
 from repro.sim.delays import (
-    HintedDelay,
     LoadDelay,
     PerKindDelay,
     SumCarryDelay,
@@ -35,7 +34,7 @@ from repro.sim.delays import (
 )
 from repro.netlist.cells import CellKind
 
-from tests.conftest import random_dag_circuit
+from tests.conftest import random_dag_circuit, random_table_delay
 
 
 def _random_vectors(rng, circuit, count):
@@ -51,7 +50,6 @@ def _delay_models(rng, circuit):
         SumCarryDelay(dsum=3, dcarry=1, other=2),
         PerKindDelay({CellKind.XOR: 3, CellKind.FA: 2}, default=1),
         LoadDelay(circuit, base=1, extra_per_load=rng.randint(1, 2)),
-        HintedDelay(),
     ]
 
 
@@ -102,17 +100,6 @@ class TestSelectBackendPolicy:
         # without numpy the policy falls back to the lanes engine.
         expected = "vector" if numpy_available() else "lanes"
         assert select_backend() == expected
-        assert select_backend(UnitDelay()) == expected
-        assert select_backend(SumCarryDelay()) == expected
-
-    def test_traces_and_vcd_fall_back_to_event(self):
-        assert select_backend(record_events=True) == "event"
-        assert select_backend(want_traces=True) == "event"
-        assert select_backend(UnitDelay(), record_events=True) == "event"
-
-    def test_zero_delay_uses_fastest_settled_engine(self):
-        expected = "vector" if numpy_available() else "lanes"
-        assert select_backend(ZeroDelay()) == expected
 
     def test_activity_run_resolves_auto(self, xor_chain):
         glitch = "vector" if numpy_available() else "lanes"
@@ -169,6 +156,20 @@ class TestEquivalenceWithEventDriven:
                 ev = EventDrivenBackend(c, dm).run(iter(vectors))
                 wf = LanesBackend(c, dm).run(iter(vectors))
                 _assert_stats_equal(ev, wf)
+
+    def test_per_instance_delays_match_event(self, rng):
+        """A model that overrides ``delay`` per cell: its instance
+        delays, not the kind's, time the lanes engine's waveforms."""
+        for trial in range(8):
+            c = random_dag_circuit(
+                rng, n_inputs=rng.randint(2, 6), n_gates=rng.randint(10, 40),
+                with_ffs=trial % 2 == 1,
+            )
+            vectors = _random_vectors(rng, c, rng.randint(2, 40))
+            dm = random_table_delay(rng, c, max_len=2)
+            ev = EventDrivenBackend(c, dm).run(iter(vectors))
+            wf = LanesBackend(c, dm).run(iter(vectors))
+            _assert_stats_equal(ev, wf)
 
     def test_batch_size_invariance(self, rng):
         c = random_dag_circuit(rng, n_inputs=4, n_gates=20, with_ffs=True)
