@@ -14,13 +14,42 @@ identical netlist.  Names:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Tuple
 
 from repro.circuits.adders import build_rca_circuit
 from repro.circuits.direction_detector import build_direction_detector
+from repro.circuits.farm import build_multiplier_farm
 from repro.circuits.multipliers import build_multiplier_circuit
 from repro.netlist.circuit import Circuit
 from repro.sim.vectors import WordStimulus
+
+
+def _sized(build, words: str):
+    """A sized family: ``build(n)``, with a word stimulus over its *words*."""
+    def family(n: int) -> Tuple[Circuit, WordStimulus]:
+        circuit, ports = build(n)
+        return circuit, WordStimulus({w: ports[w] for w in words})
+    return family
+
+
+def _detector() -> Tuple[Circuit, WordStimulus]:
+    from repro.experiments.detector import detector_stimulus
+
+    circuit, ports = build_direction_detector()
+    return circuit, detector_stimulus(ports)
+
+
+#: Name family -> builder.  A family ending in ``N`` is sized: its
+#: names are the prefix and a width 1..64 (``rca16``), which the
+#: builder takes; any other family is one exact name.
+CATALOG = {
+    "rcaN": _sized(partial(build_rca_circuit, with_cin=False), "ab"),
+    "arrayN": _sized(partial(build_multiplier_circuit, architecture="array"), "xy"),
+    "wallaceN": _sized(partial(build_multiplier_circuit, architecture="wallace"), "xy"),
+    "farmN": _sized(build_multiplier_farm, "xy"),
+    "detector": _detector,
+}
 
 
 def _parse_size(name: str, prefix: str) -> int:
@@ -33,6 +62,19 @@ def _parse_size(name: str, prefix: str) -> int:
     return n
 
 
+def _builder(name: str):
+    """The call that builds *name*; raises ``ValueError`` for a bad name."""
+    for family, build in CATALOG.items():
+        if family.endswith("N") and name.startswith(family[:-1]):
+            return partial(build, _parse_size(name, family[:-1]))
+        if name == family:
+            return build
+    raise ValueError(
+        f"unknown circuit {name!r}; "
+        "try rca16, array8, wallace8, farm16, detector"
+    )
+
+
 def validate_name(name: str) -> str:
     """Check *name* is a known catalog entry without building it.
 
@@ -40,45 +82,10 @@ def validate_name(name: str) -> str:
     bad circuit axis fails before anything simulates.  Returns the
     name; raises ``ValueError`` like :func:`build_named_circuit`.
     """
-    if name.startswith("rca"):
-        _parse_size(name, "rca")
-    elif name.startswith("array"):
-        _parse_size(name, "array")
-    elif name.startswith("wallace"):
-        _parse_size(name, "wallace")
-    elif name.startswith("farm"):
-        _parse_size(name, "farm")
-    elif name != "detector":
-        raise ValueError(
-            f"unknown circuit {name!r}; "
-            "try rca16, array8, wallace8, farm16, detector"
-        )
+    _builder(name)
     return name
 
 
 def build_named_circuit(name: str) -> Tuple[Circuit, WordStimulus]:
     """Construct a circuit by catalog name; returns it with its stimulus."""
-    if name.startswith("rca"):
-        n = _parse_size(name, "rca")
-        circuit, ports = build_rca_circuit(n, with_cin=False)
-        return circuit, WordStimulus({"a": ports["a"], "b": ports["b"]})
-    if name.startswith("array") or name.startswith("wallace"):
-        arch = "array" if name.startswith("array") else "wallace"
-        n = _parse_size(name, arch)
-        circuit, ports = build_multiplier_circuit(n, arch)
-        return circuit, WordStimulus({"x": ports["x"], "y": ports["y"]})
-    if name.startswith("farm"):
-        from repro.circuits.farm import build_multiplier_farm
-
-        n = _parse_size(name, "farm")
-        circuit, ports = build_multiplier_farm(n)
-        return circuit, WordStimulus({"x": ports["x"], "y": ports["y"]})
-    if name == "detector":
-        from repro.experiments.detector import detector_stimulus
-
-        circuit, ports = build_direction_detector()
-        return circuit, detector_stimulus(ports)
-    raise ValueError(
-        f"unknown circuit {name!r}; "
-        "try rca16, array8, wallace8, farm16, detector"
-    )
+    return _builder(name)()

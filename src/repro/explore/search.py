@@ -21,9 +21,9 @@ glitch-exact simulation*:
 
 Every unique candidate is built once, from scratch: its transform
 output is estimated by :func:`~repro.explore.cost.estimated_cost`.
-Transform applications are memoized per parent circuit object
-(:data:`_TRANSFORM_MEMO`; a traced application is an
-``explore.transform`` span, ``outcome`` ``noop`` or ``rebuilt``).
+Transform applications are memoized in the parent circuit's memo
+(:func:`_applied`; a traced application is an ``explore.transform``
+span, ``outcome`` ``noop`` or ``rebuilt``).
 Candidate simulations fan out through the batch machinery
 (:func:`repro.service.jobs.run_circuit_tasks`): with a result store
 they resume warm — re-running an exploration, or running a larger one
@@ -36,7 +36,6 @@ trustworthy (see the README's estimation-gap guidance).
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -65,40 +64,18 @@ from repro.sim.vectors import StimulusSpec, UniformStimulus
 
 STRATEGIES = ("exhaustive", "beam", "greedy")
 
-#: Transform-application memo, keyed per parent :class:`Circuit`
-#: *object* (same weak-keyed idiom as the retiming-graph memo in
-#: :mod:`repro.explore.specs`).  A repeated exploration of the same
-#: netlist — a service sweep, an interactive session widening the
-#: beam, the committed throughput benchmark — re-applies the exact
-#: same ``(parent, spec)`` moves, and the transform passes (retiming's
-#: LP in particular) dominate expansion cost.  Because the cached child
-#: is itself the parent object of the next depth, the whole chain tree
-#: becomes memo-stable after one pass.  Entries die with the parent
-#: circuit; the per-circuit slot is keyed by ``Circuit.version`` so a
-#: mutated netlist can never reuse stale results.  A no-op entry holds
-#: ``None``: naming its own key, it would keep the parent alive.
-_TRANSFORM_MEMO: "weakref.WeakKeyDictionary[Circuit, Dict[tuple, tuple]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _applied(
     parent: Circuit, spec: TransformSpec, delay_model: DelayModel
 ) -> Tuple[Circuit, Dict[str, Any]]:
-    """Memoized ``spec.apply(parent, delay_model)``."""
-    per = _TRANSFORM_MEMO.setdefault(parent, {})
-    key = (parent.version, delay_model.cache_token(), spec)
-    hit = per.get(key)
-    if hit is None:
-        for stale in [k for k in per if k[0] != parent.version]:
-            del per[stale]
+    """``spec.apply(parent, delay_model)``, memoized in *parent*'s memo: a
+    repeated exploration of one netlist applies no transform twice."""
+    def apply() -> Tuple[Circuit, Dict[str, Any]]:
         with obs.span("explore.transform", kind=spec.kind) as span:
             child, info = spec.apply(parent, delay_model)
             span.set(outcome="noop" if child is parent else "rebuilt")
-        per[key] = (None if child is parent else child, info)
         return child, info
-    child, info = hit
-    return (parent if child is None else child), info
+
+    return parent.memo(("transform", spec, delay_model), apply)
 
 
 @dataclass
@@ -389,7 +366,7 @@ def explore(
     then extracts the Pareto front over (power, area, latency) from
     the simulated costs.  Chains that yield an already-seen circuit
     (same fingerprint) merge into its candidate, and transform results
-    are memoized per parent circuit object, so a second call on the
+    are memoized in the parent circuit's memo, so a second call on the
     same *circuit* applies no transform.  With *store*, candidate
     simulations resume warm through the content-addressed cache and
     the whole exploration result is itself cached under the

@@ -29,8 +29,6 @@ search must respect.
 
 from __future__ import annotations
 
-import copy
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
 
@@ -45,33 +43,6 @@ from repro.sim.delays import DelayModel
 #: A candidate is a chain of transforms applied left to right; the
 #: empty chain is the unmodified circuit.
 Chain = Tuple["TransformSpec", ...]
-
-#: Retiming-graph memo: building ``RetimingGraph.from_circuit`` is the
-#: dominant cost of expanding several ``retime(stages=k)`` candidates
-#: from one parent, so graphs are shared per (circuit, delay regime).
-#: Keyed by ``Circuit.version`` inside the per-circuit slot so a
-#: mutated netlist never reuses a stale graph.  Entries hold the graph
-#: detached from its circuit (``circuit=None``): a value that pointed
-#: back at its own weak key would keep every explored circuit alive.
-_GRAPH_MEMO: "weakref.WeakKeyDictionary[Circuit, Dict[Tuple[int, str], RetimingGraph]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _shared_graph(circuit: Circuit, delay_model: DelayModel) -> RetimingGraph:
-    per_delay = _GRAPH_MEMO.setdefault(circuit, {})
-    key = (circuit.version, delay_model.describe())
-    graph = per_delay.get(key)
-    if graph is None:
-        for stale in [k for k in per_delay if k[0] != circuit.version]:
-            del per_delay[stale]
-        graph = per_delay[key] = RetimingGraph.from_circuit(
-            circuit, delay_model
-        )
-        graph.circuit = None
-    bound = copy.copy(graph)  # shares every array; rebinds the circuit
-    bound.circuit = circuit
-    return bound
 
 
 def _apply_balance(
@@ -89,10 +60,13 @@ def _apply_retime(
 ) -> Tuple[Circuit, Dict[str, Any]]:
     if not isinstance(stages, int) or stages < 0:
         raise ValueError(f"retime stages must be an int >= 0, got {stages!r}")
-    result = pipeline_circuit(
-        circuit, stages, delay_model=delay_model,
-        graph=_shared_graph(circuit, delay_model),
+    # Building the graph dominates expanding several retime(stages=k)
+    # candidates from one parent, so they share one, in its memo.
+    graph = circuit.memo(
+        ("retiming-graph", delay_model),
+        lambda: RetimingGraph.from_circuit(circuit, delay_model),
     )
+    result = pipeline_circuit(circuit, stages, delay_model=delay_model, graph=graph)
     return result.circuit, {
         "period": result.period,
         "flipflops": result.flipflops,

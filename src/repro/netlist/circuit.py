@@ -5,8 +5,10 @@ most one driver (a cell output or a primary input).  Words (buses) are
 plain Python lists of net indices, least-significant bit first; helper
 methods create and register them under dotted names such as ``a[3]``.
 
-The netlist is flat lists (fanout: CSR arrays per version); ``cells``
-and ``nets`` are read-only sequences building values on each access.
+The netlist is flat lists; ``cells`` and ``nets`` are read-only
+sequences building values on each access.  What is derived from a
+netlist (fanout, fingerprint, compiled snapshots, explore's transform
+results) lives in its per-version memo, :meth:`Circuit.memo`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections.abc import Sequence as _SequenceABC
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, List, Sequence, Tuple, TypeVar
 
 from repro import _nogc
 from repro.netlist.cells import (
@@ -24,6 +26,8 @@ from repro.netlist.cells import (
     OUTPUT_COUNT,
     check_arity,
 )
+
+T = TypeVar("T")
 
 
 @dataclass(slots=True)
@@ -84,7 +88,9 @@ class Circuit:
         c.mark_output(cout, "cout")
 
     Read the flat lists; change them only through the construction
-    methods, which check every change and bump :attr:`version`.
+    methods, which check every change and bump :attr:`version`.  What
+    is derived from them lives in :meth:`memo`, which a version bump
+    empties.
     """
 
     def __init__(self, name: str = "circuit") -> None:
@@ -104,21 +110,35 @@ class Circuit:
         self._anon_net = 0
         self._anon_cell = 0
         self._version = 0
-        #: ``(version, (start, readers))``, written by :meth:`fanout_csr`.
-        self._fanout: Tuple[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] | None = None
-        #: ``(version, digest, canonical cell order)``, written by
-        #: :func:`repro.netlist.compiled.circuit_fingerprint`.
-        self._fingerprint: Tuple[int, str, Tuple[int, ...]] | None = None
+        #: ``(version, {key: value})``: see :meth:`memo`.
+        self._memo: Tuple[int, dict] = (-1, {})
 
     @property
     def version(self) -> int:
-        """Mutation counter; bumped by every structural change.
-
-        Consumers that cache derived structure (notably the compiled IR
-        in :mod:`repro.netlist.compiled`) compare this to detect
-        staleness instead of hashing the whole netlist.
-        """
+        """Mutation counter; bumped by every structural change, which
+        drops every :meth:`memo` entry."""
         return self._version
+
+    def memo(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per *key* and :attr:`version`.
+
+        The one home of what is derived from this netlist: the fanout,
+        the fingerprint and canonical order, the compiled snapshots
+        (keyed by delay model) and explore's transform results and
+        retiming graphs.  A mutation drops every entry; the memo dies
+        with the circuit, and a copy or a pickle starts without it.
+        """
+        version, entries = self._memo
+        if version != self._version:
+            entries = {}
+            self._memo = (self._version, entries)
+        if key not in entries:
+            entries[key] = build()
+        return entries[key]
+
+    def __getstate__(self) -> dict:
+        """The netlist without its memo: a copy or a pickle starts empty."""
+        return {**self.__dict__, "_memo": (-1, {})}
 
     @property
     def cells(self) -> Sequence[Cell]:
@@ -146,10 +166,10 @@ class Circuit:
     def fanout_csr(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Every net's readers, once per pin and in cell order, as CSR arrays:
         net *n* is read by ``readers[start[n]:start[n + 1]]``.  Memoized
-        per :attr:`version`, as tuples: the collector stops tracking them."""
-        cached = self._fanout
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
+        (:meth:`memo`), as tuples: the collector stops tracking them."""
+        return self.memo("fanout", self._fanout_csr)
+
+    def _fanout_csr(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         counts = [0] * (len(self.net_names) + 1)
         for ins in self.cell_inputs:
             for n in ins:
@@ -161,8 +181,7 @@ class Circuit:
             for n in ins:
                 readers[fill[n]] = ci
                 fill[n] += 1
-        csr = self._fanout = (self._version, (tuple(start), tuple(readers)))
-        return csr[1]
+        return tuple(start), tuple(readers)
 
     # ------------------------------------------------------------------
     # construction
@@ -386,7 +405,7 @@ class Circuit:
         the rules and messages have one home and this circuit stays as it is.
         """
         trial = Circuit.__new__(Circuit)  # its lists and dicts are copies
-        trial.__dict__ = {k: copy(v) for k, v in self.__dict__.items()}
+        trial.__dict__ = {k: copy(v) for k, v in self.__getstate__().items()}
         for cell in zip(kinds, inputs, outputs, names):
             trial._add_cell(*cell)
         raise AssertionError("add_cells: no cell of the rejected batch fails")
@@ -443,17 +462,12 @@ class Circuit:
         insertion-order independent, port-order sensitive (see
         :func:`repro.netlist.compiled.circuit_fingerprint`).  The
         service layer uses this as the circuit half of its
-        content-addressed result keys; the compiled-IR memo shares the
-        same identity notion via :attr:`version` invalidation.
-        Memoized per version, together with :meth:`canonical_order`,
-        so repeated calls are free.
+        content-addressed result keys.  Memoized (:meth:`memo`),
+        together with :meth:`canonical_order`, so repeated calls are free.
         """
-        cached = self._fingerprint
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
         from repro.netlist.compiled import circuit_fingerprint
 
-        return circuit_fingerprint(self)
+        return self.memo("fingerprint", lambda: circuit_fingerprint(self))
 
     def canonical_order(self) -> Tuple[int, ...]:
         """Cell indices in the fingerprint's canonical (name-sorted) order.
@@ -461,9 +475,10 @@ class Circuit:
         The same order for every insertion order of one netlist, so a
         per-cell fact listed in it hashes insertion-order
         independently (:func:`repro.netlist.compiled.delay_fingerprint`).
+        The fingerprint pass sorts it and files it in the memo.
         """
         self.fingerprint()
-        return self._fingerprint[2]
+        return self._memo[1]["canonical order"]
 
     # ------------------------------------------------------------------
     # structure queries

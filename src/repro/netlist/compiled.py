@@ -2,12 +2,14 @@
 
 A :class:`Circuit` is convenient to build and query but expensive to
 simulate directly.  :func:`compile_circuit` flattens it exactly once
-per ``(Circuit version, DelayModel)`` pair and memoizes the result, so
-constructing simulators and evaluating circuits becomes O(nets)
-instead of O(cells·outputs) with repeated delay-model calls.  A
-compile without a delay model is the unit-delay one (``None`` means
-:class:`~repro.sim.delays.UnitDelay` here as everywhere), so code that
-reads only structure shares the unit-delay snapshot.
+per circuit version and delay model, in the circuit's memo
+(:meth:`Circuit.memo`), so constructing simulators and evaluating
+circuits becomes O(nets) instead of O(cells·outputs) with repeated
+delay-model calls.  A compile without a delay model is the unit-delay
+one (``None`` means :class:`~repro.sim.delays.UnitDelay` here as
+everywhere), so code that reads only structure shares the unit-delay
+snapshot.  The model is the memo key: the four built-in kind models by
+value, any other model by identity.
 
 A compile builds only the flat core that every consumer reads:
 
@@ -22,21 +24,15 @@ A compile builds only the flat core that every consumer reads:
   level, both from one Kahn pass;
 * the flipflop wiring (cell, D net, Q net) as parallel tuples.
 
-Everything else is a lazy view, built on first access for the
-consumer that reads it: the fused bitmask kernels (event and lanes
-engines), the combinational fanout (event and lanes), the estimators'
-``topo_steps``, the vector tier's groups, the arrival windows and the
-per-net arrival levels.  :meth:`CompiledCircuit.evaluate_flat` reads
-the kind table, so a vector or estimate run builds no per-cell closure.
-
-Memoization is keyed on the circuit object (weakly, so compiled forms
-die with their circuits) plus :meth:`DelayModel.cache_token`, and
-invalidated by :attr:`Circuit.version`, which every netlist mutation
-bumps.  Per circuit, at most :data:`MEMO_DELAY_MODELS` delay-model
-entries are retained (least-recently-used eviction), so a long-lived
-service process sweeping many delay models cannot grow the memo
-without bound.  All simulation backends (:mod:`repro.sim.backends`)
-and :meth:`Circuit.evaluate` share this cache.
+All but the delays come from one structural pass per circuit version
+(the ``compile`` span) that every model's snapshot shares, so a second
+model costs one :func:`resolve_delays`.  Everything else is a lazy
+view, built on first access for the consumer that reads it: the fused
+bitmask kernels (event and lanes engines), the combinational fanout
+(event and lanes), the estimators' ``topo_steps``, the vector tier's
+groups, the arrival windows and the per-net arrival levels.
+:meth:`CompiledCircuit.evaluate_flat` reads the kind table, so a
+vector or estimate run builds no per-cell closure.
 
 This module is also the home of **canonical fingerprinting**
 (:func:`circuit_fingerprint`, :func:`delay_fingerprint`): stable
@@ -51,12 +47,10 @@ order.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Sequence, Tuple
-from weakref import WeakKeyDictionary
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro import _nogc
 from repro.netlist.cells import CellKind, _BIT_EVALUATORS
@@ -187,7 +181,6 @@ class CompiledCircuit:
     """
 
     name: str
-    version: int
     n_nets: int
     inputs: Tuple[int, ...]
     input_set: frozenset
@@ -271,6 +264,16 @@ class CompiledCircuit:
         return codegen.arrival_levels(self)
 
     # ------------------------------------------------------------------
+    def monitored(self, monitor: Iterable[int] | None = None) -> Sequence[bool]:
+        """Per net, whether a run counts it: the driven nets, or exactly
+        the nets of *monitor* (the engines' one rule)."""
+        if monitor is None:
+            return self.driven
+        mask = [False] * self.n_nets
+        for n in monitor:
+            mask[n] = True
+        return mask
+
     def evaluate_flat(
         self,
         input_values: Sequence[int],
@@ -307,52 +310,24 @@ class CompiledCircuit:
         return values, next_state
 
 
-#: circuit -> OrderedDict{delay cache token -> CompiledCircuit} (LRU)
-_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
-
-#: Per-circuit bound on memoized (delay model -> compiled form)
-#: entries.  Small on purpose: a run touches a handful of delay models
-#: at a time, while a long-lived service process may sweep hundreds —
-#: without a cap the memo would retain all of them for as long as the
-#: circuit lives.
-MEMO_DELAY_MODELS = 8
-
-
 def compile_circuit(
     circuit: "Circuit", delay_model: "DelayModel | None" = None
 ) -> CompiledCircuit:
-    """Return the (memoized) compiled form of *circuit* under *delay_model*.
+    """Return the compiled form of *circuit* under *delay_model*.
 
-    *delay_model* ``None`` is :class:`~repro.sim.delays.UnitDelay` and
-    shares its entry, so structure-only readers (the topological order,
-    functional evaluation, the estimators) and unit-delay timing compile
-    a circuit once.  Each distinct delay model (by
-    :meth:`DelayModel.cache_token`) gets its own entry, up to
-    :data:`MEMO_DELAY_MODELS` per circuit (least-recently-used eviction
-    beyond that); mutating the circuit invalidates all of them.
+    Built once per circuit version and model, in the circuit's memo
+    (:meth:`Circuit.memo`).  *delay_model* ``None`` is
+    :class:`~repro.sim.delays.UnitDelay` and shares its entry, so
+    structure-only readers (the topological order, functional
+    evaluation, the estimators) and unit-delay timing read one
+    snapshot.  The model itself is the key: the built-in kind models
+    by value, any other by identity.
     """
     if delay_model is None:
         from repro.sim.delays import UnitDelay
 
         delay_model = UnitDelay()
-    key: Hashable = delay_model.cache_token()
-    per_circuit = _CACHE.get(circuit)
-    if per_circuit is None:
-        per_circuit = _CACHE[circuit] = OrderedDict()
-    cached = per_circuit.get(key)
-    if cached is not None and cached.version == circuit.version:
-        per_circuit.move_to_end(key)
-        return cached
-    if per_circuit and next(iter(per_circuit.values())).version != circuit.version:
-        per_circuit.clear()  # the whole snapshot generation is stale
-    with obs.span("compile", circuit=getattr(circuit, "name", "?")):
-        obs.inc("compile.full")
-        compiled = _build(circuit, delay_model)
-    per_circuit[key] = compiled
-    per_circuit.move_to_end(key)
-    while len(per_circuit) > MEMO_DELAY_MODELS:
-        per_circuit.popitem(last=False)
-    return compiled
+    return circuit.memo(("compile", delay_model), lambda: _build(circuit, delay_model))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +361,9 @@ def circuit_fingerprint(circuit: "Circuit") -> str:
     changes the hash; re-building the identical netlist in a different
     order does not.
 
-    The records' sort order is the canonical cell order, memoized with
-    the digest per circuit version (:meth:`Circuit.canonical_order`).
-    Prefer :meth:`Circuit.fingerprint`, which reads that memo.
+    The records' sort order is the canonical cell order, filed in the
+    circuit's memo (:meth:`Circuit.canonical_order`).  Prefer
+    :meth:`Circuit.fingerprint`, which memoizes the digest beside it.
     """
     names = circuit.net_names
     with obs.span("netlist.fingerprint", circuit=circuit.name, cells=len(circuit.cell_kinds)):
@@ -411,7 +386,7 @@ def circuit_fingerprint(circuit: "Circuit") -> str:
             tuple([records[ci] for ci in order]),
         )
         digest = _digest(doc)
-    circuit._fingerprint = (circuit.version, digest, tuple(order))
+    circuit.memo("canonical order", lambda: tuple(order))
     return digest
 
 
@@ -461,37 +436,44 @@ def resolve_delays(
 
 @_nogc
 def _build(circuit: "Circuit", delay_model: "DelayModel") -> CompiledCircuit:
-    DFF = CellKind.DFF
-    cell_kinds = tuple(circuit.cell_kinds)
-    cell_inputs = tuple(circuit.cell_inputs)
-    cell_outputs = tuple(circuit.cell_outputs)
-    cell_is_seq = tuple([kind is DFF for kind in cell_kinds])
-    ff_cells = tuple([ci for ci, seq in enumerate(cell_is_seq) if seq])
     cell_delays = resolve_delays(circuit, delay_model)
-    max_delay = max(0, max(chain.from_iterable(set(cell_delays)), default=0))
-    topo, cell_levels = _topo_order(
-        circuit.name, cell_inputs, cell_outputs, cell_is_seq, circuit.net_driver,
-    )
     return CompiledCircuit(
-        name=circuit.name,
-        version=circuit.version,
-        n_nets=len(circuit.net_names),
-        inputs=tuple(circuit.inputs),
-        input_set=frozenset(circuit.inputs),
-        outputs=tuple(circuit.outputs),
-        driven=tuple([ci >= 0 for ci in circuit.net_driver]),
-        cell_kinds=cell_kinds,
-        cell_inputs=cell_inputs,
-        cell_outputs=cell_outputs,
-        cell_is_seq=cell_is_seq,
-        topo=topo,
-        cell_levels=cell_levels,
-        ff_cells=ff_cells,
-        ff_d=tuple([cell_inputs[ci][0] for ci in ff_cells]),
-        ff_q=tuple([cell_outputs[ci][0] for ci in ff_cells]),
+        **circuit.memo("structure", lambda: _structure(circuit)),
         cell_delays=cell_delays,
-        max_delay=max_delay,
+        max_delay=max(0, max(chain.from_iterable(set(cell_delays)), default=0)),
     )
+
+
+def _structure(circuit: "Circuit") -> Dict[str, Any]:
+    """The delay-free fields of a snapshot, shared by every delay model's."""
+    with obs.span("compile", circuit=circuit.name):
+        obs.inc("compile.full")
+        DFF = CellKind.DFF
+        cell_kinds = tuple(circuit.cell_kinds)
+        cell_inputs = tuple(circuit.cell_inputs)
+        cell_outputs = tuple(circuit.cell_outputs)
+        cell_is_seq = tuple([kind is DFF for kind in cell_kinds])
+        ff_cells = tuple([ci for ci, seq in enumerate(cell_is_seq) if seq])
+        topo, cell_levels = _topo_order(
+            circuit.name, cell_inputs, cell_outputs, cell_is_seq, circuit.net_driver,
+        )
+        return dict(
+            name=circuit.name,
+            n_nets=len(circuit.net_names),
+            inputs=tuple(circuit.inputs),
+            input_set=frozenset(circuit.inputs),
+            outputs=tuple(circuit.outputs),
+            driven=tuple([ci >= 0 for ci in circuit.net_driver]),
+            cell_kinds=cell_kinds,
+            cell_inputs=cell_inputs,
+            cell_outputs=cell_outputs,
+            cell_is_seq=cell_is_seq,
+            topo=topo,
+            cell_levels=cell_levels,
+            ff_cells=ff_cells,
+            ff_d=tuple([cell_inputs[ci][0] for ci in ff_cells]),
+            ff_q=tuple([cell_outputs[ci][0] for ci in ff_cells]),
+        )
 
 
 def _topo_order(

@@ -13,8 +13,9 @@ The paper's experiments use three delay regimes, all expressible here:
 
 The delay model is the only source of delays: a netlist holds none.
 A per-instance delay is a model too: subclass one and override
-:meth:`DelayModel.delay`, which is then asked about every cell, and
-:meth:`DelayModel.cache_token`, which keys the compiled snapshot.
+:meth:`DelayModel.delay`, which is then asked about every cell.  A
+model keys its compiled snapshot by identity, and only the four
+built-in kind models by value (:class:`KindDelay`).
 
 Delays must be >= 1 for combinational cells: a zero intra-cycle delay
 would merge cause and effect into one delta slot and hide glitches.
@@ -60,25 +61,27 @@ class DelayModel:
         """Human-readable name used in experiment reports."""
         return type(self).__name__
 
-    def cache_token(self) -> tuple:
-        """Hashable key identifying this model's delay function.
-
-        Used by :func:`repro.netlist.compiled.compile_circuit` to
-        memoize compiled circuits per delay model.  The default —
-        ``(class, describe())`` — is correct for every model whose
-        delays are fully determined by its description; models with
-        hidden per-instance state must override (see
-        :class:`LoadDelay`).
-        """
-        return (type(self).__qualname__, self.describe())
-
 
 class KindDelay(DelayModel):
     """A model whose delay depends only on the cell kind and output position.
 
     Subclasses define :meth:`kind_delay`; a compile asks it once per
-    kind, and every cell of that kind shares the one delay tuple.
+    kind, and every cell of that kind shares the one delay tuple.  The
+    four built-in kind models are equal when their class and
+    description are, which fix every delay; any other is equal only
+    to itself.
     """
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            type(self) in _BY_VALUE and type(other) is type(self)
+            and other.describe() == self.describe()
+        )
+
+    def __hash__(self) -> int:
+        if type(self) in _BY_VALUE:
+            return hash((type(self), self.describe()))
+        return object.__hash__(self)
 
     def kind_delay(self, kind: CellKind, position: int) -> int:
         raise NotImplementedError
@@ -221,11 +224,9 @@ class LoadDelay(DelayModel):
             f"(base {self._base}, +{self._extra}/{self._per} loads)"
         )
 
-    def cache_token(self) -> tuple:
-        # Delays depend on the bound circuit's fanout map, which the
-        # description does not fully capture — key on instance identity.
-        return (type(self).__qualname__, self.describe(), id(self))
 
+#: The kind models that are memo keys by value (see :class:`KindDelay`).
+_BY_VALUE = (UnitDelay, ZeroDelay, PerKindDelay, SumCarryDelay)
 
 #: Delay regimes by name, for ``--delay`` and declarative jobs.
 DELAY_MODELS = {

@@ -114,18 +114,10 @@ class Simulator:
 
         cc: CompiledCircuit = compile_circuit(circuit, self.delay_model)
         self._cc = cc
-        n_nets = cc.n_nets
-        self.values: List[int] = [0] * n_nets
+        self.values: List[int] = [0] * cc.n_nets
         self.ff_state: Dict[int, int] = {ci: 0 for ci in cc.ff_cells}
         self._cycle = 0
-
-        if monitor is None:
-            monitored = list(cc.driven)
-        else:
-            monitored = [False] * n_nets
-            for n in monitor:
-                monitored[n] = True
-        self._monitored = monitored
+        self._monitored = cc.monitored(monitor)
 
         # Timing wheel size: pending events at time t live in slot
         # t % size.  Delays are bounded by max_delay, so max_delay + 1

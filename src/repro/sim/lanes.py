@@ -205,13 +205,7 @@ class LanesBackend:
         cc = self._cc = compile_circuit(circuit, self.delay_model)
         if self.exact_glitches:
             self._W = static_event_horizon(cc, circuit, self.delay_model, self.name)
-        if monitor is None:
-            monitored = list(cc.driven)
-        else:
-            monitored = [False] * cc.n_nets
-            for n in monitor:
-                monitored[n] = True
-        self._monitored = monitored
+        self._monitored = cc.monitored(monitor)
 
     def run(
         self,

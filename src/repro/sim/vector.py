@@ -144,17 +144,14 @@ class _VecGroup:
 
 
 class _VecPlan:
+    """A snapshot's groups and port indices as arrays; it holds no
+    waveform, which each run allocates for itself."""
+
     __slots__ = (
-        "groups", "edge_idx", "input_idx", "ff_d_idx", "ff_q_idx",
-        "n_ff", "buffers",
+        "groups", "edge_idx", "input_idx", "ff_d_idx", "ff_q_idx", "n_ff",
     )
 
     def __init__(self, cc: CompiledCircuit):
-        #: Last-used waveform ndarray keyed by shape — reused across
-        #: runs (and backend instances) so short repeated runs don't
-        #: pay a fresh multi-MB allocation each time.  Safe because
-        #: runs are synchronous and never nested.
-        self.buffers: Dict[tuple, object] = {}
         if cc.max_delay:  # a settled snapshot needs no windows
             lo, hi = (np.asarray(w, dtype=np.int64) for w in cc.arrival_windows)
         self.groups = []
@@ -268,13 +265,7 @@ class VectorBackend:
         )
         self.batch_cycles = batch_cycles or batch_cycles_for(cc.n_nets, self._W)
         self._plan = _plan_for(cc)
-        if monitor is None:
-            monitored = np.asarray(cc.driven, dtype=bool)
-        else:
-            monitored = np.zeros(cc.n_nets, dtype=bool)
-            for n in monitor:
-                monitored[n] = True
-        self._monitored = monitored
+        self._monitored = np.asarray(cc.monitored(monitor), dtype=bool)
 
     # ------------------------------------------------------------------
     def _zero_pass(self, lanes, Mw):
@@ -444,14 +435,11 @@ class VectorBackend:
             ps = _shl1(sl, Mw)
             ps[:, 0] |= v0bits
 
-            # Waveform array: value at delta time t, cycles bit-packed.
+            # Waveform array: value at delta time t, cycles bit-packed;
+            # one per run (and per batch shape), freed with the run.
             if wave_shape != (n_nets, W, nw):
                 wave_shape = (n_nets, W, nw)
-                wave = plan.buffers.get(wave_shape)
-                if wave is None:
-                    wave = np.empty(wave_shape, np.uint64)
-                    plan.buffers.clear()  # keep one shape resident
-                    plan.buffers[wave_shape] = wave
+                wave = np.empty(wave_shape, np.uint64)
             # Every net starts each row at its previous settled bits:
             # the value before its window, and forever for nets that
             # never change.  Clock-edge nets hold their new settled

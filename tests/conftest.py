@@ -132,9 +132,6 @@ class TableDelay(UnitDelay):
     def describe(self) -> str:
         return f"table delay over {len(self.table)} cells"
 
-    def cache_token(self) -> tuple:
-        return (type(self).__qualname__, tuple(sorted(self.table.items())))
-
 
 def random_table_delay(
     rng: random.Random, circuit: Circuit, lo: int = 1, hi: int = 4, max_len: int = 1,

@@ -545,12 +545,14 @@ class TestExplore:
         # The root and the 19 rebuilt results, each fingerprinted once.
         assert len(fingerprinted) == 20
 
-    def test_unit_delay_explore_compiles_each_circuit_once(self):
-        """The estimator reads structure and the timing reads unit
-        delays, both from one unit-delay snapshot per circuit."""
+    @pytest.mark.parametrize("delay", ["unit", "sumcarry"])
+    def test_explore_compiles_each_circuit_once(self, delay):
+        """The estimator reads structure from the unit-delay snapshot and
+        the timing reads the explored model's; both share one structural
+        pass per circuit, the one ``compile`` span."""
         circuit, _ = build_named_circuit("array8")
         with obs.capture() as rec:
-            result = explore(circuit, default_space(max_depth=3), n_vectors=8)
+            result = explore(circuit, default_space(delay, max_depth=3), n_vectors=8)
         compiles = collections.Counter(e["args"]["circuit"] for e in rec.find("compile"))
         assert len(compiles) == len(result.candidates)  # the root included
         assert set(compiles.values()) == {1}

@@ -9,12 +9,7 @@ must change the hash.
 from repro.netlist import circuit_fingerprint, delay_fingerprint
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
-from repro.netlist.compiled import (
-    MEMO_DELAY_MODELS,
-    ZERO_DELAY_FINGERPRINT,
-    _CACHE,
-    compile_circuit,
-)
+from repro.netlist.compiled import ZERO_DELAY_FINGERPRINT, compile_circuit
 from repro.sim.delays import (
     LoadDelay,
     PerKindDelay,
@@ -212,25 +207,23 @@ class TestDelayFingerprint:
 
 
 class TestCompileMemoBound:
-    def test_lru_cap_bounds_delay_entries(self):
-        c = _two_gate()
-        compile_circuit(c)  # the delay-free entry
-        for d in range(1, MEMO_DELAY_MODELS + 5):
-            compile_circuit(c, PerKindDelay({}, default=d))
-        assert len(_CACHE[c]) <= MEMO_DELAY_MODELS
+    def test_memo_is_not_pickled(self):
+        """A circuit shipped to a worker carries its netlist alone: once
+        compiled and fingerprinted it pickles to a fresh build's bytes,
+        and the copy builds its own memo."""
+        import pickle
 
-    def test_recently_used_entry_survives(self):
-        c = _two_gate()
-        keep = UnitDelay()
-        compile_circuit(c, keep)
-        for d in range(2, MEMO_DELAY_MODELS + 1):
-            compile_circuit(c, PerKindDelay({}, default=d))
-            compile_circuit(c, keep)  # touch: keep it most-recent
-        before = _CACHE[c].get(keep.cache_token())
-        assert before is not None
-        # One more distinct model evicts the LRU entry, not `keep`.
-        compile_circuit(c, PerKindDelay({}, default=99))
-        assert _CACHE[c].get(keep.cache_token()) is before
+        from repro.circuits.catalog import build_named_circuit
+
+        used, _ = build_named_circuit("array4")
+        compile_circuit(used, SumCarryDelay())
+        delay_fingerprint(used, UnitDelay())
+        used.fanout_csr()
+        fresh, _ = build_named_circuit("array4")
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        shipped = pickle.loads(pickle.dumps(used))
+        assert shipped.fingerprint() == used.fingerprint()
+        assert compile_circuit(shipped).topo == compile_circuit(used).topo
 
     def test_memo_still_memoizes(self):
         c = _two_gate()

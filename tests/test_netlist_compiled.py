@@ -29,7 +29,7 @@ class TestCompileMemoization:
 
     def test_equivalent_fresh_instances_share_entry(self, xor_chain):
         # analyze()-style call sites construct a fresh UnitDelay each
-        # time; the cache token keys on (class, description) so they
+        # time; a built-in kind model is a memo key by value, so they
         # still share one compiled form.
         assert compile_circuit(xor_chain, UnitDelay()) is compile_circuit(
             xor_chain, UnitDelay()
@@ -58,6 +58,40 @@ class TestCompileMemoization:
             assert engine(xor_chain, ZeroDelay())._cc is settled
             assert engine(xor_chain)._cc is unit
 
+    def test_per_instance_models_get_their_own_snapshots(self):
+        """Two instances of a subclass that overrides only ``delay`` share
+        a class and a description but not their delays: each is its own
+        memo key, so each compiles, fingerprints and simulates with its
+        own table, also after the other was compiled on the circuit."""
+        from repro.circuits.catalog import build_named_circuit
+        from repro.netlist.compiled import delay_fingerprint
+        from repro.sim.backends import LanesBackend
+
+        class Table(UnitDelay):
+            def __init__(self, table):
+                self.table = table
+
+            def delay(self, cell, position):
+                return self.table.get(cell.name, 1)
+
+        circuit, stim = build_named_circuit("array4")
+        names = circuit.cell_names
+        a = Table({name: 4 for name in names[::2]})
+        b = Table({name: 2 for name in names[1::3]})
+        assert a.describe() == b.describe()
+        vectors = list(stim.random(random.Random(5), 80))
+        LanesBackend(circuit, a).run(vectors)
+        ca, cb = compile_circuit(circuit, a), compile_circuit(circuit, b)
+        assert ca.cell_delays == tuple(a.cell_delays(circuit))
+        assert cb.cell_delays == tuple(b.cell_delays(circuit))
+        assert ca.cell_delays != cb.cell_delays
+        assert delay_fingerprint(circuit, a) != delay_fingerprint(circuit, b)
+        fresh, _ = build_named_circuit("array4")
+        assert (
+            LanesBackend(circuit, b).run(vectors).counts
+            == LanesBackend(fresh, b).run(vectors).counts
+        )
+
     def test_different_models_get_different_entries(self, xor_chain):
         a = compile_circuit(xor_chain, UnitDelay())
         b = compile_circuit(xor_chain, SumCarryDelay())
@@ -85,7 +119,7 @@ class TestCompileMemoization:
     def test_load_delay_keys_on_instance(self, xor_chain):
         a = LoadDelay(xor_chain)
         b = LoadDelay(xor_chain)
-        assert a.cache_token() != b.cache_token()
+        assert a != b
         assert compile_circuit(xor_chain, a) is not compile_circuit(
             xor_chain, b
         )

@@ -98,9 +98,6 @@ class _SumCarryOverride(SumCarryDelay):
             return own[position]
         return super().delay(cell, position)
 
-    def cache_token(self) -> tuple:
-        return (type(self).__qualname__, tuple(sorted(self.table.items())))
-
 
 def _override_circuit():
     """``x = a ^ b`` feeding ``fa(a, b, x)``, beside ``y = a & b``."""
