@@ -55,7 +55,7 @@ def balanced_array16_graph(array16):
 
 def test_retime_minperiod_balance_array16(benchmark, balanced_array16_graph):
     g = balanced_array16_graph
-    assert (len(g.vertices), len(g.connections)) == (N_VERTICES, N_EDGES)
+    assert (len(g.vertices), len(g.src)) == (N_VERTICES, N_EDGES)
     period, r = benchmark(minimum_period, g)
     assert period == PERIOD
     assert g.is_legal(r)

@@ -86,13 +86,13 @@ def _parse_size(name: str, prefix: str) -> int:
         raise SystemExit(str(exc))
 
 
-def _open_store(path: str | None, max_bytes: int | None = None):
+def _open_store(path: str | None):
     """A :class:`~repro.service.store.ResultStore` at *path*, or None."""
     if path is None:
         return None
     from repro.service.store import ResultStore
 
-    return ResultStore(path, max_bytes=max_bytes)
+    return ResultStore(path)
 
 
 def _require_backend(name: str) -> None:
@@ -867,7 +867,7 @@ def _obs_options(p: argparse.ArgumentParser) -> None:
 
 
 def _vector_count(text: str) -> int:
-    """argparse type of every ``--vectors``: a non-negative integer."""
+    """argparse type of every count option (``--vectors``, ``--prune-bytes``)."""
     try:
         value = int(text)
     except ValueError:
@@ -1101,7 +1101,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True, metavar="DIR")
     p.add_argument("--clear", action="store_true", help="drop all entries")
     p.add_argument(
-        "--prune-bytes", type=int, default=None, metavar="N",
+        "--prune-bytes", type=_vector_count, default=None, metavar="N",
         help="evict least-recently-used entries down to N bytes",
     )
     p.add_argument(

@@ -17,6 +17,7 @@ The headline equation (paper eq. 1) is also exposed directly as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 from repro.core.activity import ActivityResult
 from repro.netlist.cells import CellKind
@@ -68,6 +69,41 @@ class PowerBreakdown:
         }
 
 
+def power_from_rises(
+    circuit: Circuit,
+    rises: Iterable[Tuple[int, float]],
+    frequency: float,
+    tech: TechnologyLibrary | None = None,
+    clock_model: ClockTreeModel | None = None,
+) -> PowerBreakdown:
+    """Bill ``(net, rises per cycle)`` pairs into a :class:`PowerBreakdown`.
+
+    Each pair charges paper eq. 1 on the net's load, in the order
+    given.  Flipflop output nets are excluded from the logic component
+    — their switching is billed in the per-flipflop figure, matching
+    the paper's accounting ("Power dissipation in the combinational
+    logic was then calculated by subtracting the flipflop power from
+    the simulated main power").
+    """
+    tech = tech or TechnologyLibrary()
+    clock_model = clock_model or ClockTreeModel()
+    loads = tech.net_loads(circuit)
+    ff_outputs = {
+        outs[0]
+        for kind, outs in zip(circuit.cell_kinds, circuit.cell_outputs)
+        if kind is CellKind.DFF
+    }
+    logic = 0.0
+    for net, rate in rises:
+        if rate <= 0 or net in ff_outputs:
+            continue
+        logic += dynamic_power(rate, loads[net], tech.vdd, frequency)
+    n_ff = circuit.num_flipflops
+    flipflop = n_ff * tech.ff_average_power(frequency)
+    clock = clock_model.power(n_ff, tech.vdd, frequency)
+    return PowerBreakdown(logic=logic, flipflop=flipflop, clock=clock)
+
+
 def estimate_power(
     circuit: Circuit,
     activity: ActivityResult,
@@ -79,36 +115,12 @@ def estimate_power(
 
     *activity* must come from a simulation of the same circuit; its
     per-net rise counts (averaged over the counted cycles) provide the
-    transition probabilities of eq. 1.  Flipflop output nets are
-    excluded from the logic component — their switching is billed in the
-    per-flipflop figure, matching the paper's accounting ("Power
-    dissipation in the combinational logic was then calculated by
-    subtracting the flipflop power from the simulated main power").
+    transition probabilities of eq. 1, billed by
+    :func:`power_from_rises`.
     """
     if activity.cycles <= 0:
         raise ValueError("activity result contains no counted cycles")
-    tech = tech or TechnologyLibrary()
-    clock_model = clock_model or ClockTreeModel()
-
-    ff_outputs = {
-        outs[0]
-        for kind, outs in zip(circuit.cell_kinds, circuit.cell_outputs)
-        if kind is CellKind.DFF
-    }
-    logic = 0.0
+    cycles = activity.cycles
     counts = activity.counts  # the columns: no per-net record is built
-    for net, rises in zip(counts.nets, counts.rises):
-        if net in ff_outputs or rises == 0:
-            continue
-        p_rise = rises / activity.cycles
-        logic += dynamic_power(
-            p_rise,
-            tech.net_load_capacitance(circuit, net),
-            tech.vdd,
-            frequency,
-        )
-
-    n_ff = circuit.num_flipflops
-    flipflop = n_ff * tech.ff_average_power(frequency)
-    clock = clock_model.power(n_ff, tech.vdd, frequency)
-    return PowerBreakdown(logic=logic, flipflop=flipflop, clock=clock)
+    rises = ((net, r / cycles) for net, r in zip(counts.nets, counts.rises))
+    return power_from_rises(circuit, rises, frequency, tech, clock_model)

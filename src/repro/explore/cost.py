@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.core.activity import ActivityResult
-from repro.core.power import dynamic_power, estimate_power
+from repro.core.power import estimate_power, power_from_rises
 from repro.estimate.workload import useful_activities
-from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
 from repro.netlist.compiled import compile_circuit
 from repro.sim.delays import DelayModel
@@ -212,30 +211,12 @@ def _power_from_estimate(
     holds.
     """
     frequency, tech, clock_model, _ = context.resolved()
-    ff_outputs = {
-        outs[0]
-        for kind, outs in zip(circuit.cell_kinds, circuit.cell_outputs)
-        if kind is CellKind.DFF
-    }
-    logic = 0.0
-    for net, driver in enumerate(circuit.net_driver):
-        if driver < 0 or net in ff_outputs:
-            continue
-        rate = activities.get(net, 0.0) * instant_counts.get(net, 0)
-        if rate <= 0.0:
-            continue
-        logic += dynamic_power(
-            rate / 2.0,
-            tech.net_load_capacitance(circuit, net),
-            tech.vdd,
-            frequency,
-        )
-    n_ff = circuit.num_flipflops
-    return (
-        logic
-        + n_ff * tech.ff_average_power(frequency)
-        + clock_model.power(n_ff, tech.vdd, frequency)
+    rises = (
+        (net, activities.get(net, 0.0) * instant_counts.get(net, 0) / 2.0)
+        for net, driver in enumerate(circuit.net_driver)
+        if driver >= 0
     )
+    return power_from_rises(circuit, rises, frequency, tech, clock_model).total
 
 
 def simulated_cost(

@@ -29,9 +29,8 @@ lag dicts keyed by cell index plus :data:`HOST` / :data:`HOST_OUT`.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping
 
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
@@ -52,54 +51,33 @@ HOST_OUT = -2  # sink side: consumes the primary outputs
 HOST_SLOT, HOST_OUT_SLOT, CELL_SLOT = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class Connection:
-    """One edge instance of the retiming graph.
+class RetimingGraph:
+    """The extracted graph plus vertex delays, as flat per-slot arrays.
 
-    ``src``/``dst`` are vertices (combinational cell indices or
-    :data:`HOST`); ``src_net`` is the original net that carries the
-    signal at the source side (a combinational cell output or a primary
-    input); ``dst_pin`` is the input-pin position on the destination
-    cell, or the primary-output slot index when ``dst`` is the host;
-    ``weight`` counts the D-flipflops collapsed from the original path.
+    Edge ``e`` carries ``weight[e]`` D-flipflops collapsed from the
+    original path; ``src_net[e]`` is the original net that carries the
+    signal at the source side (a combinational cell output or a
+    primary input), and ``dst_pin[e]`` is the input-pin position on
+    the destination cell, or the primary-output index when the
+    destination is the host.
     """
 
-    src: int
-    src_net: int
-    dst: int
-    dst_pin: int
-    weight: int
-
-
-class RetimingGraph:
-    """The extracted graph plus vertex delays, as flat per-slot arrays."""
-
     def __init__(
-        self,
-        circuit: Circuit,
-        vertices: List[int],
-        delay: Dict[int, int],
-        connections: List[Connection],
+        self, circuit: Circuit, vertices: List[int], delay: Dict[int, int]
     ) -> None:
         self.circuit = circuit
         self.vertices = vertices
         self.delay = delay
-        self.connections = connections
         by_slot = [HOST, HOST_OUT] + list(vertices)
         #: Vertex id -> slot.
-        self.slot = slot = {v: s for s, v in enumerate(by_slot)}
+        self.slot = {v: s for s, v in enumerate(by_slot)}
         self.slot_delay = [delay[v] for v in by_slot]
-        self.src = [slot[c.src] for c in connections]
-        self.dst = [slot[c.dst] for c in connections]
-        self.weight = [c.weight for c in connections]
-        self.src_net = [c.src_net for c in connections]
-        self.dst_pin = [c.dst_pin for c in connections]
-        # CSR out-adjacency: edge ids grouped by source slot.
-        counts = [0] * (len(by_slot) + 1)
-        for s in self.src:
-            counts[s + 1] += 1
-        self.out_start = list(accumulate(counts))
-        self.out_edge = sorted(range(len(self.src)), key=self.src.__getitem__)
+        #: Edge arrays, filled by :meth:`from_circuit`.
+        self.src: List[int] = []
+        self.dst: List[int] = []
+        self.weight: List[int] = []
+        self.src_net: List[int] = []
+        self.dst_pin: List[int] = []
 
     # ------------------------------------------------------------------
     @classmethod
@@ -120,25 +98,18 @@ class RetimingGraph:
         delay: Dict[int, int] = {HOST: 0}
         for ci in vertices:
             delay[ci] = max(delays[ci])
+        delay[HOST_OUT] = 0
+        graph = cls(circuit, vertices, delay)
+        slot = graph.slot
 
         input_set = set(circuit.inputs)
         driver = circuit.net_driver
 
-        def trace_back(net: int) -> Tuple[int, int, int]:
-            """Walk through DFF drivers; return (src_vertex, src_net, weight)."""
-            weight = 0
-            seen = set()
-            while True:
-                ci = driver[net]
-                if ci < 0:
-                    if net not in input_set:
-                        raise ValueError(
-                            f"net {circuit.net_name(net)!r} is undriven and "
-                            "not a primary input"
-                        )
-                    return HOST, net, weight
-                if kinds[ci] is not DFF:
-                    return ci, net, weight
+        def connect(net: int, dst: int, pin: int) -> None:
+            """Add the edge into slot *dst*, pin *pin*: walk back from
+            *net* through DFF drivers to its source vertex."""
+            weight, seen = 0, set()
+            while (ci := driver[net]) >= 0 and kinds[ci] is DFF:
                 if ci in seen:
                     raise ValueError(
                         "flipflop-only cycle detected at "
@@ -147,19 +118,29 @@ class RetimingGraph:
                 seen.add(ci)
                 weight += 1
                 net = inputs[ci][0]
+            if ci < 0 and net not in input_set:
+                raise ValueError(
+                    f"net {circuit.net_name(net)!r} is undriven and "
+                    "not a primary input"
+                )
+            graph.src.append(slot[ci] if ci >= 0 else HOST_SLOT)
+            graph.dst.append(dst)
+            graph.weight.append(weight)
+            graph.src_net.append(net)
+            graph.dst_pin.append(pin)
 
-        connections: List[Connection] = []
         for ci in vertices:
             for pin, net in enumerate(inputs[ci]):
-                src, src_net, weight = trace_back(net)
-                connections.append(
-                    Connection(src, src_net, ci, pin, weight)
-                )
-        for slot, net in enumerate(circuit.outputs):
-            src, src_net, weight = trace_back(net)
-            connections.append(Connection(src, src_net, HOST_OUT, slot, weight))
-        delay[HOST_OUT] = 0
-        return cls(circuit, vertices, delay, connections)
+                connect(net, slot[ci], pin)
+        for pin, net in enumerate(circuit.outputs):
+            connect(net, HOST_OUT_SLOT, pin)
+        # CSR out-adjacency: edge ids grouped by source slot.
+        counts = [0] * (len(slot) + 1)
+        for s in graph.src:
+            counts[s + 1] += 1
+        graph.out_start = list(accumulate(counts))
+        graph.out_edge = sorted(range(len(graph.src)), key=graph.src.__getitem__)
+        return graph
 
     # ------------------------------------------------------------------
     def with_output_stages(self, stages: int) -> "RetimingGraph":
@@ -169,7 +150,7 @@ class RetimingGraph:
         registers backwards into the combinational fabric to meet the
         target period (paper Section 5's "introducing flipflops using
         retiming and pipelining").  The copy shares every array but the
-        weight list, and every connection record but the output edges'.
+        weight list.
         """
         if stages < 0:
             raise ValueError("stage count cannot be negative")
@@ -177,10 +158,6 @@ class RetimingGraph:
         staged.weight = [
             w + stages if d == HOST_OUT_SLOT else w
             for w, d in zip(self.weight, self.dst)
-        ]
-        staged.connections = [
-            replace(c, weight=c.weight + stages) if c.dst == HOST_OUT else c
-            for c in self.connections
         ]
         return staged
 
@@ -233,7 +210,3 @@ class RetimingGraph:
             if w > depth_by_net.get(net, 0):
                 depth_by_net[net] = w
         return sum(depth_by_net.values())
-
-    def connection_map(self) -> Dict[Tuple[int, int], Connection]:
-        """``{(dst_vertex, dst_pin): connection}`` over every edge."""
-        return {(c.dst, c.dst_pin): c for c in self.connections}

@@ -27,16 +27,21 @@ Design points:
   processes sharing one directory may race on recency but cannot
   erase each other's entries.
 * **crash-safe by verification** — every object carries a content
-  checksum in its index entry, verified on read; opening a store runs
-  a recovery scan (stale ``.tmp`` files swept, torn index lines
-  dropped, entries whose object file vanished healed, and the whole
-  index re-derived from the object files when it is unreadable).
-  :meth:`ResultStore.verify` / :meth:`ResultStore.repair` expose the
-  deep scan as ``repro cache --dir DIR verify|repair``.
-* **advisory locking** — index rewrites take an exclusive ``flock`` on
-  ``<root>/.lock`` (POSIX; a no-op elsewhere), so concurrent writers
-  sharing ``REPRO_CACHE_DIR`` serialize their read-merge-write
-  critical sections instead of interleaving them.
+  checksum in its index entry.  One check, ``ResultStore._check``,
+  decides whether an entry is sound (its object reads, matches the
+  checksum — or, written before checksums, its recorded size — and
+  parses): ``get`` serves by it and drops what fails, ``verify``
+  reports by it and ``repair`` drops by it.  ``stats`` and the
+  recovery scan on open drop entries whose object file vanished; the
+  scan also sweeps stale ``.tmp`` files, skips torn index lines and
+  re-derives an unreadable index from the object files.
+  ``repro cache --dir DIR verify|repair`` runs the deep scan.
+* **advisory locking** — index rewrites, object writes and the
+  recovery scan take an exclusive ``flock`` on ``<root>/.lock``
+  (POSIX; a no-op elsewhere), so concurrent writers sharing
+  ``REPRO_CACHE_DIR`` serialize their read-merge-write critical
+  sections instead of interleaving them, and no open sweeps the temp
+  file of a write in flight.
 * **LRU size bound** — ``max_bytes`` caps the total object payload;
   least-recently-*used* entries are evicted on insert.  Recency is
   updated in memory on every hit and persisted at the next mutation.
@@ -60,7 +65,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from operator import gt
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 try:
     import fcntl
@@ -311,14 +316,13 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _atomic_write(path: Path, data: str, durable: bool = True) -> None:
-    """Write *data* to *path* atomically and (by default) durably.
+def _atomic_write(path: Path, data: str) -> None:
+    """Write *data* to *path* atomically and durably.
 
     Same-directory temp file + fsync + rename + parent-directory
     fsync: after this returns, the write survives a crash or power
     loss — a reader sees either the old content or all of *data*,
-    never a torn mix.  ``durable=False`` skips the fsyncs for callers
-    whose data is reproducible scratch.
+    never a torn mix.
     """
     from repro.service import faults
 
@@ -329,18 +333,43 @@ def _atomic_write(path: Path, data: str, durable: bool = True) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
-            if durable:
-                fh.flush()
-                os.fsync(fh.fileno())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
-        if durable:
-            _fsync_dir(path.parent)
+        _fsync_dir(path.parent)
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
+
+
+def _index_entry(
+    digest: str, key: Optional[Dict[str, Any]], data: str,
+    payload: Dict[str, Any], created: float, last_used: float,
+) -> Dict[str, Any]:
+    """The index entry of the object *data* (serialized *payload*)."""
+    return {
+        "digest": digest,
+        "key": key,
+        "size": len(data),
+        "checksum": content_digest(data),
+        "summary": payload_summary(payload),
+        "circuit_name": payload.get("circuit_name"),
+        "delay_description": payload.get("delay_description"),
+        "created": created,
+        "last_used": last_used,
+    }
+
+
+def _problem(digest: str, kind: str, detail: str) -> Dict[str, str]:
+    """One :meth:`ResultStore.verify` problem record."""
+    return {"digest": digest, "kind": kind, "detail": detail}
+
+
+def _last_used(entry: Dict[str, Any]) -> float:
+    return entry.get("last_used", 0)
 
 
 class ResultStore:
@@ -365,6 +394,7 @@ class ResultStore:
         self.root = Path(root)
         self.objects = self.root / "objects"
         self.objects.mkdir(parents=True, exist_ok=True)
+        self._index_path = self.root / self.INDEX
         self.jobs_dir = self.root / "jobs"
         self.max_bytes = max_bytes
         #: digest -> index entry dict, in LRU order (oldest first).
@@ -383,19 +413,11 @@ class ResultStore:
         self.recovery_notes: List[str] = []
         #: Monotonic LRU clock.  Recency is a per-store counter, not
         #: wall time: ``time.time()`` can step backwards under NTP
-        #: adjustment and would then evict the hottest entry.  Seeded
-        #: past every loaded entry so legacy wall-clock values (and
-        #: mtime-derived rebuilds) stay older than any new touch.
+        #: adjustment and would then evict the hottest entry.
+        #: :meth:`_set_index` moves it past every loaded entry.
         self._tick = 0
         with self._locked():
             self._recover_open()
-        self._tick = max(
-            self._tick,
-            max(
-                (e.get("last_used", 0) for e in self._index.values()),
-                default=0,
-            ),
-        )
 
     def _touch(self) -> int:
         """Next LRU recency value (strictly increasing per store)."""
@@ -405,12 +427,13 @@ class ResultStore:
     # -- locking -------------------------------------------------------
     @contextmanager
     def _locked(self) -> Iterator[None]:
-        """Exclusive advisory lock for index read-merge-write sections.
+        """Exclusive advisory lock for the store's writing sections.
 
         Serializes concurrent writers sharing one directory so index
-        rewrites (and recovery scans) cannot interleave.  Advisory
-        only — readers that never rewrite the index are not blocked —
-        and a no-op where ``fcntl`` is unavailable.
+        rewrites, object writes and recovery scans cannot interleave.
+        Advisory only — readers (:meth:`get`) are not blocked — and a
+        no-op where ``fcntl`` is unavailable.  Not re-entrant: a
+        holder must not take it again.
         """
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
             yield
@@ -441,91 +464,72 @@ class ResultStore:
         3. Drop entries whose object file has vanished (a crashed
            eviction: index rewrite raced the unlink).
         """
-        for note in self._sweep_tmp_files():
-            self.recovery_notes.append(note)
-        rebuilt = False
+        notes = self.recovery_notes
+        notes += [f"swept stale temp file {n}" for n in self._sweep_tmp_files()]
         try:
-            entries = self._read_disk_index()
+            self._set_index(self._read_disk_index())
         except (OSError, UnicodeDecodeError) as exc:
-            self.recovery_notes.append(
-                f"index unreadable ({exc}); rebuilt from object files"
-            )
-            entries = self._rebuild_entries_from_objects()
-            rebuilt = True
-        for entry in entries:
-            self._index[entry["digest"]] = entry
-        missing = [
-            digest for digest in self._index
-            if not self._object_path(digest).exists()
-        ]
-        for digest in missing:
-            del self._index[digest]
-            self._tombstones.add(digest)
-            self._dirty = True
-            self.recovery_notes.append(
-                f"dropped entry {digest[:12]} (object file missing)"
-            )
-        if rebuilt:
+            notes.append(f"index unreadable ({exc}); rebuilt from object files")
+            self._set_index([
+                entry for path in sorted(self.objects.glob("*.json"))
+                if (entry := self._adopt(path)) is not None
+            ])
             self._dirty = True
             self._write_index_locked()
+        notes += [
+            f"dropped entry {digest[:12]} (object file missing)"
+            for digest in self._drop_missing()
+        ]
+
+    def _stale_tmp_files(self) -> List[Path]:
+        """Temp files of writers that died mid-:func:`_atomic_write`."""
+        return [
+            tmp for directory in (self.root, self.objects)
+            for tmp in directory.glob(".*.tmp")
+        ]
 
     def _sweep_tmp_files(self) -> List[str]:
-        notes = []
-        for directory in (self.root, self.objects):
-            for tmp in directory.glob(".*.tmp"):
-                try:
-                    tmp.unlink()
-                    notes.append(f"swept stale temp file {tmp.name}")
-                except OSError:  # pragma: no cover - raced cleanup
-                    pass
-        return notes
-
-    def _rebuild_entries_from_objects(self) -> List[Dict[str, Any]]:
-        """Re-derive index entries by scanning ``objects/``.
-
-        The object filename *is* the run-key digest, so rebuilt
-        entries remain addressable by :meth:`get`; the decomposed key
-        fields are unrecoverable and stored as ``None`` (display-only
-        anyway).  Unparseable objects are skipped — :meth:`repair`
-        deletes them.
-        """
-        entries: List[Dict[str, Any]] = []
-        for path in sorted(self.objects.glob("*.json")):
-            digest = path.stem
+        """Delete the stale temp files; returns the names removed."""
+        swept = []
+        for tmp in self._stale_tmp_files():
             try:
-                data = path.read_text()
-                payload = json.loads(data)
-                summary = payload_summary(payload)
-            except (OSError, json.JSONDecodeError, KeyError, TypeError):
+                tmp.unlink()
+            except OSError:  # pragma: no cover - raced cleanup
                 continue
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:  # pragma: no cover - raced unlink
-                mtime = time.time()
-            entries.append({
-                "digest": digest,
-                "key": None,
-                "size": len(data),
-                "checksum": content_digest(data),
-                "summary": summary,
-                "circuit_name": payload.get("circuit_name"),
-                "delay_description": payload.get("delay_description"),
-                "created": mtime,
-                "last_used": mtime,
-            })
-        entries.sort(key=lambda e: e.get("last_used", 0.0))
-        return entries
+            swept.append(tmp.name)
+        return swept
+
+    def _adopt(self, path: Path) -> Optional[Dict[str, Any]]:
+        """An index entry re-derived from the object file *path*.
+
+        The object filename *is* the run-key digest, so the entry
+        stays addressable by :meth:`get`; the decomposed key fields
+        are unrecoverable and stored as ``None`` (display-only
+        anyway), and the file's mtime stands in for both timestamps.
+        ``None`` when the object does not parse as a payload.
+        """
+        try:
+            data = path.read_text()
+            mtime = path.stat().st_mtime
+            return _index_entry(
+                path.stem, None, data, json.loads(data), mtime, mtime
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
+
+    def _drop_missing(self) -> List[str]:
+        """Drop entries whose object file vanished; returns their digests."""
+        missing = [d for d in self._index if not self._object_path(d).exists()]
+        for digest in missing:
+            self._drop_entry(digest)
+        return missing
 
     # -- index persistence ---------------------------------------------
-    def _index_path(self) -> Path:
-        return self.root / self.INDEX
-
     def _read_disk_index(self) -> List[Dict[str, Any]]:
-        path = self._index_path()
-        if not path.exists():
+        if not self._index_path.exists():
             return []
         entries: List[Dict[str, Any]] = []
-        with open(path) as fh:
+        with open(self._index_path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -536,8 +540,21 @@ class ResultStore:
                     continue  # torn trailing line from a dead writer
                 if isinstance(entry, dict) and "digest" in entry:
                     entries.append(entry)
-        entries.sort(key=lambda e: e.get("last_used", 0.0))
         return entries
+
+    def _set_index(self, entries: Iterable[Dict[str, Any]]) -> None:
+        """Make *entries* the index, in LRU order, and re-seed the tick.
+
+        The tick moves past every entry, so the next touch sorts
+        newest even over recency a concurrent writer advanced, legacy
+        wall-clock values and mtime-derived rebuilds.
+        """
+        self._index = OrderedDict(
+            (entry["digest"], entry) for entry in sorted(entries, key=_last_used)
+        )
+        self._tick = max(
+            self._tick, max(map(_last_used, self._index.values()), default=0)
+        )
 
     def _write_index(self) -> None:
         """Persist the index under the advisory writer lock."""
@@ -552,36 +569,25 @@ class ResultStore:
         recency we know); digests this store removed stay removed.
         The caller must hold :meth:`_locked`.
         """
-        merged: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         try:
             disk_entries = self._read_disk_index()
         except (OSError, UnicodeDecodeError):
             # The on-disk index is unreadable garbage; our in-memory
             # view is the best surviving state — overwrite it.
             disk_entries = []
-        for entry in disk_entries:
-            digest = entry["digest"]
-            if digest not in self._tombstones and digest not in self._index:
-                merged[digest] = entry
+        merged = {
+            entry["digest"]: entry for entry in disk_entries
+            if entry["digest"] not in self._tombstones
+            and entry["digest"] not in self._index
+        }
         merged.update(self._index)
-        self._index = OrderedDict(sorted(
-            merged.items(), key=lambda kv: kv[1].get("last_used", 0.0)
-        ))
-        # Concurrent writers may have advanced recency past our tick;
-        # re-seed so our next touch still sorts newest.
-        self._tick = max(
-            self._tick,
-            max(
-                (e.get("last_used", 0) for e in self._index.values()),
-                default=0,
-            ),
-        )
+        self._set_index(merged.values())
         lines = "".join(
             json.dumps(entry, sort_keys=True) + "\n"
             for entry in self._index.values()
         )
         try:
-            _atomic_write(self._index_path(), lines)
+            _atomic_write(self._index_path, lines)
         except OSError as exc:
             # A failing disk must not abort the batch that computed
             # the results: keep the in-memory state dirty so a later
@@ -626,26 +632,44 @@ class ResultStore:
         return self.objects / f"{digest}.json"
 
     # -- core API ------------------------------------------------------
-    def _read_object(self, entry: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """Read + verify one entry's object; ``None`` when corrupt.
+    def _check(
+        self, digest: str, entry: Dict[str, Any]
+    ) -> Tuple[Any, Optional[Dict[str, str]]]:
+        """Read and check one entry's object: ``(payload, problem)``.
 
-        Detection layers: the file must be readable, its content must
-        match the checksum recorded at write time (catches torn writes
-        *and* silent bit flips — a flipped digit is still valid JSON),
-        and it must parse.  Legacy entries without a checksum fall
-        back to parse-only validation.
+        The one soundness rule of the store (:meth:`get` serves by it,
+        :meth:`verify` reports by it, :meth:`repair` drops by it): the
+        object file must be readable, its content must match the
+        checksum recorded at write time (catches torn writes *and*
+        silent bit flips — a flipped digit is still valid JSON), it
+        must parse, and a legacy entry written without a checksum
+        must keep its recorded size.  *problem* is ``None`` for a
+        sound object, else a :meth:`verify` record and *payload* is
+        ``None``.
         """
         try:
-            data = self._object_path(entry["digest"]).read_text()
-        except OSError:
-            return None
+            # A byte flipped outside ASCII is no UTF-8: it decodes to
+            # U+FFFD, so the checksum catches it instead of a crash.
+            data = self._object_path(digest).read_text(errors="replace")
+        except OSError as exc:
+            return None, _problem(digest, "missing-object", str(exc))
         checksum = entry.get("checksum")
         if checksum is not None and content_digest(data) != checksum:
-            return None
+            return None, _problem(digest, "checksum-mismatch", (
+                f"stored {len(data)} bytes do not match the "
+                "checksum recorded at write time"
+            ))
         try:
-            return json.loads(data)
-        except json.JSONDecodeError:
-            return None
+            payload = json.loads(data)
+        except json.JSONDecodeError as exc:
+            return None, _problem(digest, "unparseable", str(exc))
+        if checksum is None and len(data) != entry.get("size"):
+            # Legacy entry (no checksum): the size is the only
+            # corruption signal available.
+            return None, _problem(digest, "size-mismatch", (
+                f"{len(data)} bytes on disk, index says {entry.get('size')}"
+            ))
+        return payload, None
 
     def _drop_entry(self, digest: str, unlink: bool = False) -> None:
         """Forget an entry (self-heal path); optionally remove its object."""
@@ -662,35 +686,33 @@ class ResultStore:
         """The stored payload for *key*, or ``None`` on a miss.
 
         A hit refreshes the entry's LRU recency (persisted at the next
-        mutation).  Entries whose object file is missing, torn,
-        bit-flipped (checksum mismatch) or unparseable are treated as
-        misses and dropped — the store self-heals on first touch.
+        mutation).  An entry whose object fails :meth:`_check`
+        (missing, torn, bit-flipped, unparseable, or a legacy size
+        mismatch) is treated as a miss and dropped — the store
+        self-heals on first touch.
         """
         digest = key.digest()
         entry = self._index.get(digest)
-        if entry is None:
-            self.misses += 1
-            obs.inc("store.miss")
-            return None
-        rt0 = time.perf_counter()
-        with obs.span("store.read", digest=digest[:12]):
-            payload = self._read_object(entry)
-        obs.hist("store.read_s", time.perf_counter() - rt0)
-        if payload is None:
+        if entry is not None:
+            rt0 = time.perf_counter()
+            with obs.span("store.read", digest=digest[:12]):
+                payload, problem = self._check(digest, entry)
+            obs.hist("store.read_s", time.perf_counter() - rt0)
+            if problem is None:
+                entry["last_used"] = self._touch()
+                self._index.move_to_end(digest)
+                self._dirty = True
+                self.hits += 1
+                obs.inc("store.hit")
+                return payload
             ht0 = time.perf_counter()
             self._drop_entry(digest, unlink=True)
             obs.hist("store.self_heal_s", time.perf_counter() - ht0)
             obs.instant("store.self_heal", digest=digest[:12])
             obs.inc("store.self_heal")
-            self.misses += 1
-            obs.inc("store.miss")
-            return None
-        entry["last_used"] = self._touch()
-        self._index.move_to_end(digest)
-        self._dirty = True
-        self.hits += 1
-        obs.inc("store.hit")
-        return payload
+        self.misses += 1
+        obs.inc("store.miss")
+        return None
 
     def put(self, key: RunKey, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Store *payload* under *key*; returns the index entry.
@@ -705,13 +727,14 @@ class ResultStore:
 
         digest = key.digest()
         data = json.dumps(payload, sort_keys=True)
-        checksum = content_digest(data)
         try:
             # corrupt_payload models storage corrupting the bytes
             # *after* the checksum was recorded — exactly the torn
             # write / bit flip the read-side verification must catch.
             wt0 = time.perf_counter()
-            with obs.span("store.write", digest=digest[:12], bytes=len(data)):
+            # The writer lock keeps a concurrent open's sweep of stale
+            # temp files off this write's temp file.
+            with self._locked(), obs.span("store.write", digest=digest[:12], bytes=len(data)):
                 _atomic_write(
                     self._object_path(digest),
                     faults.corrupt_payload(data, key=digest),
@@ -727,36 +750,27 @@ class ResultStore:
             )
             return None
         obs.inc("store.put")
-        entry = {
-            "digest": digest,
-            "key": asdict(key),
-            "size": len(data),
-            "checksum": checksum,
-            "summary": payload_summary(payload),
-            "circuit_name": payload.get("circuit_name"),
-            "delay_description": payload.get("delay_description"),
-            "created": time.time(),
-            "last_used": self._touch(),
-        }
+        entry = _index_entry(
+            digest, asdict(key), data, payload, time.time(), self._touch()
+        )
         self._index[digest] = entry
         self._index.move_to_end(digest)
-        self._evict_to(self.max_bytes)
+        if self.max_bytes is not None:
+            self._evict(self.max_bytes, keep=1)
         self._dirty = True
         if not self._deferred:
             self._write_index()
         return entry
 
-    def _evict_to(self, max_bytes: int | None) -> int:
-        if max_bytes is None:
-            return 0
+    def _evict(self, max_bytes: int, keep: int = 0) -> int:
+        """Evict LRU entries until at most *max_bytes* remain.
+
+        The newest *keep* entries stay even past the bound (:meth:`put`
+        keeps the entry it just wrote).  Returns the eviction count.
+        """
         evicted = 0
-        while len(self._index) > 1 and self.total_bytes() > max_bytes:
-            digest, _ = self._index.popitem(last=False)
-            self._tombstones.add(digest)
-            try:
-                os.unlink(self._object_path(digest))
-            except OSError:
-                pass
+        while len(self._index) > keep and self.total_bytes() > max_bytes:
+            self._drop_entry(next(iter(self._index)), unlink=True)
             evicted += 1
         if evicted:
             obs.inc("store.eviction", evicted)
@@ -780,42 +794,17 @@ class ResultStore:
         """Evict LRU entries until at most *max_bytes* remain."""
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        evicted = 0
-        while self._index and self.total_bytes() > max_bytes:
-            digest, _ = self._index.popitem(last=False)
-            self._tombstones.add(digest)
-            try:
-                os.unlink(self._object_path(digest))
-            except OSError:
-                pass
-            evicted += 1
+        evicted = self._evict(max_bytes)
         self._write_index()
         return evicted
 
     def clear(self) -> int:
         """Drop every entry (ours and any concurrent writer's)."""
-        for entry in self._read_disk_index():
-            self._index.setdefault(entry["digest"], entry)
-        n = len(self._index)
-        for digest in list(self._index):
-            self._tombstones.add(digest)
-            try:
-                os.unlink(self._object_path(digest))
-            except OSError:
-                pass
-        self._index.clear()
+        digests = {e["digest"] for e in self._read_disk_index()}.union(self._index)
+        for digest in digests:
+            self._drop_entry(digest, unlink=True)
         self._write_index()
-        return n
-
-    def _sweep_missing_objects(self) -> int:
-        """Drop entries whose object file vanished (raced eviction)."""
-        missing = [
-            digest for digest in self._index
-            if not self._object_path(digest).exists()
-        ]
-        for digest in missing:
-            self._drop_entry(digest)
-        return len(missing)
+        return len(digests)
 
     def stats(self) -> Dict[str, Any]:
         """Aggregate store statistics plus this session's hit counters.
@@ -823,9 +812,9 @@ class ResultStore:
         Self-heals first: entries whose object file has vanished (an
         eviction race in another process, manual deletion) are dropped
         so the reported entry/byte counts describe servable state —
-        the same healing :meth:`get` performs on first touch.
+        the same healing the open-time recovery scan performs.
         """
-        self._sweep_missing_objects()
+        self._drop_missing()
         return {
             "root": str(self.root),
             "entries": len(self._index),
@@ -839,8 +828,7 @@ class ResultStore:
     def verify(self) -> Dict[str, Any]:
         """Deep-scan the store; report every problem, change nothing.
 
-        Checks each index entry's object file (existence, recorded
-        checksum, JSON parseability, size agreement) and reports
+        Runs :meth:`_check` on each index entry's object and reports
         orphan objects (object file without an index entry — a writer
         died between the object write and the index write) and stale
         temp files.  Returns ``{"entries", "ok", "problems": [...]}``
@@ -849,130 +837,49 @@ class ResultStore:
         ``unparseable`` / ``size-mismatch`` / ``orphan-object`` /
         ``stale-tmp``.
         """
-        problems: List[Dict[str, str]] = []
-        for digest, entry in self._index.items():
-            path = self._object_path(digest)
-            try:
-                data = path.read_text()
-            except OSError as exc:
-                problems.append({
-                    "digest": digest, "kind": "missing-object",
-                    "detail": str(exc),
-                })
-                continue
-            checksum = entry.get("checksum")
-            if checksum is not None and content_digest(data) != checksum:
-                problems.append({
-                    "digest": digest, "kind": "checksum-mismatch",
-                    "detail": (
-                        f"stored {len(data)} bytes do not match the "
-                        "checksum recorded at write time"
-                    ),
-                })
-                continue
-            try:
-                json.loads(data)
-            except json.JSONDecodeError as exc:
-                problems.append({
-                    "digest": digest, "kind": "unparseable",
-                    "detail": str(exc),
-                })
-                continue
-            if checksum is None and len(data) != entry.get("size"):
-                # Legacy entry (no checksum): the size is the only
-                # corruption signal available.
-                problems.append({
-                    "digest": digest, "kind": "size-mismatch",
-                    "detail": (
-                        f"{len(data)} bytes on disk, index says "
-                        f"{entry.get('size')}"
-                    ),
-                })
-        indexed = set(self._index)
-        for path in sorted(self.objects.glob("*.json")):
-            if path.stem not in indexed:
-                problems.append({
-                    "digest": path.stem, "kind": "orphan-object",
-                    "detail": "object file has no index entry",
-                })
-        for directory in (self.root, self.objects):
-            for tmp in directory.glob(".*.tmp"):
-                problems.append({
-                    "digest": tmp.name, "kind": "stale-tmp",
-                    "detail": "leftover temp file from a dead writer",
-                })
-        return {
-            "entries": len(self._index),
-            "ok": len(self._index) - sum(
-                1 for p in problems
-                if p["kind"] not in ("orphan-object", "stale-tmp")
-            ),
-            "problems": problems,
-        }
+        problems = [
+            problem for digest, entry in self._index.items()
+            if (problem := self._check(digest, entry)[1]) is not None
+        ]
+        ok = len(self._index) - len(problems)
+        problems += [
+            _problem(path.stem, "orphan-object", "object file has no index entry")
+            for path in sorted(self.objects.glob("*.json"))
+            if path.stem not in self._index
+        ]
+        problems += [
+            _problem(tmp.name, "stale-tmp", "leftover temp file from a dead writer")
+            for tmp in self._stale_tmp_files()
+        ]
+        return {"entries": len(self._index), "ok": ok, "problems": problems}
 
     def repair(self) -> Dict[str, int]:
         """Fix everything :meth:`verify` reports; keep valid entries.
 
-        Corrupt entries (missing/torn/bit-flipped/unparseable objects)
-        are dropped — their next request recomputes and re-caches.
-        Parseable orphan objects are *adopted* back into the index
-        (their filename is the addressing digest, so they become
-        servable again); unparseable orphans and stale temp files are
-        deleted.  Uncorrupted entries are untouched and remain
-        servable.  Returns action counts.
+        Corrupt entries (every entry problem) are dropped — their next
+        request recomputes and re-caches.  Parseable orphan objects
+        are *adopted* back into the index (their filename is the
+        addressing digest, so they become servable again);
+        unparseable orphans and stale temp files are deleted.
+        Uncorrupted entries are untouched and remain servable.
+        Returns action counts.
         """
         with self._locked():
-            dropped = adopted = deleted = swept = 0
+            counts = dict.fromkeys(("dropped", "adopted", "deleted"), 0)
             for problem in self.verify()["problems"]:
-                kind = problem["kind"]
-                digest = problem["digest"]
-                if kind in (
-                    "missing-object", "checksum-mismatch",
-                    "unparseable", "size-mismatch",
-                ):
-                    self._drop_entry(digest, unlink=True)
-                    dropped += 1
-                elif kind == "orphan-object":
-                    path = self._object_path(digest)
-                    try:
-                        data = path.read_text()
-                        payload = json.loads(data)
-                        summary = payload_summary(payload)
-                    except (
-                        OSError, json.JSONDecodeError, KeyError, TypeError,
-                    ):
-                        try:
-                            path.unlink()
-                            deleted += 1
-                        except OSError:
-                            pass
-                        continue
-                    try:
-                        mtime = path.stat().st_mtime
-                    except OSError:  # pragma: no cover - raced unlink
-                        mtime = time.time()
-                    self._index[digest] = {
-                        "digest": digest,
-                        "key": None,
-                        "size": len(data),
-                        "checksum": content_digest(data),
-                        "summary": summary,
-                        "circuit_name": payload.get("circuit_name"),
-                        "delay_description": payload.get(
-                            "delay_description"
-                        ),
-                        "created": mtime,
-                        "last_used": mtime,
-                    }
+                kind, digest = problem["kind"], problem["digest"]
+                if kind == "stale-tmp":
+                    continue  # swept below
+                orphan = kind == "orphan-object"
+                entry = self._adopt(self._object_path(digest)) if orphan else None
+                if entry is not None:
+                    self._index[digest] = entry
                     self._tombstones.discard(digest)
-                    self._dirty = True
-                    adopted += 1
-            swept += len(self._sweep_tmp_files())
+                    counts["adopted"] += 1
+                else:
+                    self._drop_entry(digest, unlink=True)
+                    counts["deleted" if orphan else "dropped"] += 1
+            counts["swept_tmp"] = len(self._sweep_tmp_files())
             self._dirty = True
             self._write_index_locked()
-        return {
-            "dropped": dropped,
-            "adopted": adopted,
-            "deleted": deleted,
-            "swept_tmp": swept,
-        }
+        return counts

@@ -15,7 +15,7 @@ multiplied by the flipflop count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
+from typing import Dict, List
 
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
@@ -106,24 +106,22 @@ class TechnologyLibrary:
         except KeyError:
             raise KeyError(f"library {self.name!r} has no cell kind {kind}") from None
 
-    def net_load_capacitance(self, circuit: Circuit, net: int) -> float:
-        """Total load the driver of *net* charges on a rise [F]."""
+    def net_loads(self, circuit: Circuit) -> List[float]:
+        """Per net, the total load its driver charges on a rise [F]."""
         kinds = circuit.cell_kinds
-        cap = 0.0
-        driver = circuit.net_driver[net]
-        if driver >= 0:
-            cap += self.electrical(kinds[driver]).output_cap
         start, readers = circuit.fanout_csr()
-        for ci in readers[start[net]:start[net + 1]]:
-            # A cell may read the same net on several pins; the fanout
-            # keeps duplicates, so each pin contributes once here.
-            cap += self.electrical(kinds[ci]).input_cap
-            cap += self.wire_cap_per_fanout
-        return cap
-
-    def energy_per_rise(self, circuit: Circuit, net: int) -> float:
-        """Dynamic energy drawn from the supply per 0->1 transition [J]."""
-        return self.net_load_capacitance(circuit, net) * self.vdd**2
+        loads = []
+        for net, driver in enumerate(circuit.net_driver):
+            cap = 0.0
+            if driver >= 0:
+                cap += self.electrical(kinds[driver]).output_cap
+            for ci in readers[start[net]:start[net + 1]]:
+                # A cell may read the same net on several pins; the fanout
+                # keeps duplicates, so each pin contributes once here.
+                cap += self.electrical(kinds[ci]).input_cap
+                cap += self.wire_cap_per_fanout
+            loads.append(cap)
+        return loads
 
     def ff_average_power(self, frequency: float) -> float:
         """Average power of one flipflop at 50% input activity [W]."""

@@ -1,32 +1,72 @@
 """Dict-walking Leiserson–Saxe FEAS — the oracle for the array version.
 
 This is the original implementation :mod:`repro.retime.leiserson_saxe`
-was lowered from.  It works on the graph's vertex-id view
-(``vertices``, ``delay`` and ``connections`` with lag dicts keyed by
-cell index plus ``HOST`` / ``HOST_OUT``) and rebuilds its adjacency
-per arrival pass, so it is slow but easy to check by eye.  The property
-suite in ``tests/test_retime_ls.py`` asserts the production functions
-return exactly what these do.
+was lowered from.  It works on a graph's vertex-id view
+(:class:`DictGraph`: ``vertices``, ``delay`` and one
+:class:`Connection` record per edge, read from a
+:class:`~repro.retime.graph.RetimingGraph`'s arrays by
+:func:`dict_graph`) with lag dicts keyed by cell index plus ``HOST`` /
+``HOST_OUT``, and rebuilds its adjacency per arrival pass, so it is
+slow but easy to check by eye.  The property suite in
+``tests/test_retime_ls.py`` asserts the production functions return
+exactly what these do.
 
 Do not optimise this module; its value is that it stays obvious.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.retime.graph import HOST, HOST_OUT, Connection, RetimingGraph
+from repro.retime.graph import HOST, HOST_OUT, RetimingGraph
 
 
-def with_output_stages(graph: RetimingGraph, stages: int) -> RetimingGraph:
-    """*graph* with *stages* more registers on every edge into the host,
-    built from rewritten connection records."""
-    connections = [
+@dataclass(frozen=True)
+class Connection:
+    """One edge instance of the retiming graph.
+
+    ``src``/``dst`` are vertices (combinational cell indices,
+    ``HOST`` or ``HOST_OUT``); ``src_net`` is the net that carries the
+    signal at the source side; ``dst_pin`` is the input-pin position on
+    the destination cell, or the primary-output index at ``HOST_OUT``;
+    ``weight`` counts the D-flipflops collapsed from the original path.
+    """
+
+    src: int
+    src_net: int
+    dst: int
+    dst_pin: int
+    weight: int
+
+
+class DictGraph(NamedTuple):
+    """A retiming graph's vertex-id view."""
+
+    vertices: List[int]
+    delay: Dict[int, int]
+    connections: List[Connection]
+
+
+def dict_graph(graph: RetimingGraph) -> DictGraph:
+    """The vertex-id view of *graph*, one record per edge of its arrays."""
+    by_slot = [HOST, HOST_OUT] + list(graph.vertices)
+    return DictGraph(graph.vertices, graph.delay, [
+        Connection(by_slot[s], net, by_slot[d], pin, w)
+        for s, net, d, pin, w in zip(
+            graph.src, graph.src_net, graph.dst, graph.dst_pin, graph.weight
+        )
+    ])
+
+
+def with_output_stages(graph: RetimingGraph, stages: int) -> DictGraph:
+    """*graph*'s view with *stages* more registers on every edge into
+    the host, built from rewritten connection records."""
+    view = dict_graph(graph)
+    return view._replace(connections=[
         replace(c, weight=c.weight + stages) if c.dst == HOST_OUT else c
-        for c in graph.connections
-    ]
-    return RetimingGraph(graph.circuit, graph.vertices, graph.delay, connections)
+        for c in view.connections
+    ])
 
 
 def retimed_weight(conn: Connection, r: Mapping[int, int]) -> int:
@@ -34,14 +74,14 @@ def retimed_weight(conn: Connection, r: Mapping[int, int]) -> int:
     return conn.weight + r.get(conn.dst, 0) - r.get(conn.src, 0)
 
 
-def is_legal(graph: RetimingGraph, r: Mapping[int, int]) -> bool:
+def is_legal(graph: DictGraph, r: Mapping[int, int]) -> bool:
     """True iff host lags are 0 and every retimed weight is non-negative."""
     if r.get(HOST, 0) != 0 or r.get(HOST_OUT, 0) != 0:
         return False
     return all(retimed_weight(c, r) >= 0 for c in graph.connections)
 
 
-def count_flipflops(graph: RetimingGraph, r: Mapping[int, int]) -> int:
+def count_flipflops(graph: DictGraph, r: Mapping[int, int]) -> int:
     """Flipflops after retiming *r*, one shared chain per source net."""
     depth_by_net: Dict[int, int] = {}
     for c in graph.connections:
@@ -53,7 +93,7 @@ def count_flipflops(graph: RetimingGraph, r: Mapping[int, int]) -> int:
 
 
 def arrival_times(
-    graph: RetimingGraph, r: Dict[int, int]
+    graph: DictGraph, r: Dict[int, int]
 ) -> Optional[Dict[int, int]]:
     """Longest-path arrival per vertex over zero-weight retimed edges.
 
@@ -92,7 +132,7 @@ def arrival_times(
     return arrival
 
 
-def feas(graph: RetimingGraph, period: int) -> Optional[Dict[int, int]]:
+def feas(graph: DictGraph, period: int) -> Optional[Dict[int, int]]:
     """A legal retiming achieving *period*, or ``None``."""
     if period < max(graph.delay.values(), default=0):
         return None
@@ -118,13 +158,13 @@ def feas(graph: RetimingGraph, period: int) -> Optional[Dict[int, int]]:
     return r
 
 
-def unretimed_period(graph: RetimingGraph) -> Optional[int]:
+def unretimed_period(graph: DictGraph) -> Optional[int]:
     """Critical path of the unretimed graph (``None``: register-free loop)."""
     arrival = arrival_times(graph, {v: 0 for v in graph.vertices})
     return None if arrival is None else max(arrival.values())
 
 
-def minimum_period(graph: RetimingGraph) -> Tuple[int, Dict[int, int]]:
+def minimum_period(graph: DictGraph) -> Tuple[int, Dict[int, int]]:
     """Binary-search the smallest achievable period; returns ``(c, r)``."""
     hi = unretimed_period(graph)
     if hi is None:

@@ -212,6 +212,14 @@ class TestNegativeVectors:
             "repro analyze: error: argument --vectors: invalid int value: 'abc'"
         )
 
+    def test_prune_bytes_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "--dir", str(tmp_path), "--prune-bytes", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro cache: error: argument --prune-bytes: must be >= 0, got -1"
+        )
+
     def test_zero_vectors_still_accepted(self):
         assert main(["analyze", "--circuit", "rca4", "--vectors", "0"]) == 0
 
@@ -316,6 +324,45 @@ class TestServiceCommands:
         capsys.readouterr()
         assert main(["cache", "--dir", cache, "--clear"]) == 0
         assert "cleared 1" in capsys.readouterr().out
+
+    def test_cache_verify_and_repair(self, tmp_path, capsys):
+        from repro.service.store import ResultStore
+
+        cache = str(tmp_path)
+        for n in ("10", "20"):
+            assert main([
+                "analyze", "--circuit", "rca4", "--vectors", n, "--cache", cache,
+            ]) == 0
+        capsys.readouterr()
+        assert main(["cache", "verify", "--dir", cache]) == 0
+        assert capsys.readouterr().out == "2/2 entrie(s) ok, 0 problem(s)\n"
+        # Damage: flip a digit in one object, leave an orphan object
+        # (a copy of the other) and a temp file of a dead writer.
+        first, second = (
+            tmp_path / "objects" / f"{e['digest']}.json"
+            for e in ResultStore(cache).entries()
+        )
+        data = first.read_text()
+        pos = data.index('"cycles": ') + len('"cycles": ')
+        first.write_text(data[:pos] + "9" + data[pos + 1:])
+        (tmp_path / "objects" / "feedfacecafe.json").write_text(second.read_text())
+        (tmp_path / ".index.jsonl.zzz.tmp").write_text("junk")
+        assert main(["cache", "verify", "--dir", cache]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("1/2 entrie(s) ok, 2 problem(s)\n")
+        rows = [line.split("|")[1].strip() for line in out.splitlines() if "|" in line]
+        assert rows == ["kind", "checksum-mismatch", "orphan-object"]
+        # Opening the store swept the temp file before the scan ran.
+        assert not (tmp_path / ".index.jsonl.zzz.tmp").exists()
+        assert main(["cache", "repair", "--dir", cache]) == 0
+        assert capsys.readouterr().out == (
+            "dropped 1 corrupt entrie(s), adopted 1 orphan object(s), deleted "
+            "0 unparseable orphan(s), swept 0 stale tmp file(s) "
+            "(2 problem(s) found)\n"
+            "2/2 entrie(s) ok after repair\n"
+        )
+        assert main(["cache", "verify", "--dir", cache]) == 0
+        assert capsys.readouterr().out == "2/2 entrie(s) ok, 0 problem(s)\n"
 
     def test_status_unknown_job(self, tmp_path):
         with pytest.raises(SystemExit, match="no job"):

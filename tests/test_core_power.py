@@ -57,7 +57,7 @@ class TestEstimatePower:
         f = 1e6
         breakdown = estimate_power(c, activity, f, tech, clock)
         # y rises 5 times in 10 cycles -> p_rise = 0.5.
-        cap = tech.net_load_capacitance(c, c.net("y"))
+        cap = tech.net_loads(c)[c.net("y")]
         assert breakdown.logic == pytest.approx(0.5 * cap * tech.vdd**2 * f)
         assert breakdown.flipflop == 0.0
         assert breakdown.clock == pytest.approx(

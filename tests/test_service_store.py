@@ -134,6 +134,31 @@ class TestLruBound:
         assert store.prune(0) == 4
         assert store.total_bytes() == 0
 
+    def test_reput_into_full_store_evicts_only_older_entries(self, tmp_path):
+        """A re-put key becomes the newest entry: eviction takes the
+        oldest others and keeps it servable."""
+        one = len(json.dumps(_payload(0, pad=10)))
+        store = ResultStore(tmp_path, max_bytes=3 * one)
+        for n in range(3):
+            store.put(_key(n), _payload(n, pad=10))
+        bigger = _payload(0, pad=20)
+        store.put(_key(0), bigger)  # over the bound: 1 is now the oldest
+        assert store.get(_key(0)) == bigger
+        assert store.get(_key(1)) is None
+        assert store.get(_key(2)) == _payload(2, pad=10)
+        assert store.total_bytes() <= 3 * one
+
+    def test_prune_counts_evictions(self, tmp_path):
+        from repro.obs import trace
+
+        store = ResultStore(tmp_path)
+        for n in range(3):
+            store.put(_key(n), _payload(n))
+        with trace.capture() as rec:
+            assert store.prune(len(json.dumps(_payload(2)))) == 2
+        assert rec.metrics.counters["store.eviction"] == 2
+        assert store.get(_key(2)) == _payload(2)
+
     def test_negative_bounds_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ResultStore(tmp_path, max_bytes=-1)
@@ -424,6 +449,42 @@ class TestConcurrentWriters:
         assert not list(a.objects.glob("*.json"))
 
 
+    def test_open_spares_a_live_writers_temp_file(self, tmp_path, monkeypatch):
+        """A store opened in another process while an object is being
+        written must not sweep that write's temp file as stale."""
+        import os
+        import subprocess
+        import sys
+        import time
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        opener = []
+        real_replace = os.replace
+
+        def replace_after_an_open(tmp, path):
+            if not opener:  # the object write; the index write follows
+                opener.append(subprocess.Popen(
+                    [sys.executable, "-c", (
+                        "import sys; from repro.service.store import ResultStore; "
+                        "print('ready', flush=True); ResultStore(sys.argv[1])"
+                    ), str(tmp_path)],
+                    stdout=subprocess.PIPE, text=True,
+                    env={**os.environ, "PYTHONPATH": src},
+                ))
+                assert opener[0].stdout.readline() == "ready\n"
+                time.sleep(0.5)  # ample time for an open to sweep
+            real_replace(tmp, path)
+
+        store = ResultStore(tmp_path)
+        monkeypatch.setattr(os, "replace", replace_after_an_open)
+        assert store.put(_key(), _payload()) is not None
+        assert opener[0].wait(timeout=60) == 0
+        opener[0].stdout.close()
+        assert store.get(_key()) == _payload()
+
+
 class TestFlushAndDeferred:
     def test_read_only_recency_persists_after_flush(self, tmp_path):
         """Warm read-only sessions must not degrade LRU to FIFO."""
@@ -561,6 +622,41 @@ class TestSelfHeal:
         path = store.objects / f"{entry['digest']}.json"
         data = path.read_text()
         path.write_text(data[: len(data) // 2])
+        assert store.get(_key()) is None
+        assert len(store) == 0
+
+
+    def test_get_drops_legacy_entry_with_wrong_size(self, tmp_path):
+        """An entry written before checksums were recorded is checked
+        by its size, on `get` as on `verify`."""
+        store = ResultStore(tmp_path)
+        for n in range(2):
+            store.put(_key(n), _payload(n))
+        index = tmp_path / ResultStore.INDEX
+        entries = [json.loads(line) for line in index.read_text().splitlines()]
+        for entry in entries:
+            del entry["checksum"]
+            if entry["digest"] == _key(1).digest():
+                entry["size"] += 1
+        index.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        legacy = ResultStore(tmp_path)
+        [problem] = legacy.verify()["problems"]
+        assert problem["kind"] == "size-mismatch"
+        assert legacy.get(_key(0)) == _payload(0)  # right size: served
+        assert legacy.get(_key(1)) is None
+        assert _key(1) not in legacy
+        assert not (legacy.objects / f"{_key(1).digest()}.json").exists()
+
+    def test_get_heals_non_utf8_byte(self, tmp_path):
+        """A flipped high bit leaves bytes that are no UTF-8: a miss
+        (checksum mismatch), not a decode error."""
+        store = ResultStore(tmp_path)
+        entry = store.put(_key(), _payload())
+        path = store.objects / f"{entry['digest']}.json"
+        data = path.read_bytes()
+        path.write_bytes(data[:5] + bytes([data[5] ^ 0x80]) + data[6:])
+        [problem] = store.verify()["problems"]
+        assert problem["kind"] == "checksum-mismatch"
         assert store.get(_key()) is None
         assert len(store) == 0
 

@@ -24,14 +24,14 @@ class TestLoadCapacitance:
         inv = tech.electrical(CellKind.NOT)
         buf = tech.electrical(CellKind.BUF)
         expected = inv.output_cap + 3 * (buf.input_cap + tech.wire_cap_per_fanout)
-        assert tech.net_load_capacitance(c, y) == pytest.approx(expected)
+        assert tech.net_loads(c)[y] == pytest.approx(expected)
 
     def test_cap_grows_with_fanout(self):
         tech = TechnologyLibrary()
         caps = []
         for fo in (1, 2, 5):
             c, y = self._fanout_circuit(fo)
-            caps.append(tech.net_load_capacitance(c, y))
+            caps.append(tech.net_loads(c)[y])
         assert caps == sorted(caps)
         assert caps[2] > caps[0]
 
@@ -41,22 +41,15 @@ class TestLoadCapacitance:
         a = c.add_input("a")
         c.mark_output(c.gate(CellKind.BUF, a))
         buf = tech.electrical(CellKind.BUF)
-        assert tech.net_load_capacitance(c, a) == pytest.approx(
+        assert tech.net_loads(c)[a] == pytest.approx(
             buf.input_cap + tech.wire_cap_per_fanout
-        )
-
-    def test_energy_per_rise(self):
-        tech = TechnologyLibrary()
-        c, y = self._fanout_circuit(1)
-        assert tech.energy_per_rise(c, y) == pytest.approx(
-            tech.net_load_capacitance(c, y) * 25.0
         )
 
     def test_unknown_kind_rejected(self):
         tech = TechnologyLibrary(cells={})
         c, y = self._fanout_circuit(1)
         with pytest.raises(KeyError):
-            tech.net_load_capacitance(c, y)
+            tech.net_loads(c)
 
     def test_scaled_voltage_and_caps(self):
         tech = TechnologyLibrary()
